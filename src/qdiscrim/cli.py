@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .certify import ANALYTIC_TOL, SUBGRADIENT_TOL, verify_kkt, verify_legacy_conditions
-from .errors import ConvergenceError, UnsupportedInstanceError
+from .errors import ConvergenceError, DiscriminationError, UnsupportedInstanceError
 from .factory import (
     SteeringMeasurement,
     generate_from_symmetry_operator,
@@ -65,7 +65,7 @@ def _load_json(path: str):
 def _load_ensemble(path: str):
     try:
         return ensemble_from_json(_load_json(path))
-    except ValueError as exc:
+    except (ValueError, DiscriminationError) as exc:
         raise _ExitError(EXIT_PARSE, f"{path}: {exc}") from exc
 
 

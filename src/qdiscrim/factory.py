@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import nnls
 
 from .bloch import PAULI_X, PAULI_Y, PAULI_Z, from_bloch
 from .certify import verify_kkt
@@ -134,6 +133,9 @@ def _kernel_povm_search(
     target = np.concatenate(
         [np.eye(d, dtype=complex).reshape(-1).real, np.zeros(d * d)]
     )
+    # Imported here, the only use: scipy costs more start-up than the whole package.
+    from scipy.optimize import nnls
+
     weights, residual = nnls(stacked.T, target)
     if residual > 1e-8 * d:
         return None

@@ -2,17 +2,17 @@
 
 Everything downstream (Bloch geometry, solvers, certificates, generators)
 is built on the types and operations here: validated Hermitian and density
-operators, a cyclic Jacobi eigensolver, trace norm, positivity tests,
-purification and partial trace.
+operators, a LAPACK eigensolver with a deterministic order and phase
+convention, trace norm, positivity tests, purification and partial trace.
 
 Matrices are stored as immutable ``numpy`` arrays of ``complex128``.
-Dimensions in scope are small (<= 64), so the Jacobi solver's robustness
-matters more than asymptotic speed.
+Dimensions in scope are small (<= 64). Each operator should be
+diagonalized once: the helpers that need several spectral quantities of
+one matrix take them from a single decomposition.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +24,6 @@ PSD_TOL = 1e-10
 TRACE_TOL = 1e-10
 NORM_TOL = 1e-10
 MAX_DIM = 64
-
-_JACOBI_OFFDIAG_TOL = 1e-14
-_JACOBI_MAX_SWEEPS = 100
 
 
 def _as_matrix(operator) -> np.ndarray:
@@ -52,9 +49,10 @@ def _frozen_real(array: np.ndarray) -> np.ndarray:
 class HermitianOperator:
     """A dim x dim complex matrix equal to its conjugate transpose.
 
-    The constructor symmetrizes (H + H†)/2 when the asymmetry is below
+    The constructor symmetrizes H/2 + H†/2 when the asymmetry is below
     1e-12 in max norm and rejects anything worse, so silent drift away
-    from Hermiticity cannot accumulate.
+    from Hermiticity cannot accumulate. Halving before the sum keeps
+    entries near the float maximum finite.
     """
 
     matrix: np.ndarray
@@ -70,7 +68,7 @@ class HermitianOperator:
         asym = np.max(np.abs(m - m.conj().T))
         if asym > HERMITICITY_TOL:
             raise ValueError(f"matrix is not Hermitian: asymmetry {asym:.3e} > {HERMITICITY_TOL}")
-        object.__setattr__(self, "matrix", _frozen((m + m.conj().T) / 2.0))
+        object.__setattr__(self, "matrix", _frozen(m / 2.0 + m.conj().T / 2.0))
 
     @property
     def dim(self) -> int:
@@ -82,17 +80,22 @@ class HermitianOperator:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """A quantum state: Hermitian, positive semidefinite, unit trace."""
+    """A quantum state: Hermitian, positive semidefinite, unit trace.
+
+    ``_smallest`` is for package code that has just built ``op`` from a
+    known spectrum: the PSD check then uses that eigenvalue instead of
+    diagonalizing ``op`` again.
+    """
 
     op: HermitianOperator
 
-    def __init__(self, op) -> None:
+    def __init__(self, op, *, _smallest: float | None = None) -> None:
         if not isinstance(op, HermitianOperator):
             op = HermitianOperator(op)
         tr = op.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density operator must have trace 1, got {tr!r}")
-        smallest = float(_eigvalsh(op.matrix)[-1])
+        smallest = float(_eigvalsh(op.matrix)[-1]) if _smallest is None else _smallest
         if smallest < -PSD_TOL:
             raise ValueError(f"density operator has negative eigenvalue {smallest:.3e}")
         object.__setattr__(self, "op", op)
@@ -142,79 +145,36 @@ class PureBipartiteState:
         object.__setattr__(self, "amplitudes", _frozen(amp))
 
 
-def _jacobi_rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Zero a[p, q] with a unitary plane rotation, updating a and v in place."""
-    beta = a[p, q]
-    mag = abs(beta)
-    if mag == 0.0:
-        return
-    phase = beta / mag
-    theta = 0.5 * math.atan2(2.0 * mag, (a[p, p] - a[q, q]).real)
-    c = math.cos(theta)
-    s = math.sin(theta)
-
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p + s * np.conj(phase) * col_q
-    a[:, q] = -s * phase * col_p + c * col_q
-
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p + s * phase * row_q
-    a[q, :] = -s * np.conj(phase) * row_p + c * row_q
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-
-    col_p = v[:, p].copy()
-    col_q = v[:, q].copy()
-    v[:, p] = c * col_p + s * np.conj(phase) * col_q
-    v[:, q] = -s * phase * col_p + c * col_q
-
-
-def _offdiag_norm(a: np.ndarray) -> float:
-    return float(np.sqrt(np.sum(np.abs(a - np.diag(np.diag(a))) ** 2)))
-
-
 def _fix_phases(v: np.ndarray) -> np.ndarray:
     """Make the first non-negligible component of each column real positive."""
-    out = v.copy()
-    d = out.shape[0]
-    for j in range(d):
-        col = out[:, j]
-        idx = int(np.argmax(np.abs(col) > 1e-8))
-        pivot = col[idx]
-        if abs(pivot) > 0:
-            out[:, j] = col * (np.conj(pivot) / abs(pivot))
-    return out
+    mags = np.abs(v)
+    cols = np.arange(v.shape[1])
+    rows = np.argmax(mags > 1e-8, axis=0)
+    pivots = v[rows, cols]
+    sizes = mags[rows, cols]
+    phases = np.ones_like(pivots)
+    nonzero = sizes > 0
+    phases[nonzero] = np.conj(pivots[nonzero]) / sizes[nonzero]
+    return v * phases
 
 
 def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Cyclic Jacobi diagonalization of a Hermitian matrix.
+    """LAPACK diagonalization of a Hermitian matrix (``numpy.linalg.eigh``).
 
     Returns eigenvalues sorted descending and the matching eigenvector
-    columns, with a deterministic phase convention. Raises
-    ConvergenceError after 100 sweeps, which signals pathological input
-    for the matrix sizes in scope.
+    columns, with a deterministic phase convention. Equal eigenvalues keep
+    the order LAPACK returns them in (a stable sort, not a reversal of the
+    ascending output). Raises ConvergenceError when LAPACK fails or
+    returns non-finite values, which signals pathological input.
     """
-    a = np.array(matrix, dtype=complex)
-    d = a.shape[0]
-    v = np.eye(d, dtype=complex)
-    if d > 1:
-        tol = _JACOBI_OFFDIAG_TOL * max(1.0, float(np.linalg.norm(a)))
-        for _ in range(_JACOBI_MAX_SWEEPS):
-            if _offdiag_norm(a) <= tol:
-                break
-            for p in range(d - 1):
-                for q in range(p + 1, d):
-                    if abs(a[p, q]) > tol / (d * d):
-                        _jacobi_rotate(a, v, p, q)
-        else:
-            raise ConvergenceError(
-                f"Jacobi sweeps did not converge after {_JACOBI_MAX_SWEEPS} iterations"
-            )
-    values = np.diag(a).real.copy()
+    try:
+        values, vectors = np.linalg.eigh(np.asarray(matrix, dtype=complex))
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(vectors))):
+        raise ConvergenceError("eigendecomposition returned non-finite values")
     order = np.argsort(-values, kind="stable")
-    return values[order], _fix_phases(v[:, order])
+    return values[order], _fix_phases(vectors[:, order])
 
 
 def _eigvalsh(matrix: np.ndarray) -> np.ndarray:
@@ -243,18 +203,39 @@ def is_psd(operator, tol: float = PSD_TOL) -> bool:
     return float(_eigvalsh(_as_matrix(operator))[-1]) >= -tol
 
 
-def negative_part(operator) -> np.ndarray:
-    """PSD matrix built from the negative eigenspace: sum of -lambda v v†."""
+def _negative_part_and_projector(operator) -> tuple[np.ndarray, np.ndarray]:
+    """Negative part and non-negative eigenprojector from one diagonalization."""
     values, vectors = _eigh(_as_matrix(operator))
     neg = np.minimum(values, 0.0)
-    return (vectors * (-neg)) @ vectors.conj().T
+    keep = vectors[:, values >= 0.0]
+    return (vectors * (-neg)) @ vectors.conj().T, keep @ keep.conj().T
+
+
+def negative_part(operator) -> np.ndarray:
+    """PSD matrix built from the negative eigenspace: sum of -lambda v v†."""
+    return _negative_part_and_projector(operator)[0]
 
 
 def nonnegative_eigenprojector(operator) -> np.ndarray:
     """Orthogonal projector onto the span of eigenvectors with lambda >= 0."""
-    values, vectors = _eigh(_as_matrix(operator))
-    keep = vectors[:, values >= 0.0]
-    return keep @ keep.conj().T
+    return _negative_part_and_projector(operator)[1]
+
+
+def _density_from_spectrum(values: np.ndarray, vectors: np.ndarray) -> DensityOperator:
+    """State rebuilt from a known spectrum (eigenvalues descending).
+
+    Callers reject eigenvalues below their own noise floor first; the
+    rest of the negative noise is clipped to zero and the rebuilt matrix
+    normalized to unit trace. Its smallest eigenvalue, the clipped minimum
+    over the trace, feeds the PSD check, so the state is not diagonalized
+    again.
+    """
+    clipped = np.maximum(values, 0.0)
+    rebuilt = (vectors * clipped) @ vectors.conj().T
+    trace = np.trace(rebuilt).real
+    return DensityOperator(
+        HermitianOperator(rebuilt / trace), _smallest=float(clipped[-1] / trace)
+    )
 
 
 def purify(rho: DensityOperator) -> PureBipartiteState:

@@ -12,7 +12,7 @@ import numpy as np
 
 from .certify import KktCertificate, ProbabilityForms
 from .factory import FactoryOutput
-from .operators import DensityOperator, HermitianOperator, _eigh
+from .operators import DensityOperator, HermitianOperator, _density_from_spectrum, _eigh
 from .solve import DiscriminationSolution, WeightedEnsemble
 
 
@@ -43,7 +43,7 @@ def matrix_from_json(obj, field: str = "matrix") -> np.ndarray:
         if key not in obj:
             raise ValueError(f"{field}: missing key {key!r}")
     dim = obj["dim"]
-    if not isinstance(dim, int) or dim < 1:
+    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
         raise ValueError(f"{field}.dim: expected a positive integer, got {dim!r}")
     try:
         re = np.asarray(obj["re"], dtype=float)
@@ -112,9 +112,7 @@ def _density_from_rounded(matrix: np.ndarray) -> DensityOperator:
     values, vectors = _eigh(h.matrix / trace)
     if values[-1] < -1e-8:
         raise ValueError(f"state has negative eigenvalue {values[-1]:.3e}")
-    clipped = np.maximum(values, 0.0)
-    rebuilt = (vectors * clipped) @ vectors.conj().T
-    return DensityOperator(HermitianOperator(rebuilt / np.trace(rebuilt).real))
+    return _density_from_spectrum(values, vectors)
 
 
 def solution_to_json(solution: DiscriminationSolution) -> dict:

@@ -29,9 +29,9 @@ from .operators import (
     DensityOperator,
     HermitianOperator,
     _as_matrix,
+    _density_from_spectrum,
     _eigh,
-    negative_part,
-    nonnegative_eigenprojector,
+    _negative_part_and_projector,
 )
 
 DEGENERATE_WEIGHT_TOL = 1e-12
@@ -39,6 +39,7 @@ SUPPORT_FRACTION_TOL = 1e-7
 DUAL_FEASIBILITY_TOL = 1e-8
 COMPLETENESS_TOL = 1e-9
 UNIFORM_PRIOR_TOL = 1e-10
+COMPLEMENTARY_NOISE_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,16 +103,6 @@ class DiscriminationSolution:
     support: tuple[int, ...]
 
 
-def _density_from_noisy(matrix: np.ndarray, noise_tol: float = 1e-6) -> DensityOperator:
-    """Build a density operator, absorbing eigenvalue noise up to noise_tol."""
-    values, vectors = _eigh((matrix + matrix.conj().T) / 2.0)
-    if values[-1] < -noise_tol:
-        raise InfeasibleDualError(f"operator has negative eigenvalue {values[-1]:.3e}")
-    clipped = np.maximum(values, 0.0)
-    rebuilt = (vectors * clipped) @ vectors.conj().T
-    return DensityOperator(HermitianOperator(rebuilt / np.trace(rebuilt).real))
-
-
 def complementary_states(
     symmetry_op,
     ensemble: WeightedEnsemble,
@@ -123,6 +114,8 @@ def complementary_states(
     normalized by its weight. Operators violating K >= q_x rho_x beyond
     feasibility_tol are rejected. Weights at or below 1e-12 flag a state
     identified with certainty; its complementary state is returned absent.
+    Each gap is diagonalized once: sigma_x shares its eigenvectors, with
+    eigenvalues scaled by 1 / r_x.
     """
     k = _as_matrix(symmetry_op)
     if k.shape[0] != ensemble.dim:
@@ -131,16 +124,19 @@ def complementary_states(
     weights = total - ensemble.priors
     states: list[DensityOperator | None] = []
     for x, rho in enumerate(ensemble.states):
-        gap = k - ensemble.priors[x] * rho.matrix
-        smallest = float(_eigh(gap)[0][-1])
+        values, vectors = _eigh(k - ensemble.priors[x] * rho.matrix)
+        smallest = float(values[-1])
         if smallest < -feasibility_tol:
             raise InfeasibleDualError(
                 f"K - q_x rho_x has eigenvalue {smallest:.3e} for state {x}"
             )
         if weights[x] <= DEGENERATE_WEIGHT_TOL:
             states.append(None)
-        else:
-            states.append(_density_from_noisy(gap / weights[x]))
+            continue
+        scaled = values / weights[x]
+        if scaled[-1] < -COMPLEMENTARY_NOISE_TOL:
+            raise InfeasibleDualError(f"operator has negative eigenvalue {scaled[-1]:.3e}")
+        states.append(_density_from_spectrum(scaled, vectors))
     weights = np.maximum(weights, 0.0)
     weights.setflags(write=False)
     return ComplementarySet(weights=weights, states=tuple(states))
@@ -196,12 +192,11 @@ def reconstruct_povm(
 
 def _assemble(
     ensemble: WeightedEnsemble,
-    symmetry_matrix: np.ndarray,
+    sym: HermitianOperator,
+    comp: ComplementarySet,
     povm: list[HermitianOperator],
 ) -> DiscriminationSolution:
     """Combine solver outputs into a validated solution."""
-    sym = HermitianOperator(symmetry_matrix)
-    comp = complementary_states(sym, ensemble)
     p_guess = sym.trace()
 
     total = sum(m.matrix for m in povm)
@@ -240,10 +235,15 @@ def helstrom_two_state(ensemble: WeightedEnsemble) -> DiscriminationSolution:
     rho1, rho2 = (s.matrix for s in ensemble.states)
     delta = q1 * rho1 - q2 * rho2
 
-    m1 = nonnegative_eigenprojector(delta)
+    negative, m1 = _negative_part_and_projector(delta)
     m2 = np.eye(ensemble.dim, dtype=complex) - m1
-    symmetry = q1 * rho1 + negative_part(delta)
-    return _assemble(ensemble, symmetry, [HermitianOperator(m1), HermitianOperator(m2)])
+    sym = HermitianOperator(q1 * rho1 + negative)
+    return _assemble(
+        ensemble,
+        sym,
+        complementary_states(sym, ensemble),
+        [HermitianOperator(m1), HermitianOperator(m2)],
+    )
 
 
 def _qubit_symmetry_matrix(value: float, center: np.ndarray) -> np.ndarray:
@@ -258,10 +258,10 @@ def _qubit_symmetry_matrix(value: float, center: np.ndarray) -> np.ndarray:
 def _solve_qubit_from_ball(
     ensemble: WeightedEnsemble, value: float, center: np.ndarray
 ) -> DiscriminationSolution:
-    symmetry = _qubit_symmetry_matrix(value, center)
-    comp = complementary_states(HermitianOperator(symmetry), ensemble)
-    povm = reconstruct_povm(ensemble, symmetry, comp)
-    return _assemble(ensemble, symmetry, povm)
+    sym = HermitianOperator(_qubit_symmetry_matrix(value, center))
+    comp = complementary_states(sym, ensemble)
+    povm = reconstruct_povm(ensemble, sym, comp)
+    return _assemble(ensemble, sym, comp, povm)
 
 
 def solve_qubit_equal_priors(ensemble: WeightedEnsemble) -> DiscriminationSolution:

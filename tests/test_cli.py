@@ -1,8 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import qdiscrim
 
 from qdiscrim import (
     HermitianOperator,
@@ -57,6 +63,10 @@ class TestSerialization:
     def test_round_floats_significant_digits(self):
         assert round_floats(0.12345678949) == 0.123456789
         assert round_floats({"x": [1 / 3]}) == {"x": [0.333333333]}
+
+    def test_boolean_dim_rejected(self):
+        with pytest.raises(ValueError, match="K.dim"):
+            matrix_from_json({"dim": True, "re": [[1.0]], "im": [[0.0]]}, field="K")
 
     def test_bloch_vector_schema(self):
         from qdiscrim.serialize import bloch_to_json
@@ -129,6 +139,36 @@ class TestCliSolve:
         target = tmp_path / "result.json"
         assert main(["solve", trine_file, "--out", str(target)]) == 0
         assert json.loads(target.read_text())["p_guess"] == pytest.approx(2 / 3, abs=1e-9)
+
+
+def _run_python(*args, timeout=60):
+    """Run a fresh interpreter that imports qdiscrim from this checkout."""
+    src = str(Path(qdiscrim.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
+    )
+
+
+class TestCliProcess:
+    def test_huge_entries_exit_2_without_traceback(self, tmp_path):
+        zero = [[0.0, 0.0], [0.0, 0.0]]
+        doc = {"priors": [0.5, 0.5], "states": [
+            {"dim": 2, "re": [[0.5, 1e308], [1e308, 0.5]], "im": zero},
+            {"dim": 2, "re": [[0.5, -1e308], [-1e308, 0.5]], "im": zero},
+        ]}
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        proc = _run_python("-m", "qdiscrim.cli", "solve", str(path), "--verify")
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:")
+
+    def test_import_leaves_scipy_unloaded(self):
+        proc = _run_python("-c", "import sys, qdiscrim; print('scipy' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "False"
 
 
 class TestCliSweep:

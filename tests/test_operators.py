@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -16,7 +17,10 @@ from qdiscrim import (
     purify,
     trace_norm,
 )
-from qdiscrim.operators import negative_part, nonnegative_eigenprojector
+from qdiscrim import random_ensemble, verify_kkt
+from qdiscrim.operators import _fix_phases, negative_part, nonnegative_eigenprojector
+from qdiscrim.serialize import ensemble_from_json, ensemble_to_json
+from qdiscrim.solve import solve
 
 from conftest import compose_rotations_unitary, random_hermitian
 
@@ -246,7 +250,100 @@ class TestPartialTrace:
 
 
 class TestConvergenceGuard:
-    def test_jacobi_error_type_exists(self):
-        # the cap is unreachable for well-formed small inputs; the contract is
-        # that non-convergence surfaces as ConvergenceError, not a wrong answer
-        assert issubclass(ConvergenceError, Exception)
+    def test_linalg_error_becomes_convergence_error(self, monkeypatch):
+        # LAPACK failure is unreachable for well-formed small inputs; the
+        # contract is that it surfaces as ConvergenceError, not a wrong answer
+        def failing_eigh(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", failing_eigh)
+        with pytest.raises(ConvergenceError, match="did not converge"):
+            hermitian_eigen(HermitianOperator(np.eye(2)))
+
+    def test_non_finite_output_becomes_convergence_error(self, monkeypatch):
+        def nan_eigh(matrix):
+            return np.array([np.nan, 1.0]), np.eye(2, dtype=complex)
+
+        monkeypatch.setattr(np.linalg, "eigh", nan_eigh)
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            hermitian_eigen(HermitianOperator(np.eye(2)))
+
+
+def _fix_phases_by_column(v):
+    """Column-by-column reference for the vectorized phase convention."""
+    out = v.copy()
+    for j in range(out.shape[1]):
+        col = out[:, j]
+        idx = int(np.argmax(np.abs(col) > 1e-8))
+        pivot = col[idx]
+        if abs(pivot) > 0:
+            out[:, j] = col * (np.conj(pivot) / abs(pivot))
+    return out
+
+
+class TestEigensolverContract:
+    def test_identity_keeps_basis_order(self):
+        decomp = hermitian_eigen(HermitianOperator(np.eye(3)))
+        assert np.array_equal(decomp.eigenvalues, np.ones(3))
+        assert np.array_equal(decomp.eigenvectors, np.eye(3))
+
+    def test_tied_eigenvalues_keep_lapack_order(self):
+        # a stable descending sort keeps the order LAPACK returns equal
+        # eigenvalues in; reversing the ascending output would swap them
+        m = np.diag([1.0, 1.0, 0.0]).astype(complex)
+        decomp = hermitian_eigen(HermitianOperator(m))
+        assert np.array_equal(decomp.eigenvalues, [1.0, 1.0, 0.0])
+        _, lapack_vectors = np.linalg.eigh(m)
+        expected = _fix_phases_by_column(lapack_vectors[:, [1, 2, 0]])
+        assert np.array_equal(decomp.eigenvectors, expected)
+
+    @pytest.mark.parametrize("dim", [2, 8, 64])
+    def test_agrees_with_numpy_eigvalsh(self, dim, rng):
+        g = rng.standard_normal((dim, 1)) + 1j * rng.standard_normal((dim, 1))
+        rank_one = g @ g.conj().T
+        degenerate = np.diag(np.repeat([2.0, -1.0], [dim // 2, dim - dim // 2]))
+        u = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
+        for h in (random_hermitian(dim, rng), rank_one, u @ degenerate @ u.conj().T):
+            values = hermitian_eigen(HermitianOperator(h)).eigenvalues
+            expected = np.sort(np.linalg.eigvalsh(h))[::-1]
+            scale = 1.0 + float(np.max(np.abs(h)))
+            assert np.max(np.abs(values - expected)) <= 1e-12 * dim * scale
+
+    def test_vectorized_phases_match_column_reference(self, rng):
+        # numpy's array abs may round the pivot modulus differently from the
+        # scalar abs in the last bit, so agreement is to a few ulps
+        ulps = 4 * np.finfo(float).eps
+        for dim in (1, 2, 5, 16):
+            v = np.linalg.qr(
+                rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            )[0]
+            v[0, 0] = 0.0  # first pivot falls through to the next component
+            assert np.max(np.abs(_fix_phases(v) - _fix_phases_by_column(v))) <= ulps
+        zero_column = np.zeros((3, 3), dtype=complex)
+        zero_column[:, 1] = [0.0, 1j, 0.0]
+        assert np.array_equal(_fix_phases(zero_column), _fix_phases_by_column(zero_column))
+
+
+class TestDecompositionCounts:
+    def test_two_state_parse_solve_verify(self, monkeypatch):
+        # one LAPACK call per operator: count numpy.linalg.eigh calls per stage
+        calls = []
+        real_eigh = np.linalg.eigh
+
+        def counting_eigh(matrix):
+            calls.append(np.shape(matrix))
+            return real_eigh(matrix)
+
+        doc = json.loads(json.dumps(ensemble_to_json(random_ensemble(8, 2, pure=False, seed=3))))
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        ensemble = ensemble_from_json(doc)
+        assert len(calls) == 2  # one per state
+        calls.clear()
+        solution = solve(ensemble)
+        assert len(calls) <= 5
+        calls.clear()
+        cert = verify_kkt(ensemble, solution.symmetry_op, solution.povm)
+        # verify_kkt recomputes every spectrum it checks, independently of the
+        # solver: two gaps, two POVM elements, two legacy operator conditions
+        assert len(calls) == 6
+        assert cert.passed
