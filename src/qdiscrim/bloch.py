@@ -10,12 +10,12 @@ reduces to ball problems over scaled Bloch points:
 
 Both are solved exactly here. The minimum enclosing ball uses Welzl's
 randomized move-to-front recursion with exact basis solves for one to four
-support points. The shifted problem runs a subgradient pass for
-localization and then refines to machine precision by enumerating active
-subsets of size <= 4: restricted to the affine hull of a subset's centers,
-the equal-value equations collapse to a linear system plus one quadratic
-in the optimal value, so every candidate optimum is available in closed
-form.
+support points. The shifted problem, the smallest ball enclosing the balls
+B(q_x v_x, q_x), is LP-type of combinatorial dimension four (Matousek,
+Sharir and Welzl, Algorithmica 16, 1996) but not Welzl-solvable (Fischer
+and Gaertner, IJCGA 14, 2004); basis improvement solves it, re-solving a
+basis of at most four balls with the most violated ball in closed form.
+Convex weights witnessing an optimum come from Wolfe's minimum-norm point.
 """
 
 from __future__ import annotations
@@ -38,6 +38,7 @@ BLOCH_NORM_TOL = 1e-10
 SUPPORT_TOL = 1e-9
 _DEDUP_TOL = 1e-12
 _CONTAIN_EPS = 1 + 1e-14
+_WOLFE_RTOL = 1e-14  # Wolfe's stop: target reached, or no point measurably beyond
 
 
 def to_bloch(rho) -> np.ndarray:
@@ -203,67 +204,56 @@ def min_enclosing_ball(points, seed: int = 0) -> BallResult:
 def convex_weights_for_center(points, center, tol: float = 1e-9) -> np.ndarray:
     """Convex weights over points reproducing a target inside their hull.
 
-    Enumerates subsets of size <= 4 in lexicographic order and accepts the
-    first non-negative least-squares solution whose residual is below tol.
+    Wolfe's minimum-norm-point algorithm (Math. Programming 11, 1976) on
+    the points shifted by the target finds the hull point nearest the
+    target as a convex combination of a corral of at most four affinely
+    independent points; it is accepted when its residual is below tol.
     Raising here signals a point set that does not actually contain the
     target, e.g. a support set that is not a true enclosing-ball support.
     """
     pts = np.asarray([np.asarray(p, dtype=float).reshape(3) for p in points])
     target = np.asarray(center, dtype=float).reshape(3)
-    n = len(pts)
-    rhs = np.append(target, 1.0)
-    for size in range(1, min(4, n) + 1):
-        for subset in combinations(range(n), size):
-            a = np.vstack([pts[list(subset)].T, np.ones((1, size))])
-            sol, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-            if np.min(sol) < -1e-9 or float(np.linalg.norm(a @ sol - rhs)) > tol:
-                continue
-            weights = np.zeros(n)
-            weights[list(subset)] = np.clip(sol, 0.0, None)
-            weights /= weights.sum()
-            return weights
-    raise ValueError("target point is not in the convex hull of the given points")
-
-
-def _max_shifted_distance(k, pts, shifts) -> float:
-    return float(np.max(shifts + np.linalg.norm(pts - k, axis=1)))
-
-
-def _subgradient_localize(pts, shifts, max_iter: int):
-    """Subgradient descent on f(k) = max_x (shift_x + |k - p_x|).
-
-    Diminishing steps c/sqrt(iter) with c the initial spread of the
-    points; returns the best iterate. Used only to localize the optimum
-    and bound it from above, so it stops early once progress stalls.
-    """
-    k = np.average(pts, axis=0, weights=shifts)
-    spread = 0.0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            spread = max(spread, float(np.linalg.norm(pts[i] - pts[j])))
-    c = spread if spread > 0 else 1e-3
-
-    best_k = k.copy()
-    best_f = _max_shifted_distance(k, pts, shifts)
-    stall = 0
-    for it in range(1, max_iter + 1):
-        gaps = shifts + np.linalg.norm(pts - k, axis=1)
-        x = int(np.argmax(gaps))
-        direction = k - pts[x]
-        norm = float(np.linalg.norm(direction))
-        if norm < 1e-15:
+    shifted = pts - target
+    lengths = np.linalg.norm(shifted, axis=1)
+    scale = float(np.max(lengths))
+    corral = [int(np.argmin(lengths))]
+    lam = np.ones(1)
+    x = shifted[corral[0]]
+    while True:
+        j = int(np.argmin(shifted @ x))
+        size = float(np.linalg.norm(x))
+        gain = float(x @ x - shifted[j] @ x)
+        if j in corral or size <= _WOLFE_RTOL * scale or gain <= _WOLFE_RTOL * scale * size:
             break
-        k = k - (c / math.sqrt(it)) * direction / norm
-        f = _max_shifted_distance(k, pts, shifts)
-        if f < best_f - 1e-13:
-            best_f = f
-            best_k = k.copy()
-            stall = 0
-        else:
-            stall += 1
-            if stall > 40:
+        corral.append(j)
+        lam = np.append(lam, 0.0)
+        while True:
+            p = shifted[corral]
+            beta = np.linalg.lstsq((p[1:] - p[0]).T, -p[0], rcond=None)[0]
+            alpha = np.concatenate(([1.0 - beta.sum()], beta))
+            if np.min(alpha) > 0.0:
+                lam = alpha
                 break
-    return best_k, best_f
+            out = np.flatnonzero(alpha <= 0.0)
+            ratios = lam[out] / np.maximum(lam[out] - alpha[out], 1e-300)  # 0 if both are 0
+            first = int(np.argmin(ratios))
+            lam = lam + ratios[first] * (alpha - lam)
+            lam[out[first]] = 0.0
+            corral = [c for c, w in zip(corral, lam) if w > 0.0]
+            lam = lam[lam > 0.0]
+        # The exact minimizer is orthogonal to the edges: drop rounding along them.
+        nearest = lam @ shifted[corral]
+        edges = (shifted[corral[1:]] - shifted[corral[0]]).T
+        nearest = nearest - edges @ np.linalg.lstsq(edges, nearest, rcond=None)[0]
+        if float(nearest @ nearest) >= float(x @ x):
+            break
+        x = nearest
+
+    weights = np.zeros(len(pts))
+    weights[corral] = lam / lam.sum()
+    if np.min(weights) < -1e-9 or float(np.linalg.norm(weights @ pts - target)) > tol:
+        raise ValueError("target point is not in the convex hull of the given points")
+    return weights
 
 
 def _solve_quadratic(a: float, b: float, c: float) -> list[float]:
@@ -278,13 +268,14 @@ def _solve_quadratic(a: float, b: float, c: float) -> list[float]:
 
 
 def _basis_candidates(pts, shifts, subset) -> list[np.ndarray]:
-    """Candidate optima with every subset constraint active.
+    """Optimum over a subset if every subset constraint is active there.
 
     The optimal center lies in the affine hull of the active points, so
     restricting to that hull loses nothing. Differences of squared
     constraint equations are linear in the center for a fixed value t,
     yielding center(t) affine in t; the remaining norm equation is then a
-    quadratic in t.
+    quadratic in t. A root is the optimum iff its center lies in the
+    subset's convex hull (non-negative multipliers).
     """
     idx = list(subset)
     base = pts[idx[0]]
@@ -309,22 +300,11 @@ def _basis_candidates(pts, shifts, subset) -> list[np.ndarray]:
     a_vec = lengths_sq - diffs * (np.array([shifts[i] for i in idx[1:]]) + s0)
     b_vec = 2.0 * diffs
 
-    if len(idx) == 3:
-        gram = edges @ edges.T
-        det = float(np.linalg.det(gram))
-        if abs(det) <= 1e-24 * max(float(lengths_sq[0] * lengths_sq[1]), 1e-300):
-            return []
-        coeff_a = np.linalg.solve(gram, 0.5 * a_vec)
-        coeff_b = np.linalg.solve(gram, 0.5 * b_vec)
-        w_a = coeff_a @ edges
-        w_b = coeff_b @ edges
-    else:
-        det = float(np.linalg.det(edges))
-        scale = max(float(np.max(np.abs(edges))) ** 3, 1e-300)
-        if abs(det) <= 1e-12 * scale:
-            return []
-        w_a = np.linalg.solve(edges, 0.5 * a_vec)
-        w_b = np.linalg.solve(edges, 0.5 * b_vec)
+    gram = edges @ edges.T
+    if abs(float(np.linalg.det(gram))) <= 1e-24 * max(float(np.prod(lengths_sq)), 1e-300):
+        return []
+    coeff_a, coeff_b = np.linalg.solve(gram, 0.5 * np.array([a_vec, b_vec]).T).T
+    w_a, w_b = coeff_a @ edges, coeff_b @ edges
 
     # |w_a + t w_b|^2 = (t - s0)^2
     qa = float(w_b @ w_b) - 1.0
@@ -335,19 +315,41 @@ def _basis_candidates(pts, shifts, subset) -> list[np.ndarray]:
     for t in _solve_quadratic(qa, qb, qc):
         if t < s_max - 1e-12:
             continue
+        coeff = coeff_a + t * coeff_b
+        if np.min(coeff) < -1e-9 or float(np.sum(coeff)) > 1.0 + 1e-9:
+            continue
         k = base + w_a + t * w_b
         if all(abs(float(np.linalg.norm(k - pts[i])) - (t - shifts[i])) <= 1e-7 for i in idx):
             out.append(k)
     return out
 
 
-def shifted_ball_dual(points, shifts, max_iter: int = 100_000) -> ShiftedBallResult:
-    """Minimize max_x (shift_x + |k - point_x|) exactly.
+def _improve_basis(pts, shifts, basis: tuple[int, ...], violator: int):
+    """Optimum over basis plus violator and a basis attaining it.
 
-    A short subgradient pass localizes the optimum and supplies an upper
-    bound; enumeration of active subsets then produces the exact
-    minimizer. The two must agree, otherwise the routine reports
-    non-convergence.
+    The violator raises the optimum, so only subsets holding it (at most
+    15) can be bases. A subset optimum feasible for all members is their
+    optimum: the candidate of least value over the members wins.
+    """
+    members = list(basis) + [violator]
+    best = None
+    for size in range(min(len(basis), 3) + 1):
+        for rest in combinations(basis, size):
+            subset = (violator,) + rest
+            for k in _basis_candidates(pts, shifts, subset):
+                value = float(np.max(shifts[members] + np.linalg.norm(pts[members] - k, axis=1)))
+                if best is None or value < best[2]:
+                    best = (subset, k, value)
+    return best
+
+
+def shifted_ball_dual(points, shifts, max_iter: int = 100_000) -> ShiftedBallResult:
+    """Minimize max_x (shift_x + |k - point_x|) exactly, by basis improvement.
+
+    Starting from the ball with the largest shift, each step re-solves the
+    basis with the most violated ball; the value rises strictly, so no
+    basis repeats. With no violation beyond a relative 1e-13 the basis
+    optimum is global. max_iter caps the improvement steps.
     """
     pts = np.asarray([np.asarray(p, dtype=float).reshape(3) for p in points])
     s = np.asarray(shifts, dtype=float).reshape(-1)
@@ -360,25 +362,22 @@ def shifted_ball_dual(points, shifts, max_iter: int = 100_000) -> ShiftedBallRes
     if abs(float(np.sum(s)) - 1.0) > 1e-10:
         raise ValueError("shifts must sum to 1")
 
-    sub_k, sub_f = _subgradient_localize(pts, s, min(max_iter, 600))
-
-    candidates = [sub_k]
-    n = len(pts)
-    for size in range(1, min(4, n) + 1):
-        for subset in combinations(range(n), size):
-            candidates.extend(_basis_candidates(pts, s, subset))
-
-    cand = np.asarray(candidates)
-    values = s[None, :] + np.linalg.norm(cand[:, None, :] - pts[None, :, :], axis=2)
-    objective = np.max(values, axis=1)
-    best = int(np.argmin(objective))
-    k = cand[best]
-    t = float(objective[best])
-
-    if t > sub_f + 1e-6:
-        raise ConvergenceError("shifted ball refinement is inconsistent with descent bound")
+    basis = (int(np.argmax(s)),)
+    k, t = pts[basis[0]], float(s[basis[0]])
+    for step in range(max_iter + 1):
+        gaps = s + np.linalg.norm(pts - k, axis=1)
+        violator = int(np.argmax(gaps))
+        if gaps[violator] <= t * (1.0 + 1e-13):
+            break
+        if step == max_iter:
+            raise ConvergenceError(f"basis improvement did not settle in {max_iter} steps")
+        basis, k, value = _improve_basis(pts, s, basis, violator)
+        if value <= t:
+            break  # the rise fell below rounding: k is optimal to working precision
+        t = value
 
     gaps = s + np.linalg.norm(pts - k, axis=1)
+    t = float(np.max(gaps))
     active = tuple(int(i) for i in np.flatnonzero(gaps >= t - 1e-7 * (1.0 + t)))
     k = k.copy()
     k.setflags(write=False)

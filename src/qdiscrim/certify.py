@@ -25,7 +25,6 @@ from .solve import (
 )
 
 ANALYTIC_TOL = 1e-8
-SUBGRADIENT_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)

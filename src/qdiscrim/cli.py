@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from .certify import ANALYTIC_TOL, SUBGRADIENT_TOL, verify_kkt, verify_legacy_conditions
+from .certify import ANALYTIC_TOL, verify_kkt, verify_legacy_conditions
 from .errors import ConvergenceError, DiscriminationError, UnsupportedInstanceError
 from .factory import (
     SteeringMeasurement,
@@ -88,15 +88,6 @@ def _emit_json(doc, out: str | None) -> None:
     _emit(json.dumps(round_floats(doc), indent=2), out)
 
 
-def _default_solve_tol(ensemble) -> float:
-    """Certificate tolerance matched to the solver path taken."""
-    n = ensemble.size
-    uniform = float(np.max(np.abs(ensemble.priors - 1.0 / n))) <= 1e-10
-    if ensemble.dim == 2 and n > 2 and not uniform:
-        return SUBGRADIENT_TOL
-    return ANALYTIC_TOL
-
-
 def _cmd_solve(args) -> int:
     ensemble = _load_ensemble(args.ensemble)
     try:
@@ -107,8 +98,7 @@ def _cmd_solve(args) -> int:
         raise _ExitError(EXIT_NO_CONVERGENCE, str(exc)) from exc
     doc = solution_to_json(solution)
     if args.verify:
-        tol = args.tol if args.tol is not None else _default_solve_tol(ensemble)
-        cert = verify_kkt(ensemble, solution.symmetry_op, solution.povm, tol=tol)
+        cert = verify_kkt(ensemble, solution.symmetry_op, solution.povm, tol=args.tol)
         doc["certificate"] = certificate_to_json(cert)
     _emit_json(doc, args.out)
     return EXIT_OK
@@ -248,8 +238,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="solve an ensemble file")
     p_solve.add_argument("ensemble", help="path to an ensemble JSON file")
     p_solve.add_argument("--verify", action="store_true", help="append a KKT certificate")
-    p_solve.add_argument("--tol", type=float, default=None,
-                         help="certificate tolerance; defaults per solver path")
+    p_solve.add_argument("--tol", type=float, default=ANALYTIC_TOL,
+                         help="certificate tolerance")
     p_solve.add_argument("--out", default=None)
     p_solve.set_defaults(func=_cmd_solve)
 

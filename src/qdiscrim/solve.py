@@ -2,11 +2,12 @@
 
 Produces complete solutions: guessing probability, the unique symmetry
 operator of the dual problem, complementary states, an optimal POVM and
-its support. Closed forms cover two states in any dimension and arbitrary
-qubit ensembles (exact enclosing-ball reduction for equal priors, exact
-shifted-ball dual for general priors). Ensembles of three or more states
-in dimension three or higher have no known solver and are rejected; the
-certificate module can still check externally supplied candidates.
+its support. Closed forms cover a single state or dimension one, two
+states in any dimension and arbitrary qubit ensembles (exact
+enclosing-ball reduction for equal priors, exact shifted-ball dual for
+general priors). Ensembles of three or more states in dimension three or
+higher have no known solver and are rejected; the certificate module can
+still check externally supplied candidates.
 """
 
 from __future__ import annotations
@@ -158,7 +159,7 @@ def reconstruct_povm(
     sums to the identity; all other states receive the explicit zero
     matrix (null measurement). The weights come from convex coefficients
     expressing the origin inside the hull of the support directions,
-    found by enumerating subsets of size <= 4.
+    found by Wolfe's minimum-norm-point algorithm on at most four of them.
     """
     if ensemble.dim != 2:
         raise UnsupportedInstanceError("POVM reconstruction applies to qubit ensembles only")
@@ -218,6 +219,22 @@ def _assemble(
         complementary=comp,
         povm=tuple(povm),
         support=support,
+    )
+
+
+def _trivial_solution(ensemble: WeightedEnsemble) -> DiscriminationSolution:
+    """Closed form when one state or dimension one leaves nothing to tell apart.
+
+    Naming the most likely state is optimal: P = max q_x, with K = q_m rho_m
+    for the first argmax m (K = rho for a single state, K = [max q_x] in
+    dimension one) and the identity as its POVM element.
+    """
+    m = int(np.argmax(ensemble.priors))
+    sym = HermitianOperator(ensemble.priors[m] * ensemble.states[m].matrix)
+    povm = [_zero(ensemble.dim)] * ensemble.size
+    povm[m] = np.eye(ensemble.dim, dtype=complex)
+    return _assemble(
+        ensemble, sym, complementary_states(sym, ensemble), [HermitianOperator(p) for p in povm]
     )
 
 
@@ -299,10 +316,13 @@ def solve_qubit(ensemble: WeightedEnsemble) -> DiscriminationSolution:
 def solve(ensemble: WeightedEnsemble) -> DiscriminationSolution:
     """Dispatch to the strongest applicable solver.
 
-    Two states of any dimension use the closed form; qubit ensembles use
-    the geometric solver for uniform priors and the shifted-ball dual
-    otherwise. Anything else is unsupported.
+    A single state or dimension one is trivial; two states of any
+    dimension use the closed form; qubit ensembles use the geometric
+    solver for uniform priors and the shifted-ball dual otherwise.
+    Anything else is unsupported.
     """
+    if ensemble.size == 1 or ensemble.dim == 1:
+        return _trivial_solution(ensemble)
     if ensemble.size == 2:
         return helstrom_two_state(ensemble)
     if ensemble.dim == 2:

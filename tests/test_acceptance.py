@@ -142,7 +142,7 @@ def test_criterion_5_kkt_soundness_and_equivalence():
             else:
                 e = random_ensemble(2, n, pure=(seed % 4 == 1), seed=seed)
                 sol = solve_qubit(e)
-                tol = 1e-6
+                tol = 1e-8
             assert verify_kkt(e, sol.symmetry_op, sol.povm, tol=tol).passed
             assert verify_legacy_conditions(e, sol.povm, tol=max(tol, 1e-8)).passed
 

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -6,15 +7,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdiscrim import (
+    ConvergenceError,
     DensityOperator,
     HermitianOperator,
     convex_weights_for_center,
+    dual_grid_oracle,
     from_bloch,
     min_enclosing_ball,
+    random_ensemble,
     shifted_ball_dual,
+    solve_qubit,
     to_bloch,
     trace_norm,
 )
+from qdiscrim import bloch
 from qdiscrim.families import REGULAR_TETRAHEDRON
 
 from conftest import random_rotation_3d
@@ -38,6 +44,69 @@ def brute_force_meb_radius(points, resolution=2e-3):
         best = float(radii[idx])
         step /= 2
     return best
+
+
+def reference_shifted_ball(points, shifts):
+    """Reference: the optimum of every subset of size <= 4, best objective wins.
+
+    This exhaustive C(N, <=4) sweep over the closed-form subset optima is
+    what shifted_ball_dual ran before basis improvement replaced it.
+    """
+    pts = np.asarray(points, dtype=float)
+    s = np.asarray(shifts, dtype=float)
+    candidates = [
+        k
+        for size in range(1, min(4, len(pts)) + 1)
+        for subset in combinations(range(len(pts)), size)
+        for k in bloch._basis_candidates(pts, s, subset)
+    ]
+    cand = np.asarray(candidates)
+    objective = np.max(s[None, :] + np.linalg.norm(cand[:, None, :] - pts[None, :, :], axis=2), axis=1)
+    best = int(np.argmin(objective))
+    return cand[best], float(objective[best])
+
+
+def reference_convex_weights(points, center, tol=1e-9):
+    """Reference: first subset of size <= 4 in lexicographic order whose
+    non-negative least-squares weights reproduce the target within tol."""
+    pts = np.asarray([np.asarray(p, dtype=float).reshape(3) for p in points])
+    target = np.asarray(center, dtype=float).reshape(3)
+    n = len(pts)
+    rhs = np.append(target, 1.0)
+    for size in range(1, min(4, n) + 1):
+        for subset in combinations(range(n), size):
+            a = np.vstack([pts[list(subset)].T, np.ones((1, size))])
+            sol, *_ = np.linalg.lstsq(a, rhs, rcond=None)
+            if np.min(sol) < -1e-9 or float(np.linalg.norm(a @ sol - rhs)) > tol:
+                continue
+            weights = np.zeros(n)
+            weights[list(subset)] = np.clip(sol, 0.0, None)
+            return weights / weights.sum()
+    raise ValueError("target point is not in the convex hull of the given points")
+
+
+def shifted_instance(n, pure, seed):
+    e = random_ensemble(2, n, pure=pure, seed=seed)
+    return [e.priors[x] * to_bloch(s) for x, s in enumerate(e.states)], e.priors
+
+
+def hull_instance(kind, rng):
+    """A point set of the given geometry and a target near or inside it."""
+    n = int(rng.integers(1, 9))
+    pts = rng.standard_normal((n, 3))
+    if kind == "coplanar":
+        pts[:, 2] = 0.0
+    elif kind == "collinear":
+        pts = np.outer(rng.standard_normal(n), rng.standard_normal(3))
+    elif kind == "near-duplicate":
+        pts = np.vstack([pts, pts[int(rng.integers(n))] + 1e-12 * rng.standard_normal(3)])
+    if rng.uniform() < 0.5:
+        target = rng.dirichlet(np.ones(len(pts)) * 0.3) @ pts
+    else:
+        target = 0.3 * rng.standard_normal(3)
+    if kind == "coplanar":
+        target[2] = 0.0
+    return pts, target
 
 
 class TestBlochConversion:
@@ -209,6 +278,37 @@ class TestConvexWeights:
         with pytest.raises(ValueError, match="convex hull"):
             convex_weights_for_center(pts, np.zeros(3))
 
+    @pytest.mark.parametrize("kind", ["random", "coplanar", "collinear", "near-duplicate"])
+    def test_hull_membership_matches_reference(self, kind):
+        rng = np.random.default_rng([41, len(kind)])
+        inside = 0
+        for _ in range(300):
+            pts, target = hull_instance(kind, rng)
+            try:
+                reference_convex_weights(list(pts), target)
+                expected = True
+            except ValueError:
+                expected = False
+            try:
+                weights = convex_weights_for_center(list(pts), target)
+            except ValueError:
+                assert not expected
+                continue
+            assert expected
+            inside += 1
+            assert np.count_nonzero(weights) <= 4
+            assert np.min(weights) >= 0.0 and abs(weights.sum() - 1.0) <= 1e-12
+            assert np.linalg.norm(weights @ pts - target) <= 1e-9
+        assert inside >= 100
+
+    def test_sphere_sets_use_at_most_four_points(self, rng):
+        for n in (8, 39, 200):
+            units = rng.standard_normal((n, 3))
+            units /= np.linalg.norm(units, axis=1, keepdims=True)
+            weights = convex_weights_for_center(list(units), np.zeros(3))
+            assert 1 <= np.count_nonzero(weights) <= 4
+            assert np.linalg.norm(weights @ units) <= 1e-12
+
 
 class TestShiftedBallDual:
     def test_single_point_is_certain(self):
@@ -262,3 +362,64 @@ class TestShiftedBallDual:
             min_enclosing_ball([np.array([np.inf, 0, 0])])
         with pytest.raises(ValueError, match="finite"):
             from_bloch([np.nan, 0, 0])
+
+
+class TestBasisImprovement:
+    def test_matches_enumeration(self):
+        for seed in range(200):
+            n = 1 + seed % 8
+            pts, shifts = shifted_instance(n, pure=(seed % 2 == 0), seed=5000 + seed)
+            center, value = reference_shifted_ball(pts, shifts)
+            result = shifted_ball_dual(pts, shifts)
+            assert abs(result.value - value) <= 1e-12
+            assert np.linalg.norm(result.center - center) <= 1e-9
+
+    @pytest.mark.parametrize("n", [40, 200])
+    def test_each_step_solves_at_most_fifteen_subsets(self, n, monkeypatch):
+        # Only subsets holding the violator can be bases of the enlarged
+        # set: at most 1 + 4 + 6 + 4 of basis plus violator's 31 subsets.
+        calls = {"candidates": 0, "steps": 0}
+        candidates, improve = bloch._basis_candidates, bloch._improve_basis
+
+        def counted_candidates(*args):
+            calls["candidates"] += 1
+            return candidates(*args)
+
+        def counted_improve(*args):
+            calls["steps"] += 1
+            return improve(*args)
+
+        monkeypatch.setattr(bloch, "_basis_candidates", counted_candidates)
+        monkeypatch.setattr(bloch, "_improve_basis", counted_improve)
+        for seed in range(3):
+            for pure in (True, False):
+                calls.update(candidates=0, steps=0)
+                pts, shifts = shifted_instance(n, pure, seed=900 + seed)
+                shifted_ball_dual(pts, shifts)
+                uniform = [p / (n * s) for p, s in zip(pts, shifts)]
+                shifted_ball_dual(uniform, np.full(n, 1.0 / n))
+                assert 0 < calls["steps"] and calls["candidates"] <= 15 * calls["steps"]
+
+    def test_grid_oracle_bounds_value(self):
+        resolution = 1e-3
+        for n in (10, 20, 40):
+            for pure in (True, False):
+                e = random_ensemble(2, n, pure=pure, seed=n + pure)
+                pts = [e.priors[x] * to_bloch(s) for x, s in enumerate(e.states)]
+                value = shifted_ball_dual(pts, e.priors).value
+                oracle = dual_grid_oracle(e, resolution)
+                assert value - 1e-12 <= oracle <= value + math.sqrt(3) * resolution
+                assert solve_qubit(e).p_guess == pytest.approx(value, abs=1e-12)
+
+    def test_max_iter_caps_improvement_steps(self):
+        e = random_ensemble(2, 40, pure=False, seed=3)
+        pts, shifts = [to_bloch(s) / 40 for s in e.states], np.full(40, 1 / 40)
+        needed = 0
+        while True:
+            try:
+                shifted_ball_dual(pts, shifts, max_iter=needed)
+                break
+            except ConvergenceError as exc:
+                assert f"{needed} steps" in str(exc)
+                needed += 1
+        assert 2 <= needed <= 40

@@ -135,6 +135,28 @@ class TestCliSolve:
         path.write_text(json.dumps(ensemble_to_json(e)))
         assert main(["solve", str(path)]) == 3
 
+    def test_verify_defaults_to_analytic_tolerance_on_every_path(self, tmp_path, capsys):
+        for name, e in (
+            ("ball", trine()),
+            ("shifted", random_ensemble(2, 6, pure=False, seed=23)),
+            ("helstrom", random_ensemble(4, 2, pure=False, seed=23)),
+        ):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(ensemble_to_json(e)))
+            assert main(["solve", str(path), "--verify"]) == 0
+            cert = json.loads(capsys.readouterr().out)["certificate"]
+            assert cert["tolerance"] == 1e-8 and cert["verdict"] == "pass", name
+
+    def test_single_qutrit_state_certifies(self, tmp_path, capsys):
+        e = random_ensemble(3, 1, pure=False, seed=2)
+        path = tmp_path / "single.json"
+        path.write_text(json.dumps(ensemble_to_json(e)))
+        assert main(["solve", str(path), "--verify"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["p_guess"] == pytest.approx(1.0, abs=1e-9)
+        assert doc["certificate"]["verdict"] == "pass"
+        assert doc["certificate"]["tolerance"] == pytest.approx(1e-8)
+
     def test_out_flag_writes_file(self, trine_file, tmp_path):
         target = tmp_path / "result.json"
         assert main(["solve", trine_file, "--out", str(target)]) == 0

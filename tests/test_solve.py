@@ -355,6 +355,25 @@ class TestSolveDispatch:
         with pytest.raises(UnsupportedInstanceError, match="certify"):
             solve(random_ensemble(3, 3, pure=True, seed=2))
 
+    def test_single_state_any_dimension_is_certain(self):
+        for dim in (2, 3, 5):
+            e = random_ensemble(dim, 1, pure=False, seed=dim)
+            sol = solve(e)
+            assert sol.p_guess == pytest.approx(1.0, abs=1e-12)
+            assert np.max(np.abs(sol.symmetry_op.matrix - e.states[0].matrix)) <= 1e-12
+            assert np.max(np.abs(sol.povm[0].matrix - np.eye(dim))) == 0.0
+            assert_solution_contract(e, sol)
+
+    def test_dimension_one_names_the_likeliest_state(self):
+        one = DensityOperator(HermitianOperator(np.ones((1, 1))))
+        for priors, winner in (([0.2, 0.5, 0.3], 1), ([0.4, 0.4, 0.2], 0), ([0.3, 0.7], 1)):
+            e = WeightedEnsemble(priors, [one] * len(priors))
+            sol = solve(e)
+            assert sol.p_guess == pytest.approx(max(priors), abs=1e-15)
+            assert sol.symmetry_op.matrix[0, 0] == pytest.approx(max(priors), abs=1e-15)
+            assert sol.support == (winner,)
+            assert_solution_contract(e, sol)
+
     def test_tetrahedron_directions_storage(self):
         assert REGULAR_TETRAHEDRON.shape == (4, 3)
         assert np.allclose(np.linalg.norm(REGULAR_TETRAHEDRON, axis=1), 1.0)
