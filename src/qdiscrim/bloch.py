@@ -41,18 +41,39 @@ _CONTAIN_EPS = 1 + 1e-14
 _WOLFE_RTOL = 1e-14  # Wolfe's stop: target reached, or no point measurably beyond
 
 
+def _bloch_vectors(matrices: np.ndarray) -> np.ndarray:
+    """Bloch vectors (..., 3) of a stack of qubit operators (..., 2, 2).
+
+    Each tr(M sigma_i) is read off the entries; the sums are the ones the
+    traces of the Pauli products reduce to, bit for bit.
+    """
+    m01, m10 = matrices[..., 0, 1], matrices[..., 1, 0]
+    return np.stack(
+        [
+            m01.real + m10.real,
+            m10.imag - m01.imag,
+            matrices[..., 0, 0].real - matrices[..., 1, 1].real,
+        ],
+        axis=-1,
+    )
+
+
+def _lengths(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean lengths of the rows, bit for bit as np.linalg.norm of each row.
+
+    np.linalg.norm(..., axis=1) sums the squares in another order and can
+    differ in the last bit, which moves the POVM that Wolfe's algorithm
+    picks among the many optimal ones of a fully supported ensemble.
+    """
+    return np.sqrt(np.matmul(vectors[..., None, :], vectors[..., :, None])[..., 0, 0])
+
+
 def to_bloch(rho) -> np.ndarray:
     """Bloch vector (x, y, z) of a single-qubit density operator."""
     m = _as_matrix(rho)
     if m.shape != (2, 2):
         raise ValueError(f"expected a qubit operator, got dimension {m.shape[0]}")
-    return np.array(
-        [
-            np.trace(m @ PAULI_X).real,
-            np.trace(m @ PAULI_Y).real,
-            np.trace(m @ PAULI_Z).real,
-        ]
-    )
+    return _bloch_vectors(m)
 
 
 def from_bloch(v) -> DensityOperator:
@@ -175,27 +196,27 @@ def min_enclosing_ball(points, seed: int = 0) -> BallResult:
     Duplicates within 1e-12 are collapsed before the randomized recursion;
     support membership is evaluated on the original list afterwards.
     """
-    pts = [np.asarray(p, dtype=float).reshape(3) for p in points]
-    if not pts:
+    pts = np.asarray([np.asarray(p, dtype=float).reshape(3) for p in points]).reshape(-1, 3)
+    if not len(pts):
         raise ValueError("at least one point is required")
-    if not all(np.all(np.isfinite(p)) for p in pts):
+    if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
 
-    unique: list[np.ndarray] = []
-    for p in pts:
-        if all(float(np.linalg.norm(p - u)) > _DEDUP_TOL for u in unique):
-            unique.append(p)
+    # a point is kept unless it lies within 1e-12 of a point kept before it
+    kept = [0]
+    for i in range(1, len(pts)):
+        if np.all(_lengths(pts[kept] - pts[i]) > _DEDUP_TOL):
+            kept.append(i)
 
-    shuffled = list(unique)
+    shuffled = list(pts[kept])
     random.Random(seed).shuffle(shuffled)
     ball = _welzl(shuffled, len(shuffled), [])
     center = ball[0]
     radius = math.sqrt(max(ball[1], 0.0))
 
     tol = SUPPORT_TOL * (1.0 + radius)
-    support = tuple(
-        i for i, p in enumerate(pts) if abs(float(np.linalg.norm(p - center)) - radius) <= tol
-    )
+    on_sphere = np.abs(_lengths(pts - center) - radius) <= tol
+    support = tuple(int(i) for i in np.flatnonzero(on_sphere))
     center = center.copy()
     center.setflags(write=False)
     return BallResult(center=center, radius=radius, support=support, seed=seed)

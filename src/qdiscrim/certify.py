@@ -118,48 +118,46 @@ def _check_candidate_shapes(ensemble: WeightedEnsemble, k: np.ndarray, povm) -> 
     return matrices
 
 
+def _peak(values: np.ndarray) -> float:
+    """Largest absolute entry, 0 for an empty array."""
+    return float(np.max(np.abs(values), initial=0.0))
+
+
 def _certificate_from(
     ensemble: WeightedEnsemble, k: np.ndarray, matrices: list[np.ndarray], tol: float
 ) -> KktCertificate:
+    """Residuals from three stacked spectra: the gaps, the POVM, the legacy operators."""
     q = ensemble.priors
-    rhos = [s.matrix for s in ensemble.states]
-    n = ensemble.size
+    rhos = ensemble.matrices
+    povm = np.stack(matrices)
+    weighted = q[:, None, None] * rhos
     trace_k = float(np.trace(k).real)
 
-    symmetry = 0.0
-    dual_feasibility = 0.0
-    orthogonality = 0.0
-    for x in range(n):
-        gap = k - q[x] * rhos[x]
-        weight = trace_k - q[x]
-        smallest = float(_eigvalsh(gap)[-1])
-        dual_feasibility = max(dual_feasibility, -smallest)
-        if weight > DEGENERATE_WEIGHT_TOL:
-            sigma = gap / weight
-            # recomputed sigma reproduces the decomposition by construction,
-            # so this residual only picks up arithmetic noise
-            symmetry = max(symmetry, float(np.max(np.abs(gap - weight * sigma))))
-            orthogonality = max(
-                orthogonality, abs(weight * float(np.trace(matrices[x] @ sigma).real))
-            )
-        else:
-            symmetry = max(symmetry, float(np.max(np.abs(gap))))
-
-    total = sum(matrices)
-    completeness = float(np.max(np.abs(total - np.eye(ensemble.dim))))
-    povm_positivity = max(0.0, max(-float(_eigvalsh(m)[-1]) for m in matrices))
-
-    legacy_pairwise = 0.0
-    for x in range(n):
-        for y in range(x + 1, n):
-            cross = matrices[x] @ (q[x] * rhos[x] - q[y] * rhos[y]) @ matrices[y]
-            legacy_pairwise = max(legacy_pairwise, float(np.max(np.abs(cross))))
-
-    averaged = sum(q[x] * rhos[x] @ matrices[x] for x in range(n))
-    averaged = (averaged + averaged.conj().T) / 2.0
-    legacy_operator = max(
-        0.0, max(-float(_eigvalsh(averaged - q[y] * rhos[y])[-1]) for y in range(n))
+    gaps = k - weighted
+    weights = trace_k - q
+    dual_feasibility = float(np.max(-_eigvalsh(gaps)[:, -1]))
+    live = weights > DEGENERATE_WEIGHT_TOL
+    sigma = gaps[live] / weights[live, None, None]
+    # recomputed sigma reproduces the decomposition by construction,
+    # so this residual only picks up arithmetic noise
+    symmetry = max(
+        _peak(gaps[live] - weights[live, None, None] * sigma), _peak(gaps[~live])
     )
+    overlaps = np.trace(povm[live] @ sigma, axis1=1, axis2=2).real
+    orthogonality = _peak(weights[live] * overlaps)
+
+    completeness = float(np.max(np.abs(povm.sum(axis=0) - np.eye(ensemble.dim))))
+    povm_positivity = max(0.0, float(np.max(-_eigvalsh(povm)[:, -1])))
+
+    # one batched product over y > x per x, never an (N, N, d, d) tensor
+    legacy_pairwise = max(
+        _peak(povm[x] @ (weighted[x] - weighted[x + 1 :]) @ povm[x + 1 :])
+        for x in range(ensemble.size)
+    )
+
+    averaged = (weighted @ povm).sum(axis=0)
+    averaged = (averaged + averaged.conj().T) / 2.0
+    legacy_operator = max(0.0, float(np.max(-_eigvalsh(averaged - weighted)[:, -1])))
 
     dual_feasibility = max(0.0, dual_feasibility)
     residual_values = [

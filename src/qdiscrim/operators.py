@@ -8,7 +8,10 @@ convention, trace norm, positivity tests, purification and partial trace.
 Matrices are stored as immutable ``numpy`` arrays of ``complex128``.
 Dimensions in scope are small (<= 64). Each operator should be
 diagonalized once: the helpers that need several spectral quantities of
-one matrix take them from a single decomposition.
+one matrix take them from a single decomposition. Validation, the
+eigensolver and the rebuild of states from a spectrum take stacks
+(..., d, d), so per-state work over an ensemble is one LAPACK call per
+layer; a single matrix is a stack of one.
 """
 
 from __future__ import annotations
@@ -45,6 +48,42 @@ def _frozen_real(array: np.ndarray) -> np.ndarray:
     return out
 
 
+def _symmetrized(m: np.ndarray) -> np.ndarray:
+    """Frozen H/2 + H†/2 of a stack; halving first keeps huge entries finite."""
+    out = m / 2.0 + m.conj().swapaxes(-1, -2) / 2.0
+    out.setflags(write=False)
+    return out
+
+
+def _hermitian_stack(matrices, field: str | None = None) -> np.ndarray:
+    """Validate a stack (..., d, d) of Hermitian matrices and symmetrize it.
+
+    Every matrix must be square of dimension 1..MAX_DIM, finite, and
+    Hermitian to 1e-12 in max norm. The first defective matrix raises
+    ValueError; with a field such as "states[{}]" the message is prefixed
+    by the field formatted with that matrix's index in the stack.
+    """
+    m = np.asarray(matrices, dtype=complex)
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
+        raise ValueError(f"expected a square matrix, got shape {m.shape}")
+    d = m.shape[-1]
+    if not (1 <= d <= MAX_DIM):
+        raise ValueError(f"dimension {d} outside supported range 1..{MAX_DIM}")
+
+    def reject(index: int, message: str) -> ValueError:
+        return ValueError(message if field is None else f"{field.format(index)}: {message}")
+
+    flat = m.reshape(-1, d, d)
+    finite = np.isfinite(flat.real).all(axis=(1, 2)) & np.isfinite(flat.imag).all(axis=(1, 2))
+    if not finite.all():
+        raise reject(int(np.argmin(finite)), "matrix entries must be finite")
+    asym = np.max(np.abs(flat - flat.conj().swapaxes(1, 2)), axis=(1, 2))
+    if np.any(asym > HERMITICITY_TOL):
+        i = int(np.argmax(asym > HERMITICITY_TOL))
+        raise reject(i, f"matrix is not Hermitian: asymmetry {asym[i]:.3e} > {HERMITICITY_TOL}")
+    return _symmetrized(m)
+
+
 @dataclass(frozen=True, eq=False)
 class HermitianOperator:
     """A dim x dim complex matrix equal to its conjugate transpose.
@@ -59,16 +98,9 @@ class HermitianOperator:
 
     def __init__(self, matrix) -> None:
         m = np.asarray(matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        if m.ndim != 2:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        if not (1 <= m.shape[0] <= MAX_DIM):
-            raise ValueError(f"dimension {m.shape[0]} outside supported range 1..{MAX_DIM}")
-        if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
-            raise ValueError("matrix entries must be finite")
-        asym = np.max(np.abs(m - m.conj().T))
-        if asym > HERMITICITY_TOL:
-            raise ValueError(f"matrix is not Hermitian: asymmetry {asym:.3e} > {HERMITICITY_TOL}")
-        object.__setattr__(self, "matrix", _frozen(m / 2.0 + m.conj().T / 2.0))
+        object.__setattr__(self, "matrix", _hermitian_stack(m))
 
     @property
     def dim(self) -> int:
@@ -80,22 +112,17 @@ class HermitianOperator:
 
 @dataclass(frozen=True, eq=False)
 class DensityOperator:
-    """A quantum state: Hermitian, positive semidefinite, unit trace.
-
-    ``_smallest`` is for package code that has just built ``op`` from a
-    known spectrum: the PSD check then uses that eigenvalue instead of
-    diagonalizing ``op`` again.
-    """
+    """A quantum state: Hermitian, positive semidefinite, unit trace."""
 
     op: HermitianOperator
 
-    def __init__(self, op, *, _smallest: float | None = None) -> None:
+    def __init__(self, op) -> None:
         if not isinstance(op, HermitianOperator):
             op = HermitianOperator(op)
         tr = op.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density operator must have trace 1, got {tr!r}")
-        smallest = float(_eigvalsh(op.matrix)[-1]) if _smallest is None else _smallest
+        smallest = float(_eigvalsh(op.matrix)[-1])
         if smallest < -PSD_TOL:
             raise ValueError(f"density operator has negative eigenvalue {smallest:.3e}")
         object.__setattr__(self, "op", op)
@@ -146,39 +173,51 @@ class PureBipartiteState:
 
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
-    """Make the first non-negligible component of each column real positive."""
+    """Make the first non-negligible component of each column real positive.
+
+    Works on stacks (..., d, d) of eigenvector columns, matrix by matrix.
+    """
     mags = np.abs(v)
-    cols = np.arange(v.shape[1])
-    rows = np.argmax(mags > 1e-8, axis=0)
-    pivots = v[rows, cols]
-    sizes = mags[rows, cols]
+    rows = np.argmax(mags > 1e-8, axis=-2)[..., None, :]
+    pivots = np.take_along_axis(v, rows, axis=-2)
+    sizes = np.take_along_axis(mags, rows, axis=-2)
     phases = np.ones_like(pivots)
     nonzero = sizes > 0
     phases[nonzero] = np.conj(pivots[nonzero]) / sizes[nonzero]
     return v * phases
 
 
-def _eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK diagonalization of a Hermitian matrix (``numpy.linalg.eigh``).
-
-    Returns eigenvalues sorted descending and the matching eigenvector
-    columns, with a deterministic phase convention. Equal eigenvalues keep
-    the order LAPACK returns them in (a stable sort, not a reversal of the
-    ascending output). Raises ConvergenceError when LAPACK fails or
-    returns non-finite values, which signals pathological input.
-    """
+def _lapack_eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """``numpy.linalg.eigh`` (ascending) with failures raised as ConvergenceError."""
     try:
         values, vectors = np.linalg.eigh(np.asarray(matrix, dtype=complex))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
     if not (np.all(np.isfinite(values)) and np.all(np.isfinite(vectors))):
         raise ConvergenceError("eigendecomposition returned non-finite values")
-    order = np.argsort(-values, kind="stable")
-    return values[order], _fix_phases(vectors[:, order])
+    return values, vectors
 
 
-def _eigvalsh(matrix: np.ndarray) -> np.ndarray:
-    return _eigh(matrix)[0]
+def _eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK diagonalization of a Hermitian matrix or stack (..., d, d).
+
+    A stack is one ``numpy.linalg.eigh`` call. Returns eigenvalues sorted
+    descending and the matching eigenvector columns, per matrix, with a
+    deterministic phase convention. Equal eigenvalues keep the order
+    LAPACK returns them in (a stable sort, not a reversal of the
+    ascending output). Raises ConvergenceError when LAPACK fails or
+    returns non-finite values, which signals pathological input.
+    """
+    values, vectors = _lapack_eigh(matrix)
+    order = np.argsort(-values, axis=-1, kind="stable")
+    values = np.take_along_axis(values, order, axis=-1)
+    vectors = np.take_along_axis(vectors, order[..., None, :], axis=-1)
+    return values, _fix_phases(vectors)
+
+
+def _eigvalsh(matrix) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix or stack, descending (LAPACK's order reversed)."""
+    return _lapack_eigh(matrix)[0][..., ::-1]
 
 
 def hermitian_eigen(operator) -> SpectralDecomposition:
@@ -221,21 +260,39 @@ def nonnegative_eigenprojector(operator) -> np.ndarray:
     return _negative_part_and_projector(operator)[1]
 
 
-def _density_from_spectrum(values: np.ndarray, vectors: np.ndarray) -> DensityOperator:
-    """State rebuilt from a known spectrum (eigenvalues descending).
+def _wrap_hermitian(stack: np.ndarray) -> tuple[HermitianOperator, ...]:
+    """Wrap each matrix of a frozen, already symmetrized stack, unchecked."""
+    ops = []
+    for m in stack:
+        op = object.__new__(HermitianOperator)
+        object.__setattr__(op, "matrix", m)
+        ops.append(op)
+    return tuple(ops)
+
+
+def _hermitian_operators(matrices) -> tuple[HermitianOperator, ...]:
+    """HermitianOperators for a stack (N, d, d), validated in one pass."""
+    return _wrap_hermitian(_hermitian_stack(matrices))
+
+
+def _density_from_spectrum(values: np.ndarray, vectors: np.ndarray) -> tuple[DensityOperator, ...]:
+    """States rebuilt from known spectra: values (N, d) descending, vectors (N, d, d).
 
     Callers reject eigenvalues below their own noise floor first; the
-    rest of the negative noise is clipped to zero and the rebuilt matrix
-    normalized to unit trace. Its smallest eigenvalue, the clipped minimum
-    over the trace, feeds the PSD check, so the state is not diagonalized
-    again.
+    rest of the negative noise is clipped to zero and each rebuilt matrix
+    normalized to unit trace. That makes every state Hermitian, unit
+    trace and PSD by construction, so the states are wrapped without
+    being validated or diagonalized again.
     """
     clipped = np.maximum(values, 0.0)
-    rebuilt = (vectors * clipped) @ vectors.conj().T
-    trace = np.trace(rebuilt).real
-    return DensityOperator(
-        HermitianOperator(rebuilt / trace), _smallest=float(clipped[-1] / trace)
-    )
+    rebuilt = (vectors * clipped[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
+    rebuilt = rebuilt / np.trace(rebuilt, axis1=-2, axis2=-1).real[..., None, None]
+    states = []
+    for op in _wrap_hermitian(_symmetrized(rebuilt)):
+        rho = object.__new__(DensityOperator)
+        object.__setattr__(rho, "op", op)
+        states.append(rho)
+    return tuple(states)
 
 
 def purify(rho: DensityOperator) -> PureBipartiteState:

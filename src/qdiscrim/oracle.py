@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import to_bloch
+from .bloch import _bloch_vectors
 from .operators import DensityOperator, HermitianOperator, _as_matrix
 from .solve import WeightedEnsemble
 
@@ -104,7 +104,7 @@ def dual_grid_oracle(ensemble: WeightedEnsemble, resolution: float) -> float:
     if ensemble.dim != 2:
         raise ValueError("the grid oracle covers qubit ensembles only")
     q = ensemble.priors
-    pts = np.asarray([q[x] * to_bloch(s) for x, s in enumerate(ensemble.states)])
+    pts = q[:, None] * _bloch_vectors(ensemble.matrices)
 
     global _COARSE_GRID
     step = min(_COARSE_STEP, resolution * 50)

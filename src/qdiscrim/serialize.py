@@ -12,18 +12,25 @@ import numpy as np
 
 from .certify import KktCertificate, ProbabilityForms
 from .factory import FactoryOutput
-from .operators import DensityOperator, HermitianOperator, _density_from_spectrum, _eigh
+from .operators import DensityOperator, _density_from_spectrum, _eigh, _hermitian_stack
 from .solve import DiscriminationSolution, WeightedEnsemble
 
 
 def round_floats(value, digits: int = 9):
     """Recursively round floats to a fixed number of significant digits."""
+    return _rounded(value, f".{digits}g")
+
+
+def _rounded(value, spec: str):
     if isinstance(value, float):
-        return float(f"{value:.{digits}g}")
+        return float(format(value, spec))
     if isinstance(value, dict):
-        return {k: round_floats(v, digits) for k, v in value.items()}
+        return {k: _rounded(v, spec) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [round_floats(v, digits) for v in value]
+        # a matrix row is a flat list of floats: one comprehension, no recursion
+        return [
+            float(format(v, spec)) if isinstance(v, float) else _rounded(v, spec) for v in value
+        ]
     return value
 
 
@@ -90,28 +97,34 @@ def ensemble_from_json(obj) -> WeightedEnsemble:
         raise ValueError(f"priors: must sum to 1, got {total!r}")
     q = q / total
 
-    states = []
-    for i, state in enumerate(states_json):
-        matrix = matrix_from_json(state, field=f"states[{i}]")
-        try:
-            states.append(_density_from_rounded(matrix))
-        except ValueError as exc:
-            raise ValueError(f"states[{i}]: {exc}") from exc
+    matrices = [matrix_from_json(s, field=f"states[{i}]") for i, s in enumerate(states_json)]
+    dims = sorted({m.shape[0] for m in matrices})
+    if len(dims) > 1:
+        raise ValueError(f"ensemble: states must share one dimension, got {dims}")
+    states = _densities_from_rounded(np.stack(matrices)) if matrices else ()
     try:
         return WeightedEnsemble(q, states)
     except ValueError as exc:
         raise ValueError(f"ensemble: {exc}") from exc
 
 
-def _density_from_rounded(matrix: np.ndarray) -> DensityOperator:
-    """Build a state from serialized entries, absorbing rounding up to 1e-8."""
-    h = HermitianOperator(matrix)
-    trace = h.trace()
-    if abs(trace - 1.0) > 1e-8:
-        raise ValueError(f"state trace must be 1, got {trace!r}")
-    values, vectors = _eigh(h.matrix / trace)
-    if values[-1] < -1e-8:
-        raise ValueError(f"state has negative eigenvalue {values[-1]:.3e}")
+def _densities_from_rounded(matrices: np.ndarray) -> tuple[DensityOperator, ...]:
+    """Build states from serialized entries, absorbing rounding up to 1e-8.
+
+    The whole stack is validated and diagonalized at once; a defect names
+    its state as states[i].
+    """
+    h = _hermitian_stack(matrices, field="states[{}]")
+    traces = np.trace(h, axis1=1, axis2=2).real
+    off = np.flatnonzero(np.abs(traces - 1.0) > 1e-8)
+    if off.size:
+        i = int(off[0])
+        raise ValueError(f"states[{i}]: state trace must be 1, got {float(traces[i])!r}")
+    values, vectors = _eigh(h / traces[:, None, None])
+    negative = np.flatnonzero(values[:, -1] < -1e-8)
+    if negative.size:
+        i = int(negative[0])
+        raise ValueError(f"states[{i}]: state has negative eigenvalue {values[i, -1]:.3e}")
     return _density_from_spectrum(values, vectors)
 
 

@@ -12,7 +12,7 @@ still check externally supplied candidates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,10 +20,11 @@ from .bloch import (
     PAULI_X,
     PAULI_Y,
     PAULI_Z,
+    _bloch_vectors,
+    _lengths,
     convex_weights_for_center,
     min_enclosing_ball,
     shifted_ball_dual,
-    to_bloch,
 )
 from .errors import InfeasibleDualError, UnsupportedInstanceError
 from .operators import (
@@ -32,6 +33,8 @@ from .operators import (
     _as_matrix,
     _density_from_spectrum,
     _eigh,
+    _eigvalsh,
+    _hermitian_operators,
     _negative_part_and_projector,
 )
 
@@ -45,11 +48,16 @@ COMPLEMENTARY_NOISE_TOL = 1e-6
 
 @dataclass(frozen=True, eq=False)
 class WeightedEnsemble:
-    """Prior probabilities q_x and density operators rho_x of common dimension."""
+    """Prior probabilities q_x and density operators rho_x of common dimension.
+
+    matrices is the read-only stack (N, d, d) of the state matrices, built
+    once, for the per-state work of the solvers and the certificate.
+    """
 
     priors: np.ndarray
     states: tuple[DensityOperator, ...]
     seed: int | None = None
+    matrices: np.ndarray = field(init=False, repr=False)
 
     def __init__(self, priors, states, seed: int | None = None) -> None:
         q = np.asarray(priors, dtype=float).reshape(-1)
@@ -67,9 +75,12 @@ class WeightedEnsemble:
             raise ValueError(f"states must share one dimension, got {sorted(dims)}")
         q = q.copy()
         q.setflags(write=False)
+        matrices = np.stack([s.matrix for s in states])
+        matrices.setflags(write=False)
         object.__setattr__(self, "priors", q)
         object.__setattr__(self, "states", states)
         object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "matrices", matrices)
 
     @property
     def size(self) -> int:
@@ -115,36 +126,32 @@ def complementary_states(
     normalized by its weight. Operators violating K >= q_x rho_x beyond
     feasibility_tol are rejected. Weights at or below 1e-12 flag a state
     identified with certainty; its complementary state is returned absent.
-    Each gap is diagonalized once: sigma_x shares its eigenvectors, with
-    eigenvalues scaled by 1 / r_x.
+    All gaps are diagonalized in one stacked call: sigma_x shares its
+    gap's eigenvectors, with eigenvalues scaled by 1 / r_x.
     """
     k = _as_matrix(symmetry_op)
     if k.shape[0] != ensemble.dim:
         raise ValueError("operator dimension does not match the ensemble")
     total = float(np.trace(k).real)
     weights = total - ensemble.priors
-    states: list[DensityOperator | None] = []
-    for x, rho in enumerate(ensemble.states):
-        values, vectors = _eigh(k - ensemble.priors[x] * rho.matrix)
-        smallest = float(values[-1])
-        if smallest < -feasibility_tol:
+    values, vectors = _eigh(k - ensemble.priors[:, None, None] * ensemble.matrices)
+    live = weights > DEGENERATE_WEIGHT_TOL
+    scaled = values[live] / weights[live, None]
+    defect = values[:, -1] < -feasibility_tol
+    defect[live] |= scaled[:, -1] < -COMPLEMENTARY_NOISE_TOL
+    if defect.any():
+        x = int(np.argmax(defect))
+        if values[x, -1] < -feasibility_tol:
             raise InfeasibleDualError(
-                f"K - q_x rho_x has eigenvalue {smallest:.3e} for state {x}"
+                f"K - q_x rho_x has eigenvalue {values[x, -1]:.3e} for state {x}"
             )
-        if weights[x] <= DEGENERATE_WEIGHT_TOL:
-            states.append(None)
-            continue
-        scaled = values / weights[x]
-        if scaled[-1] < -COMPLEMENTARY_NOISE_TOL:
-            raise InfeasibleDualError(f"operator has negative eigenvalue {scaled[-1]:.3e}")
-        states.append(_density_from_spectrum(scaled, vectors))
+        smallest = values[x, -1] / weights[x]
+        raise InfeasibleDualError(f"operator has negative eigenvalue {smallest:.3e}")
+    rebuilt = iter(_density_from_spectrum(scaled, vectors[live]))
+    states = tuple(next(rebuilt) if keep else None for keep in live)
     weights = np.maximum(weights, 0.0)
     weights.setflags(write=False)
-    return ComplementarySet(weights=weights, states=tuple(states))
-
-
-def _zero(dim: int) -> np.ndarray:
-    return np.zeros((dim, dim), dtype=complex)
+    return ComplementarySet(weights=weights, states=states)
 
 
 def reconstruct_povm(
@@ -165,30 +172,31 @@ def reconstruct_povm(
         raise UnsupportedInstanceError("POVM reconstruction applies to qubit ensembles only")
     n = ensemble.size
     identity = np.eye(2, dtype=complex)
+    povm = np.zeros((n, 2, 2), dtype=complex)
 
     degenerate = [x for x in range(n) if complementary.states[x] is None]
     if degenerate:
-        povm = [_zero(2)] * n
         povm[degenerate[0]] = identity
-        return [HermitianOperator(m) for m in povm]
+        return list(_hermitian_operators(povm))
 
-    directions = [to_bloch(sigma) for sigma in complementary.states]
-    support = [x for x in range(n) if np.linalg.norm(directions[x]) >= 1.0 - SUPPORT_FRACTION_TOL]
-    if not support:
+    directions = _bloch_vectors(np.stack([sigma.matrix for sigma in complementary.states]))
+    lengths = _lengths(directions)
+    support = np.flatnonzero(lengths >= 1.0 - SUPPORT_FRACTION_TOL)
+    if support.size == 0:
         raise InfeasibleDualError("no support states: candidate operator cannot be optimal")
 
-    units = [directions[x] / np.linalg.norm(directions[x]) for x in support]
+    units = directions[support] / lengths[support, None]
     weights = convex_weights_for_center(units, np.zeros(3))
+    paulis = (
+        units[:, 0, None, None] * PAULI_X
+        + units[:, 1, None, None] * PAULI_Y
+        + units[:, 2, None, None] * PAULI_Z
+    )
+    povm[support] = (2.0 * weights)[:, None, None] * 0.5 * (identity - paulis)
 
-    povm = [_zero(2)] * n
-    for w, x, u in zip(weights, support, units):
-        scale = 2.0 * w
-        povm[x] = scale * 0.5 * (identity - (u[0] * PAULI_X + u[1] * PAULI_Y + u[2] * PAULI_Z))
-
-    total = sum(povm)
-    if float(np.max(np.abs(total - identity))) > COMPLETENESS_TOL:
+    if float(np.max(np.abs(povm.sum(axis=0) - identity))) > COMPLETENESS_TOL:
         raise InfeasibleDualError("reconstructed POVM does not resolve the identity")
-    return [HermitianOperator(m) for m in povm]
+    return list(_hermitian_operators(povm))
 
 
 def _assemble(
@@ -200,19 +208,17 @@ def _assemble(
     """Combine solver outputs into a validated solution."""
     p_guess = sym.trace()
 
-    total = sum(m.matrix for m in povm)
-    if float(np.max(np.abs(total - np.eye(ensemble.dim)))) > COMPLETENESS_TOL:
+    matrices = np.stack([m.matrix for m in povm])
+    if float(np.max(np.abs(matrices.sum(axis=0) - np.eye(ensemble.dim)))) > COMPLETENESS_TOL:
         raise InfeasibleDualError("POVM does not sum to the identity")
-    for m in povm:
-        if float(_eigh(m.matrix)[0][-1]) < -1e-10:
-            raise InfeasibleDualError("POVM element is not positive semidefinite")
+    if np.any(_eigvalsh(matrices)[:, -1] < -1e-10):
+        raise InfeasibleDualError("POVM element is not positive semidefinite")
     q_max = float(np.max(ensemble.priors))
     if not (q_max - 1e-9 <= p_guess <= 1.0 + 1e-9):
         raise InfeasibleDualError(f"guessing probability {p_guess} outside [max q_x, 1]")
 
-    support = tuple(
-        x for x, m in enumerate(povm) if float(np.max(np.abs(m.matrix))) > DEGENERATE_WEIGHT_TOL
-    )
+    peaks = np.max(np.abs(matrices), axis=(1, 2))
+    support = tuple(int(x) for x in np.flatnonzero(peaks > DEGENERATE_WEIGHT_TOL))
     return DiscriminationSolution(
         p_guess=p_guess,
         symmetry_op=sym,
@@ -231,10 +237,10 @@ def _trivial_solution(ensemble: WeightedEnsemble) -> DiscriminationSolution:
     """
     m = int(np.argmax(ensemble.priors))
     sym = HermitianOperator(ensemble.priors[m] * ensemble.states[m].matrix)
-    povm = [_zero(ensemble.dim)] * ensemble.size
-    povm[m] = np.eye(ensemble.dim, dtype=complex)
+    povm = np.zeros((ensemble.size, ensemble.dim, ensemble.dim), dtype=complex)
+    povm[m] = np.eye(ensemble.dim)
     return _assemble(
-        ensemble, sym, complementary_states(sym, ensemble), [HermitianOperator(p) for p in povm]
+        ensemble, sym, complementary_states(sym, ensemble), list(_hermitian_operators(povm))
     )
 
 
@@ -295,7 +301,7 @@ def solve_qubit_equal_priors(ensemble: WeightedEnsemble) -> DiscriminationSoluti
     if float(np.max(np.abs(ensemble.priors - 1.0 / n))) > UNIFORM_PRIOR_TOL:
         raise ValueError("geometric solver requires uniform priors")
 
-    points = [to_bloch(s) / n for s in ensemble.states]
+    points = _bloch_vectors(ensemble.matrices) / n
     ball = min_enclosing_ball(points)
     return _solve_qubit_from_ball(ensemble, 1.0 / n + ball.radius, ball.center)
 
@@ -308,7 +314,7 @@ def solve_qubit(ensemble: WeightedEnsemble) -> DiscriminationSolution:
     """
     if ensemble.dim != 2:
         raise UnsupportedInstanceError("qubit solver applies to qubit ensembles only")
-    points = [ensemble.priors[x] * to_bloch(s) for x, s in enumerate(ensemble.states)]
+    points = ensemble.priors[:, None] * _bloch_vectors(ensemble.matrices)
     result = shifted_ball_dual(points, ensemble.priors)
     return _solve_qubit_from_ball(ensemble, result.value, result.center)
 

@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import combinations
 
 import numpy as np
@@ -233,6 +234,37 @@ class TestMinEnclosingBall:
         ball = min_enclosing_ball([p, p + 1e-13, q, q])
         assert ball.radius == pytest.approx(0.3, abs=1e-12)
         assert ball.support == (0, 1, 2, 3)
+
+    def test_duplicate_collapse_and_support_match_loop_reference(self, rng):
+        # the original per-pair loops: a point is dropped only when it lies
+        # within 1e-12 of a point kept before it
+        def reference(points, seed=0):
+            pts = [np.asarray(p, dtype=float) for p in points]
+            unique = []
+            for p in pts:
+                if all(float(np.linalg.norm(p - u)) > 1e-12 for u in unique):
+                    unique.append(p)
+            random.Random(seed).shuffle(unique)
+            center, radius_sq = bloch._welzl(unique, len(unique), [])
+            radius = math.sqrt(max(radius_sq, 0.0))
+            tol = bloch.SUPPORT_TOL * (1.0 + radius)
+            lengths = [float(np.linalg.norm(p - center)) for p in pts]
+            support = tuple(i for i, r in enumerate(lengths) if abs(r - radius) <= tol)
+            return center, radius, support
+
+        step = np.array([1.0, 0.0, 0.0])
+        for trial in range(40):
+            base = list(rng.standard_normal((int(rng.integers(2, 12)), 3)) * 0.3)
+            a = base[0]
+            # a chain a, a + 0.8e-12, a + 1.6e-12 keeps its third point
+            pts = base + [a + 0.8e-12 * step, a + 1.6e-12 * step, base[-1] + 0.99e-12 * step]
+            pts += [base[-1] + 1.01e-12 * step, base[1].copy()]
+            order = rng.permutation(len(pts))
+            pts = [pts[i] for i in order]
+            center, radius, support = reference(pts, seed=trial)
+            ball = min_enclosing_ball(pts, seed=trial)
+            assert np.array_equal(ball.center, center) and ball.radius == radius
+            assert ball.support == support
 
     def test_seed_recorded_and_deterministic(self):
         pts = [np.array([0.1, 0.2, 0.3]), np.array([-0.4, 0.0, 0.2]), np.array([0.0, 0.5, -0.1])]

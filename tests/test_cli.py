@@ -19,6 +19,7 @@ from qdiscrim import (
 )
 from qdiscrim.cli import main
 from qdiscrim.serialize import (
+    certificate_to_json,
     ensemble_from_json,
     ensemble_to_json,
     matrix_from_json,
@@ -28,6 +29,17 @@ from qdiscrim.serialize import (
 )
 from qdiscrim.families import trine
 from qdiscrim.solve import solve
+
+
+def _round_floats_reference(value, digits):
+    """The original one-call-per-float recursion that round_floats must reproduce."""
+    if isinstance(value, float):
+        return float(f"{value:.{digits}g}")
+    if isinstance(value, dict):
+        return {k: _round_floats_reference(v, digits) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_round_floats_reference(v, digits) for v in value]
+    return value
 
 
 class TestSerialization:
@@ -63,6 +75,25 @@ class TestSerialization:
     def test_round_floats_significant_digits(self):
         assert round_floats(0.12345678949) == 0.123456789
         assert round_floats({"x": [1 / 3]}) == {"x": [0.333333333]}
+
+    @pytest.mark.parametrize(
+        "ensemble",
+        [
+            random_ensemble(16, 2, pure=False, seed=41),
+            random_ensemble(8, 2, pure=True, seed=42),
+            random_ensemble(2, 12, pure=False, seed=43),
+            trine(),
+        ],
+        ids=["dense-pair-mixed", "dense-pair-pure", "qubit-shifted", "qubit-ball"],
+    )
+    def test_round_floats_matches_recursive_reference(self, ensemble):
+        sol = solve(ensemble)
+        doc = solution_to_json(sol)
+        doc["certificate"] = certificate_to_json(verify_kkt(ensemble, sol.symmetry_op, sol.povm))
+        doc["extras"] = (np.float64(2 / 3), -0.0, 1e-300, 5e-324, 7, True, None, "x", [[], {}])
+        for digits in (9, 3, 17):
+            expected = json.dumps(_round_floats_reference(doc, digits))
+            assert json.dumps(round_floats(doc, digits)) == expected
 
     def test_boolean_dim_rejected(self):
         with pytest.raises(ValueError, match="K.dim"):
@@ -119,7 +150,7 @@ class TestCliSolve:
         assert doc["certificate"]["verdict"] == "pass"
         solution_path = tmp_path / "sol.json"
         solution_path.write_text(json.dumps(doc))
-        assert main(["verify", str(ensemble_path), str(solution_path), "--tol", "1e-6"]) == 0
+        assert main(["verify", str(ensemble_path), str(solution_path), "--tol", "1e-8"]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
 
     def test_malformed_json_exits_2(self, tmp_path, capsys):
@@ -161,6 +192,68 @@ class TestCliSolve:
         target = tmp_path / "result.json"
         assert main(["solve", trine_file, "--out", str(target)]) == 0
         assert json.loads(target.read_text())["p_guess"] == pytest.approx(2 / 3, abs=1e-9)
+
+
+_ZERO = [[0.0, 0.0], [0.0, 0.0]]
+# A defective state and the diagnostic that names it; the other four
+# states of the five-state document are valid.
+_DEFECTS = {
+    "non-hermitian": (
+        {"dim": 2, "re": [[0.5, 0.3], [0.1, 0.5]], "im": _ZERO},
+        "matrix is not Hermitian: asymmetry 2.000e-01 > 1e-12",
+    ),
+    "trace-0.9": (
+        {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.4]], "im": _ZERO},
+        "state trace must be 1, got 0.9",
+    ),
+    "negative-eigenvalue": (
+        {"dim": 2, "re": [[1.2, 0.0], [0.0, -0.2]], "im": _ZERO},
+        "state has negative eigenvalue -2.000e-01",
+    ),
+    "nan": (
+        {"dim": 2, "re": [[math.nan, 0.0], [0.0, 0.5]], "im": _ZERO},
+        "matrix entries must be finite",
+    ),
+    "plus-1e308": (
+        {"dim": 2, "re": [[0.5, 1e308], [1e308, 0.5]], "im": _ZERO},
+        "state has negative eigenvalue -1.000e+308",
+    ),
+    "minus-1e308": (
+        {"dim": 2, "re": [[0.5, -1e308], [-1e308, 0.5]], "im": _ZERO},
+        "state has negative eigenvalue -1.000e+308",
+    ),
+}
+
+
+def _five_states_with(bad_state) -> dict:
+    doc = ensemble_to_json(random_ensemble(2, 5, pure=False, seed=8))
+    doc["states"][2] = bad_state
+    return json.loads(json.dumps(doc))
+
+
+class TestBatchedParseDiagnostics:
+    """The stacked parse names the defective state as the per-state parse did."""
+
+    @pytest.mark.parametrize("defect", sorted(_DEFECTS))
+    def test_defect_names_its_state(self, defect):
+        bad_state, message = _DEFECTS[defect]
+        with pytest.raises(ValueError) as info:
+            ensemble_from_json(_five_states_with(bad_state))
+        assert str(info.value) == f"states[2]: {message}"
+
+    def test_mixed_dimensions_rejected(self):
+        third = {"dim": 3, "re": (np.eye(3) / 3).tolist(), "im": np.zeros((3, 3)).tolist()}
+        with pytest.raises(ValueError, match="states must share one dimension"):
+            ensemble_from_json(_five_states_with(third))
+
+    @pytest.mark.parametrize("defect", sorted(_DEFECTS))
+    def test_cli_exits_cleanly(self, defect, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_five_states_with(_DEFECTS[defect][0])))
+        assert main(["solve", str(path), "--verify"]) in (2, 3)
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "states[2]" in err
+        assert "Traceback" not in err
 
 
 def _run_python(*args, timeout=60):

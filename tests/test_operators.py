@@ -18,7 +18,14 @@ from qdiscrim import (
     trace_norm,
 )
 from qdiscrim import random_ensemble, verify_kkt
-from qdiscrim.operators import _fix_phases, negative_part, nonnegative_eigenprojector
+from qdiscrim.operators import (
+    _eigh,
+    _eigvalsh,
+    _fix_phases,
+    _hermitian_stack,
+    negative_part,
+    nonnegative_eigenprojector,
+)
 from qdiscrim.serialize import ensemble_from_json, ensemble_to_json
 from qdiscrim.solve import solve
 
@@ -309,6 +316,31 @@ class TestEigensolverContract:
             scale = 1.0 + float(np.max(np.abs(h)))
             assert np.max(np.abs(values - expected)) <= 1e-12 * dim * scale
 
+    def test_stack_matches_matrix_by_matrix(self, rng):
+        # a stack is decomposed matrix by matrix: same order, same phases, same bits
+        dim = 6
+        g = rng.standard_normal((dim, 1)) + 1j * rng.standard_normal((dim, 1))
+        mats = [random_hermitian(dim, rng) for _ in range(4)]
+        mats += [g @ g.conj().T, np.diag([1.0, 1.0, 0.0, 0.0, 2.0, 2.0]), np.zeros((dim, dim))]
+        stack = np.stack(mats).reshape(7, 1, dim, dim)
+        values, vectors = _eigh(stack)
+        assert values.shape == (7, 1, dim) and vectors.shape == (7, 1, dim, dim)
+        for i, m in enumerate(mats):
+            one_values, one_vectors = _eigh(m)
+            assert np.array_equal(values[i, 0], one_values)
+            assert np.array_equal(vectors[i, 0], one_vectors)
+            assert np.array_equal(_eigvalsh(stack)[i, 0], one_values)
+
+    def test_stack_validation_names_the_defective_matrix(self):
+        stack = np.stack([np.eye(2), np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]])])
+        with pytest.raises(ValueError, match=r"^rows\[2\]: matrix is not Hermitian"):
+            _hermitian_stack(stack, field="rows[{}]")
+        stack[1, 0, 0] = np.inf
+        with pytest.raises(ValueError, match=r"^rows\[1\]: matrix entries must be finite"):
+            _hermitian_stack(stack, field="rows[{}]")
+        with pytest.raises(ValueError, match="square matrix"):
+            HermitianOperator(np.stack([np.eye(2)]))
+
     def test_vectorized_phases_match_column_reference(self, rng):
         # numpy's array abs may round the pivot modulus differently from the
         # scalar abs in the last bit, so agreement is to a few ulps
@@ -325,25 +357,54 @@ class TestEigensolverContract:
 
 
 class TestDecompositionCounts:
-    def test_two_state_parse_solve_verify(self, monkeypatch):
-        # one LAPACK call per operator: count numpy.linalg.eigh calls per stage
-        calls = []
+    """Counts matrices decomposed (the product of the leading dimensions of
+    each numpy.linalg.eigh argument) and LAPACK calls, stage by stage."""
+
+    @staticmethod
+    def _stages(monkeypatch, doc):
+        shapes = []
         real_eigh = np.linalg.eigh
 
         def counting_eigh(matrix):
-            calls.append(np.shape(matrix))
+            shapes.append(np.shape(matrix))
             return real_eigh(matrix)
 
-        doc = json.loads(json.dumps(ensemble_to_json(random_ensemble(8, 2, pure=False, seed=3))))
+        def stage(fn, *args):
+            shapes.clear()
+            result = fn(*args)
+            return result, sum(math.prod(s[:-2]) for s in shapes), len(shapes)
+
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
-        ensemble = ensemble_from_json(doc)
-        assert len(calls) == 2  # one per state
-        calls.clear()
-        solution = solve(ensemble)
-        assert len(calls) <= 5
-        calls.clear()
-        cert = verify_kkt(ensemble, solution.symmetry_op, solution.povm)
+        ensemble, parse, parse_calls = stage(ensemble_from_json, doc)
+        solution, solve_n, solve_calls = stage(solve, ensemble)
+        cert, verify, verify_calls = stage(
+            verify_kkt, ensemble, solution.symmetry_op, solution.povm
+        )
+        assert cert.passed
+        return (parse, solve_n, verify), (parse_calls, solve_calls, verify_calls)
+
+    def test_two_state_parse_solve_verify(self, monkeypatch):
+        doc = json.loads(json.dumps(ensemble_to_json(random_ensemble(8, 2, pure=False, seed=3))))
+        (parse, solve_n, verify), _ = self._stages(monkeypatch, doc)
+        assert parse == 2  # one per state
+        assert solve_n <= 5
         # verify_kkt recomputes every spectrum it checks, independently of the
         # solver: two gaps, two POVM elements, two legacy operator conditions
-        assert len(calls) == 6
-        assert cert.passed
+        assert verify == 6
+
+    @pytest.mark.parametrize("equal_priors", [False, True])
+    def test_qubit_stacks_one_lapack_call_per_layer(self, monkeypatch, equal_priors):
+        n = 39
+        doc = ensemble_to_json(random_ensemble(2, n, pure=False, seed=39))
+        if equal_priors:
+            doc["priors"] = [1.0 / n] * n
+        (parse, solve_n, verify), (parse_calls, solve_calls, verify_calls) = self._stages(
+            monkeypatch, json.loads(json.dumps(doc))
+        )
+        # per state: its parse, its gap and POVM element in the solve, and
+        # its gap, POVM element and legacy operator condition in verify
+        assert (parse, solve_n, verify) == (n, 2 * n, 3 * n)
+        # the per-state work is stacked: the call count does not grow with N
+        assert parse_calls == 1
+        assert solve_calls <= 2
+        assert verify_calls == 3

@@ -244,7 +244,7 @@ class TestSolveQubit:
             n = 2 + seed % 5
             e = random_ensemble(2, n, pure=(seed % 2 == 1), seed=3000 + seed)
             sol = solve_qubit(e)
-            assert_solution_contract(e, sol, tol=1e-6)
+            assert_solution_contract(e, sol, tol=1e-8)
             for x in range(n):
                 gap = sol.symmetry_op.matrix - e.priors[x] * e.states[x].matrix
                 assert is_psd(HermitianOperator(gap), 1e-8)
