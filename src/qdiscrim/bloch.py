@@ -9,8 +9,11 @@ reduces to ball problems over scaled Bloch points:
   f(k) = max_x (q_x + |k - q_x v_x|), the "shifted" enclosing ball.
 
 Both are solved exactly here. The minimum enclosing ball uses Welzl's
-randomized move-to-front recursion with exact basis solves for one to four
-support points. The shifted problem, the smallest ball enclosing the balls
+move-to-front recursion (LNCS 555, 1991) under Gaertner's pivoting (ESA
+1999): each step takes the farthest point outside the ball in one
+vectorized scan and re-solves a support of at most four points with it
+pinned to the boundary, each boundary ball a closed-form circumball. The
+shifted problem, the smallest ball enclosing the balls
 B(q_x v_x, q_x), is LP-type of combinatorial dimension four (Matousek,
 Sharir and Welzl, Algorithmica 16, 1996) but not Welzl-solvable (Fischer
 and Gaertner, IJCGA 14, 2004); basis improvement solves it, re-solving a
@@ -38,6 +41,7 @@ BLOCH_NORM_TOL = 1e-10
 SUPPORT_TOL = 1e-9
 _DEDUP_TOL = 1e-12
 _CONTAIN_EPS = 1 + 1e-14
+_MAX_PIVOT_STEPS = 100_000  # the radius rises each step; this only guards rounding
 _WOLFE_RTOL = 1e-14  # Wolfe's stop: target reached, or no point measurably beyond
 
 
@@ -95,13 +99,14 @@ class BallResult:
     support holds the indices of input points on the boundary (within a
     1e-9 relative tolerance); the center always lies in their convex
     hull, which convex_weights_for_center can witness. seed records the
-    shuffle seed for reproducibility.
+    shuffle seed for reproducibility and steps the pivot steps taken.
     """
 
     center: np.ndarray
     radius: float
     support: tuple[int, ...]
     seed: int
+    steps: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,12 +114,13 @@ class ShiftedBallResult:
     """Minimizer of max_x (shift_x + |k - point_x|) over k in R^3.
 
     value is the optimal objective; active lists the indices attaining it
-    within tolerance.
+    within tolerance; steps counts the basis-improvement steps.
     """
 
     center: np.ndarray
     value: float
     active: tuple[int, ...]
+    steps: int
 
 
 def _ball_contains(center, radius_sq, p) -> bool:
@@ -148,6 +154,27 @@ def _circumcenter_4(a, b, c, d):
     return np.linalg.solve(m, rhs)
 
 
+def _circumball(points):
+    """Smallest ball with every one of at most four points on its sphere.
+
+    That is the circumball in the points' affine hull, in closed form, as
+    (center, radius_sq); None when the set is degenerate (collinear
+    triple, coplanar quadruple).
+    """
+    n = len(points)
+    if n == 1:
+        center = points[0]
+    elif n == 2:
+        center = 0.5 * (points[0] + points[1])
+    elif n == 3:
+        center = _circumcenter_3(*points)
+    else:
+        center = _circumcenter_4(*points)
+    if center is None:
+        return None
+    return center, max(float((p - center) @ (p - center)) for p in points)
+
+
 def _ball_of_basis(basis):
     """Smallest ball enclosing at most four points, by subset enumeration."""
     if not basis:
@@ -156,70 +183,111 @@ def _ball_of_basis(basis):
     n = len(basis)
     for size in range(1, n + 1):
         for subset in combinations(range(n), size):
-            pts = [basis[i] for i in subset]
-            if size == 1:
-                center = pts[0]
-            elif size == 2:
-                center = 0.5 * (pts[0] + pts[1])
-            elif size == 3:
-                center = _circumcenter_3(*pts)
-            else:
-                center = _circumcenter_4(*pts)
-            if center is None:
+            ball = _circumball([basis[i] for i in subset])
+            if ball is None:
                 continue
-            radius_sq = max(float((p - center) @ (p - center)) for p in pts)
+            center, radius_sq = ball
             if all(_ball_contains(center, radius_sq, basis[i]) for i in range(n)):
                 if best is None or radius_sq < best[1]:
-                    best = (center, radius_sq)
+                    best = ball
     return best
 
 
 def _welzl(points: list, count: int, boundary: list):
-    """Welzl recursion over the first count points with a fixed boundary set."""
-    ball = _ball_of_basis(boundary)
+    """Welzl recursion over the first count points with a fixed boundary set.
+
+    Each boundary ball is the closed-form circumball; a degenerate boundary
+    falls back to the smallest ball enclosing it. Returns the ball
+    (center, radius_sq) and the boundary set defining it.
+    """
+    ball, defining = _circumball(boundary) or _ball_of_basis(boundary), boundary
     if len(boundary) == 4:
-        return ball
+        return ball, defining
     i = 0
     while i < count:
         p = points[i]
-        if ball is None or not _ball_contains(ball[0], ball[1], p):
-            ball = _welzl(points, i, boundary + [p])
+        if not _ball_contains(ball[0], ball[1], p):
+            ball, defining = _welzl(points, i, boundary + [p])
             points.pop(i)
             points.insert(0, p)
         i += 1
-    return ball
+    return ball, defining
+
+
+def _pivot_ball(pts: np.ndarray, max_iter: int = _MAX_PIVOT_STEPS):
+    """Smallest ball enclosing the rows of pts, by Welzl's recursion with pivoting.
+
+    Starting from the ball of the first point, each step scans every
+    point once for the farthest one outside the ball (the pivot) and
+    re-solves the support of at most four points with the pivot pinned to
+    the boundary: that ball encloses support and pivot, so its radius rises
+    strictly and no support repeats; max_iter only guards against
+    rounding. Returns (center, radius_sq, steps).
+    """
+    support = [pts[0]]
+    center, radius_sq, steps = pts[0], 0.0, 0
+    while True:
+        diff = pts - center
+        dist_sq = np.einsum("ij,ij->i", diff, diff)
+        pivot = int(np.argmax(dist_sq))
+        if dist_sq[pivot] <= radius_sq * _CONTAIN_EPS + 1e-30:
+            return center, radius_sq, steps
+        if steps == max_iter:
+            raise ConvergenceError(f"pivoting did not settle in {max_iter} steps")
+        steps += 1
+        (center, rise), support = _welzl(support, len(support), [pts[pivot]])
+        if rise <= radius_sq:
+            return center, rise, steps  # the rise fell below rounding
+        radius_sq = rise
+
+
+def _distinct(pts: np.ndarray) -> np.ndarray:
+    """Indices of the points kept when each drops within 1e-12 of an earlier kept one.
+
+    Points more than 2e-12 from every other point in x are kept and drop
+    nothing; the sequential rule runs only on the rest, so sets without
+    near pairs pay one sort.
+    """
+    order = np.argsort(pts[:, 0], kind="stable")
+    close = np.diff(pts[order, 0]) <= 2 * _DEDUP_TOL
+    near = np.zeros(len(pts), dtype=bool)
+    near[order[:-1][close]] = True
+    near[order[1:][close]] = True
+    keep = ~near
+    kept: list[int] = []
+    for i in np.flatnonzero(near):
+        if not kept or np.all(_lengths(pts[kept] - pts[i]) > _DEDUP_TOL):
+            kept.append(int(i))
+    keep[kept] = True
+    return np.flatnonzero(keep)
 
 
 def min_enclosing_ball(points, seed: int = 0) -> BallResult:
     """Exact smallest enclosing ball of points in R^3.
 
-    Duplicates within 1e-12 are collapsed before the randomized recursion;
-    support membership is evaluated on the original list afterwards.
+    Duplicates within 1e-12 are collapsed, the rest are shuffled with the
+    seed and solved by Welzl's recursion with pivoting (Gaertner, ESA
+    1999); support membership is evaluated on the original list afterwards.
     """
-    pts = np.asarray([np.asarray(p, dtype=float).reshape(3) for p in points]).reshape(-1, 3)
+    pts = np.asarray(points, dtype=float)
     if not len(pts):
         raise ValueError("at least one point is required")
+    pts = pts.reshape(len(pts), 3)
     if not np.all(np.isfinite(pts)):
         raise ValueError("points must be finite")
 
-    # a point is kept unless it lies within 1e-12 of a point kept before it
-    kept = [0]
-    for i in range(1, len(pts)):
-        if np.all(_lengths(pts[kept] - pts[i]) > _DEDUP_TOL):
-            kept.append(i)
-
-    shuffled = list(pts[kept])
-    random.Random(seed).shuffle(shuffled)
-    ball = _welzl(shuffled, len(shuffled), [])
-    center = ball[0]
-    radius = math.sqrt(max(ball[1], 0.0))
+    kept = _distinct(pts)
+    order = list(range(len(kept)))
+    random.Random(seed).shuffle(order)
+    center, radius_sq, steps = _pivot_ball(pts[kept[order]])
+    radius = math.sqrt(max(radius_sq, 0.0))
 
     tol = SUPPORT_TOL * (1.0 + radius)
     on_sphere = np.abs(_lengths(pts - center) - radius) <= tol
     support = tuple(int(i) for i in np.flatnonzero(on_sphere))
     center = center.copy()
     center.setflags(write=False)
-    return BallResult(center=center, radius=radius, support=support, seed=seed)
+    return BallResult(center=center, radius=radius, support=support, seed=seed, steps=steps)
 
 
 def convex_weights_for_center(points, center, tol: float = 1e-9) -> np.ndarray:
@@ -384,14 +452,15 @@ def shifted_ball_dual(points, shifts, max_iter: int = 100_000) -> ShiftedBallRes
         raise ValueError("shifts must sum to 1")
 
     basis = (int(np.argmax(s)),)
-    k, t = pts[basis[0]], float(s[basis[0]])
-    for step in range(max_iter + 1):
+    k, t, steps = pts[basis[0]], float(s[basis[0]]), 0
+    while True:
         gaps = s + np.linalg.norm(pts - k, axis=1)
         violator = int(np.argmax(gaps))
         if gaps[violator] <= t * (1.0 + 1e-13):
             break
-        if step == max_iter:
+        if steps == max_iter:
             raise ConvergenceError(f"basis improvement did not settle in {max_iter} steps")
+        steps += 1
         basis, k, value = _improve_basis(pts, s, basis, violator)
         if value <= t:
             break  # the rise fell below rounding: k is optimal to working precision
@@ -402,4 +471,4 @@ def shifted_ball_dual(points, shifts, max_iter: int = 100_000) -> ShiftedBallRes
     active = tuple(int(i) for i in np.flatnonzero(gaps >= t - 1e-7 * (1.0 + t)))
     k = k.copy()
     k.setflags(write=False)
-    return ShiftedBallResult(center=k, value=t, active=active)
+    return ShiftedBallResult(center=k, value=t, active=active, steps=steps)

@@ -12,7 +12,13 @@ import numpy as np
 
 from .certify import KktCertificate, ProbabilityForms
 from .factory import FactoryOutput
-from .operators import DensityOperator, _density_from_spectrum, _eigh, _hermitian_stack
+from .operators import (
+    MAX_DIM,
+    DensityOperator,
+    _density_from_spectrum,
+    _eigh,
+    _hermitian_stack,
+)
 from .solve import DiscriminationSolution, WeightedEnsemble
 
 
@@ -38,8 +44,8 @@ def matrix_to_json(matrix) -> dict:
     m = matrix.matrix if hasattr(matrix, "matrix") else np.asarray(matrix, dtype=complex)
     return {
         "dim": m.shape[0],
-        "re": [[float(v) for v in row] for row in m.real],
-        "im": [[float(v) for v in row] for row in m.imag],
+        "re": m.real.tolist(),
+        "im": m.imag.tolist(),
     }
 
 
@@ -50,12 +56,12 @@ def matrix_from_json(obj, field: str = "matrix") -> np.ndarray:
         if key not in obj:
             raise ValueError(f"{field}: missing key {key!r}")
     dim = obj["dim"]
-    if isinstance(dim, bool) or not isinstance(dim, int) or dim < 1:
-        raise ValueError(f"{field}.dim: expected a positive integer, got {dim!r}")
+    if isinstance(dim, bool) or not isinstance(dim, int) or not 1 <= dim <= MAX_DIM:
+        raise ValueError(f"{field}.dim: expected an integer in 1..{MAX_DIM}, got {dim!r}")
     try:
         re = np.asarray(obj["re"], dtype=float)
         im = np.asarray(obj["im"], dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{field}: entries must be numbers ({exc})") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError(
@@ -91,9 +97,20 @@ def ensemble_from_json(obj) -> WeightedEnsemble:
     if not isinstance(priors, list) or not isinstance(states_json, list):
         raise ValueError("ensemble: priors and states must be arrays")
 
-    q = np.asarray(priors, dtype=float)
+    for i, p in enumerate(priors):
+        if isinstance(p, list):
+            raise ValueError("priors: expected a flat array of numbers")
+        if isinstance(p, bool) or not isinstance(p, (int, float)):
+            raise ValueError(f"priors: entries must be numbers (priors[{i}] is {p!r})")
+    try:
+        q = np.asarray(priors, dtype=float)
+    except OverflowError as exc:
+        raise ValueError(f"priors: entries must be numbers ({exc})") from exc
+    if not np.all(np.isfinite(q)):
+        i = int(np.argmin(np.isfinite(q)))
+        raise ValueError(f"priors: entries must be finite (priors[{i}] is {priors[i]!r})")
     total = float(np.sum(q))
-    if q.ndim != 1 or abs(total - 1.0) > 1e-8:
+    if abs(total - 1.0) > 1e-8:
         raise ValueError(f"priors: must sum to 1, got {total!r}")
     q = q / total
 

@@ -22,7 +22,12 @@ from qdiscrim import (
     trace_norm,
 )
 from qdiscrim import bloch
-from qdiscrim.families import REGULAR_TETRAHEDRON
+from qdiscrim.families import (
+    REGULAR_TETRAHEDRON,
+    inscribed_tetrahedron,
+    isosceles_triple,
+    orthogonal_pairs,
+)
 
 from conftest import random_rotation_3d
 
@@ -45,6 +50,74 @@ def brute_force_meb_radius(points, resolution=2e-3):
         best = float(radii[idx])
         step /= 2
     return best
+
+
+def reference_welzl(points, count, boundary):
+    """Welzl's move-to-front recursion over the whole list, each boundary
+    ball by subset enumeration: what min_enclosing_ball ran before pivoting."""
+    ball = bloch._ball_of_basis(boundary)
+    if len(boundary) == 4:
+        return ball
+    i = 0
+    while i < count:
+        p = points[i]
+        if ball is None or not bloch._ball_contains(ball[0], ball[1], p):
+            ball = reference_welzl(points, i, boundary + [p])
+            points.pop(i)
+            points.insert(0, p)
+        i += 1
+    return ball
+
+
+def sequential_distinct(points):
+    """Indices kept when a point drops within 1e-12 of a point kept before it."""
+    kept = []
+    for i, p in enumerate(points):
+        if all(float(np.linalg.norm(p - points[j])) > 1e-12 for j in kept):
+            kept.append(i)
+    return kept
+
+
+def reference_min_enclosing_ball(points, seed=0):
+    """Center, radius and support by the sequential collapse and reference_welzl."""
+    pts = [np.asarray(p, dtype=float) for p in points]
+    unique = [pts[i] for i in sequential_distinct(pts)]
+    random.Random(seed).shuffle(unique)
+    center, radius_sq = reference_welzl(unique, len(unique), [])
+    radius = math.sqrt(max(radius_sq, 0.0))
+    tol = bloch.SUPPORT_TOL * (1.0 + radius)
+    lengths = [float(np.linalg.norm(p - center)) for p in pts]
+    support = tuple(i for i, r in enumerate(lengths) if abs(r - radius) <= tol)
+    return center, radius, support
+
+
+def ball_instance(kind, rng):
+    """Points inside the unit ball of the given geometry."""
+    n = int(rng.integers(1, 61))
+    if kind == "family":
+        family = [
+            lambda: isosceles_triple(rng.uniform(0.05, math.pi), rng.uniform(0, 2 * math.pi)),
+            lambda: orthogonal_pairs(rng.uniform(0.05, math.pi / 2 - 0.05)),
+            lambda: inscribed_tetrahedron(rng.uniform(0.05, 1.0)),
+        ][int(rng.integers(3))]()
+        return bloch._bloch_vectors(family.matrices) / family.size
+    pts = rng.standard_normal((n, 3))
+    if kind == "coplanar":
+        pts[:, 2] = 0.0
+        pts = pts @ random_rotation_3d(rng)
+    elif kind == "collinear":
+        pts = np.outer(rng.standard_normal(n), rng.standard_normal(3)) + rng.standard_normal(3)
+    elif kind in ("on-sphere", "cocircular"):
+        if kind == "cocircular":
+            pts[:, 2] = 0.0
+        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+        pts = pts @ random_rotation_3d(rng)
+    elif kind == "near-duplicate":
+        twins = pts[rng.integers(n, size=n)]
+        pts = np.vstack([pts, twins + 1e-12 * rng.standard_normal((n, 3))])
+        pts = pts[rng.permutation(len(pts))]
+    pts /= 1.5 * max(1.0, float(np.max(np.linalg.norm(pts, axis=1))))
+    return pts
 
 
 def reference_shifted_ball(points, shifts):
@@ -237,7 +310,8 @@ class TestMinEnclosingBall:
 
     def test_duplicate_collapse_and_support_match_loop_reference(self, rng):
         # the original per-pair loops: a point is dropped only when it lies
-        # within 1e-12 of a point kept before it
+        # within 1e-12 of a point kept before it; the pivoting core then runs
+        # on that list shuffled with the same seed
         def reference(points, seed=0):
             pts = [np.asarray(p, dtype=float) for p in points]
             unique = []
@@ -245,7 +319,7 @@ class TestMinEnclosingBall:
                 if all(float(np.linalg.norm(p - u)) > 1e-12 for u in unique):
                     unique.append(p)
             random.Random(seed).shuffle(unique)
-            center, radius_sq = bloch._welzl(unique, len(unique), [])
+            center, radius_sq, _ = bloch._pivot_ball(np.array(unique))
             radius = math.sqrt(max(radius_sq, 0.0))
             tol = bloch.SUPPORT_TOL * (1.0 + radius)
             lengths = [float(np.linalg.norm(p - center)) for p in pts]
@@ -265,6 +339,81 @@ class TestMinEnclosingBall:
             ball = min_enclosing_ball(pts, seed=trial)
             assert np.array_equal(ball.center, center) and ball.radius == radius
             assert ball.support == support
+
+    @pytest.mark.parametrize(
+        "kind",
+        ["random", "coplanar", "collinear", "on-sphere", "cocircular", "near-duplicate", "family"],
+    )
+    def test_matches_reference_recursion(self, kind):
+        rng = np.random.default_rng([53, len(kind)])
+        for trial in range(150):
+            pts = ball_instance(kind, rng)
+            center, radius, support = reference_min_enclosing_ball(pts, seed=trial)
+            ball = min_enclosing_ball(pts, seed=trial)
+            assert abs(ball.radius - radius) <= 1e-12 * radius
+            assert np.linalg.norm(ball.center - center) <= 1e-12
+            assert ball.support == support
+
+    def test_random_sets_need_no_subset_enumeration(self, monkeypatch):
+        # in general position every boundary ball has a closed form, and
+        # a handful of pivot steps settles even a thousand points
+        calls = {"enumerations": 0}
+        enumerate_subsets = bloch._ball_of_basis
+
+        def counted(*args):
+            calls["enumerations"] += 1
+            return enumerate_subsets(*args)
+
+        monkeypatch.setattr(bloch, "_ball_of_basis", counted)
+        for seed in range(60):
+            e = random_ensemble(2, 40, pure=False, seed=seed)
+            ball = min_enclosing_ball(bloch._bloch_vectors(e.matrices) / 40, seed=seed)
+            assert 1 <= ball.steps <= 20
+        assert calls["enumerations"] == 0
+        rng = np.random.default_rng(59)
+        for trial in range(20):
+            pts = rng.standard_normal((1000, 3))
+            if trial % 2:
+                pts /= np.linalg.norm(pts, axis=1, keepdims=True)  # all on one sphere
+            assert 1 <= min_enclosing_ball(pts / 1000, seed=trial).steps <= 20
+
+    def test_degenerate_boundary_falls_back_to_enclosing_ball(self):
+        # no circumball in closed form: a collinear triple, a coplanar square
+        a, b, c = np.array([-1.0, 0, 0]), np.array([1.0, 0, 0]), np.array([0.2, 0, 0])
+        assert bloch._circumball([a, c, b]) is None
+        (center, radius_sq), _ = bloch._welzl([], 0, [a, c, b])
+        assert np.array_equal(center, [0.0, 0, 0]) and radius_sq == 1.0
+        square = [np.array([x, y, 0.5]) for x, y in ((1, 0), (0, 1), (-1, 0), (0, -1))]
+        assert bloch._circumball(square) is None
+        (center, radius_sq), _ = bloch._welzl([], 0, square)
+        assert np.linalg.norm(center - [0, 0, 0.5]) <= 1e-15
+        assert radius_sq == pytest.approx(1.0, abs=1e-15)
+
+    def test_dedup_screen_matches_sequential_rule(self, rng):
+        along_x = np.array([1.0, 0.0, 0.0])
+        for trial in range(300):
+            n = int(rng.integers(1, 30))
+            pts = rng.standard_normal((n, 3)) * 0.3
+            if trial % 3 == 0:
+                pts[:, 0] = pts[0, 0]  # equal x: every point is screened in
+            chain = pts[int(rng.integers(n))] + np.outer(
+                np.arange(1, int(rng.integers(2, 6))), rng.uniform(0.5, 1.5) * 1e-12 * along_x
+            )
+            ties = pts[rng.integers(n, size=3)] + 1e-12 * rng.uniform(0.9, 1.1) * rng.standard_normal(
+                (3, 3)
+            ) / math.sqrt(3)
+            pts = np.vstack([pts, chain, ties])
+            pts = pts[rng.permutation(len(pts))]
+            assert list(bloch._distinct(pts)) == sequential_distinct(pts)
+
+    def test_max_iter_caps_pivot_steps(self):
+        e = random_ensemble(2, 40, pure=False, seed=3)
+        pts = bloch._bloch_vectors(e.matrices) / 40
+        steps = bloch._pivot_ball(pts)[2]
+        assert steps >= 2
+        with pytest.raises(ConvergenceError, match=f"{steps - 1} steps"):
+            bloch._pivot_ball(pts, max_iter=steps - 1)
+        assert bloch._pivot_ball(pts, max_iter=steps)[2] == steps
 
     def test_seed_recorded_and_deterministic(self):
         pts = [np.array([0.1, 0.2, 0.3]), np.array([-0.4, 0.0, 0.2]), np.array([0.0, 0.5, -0.1])]
@@ -427,9 +576,10 @@ class TestBasisImprovement:
             for pure in (True, False):
                 calls.update(candidates=0, steps=0)
                 pts, shifts = shifted_instance(n, pure, seed=900 + seed)
-                shifted_ball_dual(pts, shifts)
+                reported = shifted_ball_dual(pts, shifts).steps
                 uniform = [p / (n * s) for p, s in zip(pts, shifts)]
-                shifted_ball_dual(uniform, np.full(n, 1.0 / n))
+                reported += shifted_ball_dual(uniform, np.full(n, 1.0 / n)).steps
+                assert calls["steps"] == reported
                 assert 0 < calls["steps"] and calls["candidates"] <= 15 * calls["steps"]
 
     def test_grid_oracle_bounds_value(self):
@@ -455,3 +605,4 @@ class TestBasisImprovement:
                 assert f"{needed} steps" in str(exc)
                 needed += 1
         assert 2 <= needed <= 40
+        assert shifted_ball_dual(pts, shifts).steps == needed

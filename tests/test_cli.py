@@ -42,6 +42,15 @@ def _round_floats_reference(value, digits):
     return value
 
 
+def _matrix_to_json_reference(m):
+    """The original one-float-call-per-entry conversion of matrix_to_json."""
+    return {
+        "dim": m.shape[0],
+        "re": [[float(v) for v in row] for row in m.real],
+        "im": [[float(v) for v in row] for row in m.imag],
+    }
+
+
 class TestSerialization:
     def test_matrix_round_trip(self, rng):
         m = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
@@ -94,6 +103,42 @@ class TestSerialization:
         for digits in (9, 3, 17):
             expected = json.dumps(_round_floats_reference(doc, digits))
             assert json.dumps(round_floats(doc, digits)) == expected
+
+    @pytest.mark.parametrize(
+        "ensemble",
+        [
+            random_ensemble(16, 2, pure=False, seed=44),
+            random_ensemble(4, 2, pure=True, seed=45),
+            random_ensemble(2, 9, pure=False, seed=46),
+            random_ensemble(2, 39, pure=True, seed=47),
+        ],
+        ids=["dense-pair-mixed", "dense-pair-pure", "qubit-shifted", "qubit-ball"],
+    )
+    def test_matrix_to_json_matches_float_reference(self, ensemble):
+        sol = solve(ensemble)
+        matrices = [sol.symmetry_op.matrix, *(m.matrix for m in sol.povm)]
+        matrices.append(np.array([[-0.0, 1e-320 + 1e308j], [-1e308, 5e-324j]]))
+        for m in matrices:
+            assert json.dumps(matrix_to_json(m)) == json.dumps(_matrix_to_json_reference(m))
+        doc = json.dumps(solution_to_json(sol))
+        assert json.loads(doc)["K"] == _matrix_to_json_reference(sol.symmetry_op.matrix)
+
+    @pytest.mark.parametrize(
+        "priors, message",
+        [
+            ([[0.5], [0.5]], "priors: expected a flat array of numbers"),
+            (["a", 0.5], "priors: entries must be numbers (priors[0] is 'a')"),
+            ([0.5, "0.5"], "priors: entries must be numbers (priors[1] is '0.5')"),
+            ([True, 0.0], "priors: entries must be numbers (priors[0] is True)"),
+            ([0.5, math.nan], "priors: entries must be finite (priors[1] is nan)"),
+            ([10**400, 0.5], "priors: entries must be numbers (int too large to convert to float)"),
+        ],
+    )
+    def test_priors_diagnostics(self, priors, message):
+        state = {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, 0.0], [0.0, 0.0]]}
+        with pytest.raises(ValueError) as info:
+            ensemble_from_json({"priors": priors, "states": [state, state]})
+        assert str(info.value) == message
 
     def test_boolean_dim_rejected(self):
         with pytest.raises(ValueError, match="K.dim"):
@@ -253,6 +298,46 @@ class TestBatchedParseDiagnostics:
         assert main(["solve", str(path), "--verify"]) in (2, 3)
         err = capsys.readouterr().err
         assert err.startswith("error:") and "states[2]" in err
+        assert "Traceback" not in err
+
+
+_STATE = {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": _ZERO}
+_DIM_65 = {"dim": 65, "re": (np.eye(65) / 65).tolist(), "im": np.zeros((65, 65)).tolist()}
+# Malformed documents and the field their diagnostic must name.
+_FUZZ = {
+    "non-numeric-priors": ({"priors": ["a", 0.5], "states": [_STATE, _STATE]}, "priors"),
+    "nested-priors": ({"priors": [[0.5], [0.5]], "states": [_STATE, _STATE]}, "priors"),
+    "boolean-prior": ({"priors": [True], "states": [_STATE]}, "priors"),
+    "nan-prior": ({"priors": [math.nan, 0.5], "states": [_STATE, _STATE]}, "priors"),
+    "huge-integer-prior": ({"priors": [10**400], "states": [_STATE]}, "priors"),
+    "huge-integer-entry": (
+        {"priors": [1.0], "states": [{"dim": 1, "re": [[10**400]], "im": [[0]]}]},
+        "states[0]",
+    ),
+    "dim-65": ({"priors": [0.5, 0.5], "states": [_DIM_65, _DIM_65]}, "states[0].dim"),
+    "empty-lists": ({"priors": [], "states": []}, "priors"),
+    "mismatched-lists": ({"priors": [0.5, 0.5], "states": [_STATE]}, "priors and states"),
+    "ragged-re": (
+        {"priors": [1.0], "states": [{"dim": 2, "re": [[0.5, 0.0], [0.5]], "im": _ZERO}]},
+        "states[0]",
+    ),
+    "state-not-object": ({"priors": [0.5, 0.5], "states": [_STATE, 3]}, "states[1]"),
+    "top-level-array": ([_STATE], "ensemble"),
+    "invalid-json": ("{not json", "invalid JSON"),
+}
+
+
+class TestCliFuzz:
+    """Every malformed document exits 2 or 3 with a diagnostic naming its field."""
+
+    @pytest.mark.parametrize("case", sorted(_FUZZ))
+    def test_exits_cleanly_naming_the_field(self, case, tmp_path, capsys):
+        doc, field = _FUZZ[case]
+        path = tmp_path / "bad.json"
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        assert main(["solve", str(path), "--verify"]) in (2, 3)
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and field in err
         assert "Traceback" not in err
 
 
