@@ -18,7 +18,10 @@ B(q_x v_x, q_x), is LP-type of combinatorial dimension four (Matousek,
 Sharir and Welzl, Algorithmica 16, 1996) but not Welzl-solvable (Fischer
 and Gaertner, IJCGA 14, 2004); basis improvement solves it, re-solving a
 basis of at most four balls with the most violated ball in closed form.
-Convex weights witnessing an optimum come from Wolfe's minimum-norm point.
+Convex weights witnessing an optimum come from Wolfe's minimum-norm point,
+which works in any dimension: the same routine finds the qubit POVM
+weights in R^3 and the weights of the generators' kernel POVM search in
+the real coordinates of d x d operators.
 """
 
 from __future__ import annotations
@@ -80,6 +83,13 @@ def to_bloch(rho) -> np.ndarray:
     return _bloch_vectors(m)
 
 
+def _operators(t, vectors) -> np.ndarray:
+    """Stack of (t I + v . sigma)/2 for t (...) and vectors (..., 3); inverts _bloch_vectors."""
+    t = np.asarray(t, dtype=float)[..., None, None]
+    x, y, z = np.moveaxis(np.asarray(vectors, dtype=float)[..., None, None], -3, 0)
+    return 0.5 * (t * np.eye(2, dtype=complex) + x * PAULI_X + y * PAULI_Y + z * PAULI_Z)
+
+
 def from_bloch(v) -> DensityOperator:
     """Density operator (I + v . sigma)/2 for a Bloch vector with |v| <= 1."""
     v = np.asarray(v, dtype=float).reshape(3)
@@ -88,8 +98,7 @@ def from_bloch(v) -> DensityOperator:
     norm = float(np.linalg.norm(v))
     if norm > 1 + BLOCH_NORM_TOL:
         raise ValueError(f"Bloch vector norm {norm} exceeds 1")
-    m = 0.5 * (np.eye(2, dtype=complex) + v[0] * PAULI_X + v[1] * PAULI_Y + v[2] * PAULI_Z)
-    return DensityOperator(HermitianOperator(m))
+    return DensityOperator(HermitianOperator(_operators(1.0, v)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -295,13 +304,14 @@ def convex_weights_for_center(points, center, tol: float = 1e-9) -> np.ndarray:
 
     Wolfe's minimum-norm-point algorithm (Math. Programming 11, 1976) on
     the points shifted by the target finds the hull point nearest the
-    target as a convex combination of a corral of at most four affinely
-    independent points; it is accepted when its residual is below tol.
+    target as a convex combination of a corral of at most n+1 affinely
+    independent points in R^n; it is accepted when its residual is below
+    tol. points is an (m, n) array of any n, and the target an n-vector.
     Raising here signals a point set that does not actually contain the
     target, e.g. a support set that is not a true enclosing-ball support.
     """
-    pts = np.asarray([np.asarray(p, dtype=float).reshape(3) for p in points])
-    target = np.asarray(center, dtype=float).reshape(3)
+    pts = np.asarray(points, dtype=float)
+    target = np.asarray(center, dtype=float)
     shifted = pts - target
     lengths = np.linalg.norm(shifted, axis=1)
     scale = float(np.max(lengths))
@@ -440,7 +450,7 @@ def shifted_ball_dual(points, shifts, max_iter: int = 100_000) -> ShiftedBallRes
     basis repeats. With no violation beyond a relative 1e-13 the basis
     optimum is global. max_iter caps the improvement steps.
     """
-    pts = np.asarray([np.asarray(p, dtype=float).reshape(3) for p in points])
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
     s = np.asarray(shifts, dtype=float).reshape(-1)
     if len(pts) != len(s):
         raise ValueError("points and shifts must have equal length")

@@ -246,7 +246,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="certify a candidate solution")
     p_verify.add_argument("ensemble")
     p_verify.add_argument("solution", help="JSON with 'K' and 'povm' (or 'povm' alone)")
-    p_verify.add_argument("--tol", type=float, default=1e-8)
+    p_verify.add_argument("--tol", type=float, default=ANALYTIC_TOL)
     p_verify.add_argument("--legacy", action="store_true", help="derive K from the POVM")
     p_verify.add_argument("--out", default=None)
     p_verify.set_defaults(func=_cmd_verify)

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import PAULI_X, PAULI_Y, PAULI_Z, from_bloch
+from .bloch import _operators, convex_weights_for_center, from_bloch
 from .certify import verify_kkt
 from .errors import InfeasibleDualError
-from .operators import DensityOperator, HermitianOperator, _eigh, purify
+from .operators import DensityOperator, HermitianOperator, _eigh, _hermitian_operators, purify
 from .solve import (
     ComplementarySet,
     WeightedEnsemble,
@@ -117,8 +117,11 @@ def _kernel_povm_search(
     """Non-negative combination of kernel projectors resolving the identity.
 
     Orthogonality forces each POVM element into the kernel of its
-    complementary state. Stacking rank-one kernel candidates and solving a
-    non-negative least squares for the identity finds a valid measurement
+    complementary state. Every rank-one candidate has trace one, so
+    sum_j w_j m_j = I with w >= 0 says exactly that I/d is the convex
+    combination with weights w_j / d: hull membership, solved by Wolfe's
+    minimum-norm point (convex_weights_for_center) on the coordinates of
+    the candidates and I/d in their span. A valid measurement is found
     whenever this dictionary can express one; otherwise the ensemble is
     reported uncertified.
     """
@@ -130,14 +133,12 @@ def _kernel_povm_search(
     if not columns:
         return None
     stacked = np.stack([np.concatenate([m.reshape(-1).real, m.reshape(-1).imag]) for m in columns])
-    target = np.concatenate(
-        [np.eye(d, dtype=complex).reshape(-1).real, np.zeros(d * d)]
-    )
-    # Imported here, the only use: scipy costs more start-up than the whole package.
-    from scipy.optimize import nnls
-
-    weights, residual = nnls(stacked.T, target)
-    if residual > 1e-8 * d:
+    target = np.concatenate([np.eye(d).reshape(-1) / d, np.zeros(d * d)])
+    # Orthonormal coordinates keep every distance and shorten the vectors to n + 1.
+    coords = np.linalg.qr(np.vstack([stacked, target]).T, mode="r").T
+    try:
+        weights = d * convex_weights_for_center(coords[:-1], coords[-1], tol=1e-8)
+    except ValueError:
         return None
 
     povm = []
@@ -263,22 +264,8 @@ def generate_qubit_class_element(
             raise ValueError(f"state {x} would not be positive semidefinite")
         states.append(from_bloch(bloch))
 
-    identity = np.eye(2, dtype=complex)
-    symmetry = HermitianOperator(
-        0.5
-        * (
-            value * identity
-            + center[0] * PAULI_X
-            + center[1] * PAULI_Y
-            + center[2] * PAULI_Z
-        )
-    )
-    povm = tuple(
-        HermitianOperator(
-            a[x] * 0.5 * (identity - (units[x][0] * PAULI_X + units[x][1] * PAULI_Y + units[x][2] * PAULI_Z))
-        )
-        for x in range(n)
-    )
+    symmetry = HermitianOperator(_operators(value, center))
+    povm = _hermitian_operators(a[:, None, None] * _operators(1.0, -np.array(units)))
     ensemble = WeightedEnsemble(q, states)
     complementary = ComplementarySet(
         weights=weights, states=tuple(from_bloch(u) for u in units)

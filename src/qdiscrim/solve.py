@@ -17,11 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bloch import (
-    PAULI_X,
-    PAULI_Y,
-    PAULI_Z,
     _bloch_vectors,
     _lengths,
+    _operators,
     convex_weights_for_center,
     min_enclosing_ball,
     shifted_ball_dual,
@@ -187,12 +185,7 @@ def reconstruct_povm(
 
     units = directions[support] / lengths[support, None]
     weights = convex_weights_for_center(units, np.zeros(3))
-    paulis = (
-        units[:, 0, None, None] * PAULI_X
-        + units[:, 1, None, None] * PAULI_Y
-        + units[:, 2, None, None] * PAULI_Z
-    )
-    povm[support] = (2.0 * weights)[:, None, None] * 0.5 * (identity - paulis)
+    povm[support] = (2.0 * weights)[:, None, None] * _operators(1.0, -units)
 
     if float(np.max(np.abs(povm.sum(axis=0) - identity))) > COMPLETENESS_TOL:
         raise InfeasibleDualError("reconstructed POVM does not resolve the identity")
@@ -269,19 +262,10 @@ def helstrom_two_state(ensemble: WeightedEnsemble) -> DiscriminationSolution:
     )
 
 
-def _qubit_symmetry_matrix(value: float, center: np.ndarray) -> np.ndarray:
-    return 0.5 * (
-        value * np.eye(2, dtype=complex)
-        + center[0] * PAULI_X
-        + center[1] * PAULI_Y
-        + center[2] * PAULI_Z
-    )
-
-
 def _solve_qubit_from_ball(
     ensemble: WeightedEnsemble, value: float, center: np.ndarray
 ) -> DiscriminationSolution:
-    sym = HermitianOperator(_qubit_symmetry_matrix(value, center))
+    sym = HermitianOperator(_operators(value, center))
     comp = complementary_states(sym, ensemble)
     povm = reconstruct_povm(ensemble, sym, comp)
     return _assemble(ensemble, sym, comp, povm)

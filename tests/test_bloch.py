@@ -490,6 +490,17 @@ class TestConvexWeights:
             assert 1 <= np.count_nonzero(weights) <= 4
             assert np.linalg.norm(weights @ units) <= 1e-12
 
+    def test_simplex_barycentre_in_seven_dimensions(self, rng):
+        # eight affinely independent vertices: the corral must grow past four
+        vertices = rng.standard_normal((8, 7))
+        barycentre = vertices.mean(axis=0)
+        weights = convex_weights_for_center(vertices, barycentre)
+        assert np.max(np.abs(weights - 1 / 8)) <= 1e-12
+        assert np.linalg.norm(weights @ vertices - barycentre) <= 1e-12
+        outside = vertices[0] + (vertices[0] - barycentre)
+        with pytest.raises(ValueError, match="convex hull"):
+            convex_weights_for_center(vertices, outside)
+
 
 class TestShiftedBallDual:
     def test_single_point_is_certain(self):

@@ -370,6 +370,39 @@ class TestCliProcess:
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "False"
 
+    @pytest.mark.parametrize(
+        "argv, codes",
+        [
+            (["solve", "{ensemble}", "--verify"], {0}),
+            (["verify", "{ensemble}", "{solution}"], {0}),
+            (["verify", "{ensemble}", "{solution}", "--legacy"], {0}),
+            (["generate", "{operator}", "--mode", "identity"], {0}),
+            (["generate", "{operator}", "--mode", "steering"], {0, 5}),
+            (["sweep", "isosceles", "--steps", "3"], {0}),
+            (["oracle", "{ensemble}", "--resolution", "0.05"], {0}),
+        ],
+        ids=["solve", "verify", "verify-legacy", "generate-identity", "generate-steering",
+             "sweep", "oracle"],
+    )
+    def test_subcommand_leaves_scipy_unloaded(self, argv, codes, tmp_path):
+        files = {
+            "ensemble": ensemble_to_json(trine()),
+            "solution": solution_to_json(solve(trine())),
+            "operator": matrix_to_json(np.eye(3) / 3),
+        }
+        paths = {}
+        for name, doc in files.items():
+            paths[name] = tmp_path / f"{name}.json"
+            paths[name].write_text(json.dumps(doc))
+        args = [a.format(**paths) for a in argv] + ["--out", str(tmp_path / "out.txt")]
+        script = "import sys; from qdiscrim.cli import main; "
+        script += "code = main(sys.argv[1:]); print(code, 'scipy' in sys.modules)"
+        proc = _run_python("-c", script, *args)
+        assert proc.returncode == 0, proc.stderr
+        code, loaded = proc.stdout.split()
+        assert int(code) in codes, proc.stderr
+        assert loaded == "False"
+
 
 class TestCliSweep:
     def test_isosceles_matches_closed_form(self, capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qdiscrim import (
+    DensityOperator,
     HermitianOperator,
     SteeringMeasurement,
     equivalence_check,
@@ -14,8 +15,14 @@ from qdiscrim import (
     to_bloch,
     verify_kkt,
 )
+from qdiscrim.factory import _kernel_povm_search, _kernel_rank_ones
+from qdiscrim.solve import complementary_states
 
-from conftest import random_class_element_params, steering_measurement_for_state
+from conftest import (
+    compose_rotations_unitary,
+    random_class_element_params,
+    steering_measurement_for_state,
+)
 
 TRINE_DIRECTIONS = [
     np.array([math.sin(a), 0.0, math.cos(a)])
@@ -244,3 +251,106 @@ class TestGenerateQubitClassElement:
             generate_qubit_class_element(
                 0.52, np.array([0.6, 0.0, 0.0]), u_pair, [1.0, 1.0], [0.5, 0.5]
             )
+
+
+def reference_kernel_povm_search(ensemble, comp):
+    """The former search: scipy's NNLS for the identity over the kernel candidates."""
+    nnls = pytest.importorskip("scipy.optimize").nnls
+    d = ensemble.dim
+    blocks = [_kernel_rank_ones(comp.states[x], d) for x in range(ensemble.size)]
+    columns = [m for block in blocks for m in block]
+    if not columns:
+        return None
+    stacked = np.stack([np.concatenate([m.reshape(-1).real, m.reshape(-1).imag]) for m in columns])
+    target = np.concatenate([np.eye(d).reshape(-1), np.zeros(d * d)])
+    weights, residual = nnls(stacked.T, target)
+    if residual > 1e-8 * d:
+        return None
+    povm = []
+    offset = 0
+    for block in blocks:
+        element = np.zeros((d, d), dtype=complex)
+        for m in block:
+            element += weights[offset] * m
+            offset += 1
+        povm.append(HermitianOperator(element))
+    return povm
+
+
+def _rotated_basis(d, rng):
+    """Consistent steering of a rotated orthonormal basis with non-uniform priors."""
+    q = rng.dirichlet(np.ones(d) * 5)
+    u = compose_rotations_unitary(d, rng)
+    states = [
+        DensityOperator(HermitianOperator(np.outer(u[:, x], u[:, x].conj()))) for x in range(d)
+    ]
+    sym = HermitianOperator(u @ np.diag(q) @ u.conj().T)
+    measurements = [steering_measurement_for_state(sym, states[x], float(q[x])) for x in range(d)]
+    return generate_from_symmetry_operator(sym, measurements)
+
+
+def _all_firing(d, rng):
+    """One state: M0 = I always fires, so the complement is absent and all d^2 candidates enter."""
+    a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = a @ a.conj().T
+    sym = HermitianOperator(rho / np.trace(rho).real)
+    return generate_from_symmetry_operator(sym, [SteeringMeasurement(np.eye(d))])
+
+
+def _tilted_basis(d, theta, rng):
+    """Steering of I/d by a basis whose first vector is tilted toward the second.
+
+    Every firing probability stays 1/d and every complement keeps a
+    one-dimensional kernel, so the search runs; its d candidates resolve
+    the identity only when the tilt is below the acceptance threshold.
+    """
+    u = compose_rotations_unitary(d, rng)
+    vectors = [u[:, x] for x in range(d)]
+    vectors[0] = math.cos(theta) * vectors[0] + math.sin(theta) * vectors[1]
+    measurements = [SteeringMeasurement(np.outer(v, v.conj())) for v in vectors]
+    return generate_from_symmetry_operator(HermitianOperator(np.eye(d) / d), measurements)
+
+
+def _searched(out, tol=1e-8):
+    """Both searches on one output: (found, certified) for the new one and the reference."""
+    comp = complementary_states(out.symmetry_op, out.ensemble)
+    assert any(_kernel_rank_ones(comp.states[x], out.ensemble.dim)
+               for x in range(out.ensemble.size))
+    results = []
+    for search in (_kernel_povm_search, reference_kernel_povm_search):
+        povm = search(out.ensemble, comp)
+        passed = povm is not None and verify_kkt(out.ensemble, out.symmetry_op, povm, tol).passed
+        results.append((povm is not None, passed))
+    return results
+
+
+class TestKernelPovmSearch:
+    """The hull-membership search against the former NNLS search."""
+
+    def test_identity_class_matches_reference(self):
+        for d in range(2, 9):
+            (found, certified), expected = _searched(identity_class_example(d))
+            assert found and certified, d
+            assert (found, certified) == expected, d
+
+    def test_rotated_bases_match_reference(self):
+        rng = np.random.default_rng(5)
+        for trial in range(6):
+            (found, certified), expected = _searched(_rotated_basis(3 + trial % 3, rng))
+            assert found and certified, trial
+            assert (found, certified) == expected, trial
+
+    def test_all_firing_single_state_matches_reference(self):
+        rng = np.random.default_rng(6)
+        for d in range(2, 9):
+            (found, certified), expected = _searched(_all_firing(d, rng))
+            assert found and certified, d
+            assert (found, certified) == expected, d
+
+    @pytest.mark.parametrize("theta", [1e-10, 1e-6, 1e-3, 0.1, 0.7])
+    def test_tilted_bases_match_reference(self, theta):
+        rng = np.random.default_rng([7, int(-math.log10(theta))])
+        for d in (3, 4, 5, 8):
+            (found, certified), expected = _searched(_tilted_basis(d, theta, rng))
+            assert (found, certified) == expected, d
+            assert found == certified == (theta < 1e-8), d
