@@ -19,9 +19,8 @@ Sharir and Welzl, Algorithmica 16, 1996) but not Welzl-solvable (Fischer
 and Gaertner, IJCGA 14, 2004); basis improvement solves it, re-solving a
 basis of at most four balls with the most violated ball in closed form.
 Convex weights witnessing an optimum come from Wolfe's minimum-norm point,
-which works in any dimension: the same routine finds the qubit POVM
-weights in R^3 and the weights of the generators' kernel POVM search in
-the real coordinates of d x d operators.
+which works in any dimension: it finds the weights of the POVM search,
+for every d, in the real coordinates of d x d operators.
 """
 
 from __future__ import annotations

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _as_matrix, _eigvalsh, trace_norm
+from .operators import _as_matrix, _eigvalsh
 from .solve import (
     DEGENERATE_WEIGHT_TOL,
     DiscriminationSolution,
@@ -105,17 +105,16 @@ class ProbabilityForms:
         return max(vals) - min(vals)
 
 
-def _check_candidate_shapes(ensemble: WeightedEnsemble, k: np.ndarray, povm) -> list[np.ndarray]:
+def _povm_stack(ensemble: WeightedEnsemble, povm) -> np.ndarray:
+    """The POVM as one (N, d, d) stack, checked against the ensemble."""
     d = ensemble.dim
-    if k.shape != (d, d):
-        raise ValueError(f"operator shape {k.shape} does not match dimension {d}")
     matrices = [_as_matrix(m) for m in povm]
     if len(matrices) != ensemble.size:
         raise ValueError(f"expected {ensemble.size} POVM elements, got {len(matrices)}")
     for m in matrices:
         if m.shape != (d, d):
             raise ValueError(f"POVM element shape {m.shape} does not match dimension {d}")
-    return matrices
+    return np.stack(matrices)
 
 
 def _peak(values: np.ndarray) -> float:
@@ -124,12 +123,11 @@ def _peak(values: np.ndarray) -> float:
 
 
 def _certificate_from(
-    ensemble: WeightedEnsemble, k: np.ndarray, matrices: list[np.ndarray], tol: float
+    ensemble: WeightedEnsemble, k: np.ndarray, povm: np.ndarray, tol: float
 ) -> KktCertificate:
     """Residuals from three stacked spectra: the gaps, the POVM, the legacy operators."""
     q = ensemble.priors
     rhos = ensemble.matrices
-    povm = np.stack(matrices)
     weighted = q[:, None, None] * rhos
     trace_k = float(np.trace(k).real)
 
@@ -149,10 +147,16 @@ def _certificate_from(
     completeness = float(np.max(np.abs(povm.sum(axis=0) - np.eye(ensemble.dim))))
     povm_positivity = max(0.0, float(np.max(-_eigvalsh(povm)[:, -1])))
 
-    # one batched product over y > x per x, never an (N, N, d, d) tensor
+    # one batched product over y > x per x, never an (N, N, d, d) tensor; a
+    # pair with an all-zero element is exactly zero, so only nonzero ones enter
+    nonzero = np.any(povm != 0, axis=(1, 2))
+    elements, states = povm[nonzero], weighted[nonzero]
     legacy_pairwise = max(
-        _peak(povm[x] @ (weighted[x] - weighted[x + 1 :]) @ povm[x + 1 :])
-        for x in range(ensemble.size)
+        (
+            _peak(elements[x] @ (states[x] - states[x + 1 :]) @ elements[x + 1 :])
+            for x in range(len(elements))
+        ),
+        default=0.0,
     )
 
     averaged = (weighted @ povm).sum(axis=0)
@@ -192,8 +196,10 @@ def verify_kkt(
     never trusted from the caller.
     """
     k = _as_matrix(symmetry_op)
-    matrices = _check_candidate_shapes(ensemble, k, povm)
-    return _certificate_from(ensemble, k, matrices, tol)
+    d = ensemble.dim
+    if k.shape != (d, d):
+        raise ValueError(f"operator shape {k.shape} does not match dimension {d}")
+    return _certificate_from(ensemble, k, _povm_stack(ensemble, povm), tol)
 
 
 def verify_legacy_conditions(
@@ -205,16 +211,10 @@ def verify_legacy_conditions(
     Hermitian at the optimum) and evaluates the same residual set, so a
     verdict here agrees with verify_kkt on optimal candidates.
     """
-    matrices = [_as_matrix(m) for m in povm]
-    if len(matrices) != ensemble.size:
-        raise ValueError(f"expected {ensemble.size} POVM elements, got {len(matrices)}")
-    k = sum(
-        ensemble.priors[x] * ensemble.states[x].matrix @ matrices[x]
-        for x in range(ensemble.size)
-    )
+    povm = _povm_stack(ensemble, povm)
+    k = (ensemble.priors[:, None, None] * ensemble.matrices @ povm).sum(axis=0)
     k = (k + k.conj().T) / 2.0
-    matrices = _check_candidate_shapes(ensemble, k, matrices)
-    return _certificate_from(ensemble, k, matrices, tol)
+    return _certificate_from(ensemble, k, povm, tol)
 
 
 def probability_forms(
@@ -226,21 +226,17 @@ def probability_forms(
     candidate the spread between the forms is the interesting output.
     """
     q = ensemble.priors
+    rhos = ensemble.matrices
     n = ensemble.size
     k = solution.symmetry_op.matrix
     trace_k = float(np.trace(k).real)
 
-    primal = float(
-        sum(
-            q[x] * np.trace(solution.povm[x].matrix @ ensemble.states[x].matrix).real
-            for x in range(n)
-        )
-    )
+    povm = np.stack([m.matrix for m in solution.povm])
+    primal = float(q @ np.einsum("xij,xji->x", povm, rhos).real)
     weights = trace_k - q
     average_weight = 1.0 / n + float(np.sum(weights)) / n
-    average_distance = 1.0 / n + sum(
-        trace_norm(k - q[x] * ensemble.states[x].matrix) for x in range(n)
-    ) / n
+    gaps = k - q[:, None, None] * rhos
+    average_distance = 1.0 / n + float(np.sum(np.abs(_eigvalsh(gaps)))) / n
     steering_probs = q / trace_k
     steering = 1.0 / float(np.sum(steering_probs))
     return ProbabilityForms(

@@ -7,7 +7,8 @@ sigma_x, which is exactly the decomposition an optimal discrimination of
 the resulting ensemble must produce. Whether the ensemble actually
 attains trace(K) as its guessing probability depends on an optimal POVM
 existing for that decomposition, so every output carries a certification
-flag backed by an explicit POVM search instead of an unchecked claim.
+flag backed by an explicit POVM search (the solvers' reconstruct_povm on
+the kernels of the complementary states) instead of an unchecked claim.
 
 The direct qubit constructor chooses the POVM data first and builds the
 ensemble around it, so its outputs are optimal by construction.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _operators, convex_weights_for_center, from_bloch
+from .bloch import _operators, from_bloch
 from .certify import verify_kkt
 from .errors import InfeasibleDualError
 from .operators import DensityOperator, HermitianOperator, _eigh, _hermitian_operators, purify
@@ -31,7 +32,6 @@ from .solve import (
 )
 
 _FIRES_TOL = 1e-12
-_KERNEL_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,79 +77,17 @@ def _certify(ensemble: WeightedEnsemble, symmetry_op: HermitianOperator, tol: fl
     """Search for an optimal POVM; return (certified, povm or None).
 
     Dual infeasibility of the prescribed operator for the generated
-    ensemble is a certification failure, not an error: it is how an
-    inconsistent steering decomposition manifests.
+    ensemble, or a kernel search that finds no measurement, is a
+    certification failure, not an error: it is how an inconsistent
+    steering decomposition manifests.
     """
     try:
         comp = complementary_states(symmetry_op, ensemble)
-        if ensemble.dim == 2:
-            povm = reconstruct_povm(ensemble, symmetry_op, comp)
-        else:
-            povm = _kernel_povm_search(ensemble, comp)
+        povm = reconstruct_povm(ensemble, symmetry_op, comp)
     except (ValueError, InfeasibleDualError):
-        return False, None
-    if povm is None:
         return False, None
     cert = verify_kkt(ensemble, symmetry_op, povm, tol)
     return cert.passed, tuple(povm) if cert.passed else None
-
-
-def _kernel_rank_ones(sigma: DensityOperator | None, dim: int) -> list[np.ndarray]:
-    """Rank-one candidates supported on the kernel of a complementary state."""
-    if sigma is None:
-        vectors = [np.eye(dim, dtype=complex)[:, j] for j in range(dim)]
-    else:
-        values, eigvecs = _eigh(sigma.matrix)
-        vectors = [eigvecs[:, j] for j in range(dim) if values[j] <= _KERNEL_TOL]
-    out = [np.outer(v, v.conj()) for v in vectors]
-    # pairwise combinations reach the off-diagonal part of the kernel block
-    for i in range(len(vectors)):
-        for j in range(i + 1, len(vectors)):
-            for extra in (vectors[i] + vectors[j], vectors[i] + 1j * vectors[j]):
-                extra = extra / np.linalg.norm(extra)
-                out.append(np.outer(extra, extra.conj()))
-    return out
-
-
-def _kernel_povm_search(
-    ensemble: WeightedEnsemble, comp: ComplementarySet
-) -> list[HermitianOperator] | None:
-    """Non-negative combination of kernel projectors resolving the identity.
-
-    Orthogonality forces each POVM element into the kernel of its
-    complementary state. Every rank-one candidate has trace one, so
-    sum_j w_j m_j = I with w >= 0 says exactly that I/d is the convex
-    combination with weights w_j / d: hull membership, solved by Wolfe's
-    minimum-norm point (convex_weights_for_center) on the coordinates of
-    the candidates and I/d in their span. A valid measurement is found
-    whenever this dictionary can express one; otherwise the ensemble is
-    reported uncertified.
-    """
-    d = ensemble.dim
-    blocks: list[list[np.ndarray]] = [
-        _kernel_rank_ones(comp.states[x], d) for x in range(ensemble.size)
-    ]
-    columns = [m for block in blocks for m in block]
-    if not columns:
-        return None
-    stacked = np.stack([np.concatenate([m.reshape(-1).real, m.reshape(-1).imag]) for m in columns])
-    target = np.concatenate([np.eye(d).reshape(-1) / d, np.zeros(d * d)])
-    # Orthonormal coordinates keep every distance and shorten the vectors to n + 1.
-    coords = np.linalg.qr(np.vstack([stacked, target]).T, mode="r").T
-    try:
-        weights = d * convex_weights_for_center(coords[:-1], coords[-1], tol=1e-8)
-    except ValueError:
-        return None
-
-    povm = []
-    offset = 0
-    for block in blocks:
-        element = np.zeros((d, d), dtype=complex)
-        for m in block:
-            element += weights[offset] * m
-            offset += 1
-        povm.append(HermitianOperator(element))
-    return povm
 
 
 def generate_from_symmetry_operator(

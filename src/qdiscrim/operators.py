@@ -138,14 +138,17 @@ class DensityOperator:
 
 @dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
-    """Eigenvalues (descending) and orthonormal eigenvector columns."""
+    """Eigenvalues (descending) and orthonormal eigenvector columns.
+
+    Either of one matrix or, matrix by matrix, of a stack (..., d, d).
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return (v * self.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 @dataclass(frozen=True, eq=False)

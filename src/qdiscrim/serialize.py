@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .certify import KktCertificate, ProbabilityForms
+from .certify import KktCertificate
 from .factory import FactoryOutput
 from .operators import (
     MAX_DIM,
@@ -166,13 +166,6 @@ def certificate_to_json(cert: KktCertificate) -> dict:
         "tolerance": float(cert.tolerance),
         "verdict": cert.verdict,
     }
-
-
-def probability_forms_to_json(forms: ProbabilityForms) -> dict:
-    out = {k: float(v) for k, v in forms.values().items()}
-    out["spread"] = float(forms.spread())
-    out["steering_probs"] = [float(p) for p in forms.steering_probs]
-    return out
 
 
 def factory_output_to_json(output: FactoryOutput) -> dict:

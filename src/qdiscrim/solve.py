@@ -5,9 +5,12 @@ operator of the dual problem, complementary states, an optimal POVM and
 its support. Closed forms cover a single state or dimension one, two
 states in any dimension and arbitrary qubit ensembles (exact
 enclosing-ball reduction for equal priors, exact shifted-ball dual for
-general priors). Ensembles of three or more states in dimension three or
-higher have no known solver and are rejected; the certificate module can
-still check externally supplied candidates.
+general priors). Given the symmetry operator, one search in any
+dimension finds an optimal POVM on the kernels of the complementary
+states (reconstruct_povm); the qubit solvers and the generators both use
+it. Ensembles of three or more states in dimension three or higher have
+no known solver and are rejected; the certificate module can still check
+externally supplied candidates.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ import numpy as np
 
 from .bloch import (
     _bloch_vectors,
-    _lengths,
     _operators,
     convex_weights_for_center,
     min_enclosing_ball,
@@ -28,6 +30,7 @@ from .errors import InfeasibleDualError, UnsupportedInstanceError
 from .operators import (
     DensityOperator,
     HermitianOperator,
+    SpectralDecomposition,
     _as_matrix,
     _density_from_spectrum,
     _eigh,
@@ -37,7 +40,7 @@ from .operators import (
 )
 
 DEGENERATE_WEIGHT_TOL = 1e-12
-SUPPORT_FRACTION_TOL = 1e-7
+KERNEL_TOL = 1e-9
 DUAL_FEASIBILITY_TOL = 1e-8
 COMPLETENESS_TOL = 1e-9
 UNIFORM_PRIOR_TOL = 1e-10
@@ -95,11 +98,36 @@ class ComplementarySet:
 
     A state is None exactly when its weight is numerically zero, meaning
     the ensemble member is identified with certainty and its complementary
-    state is undefined.
+    state is undefined. spectra stacks the eigenvalues (L, d), descending,
+    and eigenvector columns (L, d, d) of the L present states in order,
+    for the POVM search: complementary_states hands over the spectra of
+    the gaps it diagonalized, and a set built from its states derives them
+    in one stacked call.
     """
 
     weights: np.ndarray
     states: tuple[DensityOperator | None, ...]
+    spectra: SpectralDecomposition = field(init=False, repr=False)
+
+    def __init__(self, weights, states) -> None:
+        states = tuple(states)
+        present = [s.matrix for s in states if s is not None]
+        empty = (np.zeros((0, 0)), np.zeros((0, 0, 0), dtype=complex))
+        self._fill(weights, states, *(_eigh(np.stack(present)) if present else empty))
+
+    def _fill(self, weights, states, values, vectors) -> None:
+        values.setflags(write=False)
+        vectors.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "states", states)
+        object.__setattr__(self, "spectra", SpectralDecomposition(values, vectors))
+
+    @classmethod
+    def _from_spectra(cls, weights, states, values, vectors) -> ComplementarySet:
+        """A set whose states' spectra are already known, decomposed no further."""
+        out = object.__new__(cls)
+        out._fill(weights, states, values, vectors)
+        return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -145,11 +173,12 @@ def complementary_states(
             )
         smallest = values[x, -1] / weights[x]
         raise InfeasibleDualError(f"operator has negative eigenvalue {smallest:.3e}")
-    rebuilt = iter(_density_from_spectrum(scaled, vectors[live]))
+    vectors = vectors[live]
+    rebuilt = iter(_density_from_spectrum(scaled, vectors))
     states = tuple(next(rebuilt) if keep else None for keep in live)
     weights = np.maximum(weights, 0.0)
     weights.setflags(write=False)
-    return ComplementarySet(weights=weights, states=states)
+    return ComplementarySet._from_spectra(weights, states, scaled, vectors)
 
 
 def reconstruct_povm(
@@ -157,38 +186,59 @@ def reconstruct_povm(
     symmetry_op,
     complementary: ComplementarySet,
 ) -> list[HermitianOperator]:
-    """Optimal qubit POVM from the symmetry operator's complementary states.
+    """Optimal POVM for K from the kernels of its complementary states, any d.
 
-    Support states (pure complementary state) receive rank-one elements
-    proportional to the state antipodal to sigma_x, weighted so the POVM
-    sums to the identity; all other states receive the explicit zero
-    matrix (null measurement). The weights come from convex coefficients
-    expressing the origin inside the hull of the support directions,
-    found by Wolfe's minimum-norm-point algorithm on at most four of them.
+    Orthogonality r_x tr[M_x sigma_x] = 0 puts each element M_x in the
+    kernel of sigma_x (eigenvalues at most KERNEL_TOL). A state with no
+    complementary state has r_x = 0, so K = q_x rho_x: it attains trace(K)
+    alone and takes the identity. Otherwise the candidates are the
+    rank-one projectors onto each kernel's eigenvectors and, in kernels of
+    dimension two or more, onto the normalized pairwise sums v_i + v_j and
+    v_i + i v_j, which reach the off-diagonal part of the kernel block.
+    Every candidate has trace one, so sum_j w_j m_j = I with w >= 0 says
+    exactly that I/d is the convex combination with weights w_j / d: hull
+    membership, solved by Wolfe's minimum-norm point
+    (convex_weights_for_center) on the coordinates of the candidates and
+    I/d in their span. Each element sums the weighted candidates of its
+    state. The kernels come from the spectra the set holds, so nothing is
+    diagonalized here. Raises InfeasibleDualError when no kernel is
+    non-trivial or the candidates cannot resolve the identity.
     """
-    if ensemble.dim != 2:
-        raise UnsupportedInstanceError("POVM reconstruction applies to qubit ensembles only")
-    n = ensemble.size
-    identity = np.eye(2, dtype=complex)
-    povm = np.zeros((n, 2, 2), dtype=complex)
-
-    degenerate = [x for x in range(n) if complementary.states[x] is None]
-    if degenerate:
-        povm[degenerate[0]] = identity
+    n, d = ensemble.size, ensemble.dim
+    povm = np.zeros((n, d, d), dtype=complex)
+    absent = [x for x, sigma in enumerate(complementary.states) if sigma is None]
+    if absent:
+        povm[absent[0]] = np.eye(d)
         return list(_hermitian_operators(povm))
 
-    directions = _bloch_vectors(np.stack([sigma.matrix for sigma in complementary.states]))
-    lengths = _lengths(directions)
-    support = np.flatnonzero(lengths >= 1.0 - SUPPORT_FRACTION_TOL)
-    if support.size == 0:
-        raise InfeasibleDualError("no support states: candidate operator cannot be optimal")
+    rows = complementary.spectra.eigenvectors.swapaxes(1, 2)  # row j: eigenvector j
+    kernel = complementary.spectra.eigenvalues <= KERNEL_TOL
+    single_owner, single = np.nonzero(kernel)
+    index = np.arange(d)
+    pair_owner, first, second = np.nonzero(
+        kernel[:, :, None] & kernel[:, None, :] & (index[:, None] < index)
+    )
+    a, b = rows[pair_owner, first], rows[pair_owner, second]
+    sums = np.stack([a + b, a + 1j * b], axis=1).reshape(-1, d)
+    owners = np.concatenate([single_owner, np.repeat(pair_owner, 2)])
+    if owners.size == 0:
+        raise InfeasibleDualError("no complementary state has a kernel: K cannot be optimal")
+    vectors = np.concatenate(
+        [rows[single_owner, single], sums / np.linalg.norm(sums, axis=1, keepdims=True)]
+    )
+    projectors = np.einsum("ni,nj->nij", vectors, vectors.conj())
 
-    units = directions[support] / lengths[support, None]
-    weights = convex_weights_for_center(units, np.zeros(3))
-    povm[support] = (2.0 * weights)[:, None, None] * _operators(1.0, -units)
-
-    if float(np.max(np.abs(povm.sum(axis=0) - identity))) > COMPLETENESS_TOL:
-        raise InfeasibleDualError("reconstructed POVM does not resolve the identity")
+    # Re + Im maps Hermitian matrices isometrically into R^(d*d): the symmetric
+    # and antisymmetric parts are orthogonal. Orthonormal coordinates of the
+    # span then keep every distance and shorten the vectors to n + 1.
+    flat = (projectors.real + projectors.imag).reshape(owners.size, -1)
+    points = np.vstack([flat, np.eye(d).reshape(1, -1) / d])
+    coords = np.linalg.qr(points.T, mode="r").T
+    try:
+        weights = d * convex_weights_for_center(coords[:-1], coords[-1])
+    except ValueError as exc:
+        raise InfeasibleDualError("kernel projectors do not resolve the identity") from exc
+    np.add.at(povm, owners, weights[:, None, None] * projectors)
     return list(_hermitian_operators(povm))
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -11,12 +13,14 @@ from qdiscrim import (
     helstrom_two_state,
     probability_forms,
     random_ensemble,
+    solve,
     solve_qubit,
     solve_qubit_equal_priors,
     verify_kkt,
     verify_legacy_conditions,
 )
 from qdiscrim.families import orthogonal_pairs, trine
+from qdiscrim.operators import trace_norm
 
 from conftest import compose_rotations_unitary
 
@@ -145,6 +149,94 @@ class TestProbabilityForms:
         forms = probability_forms(e, sol)
         assert np.max(np.abs(forms.steering_probs * forms.dual - e.priors)) <= 1e-9
         assert forms.steering == pytest.approx(forms.dual, abs=1e-12)
+
+
+def reference_legacy_pairwise(ensemble, povm):
+    """The former loop over every pair x < y, zero elements included."""
+    weighted = ensemble.priors[:, None, None] * ensemble.matrices
+    stack = np.stack([m.matrix for m in povm])
+    products = (
+        stack[x] @ (weighted[x] - weighted[x + 1 :]) @ stack[x + 1 :] for x in range(ensemble.size)
+    )
+    return max(float(np.max(np.abs(p), initial=0.0)) for p in products)
+
+
+def reference_legacy_operator(ensemble, povm):
+    """The former K of verify_legacy_conditions: a Python sum over the states."""
+    k = sum(
+        ensemble.priors[x] * ensemble.states[x].matrix @ povm[x].matrix
+        for x in range(ensemble.size)
+    )
+    return (k + k.conj().T) / 2.0
+
+
+def stacked_cases():
+    """Solved qubit ensembles (general and equal priors, pure spheres) and dense pairs."""
+    cases = [random_solved(seed) for seed in range(600, 640)]
+    for n in (13, 39):
+        e = random_ensemble(2, n, pure=True, seed=n)
+        uniform = WeightedEnsemble([1.0 / n] * n, e.states)
+        cases.append((uniform, solve(uniform)))
+    for d in (4, 16):
+        e = random_ensemble(d, 2, pure=False, seed=d)
+        cases.append((e, solve(e)))
+    return cases
+
+
+class TestStackedCertificate:
+    """The certificate's stacked forms against the loops they replace."""
+
+    def test_legacy_pairwise_matches_all_pairs_loop(self):
+        for e, sol in stacked_cases():
+            cert = verify_kkt(e, sol.symmetry_op, sol.povm)
+            assert cert.legacy_pairwise == reference_legacy_pairwise(e, sol.povm)
+
+    def test_large_ensemble_pairs_only_its_support(self):
+        e = random_ensemble(2, 1000, pure=False, seed=1)
+        sol = solve(e)
+        assert len(sol.support) <= 4
+        cert = verify_kkt(e, sol.symmetry_op, sol.povm)
+        assert cert.passed
+        assert cert.legacy_pairwise == reference_legacy_pairwise(e, sol.povm)
+
+    def test_tiny_nonzero_entries_are_paired(self, rng):
+        # only exact zeros leave the pairing: elements of size 1e-200 stay in
+        e = random_ensemble(2, 12, pure=False, seed=4)
+        sol = solve(e)
+        assert len(sol.support) < e.size
+        tiny = [HermitianOperator(1e-200 * np.diag(rng.uniform(0.5, 1.0, 2))) for _ in sol.povm]
+        padded = [m if x in sol.support else tiny[x] for x, m in enumerate(sol.povm)]
+        cert = verify_kkt(e, sol.symmetry_op, padded)
+        assert cert.legacy_pairwise == reference_legacy_pairwise(e, padded)
+        alone = [HermitianOperator(IDENTITY2)] + tiny[1:]
+        cert = verify_kkt(e, sol.symmetry_op, alone)
+        assert cert.legacy_pairwise == reference_legacy_pairwise(e, alone) > 0.0
+
+    def test_legacy_conditions_match_summed_operator(self):
+        for e, sol in stacked_cases():
+            stacked = verify_legacy_conditions(e, sol.povm).residuals()
+            summed = verify_kkt(e, reference_legacy_operator(e, sol.povm), sol.povm).residuals()
+            for name, value in stacked.items():
+                assert abs(value - summed[name]) <= 1e-15, name
+
+    def test_probability_forms_match_loops(self):
+        cases = stacked_cases()
+        # a lowered operator leaves negative gaps, where the trace norm counts |lambda|
+        for e, sol in cases[:10]:
+            lowered = sol.symmetry_op.matrix - 0.05 * np.eye(e.dim)
+            cases.append((e, dataclasses.replace(sol, symmetry_op=HermitianOperator(lowered))))
+        for e, sol in cases:
+            forms = probability_forms(e, sol)
+            k = sol.symmetry_op.matrix
+            primal = sum(
+                e.priors[x] * np.trace(sol.povm[x].matrix @ e.states[x].matrix).real
+                for x in range(e.size)
+            )
+            distance = 1.0 / e.size + sum(
+                trace_norm(k - e.priors[x] * e.states[x].matrix) for x in range(e.size)
+            ) / e.size
+            assert abs(forms.primal - primal) <= 1e-15
+            assert abs(forms.average_distance - distance) <= 1e-15
 
 
 class TestEquivalenceCheck:

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -6,16 +7,18 @@ import pytest
 from qdiscrim import (
     DensityOperator,
     HermitianOperator,
+    InfeasibleDualError,
     SteeringMeasurement,
     equivalence_check,
     generate_from_symmetry_operator,
     generate_qubit_class_element,
     identity_class_example,
+    reconstruct_povm,
     solve_qubit,
     to_bloch,
     verify_kkt,
 )
-from qdiscrim.factory import _kernel_povm_search, _kernel_rank_ones
+from qdiscrim.operators import _eigh
 from qdiscrim.solve import complementary_states
 
 from conftest import (
@@ -253,11 +256,28 @@ class TestGenerateQubitClassElement:
             )
 
 
+def reference_kernel_rank_ones(sigma, dim):
+    """The former candidate dictionary: rank-one projectors in the kernel of sigma."""
+    if sigma is None:
+        vectors = [np.eye(dim, dtype=complex)[:, j] for j in range(dim)]
+    else:
+        values, eigvecs = _eigh(sigma.matrix)
+        vectors = [eigvecs[:, j] for j in range(dim) if values[j] <= 1e-9]
+    out = [np.outer(v, v.conj()) for v in vectors]
+    # pairwise combinations reach the off-diagonal part of the kernel block
+    for i in range(len(vectors)):
+        for j in range(i + 1, len(vectors)):
+            for extra in (vectors[i] + vectors[j], vectors[i] + 1j * vectors[j]):
+                extra = extra / np.linalg.norm(extra)
+                out.append(np.outer(extra, extra.conj()))
+    return out
+
+
 def reference_kernel_povm_search(ensemble, comp):
     """The former search: scipy's NNLS for the identity over the kernel candidates."""
     nnls = pytest.importorskip("scipy.optimize").nnls
     d = ensemble.dim
-    blocks = [_kernel_rank_ones(comp.states[x], d) for x in range(ensemble.size)]
+    blocks = [reference_kernel_rank_ones(comp.states[x], d) for x in range(ensemble.size)]
     columns = [m for block in blocks for m in block]
     if not columns:
         return None
@@ -275,6 +295,14 @@ def reference_kernel_povm_search(ensemble, comp):
             offset += 1
         povm.append(HermitianOperator(element))
     return povm
+
+
+def kernel_search(out, comp):
+    """reconstruct_povm, with None for a search that finds no measurement."""
+    try:
+        return reconstruct_povm(out.ensemble, out.symmetry_op, comp)
+    except InfeasibleDualError:
+        return None
 
 
 def _rotated_basis(d, rng):
@@ -314,11 +342,10 @@ def _tilted_basis(d, theta, rng):
 def _searched(out, tol=1e-8):
     """Both searches on one output: (found, certified) for the new one and the reference."""
     comp = complementary_states(out.symmetry_op, out.ensemble)
-    assert any(_kernel_rank_ones(comp.states[x], out.ensemble.dim)
+    assert any(reference_kernel_rank_ones(comp.states[x], out.ensemble.dim)
                for x in range(out.ensemble.size))
     results = []
-    for search in (_kernel_povm_search, reference_kernel_povm_search):
-        povm = search(out.ensemble, comp)
+    for povm in (kernel_search(out, comp), reference_kernel_povm_search(out.ensemble, comp)):
         passed = povm is not None and verify_kkt(out.ensemble, out.symmetry_op, povm, tol).passed
         results.append((povm is not None, passed))
     return results
@@ -354,3 +381,30 @@ class TestKernelPovmSearch:
             (found, certified), expected = _searched(_tilted_basis(d, theta, rng))
             assert (found, certified) == expected, d
             assert found == certified == (theta < 1e-8), d
+
+    def test_certification_decomposes_nothing_in_the_search(self, monkeypatch):
+        # the kernels come from the spectra complementary_states already holds
+        factory = importlib.import_module("qdiscrim.factory")
+        real_eigh, real_search = np.linalg.eigh, factory.reconstruct_povm
+        inside, shapes, searches = [False], [], []
+
+        def counting_eigh(matrix):
+            if inside[0]:
+                shapes.append(np.shape(matrix))
+            return real_eigh(matrix)
+
+        def search(*args):
+            inside[0] = True
+            try:
+                searches.append(real_search(*args))
+                return searches[-1]
+            finally:
+                inside[0] = False
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        monkeypatch.setattr(factory, "reconstruct_povm", search)
+        rng = np.random.default_rng(8)
+        outputs = [identity_class_example(8), _rotated_basis(5, rng), _tilted_basis(4, 1e-10, rng)]
+        assert all(out.certified for out in outputs)
+        assert len(searches) == len(outputs)
+        assert shapes == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qdiscrim import (
+    ComplementarySet,
     DensityOperator,
     HermitianOperator,
     InfeasibleDualError,
@@ -20,6 +21,7 @@ from qdiscrim import (
     trace_norm,
     verify_kkt,
 )
+from qdiscrim.bloch import _bloch_vectors, _lengths, _operators, convex_weights_for_center
 from qdiscrim.families import (
     REGULAR_TETRAHEDRON,
     inscribed_tetrahedron,
@@ -27,6 +29,7 @@ from qdiscrim.families import (
     orthogonal_pairs,
     trine,
 )
+from qdiscrim.operators import _hermitian_operators
 
 from conftest import compose_rotations_unitary
 
@@ -316,6 +319,34 @@ class TestComplementaryStates:
         assert comp.weights[0] == pytest.approx(0.0, abs=1e-12)
 
 
+def reference_bloch_povm(ensemble, complementary):
+    """The former qubit-only reconstruction: Wolfe in R^3 on the Bloch directions.
+
+    States whose complementary Bloch vector has length at least 1 - 1e-7
+    receive weights on their antipodal pure states.
+    """
+    identity = np.eye(2, dtype=complex)
+    povm = np.zeros((ensemble.size, 2, 2), dtype=complex)
+    degenerate = [x for x in range(ensemble.size) if complementary.states[x] is None]
+    if degenerate:
+        povm[degenerate[0]] = identity
+        return list(_hermitian_operators(povm))
+    directions = _bloch_vectors(np.stack([sigma.matrix for sigma in complementary.states]))
+    lengths = _lengths(directions)
+    support = np.flatnonzero(lengths >= 1.0 - 1e-7)
+    units = directions[support] / lengths[support, None]
+    weights = convex_weights_for_center(units, np.zeros(3))
+    povm[support] = (2.0 * weights)[:, None, None] * _operators(1.0, -units)
+    return list(_hermitian_operators(povm))
+
+
+def primal_value(ensemble, povm):
+    return sum(
+        ensemble.priors[x] * np.trace(povm[x].matrix @ ensemble.states[x].matrix).real
+        for x in range(ensemble.size)
+    )
+
+
 class TestReconstructPovm:
     def test_two_state_matches_helstrom_projectors(self):
         e = WeightedEnsemble([0.35, 0.65], [ZERO, PLUS])
@@ -337,11 +368,85 @@ class TestReconstructPovm:
                 if sigma is not None and weight > 1e-12:
                     assert abs(np.trace(m.matrix @ sigma.matrix).real) <= 1e-9
 
-    def test_rejects_higher_dimensions(self):
-        e = random_ensemble(3, 2, pure=True, seed=11)
-        sol = helstrom_two_state(e)
-        with pytest.raises(UnsupportedInstanceError):
-            reconstruct_povm(e, sol.symmetry_op, sol.complementary)
+    def test_certifies_helstrom_solutions_beyond_qubits(self):
+        # full-rank pairs: the two kernels are the signed eigenspaces of the
+        # weighted difference, so the search rebuilds the Helstrom projectors
+        for d in (3, 8, 64):
+            e = random_ensemble(d, 2, pure=False, seed=11 + d)
+            sol = helstrom_two_state(e)
+            rebuilt = reconstruct_povm(e, sol.symmetry_op, sol.complementary)
+            cert = verify_kkt(e, sol.symmetry_op, rebuilt, tol=1e-8)
+            assert cert.passed, (d, cert.residuals())
+
+    def test_matches_bloch_reference(self):
+        ensembles = [trine(), inscribed_tetrahedron(0.7), isosceles_triple(0.6)]
+        for seed in range(40):
+            n = 3 + seed % 12
+            e = random_ensemble(2, n, pure=(seed % 3 == 0), seed=1200 + seed)
+            ensembles.append(e if seed % 2 else WeightedEnsemble([1 / n] * n, e.states))
+        for e in ensembles:
+            sol = solve(e)
+            for povm in (
+                reconstruct_povm(e, sol.symmetry_op, sol.complementary),
+                reference_bloch_povm(e, sol.complementary),
+            ):
+                cert = verify_kkt(e, sol.symmetry_op, povm, tol=1e-8)
+                assert cert.passed, cert.residuals()
+                assert primal_value(e, povm) == pytest.approx(sol.p_guess, abs=1e-12)
+
+    @pytest.mark.parametrize("phase", [1.0, 1j])
+    def test_pairwise_candidates_reach_off_diagonal_elements(self, phase):
+        # sigma_0 = |2><2| has kernel span(|0>, |1>), found as that basis; the
+        # kernels |2> +- u of sigma_1 and sigma_2 force M_0 = |v><v| with
+        # v = (|0> + phase |1>)/sqrt2 orthogonal to u, which only a pairwise
+        # candidate of the first kernel can supply
+        eye = np.eye(3, dtype=complex)
+        v = (eye[0] + phase * eye[1]) / math.sqrt(2)
+        u = (eye[0] - phase * eye[1]) / math.sqrt(2)
+        kernels = [(eye[2] + u) / math.sqrt(2), (eye[2] - u) / math.sqrt(2)]
+        states = [DensityOperator(HermitianOperator(np.diag([0.0, 0.0, 1.0])))] + [
+            DensityOperator(HermitianOperator((eye - np.outer(f, f.conj())) / 2)) for f in kernels
+        ]
+        comp = ComplementarySet(np.full(3, 0.5), states)
+        mixed = DensityOperator(HermitianOperator(eye / 3))
+        e = WeightedEnsemble([1 / 3] * 3, [mixed] * 3)
+        rebuilt = reconstruct_povm(e, HermitianOperator(eye / 2), comp)
+        for m, target in zip(rebuilt, [v] + kernels):
+            assert np.max(np.abs(m.matrix - np.outer(target, target.conj()))) <= 1e-12
+
+    def test_absent_complementary_state_takes_the_identity(self):
+        e = WeightedEnsemble([0.5, 0.5], [PLUS, PLUS])
+        sym = HermitianOperator(0.5 * PLUS.matrix)
+        comp = complementary_states(sym, e)
+        assert comp.states == (None, None)
+        rebuilt = reconstruct_povm(e, sym, comp)
+        assert np.array_equal(rebuilt[0].matrix, np.eye(2))
+        assert np.array_equal(rebuilt[1].matrix, np.zeros((2, 2)))
+
+    def test_no_kernel_is_infeasible(self):
+        e = trine()
+        sym = HermitianOperator(np.eye(2) / 2)
+        with pytest.raises(InfeasibleDualError, match="no complementary state has a kernel"):
+            reconstruct_povm(e, sym, complementary_states(sym, e))
+
+    def test_kernels_that_miss_the_identity_are_infeasible(self):
+        # only the first complementary state is pure: one projector cannot sum to I
+        e = WeightedEnsemble([0.5, 0.5], [ZERO, PLUS])
+        sym = HermitianOperator(np.diag([0.5, 0.6]))
+        comp = complementary_states(sym, e)
+        assert np.count_nonzero(comp.spectra.eigenvalues <= 1e-9) == 1
+        with pytest.raises(InfeasibleDualError, match="do not resolve the identity"):
+            reconstruct_povm(e, sym, comp)
+
+    def test_kernels_come_from_the_gap_spectra(self):
+        # the handed-over spectra match a fresh decomposition of each state
+        for seed in range(10):
+            e = random_ensemble(2 + seed % 4, 2, pure=(seed % 2 == 0), seed=1300 + seed)
+            sol = helstrom_two_state(e)
+            handed = sol.complementary.spectra
+            built = ComplementarySet(sol.complementary.weights, sol.complementary.states).spectra
+            assert np.max(np.abs(handed.eigenvalues - built.eigenvalues)) <= 1e-12
+            assert np.max(np.abs(handed.reconstruct() - built.reconstruct())) <= 1e-12
 
 
 class TestSolveDispatch:
