@@ -2,10 +2,12 @@
 
 One entry point with subcommands solve | verify | generate | sweep |
 oracle. Results go to standard output as JSON (or CSV for sweeps) with
-nine significant digits; diagnostics go to standard error. Exit codes:
-0 success, 2 parse failure, 3 unsupported instance or invalid
-parameters, 4 non-convergence, 5 generated output failed certification
-(the output is still written).
+nine significant digits; diagnostics go to standard error. Commands
+raise, and main alone turns an error into its exit code: 0 success, 2 a
+document that cannot be read, 3 an unsupported instance or invalid
+parameters (UnsupportedInstanceError, ValueError), 4 any other package
+error (non-convergence, an infeasible dual), 5 generated output failed
+certification (the output is still written).
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ import argparse
 import json
 import math
 import sys
+from contextlib import contextmanager
 
 import numpy as np
 
 from .certify import ANALYTIC_TOL, verify_kkt, verify_legacy_conditions
-from .errors import ConvergenceError, DiscriminationError, UnsupportedInstanceError
+from .errors import DiscriminationError, UnsupportedInstanceError
 from .factory import (
     SteeringMeasurement,
     generate_from_symmetry_operator,
@@ -44,10 +47,17 @@ EXIT_NO_CONVERGENCE = 4
 EXIT_UNCERTIFIED = 5
 
 
-class _ExitError(Exception):
-    def __init__(self, code: int, message: str) -> None:
-        super().__init__(message)
-        self.code = code
+class _ParseError(Exception):
+    """A document that cannot be read; its message names the file."""
+
+
+@contextmanager
+def _reading(path: str, errors=(ValueError,)):
+    """Turn the given errors, raised while reading the document at path, into a parse error."""
+    try:
+        yield
+    except errors as exc:
+        raise _ParseError(f"{path}: {exc}") from exc
 
 
 def _load_json(path: str):
@@ -55,25 +65,44 @@ def _load_json(path: str):
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
-        raise _ExitError(EXIT_PARSE, f"{path}: {exc}") from exc
+        raise _ParseError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _ExitError(
-            EXIT_PARSE, f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        raise _ParseError(
+            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
 
 
 def _load_ensemble(path: str):
-    try:
+    with _reading(path, (ValueError, DiscriminationError)):
         return ensemble_from_json(_load_json(path))
-    except (ValueError, DiscriminationError) as exc:
-        raise _ExitError(EXIT_PARSE, f"{path}: {exc}") from exc
 
 
 def _load_matrix(path: str, field: str) -> np.ndarray:
-    try:
+    with _reading(path):
         return matrix_from_json(_load_json(path), field=field)
-    except ValueError as exc:
-        raise _ExitError(EXIT_PARSE, f"{path}: {exc}") from exc
+
+
+def _certificate(ensemble, doc, tol: float, legacy: bool = False) -> dict:
+    """Certify the numbers of a solution document: its povm, with its K unless legacy.
+
+    The one certification path: `verify` runs it on a candidate file and
+    `solve --verify` on the rounded document it prints. A defect of the
+    document raises ValueError.
+    """
+    if not isinstance(doc, dict) or "povm" not in doc:
+        raise ValueError("missing key 'povm'")
+    if not isinstance(doc["povm"], list):
+        raise ValueError("povm: expected an array of matrices")
+    povm = [
+        HermitianOperator(matrix_from_json(m, field=f"povm[{i}]"))
+        for i, m in enumerate(doc["povm"])
+    ]
+    if legacy or "K" not in doc:
+        cert = verify_legacy_conditions(ensemble, povm, tol=tol)
+    else:
+        sym = HermitianOperator(matrix_from_json(doc["K"], field="K"))
+        cert = verify_kkt(ensemble, sym, povm, tol=tol)
+    return certificate_to_json(cert)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -90,38 +119,19 @@ def _emit_json(doc, out: str | None) -> None:
 
 def _cmd_solve(args) -> int:
     ensemble = _load_ensemble(args.ensemble)
-    try:
-        solution = solve(ensemble)
-    except UnsupportedInstanceError as exc:
-        raise _ExitError(EXIT_UNSUPPORTED, str(exc)) from exc
-    except ConvergenceError as exc:
-        raise _ExitError(EXIT_NO_CONVERGENCE, str(exc)) from exc
-    doc = solution_to_json(solution)
+    doc = round_floats(solution_to_json(solve(ensemble)))
     if args.verify:
-        cert = verify_kkt(ensemble, solution.symmetry_op, solution.povm, tol=args.tol)
-        doc["certificate"] = certificate_to_json(cert)
-    _emit_json(doc, args.out)
+        doc["certificate"] = round_floats(_certificate(ensemble, doc, args.tol))
+    _emit(json.dumps(doc, indent=2), args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     ensemble = _load_ensemble(args.ensemble)
     candidate = _load_json(args.solution)
-    if not isinstance(candidate, dict) or "povm" not in candidate:
-        raise _ExitError(EXIT_PARSE, f"{args.solution}: missing key 'povm'")
-    try:
-        povm = [
-            HermitianOperator(matrix_from_json(m, field=f"povm[{i}]"))
-            for i, m in enumerate(candidate["povm"])
-        ]
-        if args.legacy or "K" not in candidate:
-            cert = verify_legacy_conditions(ensemble, povm, tol=args.tol)
-        else:
-            sym = HermitianOperator(matrix_from_json(candidate["K"], field="K"))
-            cert = verify_kkt(ensemble, sym, povm, tol=args.tol)
-    except ValueError as exc:
-        raise _ExitError(EXIT_PARSE, f"{args.solution}: {exc}") from exc
-    _emit_json(certificate_to_json(cert), args.out)
+    with _reading(args.solution):
+        cert = _certificate(ensemble, candidate, args.tol, args.legacy)
+    _emit_json(cert, args.out)
     return EXIT_OK
 
 
@@ -136,21 +146,14 @@ def _random_projective_measurements(dim: int, count: int, seed: int):
 
 
 def _cmd_generate(args) -> int:
-    matrix = _load_matrix(args.operator, field="K")
-    try:
-        sym = HermitianOperator(matrix)
-        if args.mode == "identity":
-            dim = sym.dim
-            if float(np.max(np.abs(sym.matrix - np.eye(dim) / dim))) > 1e-9:
-                raise ValueError("identity mode expects the operator I/d")
-            output = identity_class_example(dim)
-        else:
-            measurements = _random_projective_measurements(
-                sym.dim, args.num_measurements, args.seed
-            )
-            output = generate_from_symmetry_operator(sym, measurements)
-    except ValueError as exc:
-        raise _ExitError(EXIT_UNSUPPORTED, str(exc)) from exc
+    sym = HermitianOperator(_load_matrix(args.operator, field="K"))
+    if args.mode == "identity":
+        if float(np.max(np.abs(sym.matrix - np.eye(sym.dim) / sym.dim))) > 1e-9:
+            raise ValueError("identity mode expects the operator I/d")
+        output = identity_class_example(sym.dim)
+    else:
+        measurements = _random_projective_measurements(sym.dim, args.num_measurements, args.seed)
+        output = generate_from_symmetry_operator(sym, measurements)
     _emit_json(factory_output_to_json(output), args.out)
     if not output.certified:
         print("uncertified: no optimal measurement found for this decomposition", file=sys.stderr)
@@ -158,52 +161,30 @@ def _cmd_generate(args) -> int:
     return EXIT_OK
 
 
-_SWEEP_RANGES = {
-    "isosceles": (0.0, math.pi, False, True),
-    "rectangle": (0.0, math.pi / 2, False, False),
-    "tetrahedron": (0.0, 1.0, False, True),
+# family: (constructor, excluded lower end, upper end, upper end included, default start and stop)
+_SWEEPS = {
+    "isosceles": (isosceles_triple, 0.0, math.pi, True, 0.05, math.pi),
+    "rectangle": (orthogonal_pairs, 0.0, math.pi / 2, False, 0.05, math.pi / 2 - 0.05),
+    "tetrahedron": (inscribed_tetrahedron, 0.0, 1.0, True, 0.05, 1.0),
 }
-
-_SWEEP_DEFAULTS = {
-    "isosceles": (0.05, math.pi),
-    "rectangle": (0.05, math.pi / 2 - 0.05),
-    "tetrahedron": (0.05, 1.0),
-}
-
-
-def _sweep_instance(family: str, parameter: float):
-    if family == "isosceles":
-        return isosceles_triple(parameter)
-    if family == "rectangle":
-        return orthogonal_pairs(parameter)
-    return inscribed_tetrahedron(parameter)
 
 
 def _cmd_sweep(args) -> int:
-    lo, hi, lo_closed, hi_closed = _SWEEP_RANGES[args.family]
-    start, stop = args.start, args.stop
-    if start is None or stop is None:
-        default_start, default_stop = _SWEEP_DEFAULTS[args.family]
-        start = default_start if start is None else start
-        stop = default_stop if stop is None else stop
+    family, lo, hi, hi_closed, default_start, default_stop = _SWEEPS[args.family]
+    start = default_start if args.start is None else args.start
+    stop = default_stop if args.stop is None else args.stop
     if args.steps < 2:
-        raise _ExitError(EXIT_UNSUPPORTED, "sweep needs at least 2 steps")
+        raise ValueError("sweep needs at least 2 steps")
     if start > stop:
-        raise _ExitError(EXIT_UNSUPPORTED, "start must not exceed stop")
+        raise ValueError("start must not exceed stop")
     for value in (start, stop):
-        inside = (lo < value or (lo_closed and value >= lo)) and (
-            value < hi or (hi_closed and value <= hi)
-        )
-        if not inside:
-            raise _ExitError(
-                EXIT_UNSUPPORTED,
-                f"{args.family} parameter {value} outside its valid range",
-            )
+        if not (lo < value and (value <= hi if hi_closed else value < hi)):
+            raise ValueError(f"{args.family} parameter {value} outside its valid range")
 
     rows = []
     for i in range(args.steps):
         parameter = start + (stop - start) * i / (args.steps - 1)
-        solution = solve_qubit_equal_priors(_sweep_instance(args.family, parameter))
+        solution = solve_qubit_equal_priors(family(parameter))
         rows.append((parameter, solution.p_guess, len(solution.support)))
 
     if args.format == "json":
@@ -219,11 +200,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    ensemble = _load_ensemble(args.ensemble)
-    try:
-        value = dual_grid_oracle(ensemble, args.resolution)
-    except ValueError as exc:
-        raise _ExitError(EXIT_UNSUPPORTED, str(exc)) from exc
+    value = dual_grid_oracle(_load_ensemble(args.ensemble), args.resolution)
     _emit_json({"value": value, "resolution": args.resolution}, args.out)
     return EXIT_OK
 
@@ -260,7 +237,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_generate.set_defaults(func=_cmd_generate)
 
     p_sweep = sub.add_parser("sweep", help="emit a parameter sweep for an example family")
-    p_sweep.add_argument("family", choices=["isosceles", "rectangle", "tetrahedron"])
+    p_sweep.add_argument("family", choices=list(_SWEEPS))
     p_sweep.add_argument("--steps", type=int, default=50)
     p_sweep.add_argument("--start", type=float, default=None)
     p_sweep.add_argument("--stop", type=float, default=None)
@@ -280,9 +257,13 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except _ExitError as exc:
+    except (_ParseError, ValueError, DiscriminationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+        if isinstance(exc, _ParseError):
+            return EXIT_PARSE
+        if isinstance(exc, (UnsupportedInstanceError, ValueError)):
+            return EXIT_UNSUPPORTED
+        return EXIT_NO_CONVERGENCE
 
 
 if __name__ == "__main__":

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import _operators, from_bloch
-from .certify import verify_kkt
+from .certify import ANALYTIC_TOL, verify_kkt
 from .errors import InfeasibleDualError
 from .operators import DensityOperator, HermitianOperator, _eigh, _hermitian_operators, purify
 from .solve import (
@@ -73,7 +73,7 @@ def _steered_operator(psi: np.ndarray, measurement: np.ndarray) -> np.ndarray:
     return psi.T @ measurement.T @ psi.conj()
 
 
-def _certify(ensemble: WeightedEnsemble, symmetry_op: HermitianOperator, tol: float = 1e-8):
+def _certify(ensemble: WeightedEnsemble, symmetry_op: HermitianOperator):
     """Search for an optimal POVM; return (certified, povm or None).
 
     Dual infeasibility of the prescribed operator for the generated
@@ -86,7 +86,7 @@ def _certify(ensemble: WeightedEnsemble, symmetry_op: HermitianOperator, tol: fl
         povm = reconstruct_povm(ensemble, symmetry_op, comp)
     except (ValueError, InfeasibleDualError):
         return False, None
-    cert = verify_kkt(ensemble, symmetry_op, povm, tol)
+    cert = verify_kkt(ensemble, symmetry_op, povm, ANALYTIC_TOL)
     return cert.passed, tuple(povm) if cert.passed else None
 
 

@@ -141,16 +141,12 @@ class DiscriminationSolution:
     support: tuple[int, ...]
 
 
-def complementary_states(
-    symmetry_op,
-    ensemble: WeightedEnsemble,
-    feasibility_tol: float = DUAL_FEASIBILITY_TOL,
-) -> ComplementarySet:
+def complementary_states(symmetry_op, ensemble: WeightedEnsemble) -> ComplementarySet:
     """Recover weights and complementary states from a dual-feasible operator.
 
     Each weight is trace(K) - q_x and each state is (K - q_x rho_x)
     normalized by its weight. Operators violating K >= q_x rho_x beyond
-    feasibility_tol are rejected. Weights at or below 1e-12 flag a state
+    DUAL_FEASIBILITY_TOL are rejected. Weights at or below 1e-12 flag a state
     identified with certainty; its complementary state is returned absent.
     All gaps are diagonalized in one stacked call: sigma_x shares its
     gap's eigenvectors, with eigenvalues scaled by 1 / r_x.
@@ -163,11 +159,11 @@ def complementary_states(
     values, vectors = _eigh(k - ensemble.priors[:, None, None] * ensemble.matrices)
     live = weights > DEGENERATE_WEIGHT_TOL
     scaled = values[live] / weights[live, None]
-    defect = values[:, -1] < -feasibility_tol
+    defect = values[:, -1] < -DUAL_FEASIBILITY_TOL
     defect[live] |= scaled[:, -1] < -COMPLEMENTARY_NOISE_TOL
     if defect.any():
         x = int(np.argmax(defect))
-        if values[x, -1] < -feasibility_tol:
+        if values[x, -1] < -DUAL_FEASIBILITY_TOL:
             raise InfeasibleDualError(
                 f"K - q_x rho_x has eigenvalue {values[x, -1]:.3e} for state {x}"
             )
@@ -198,10 +194,11 @@ def reconstruct_povm(
     Every candidate has trace one, so sum_j w_j m_j = I with w >= 0 says
     exactly that I/d is the convex combination with weights w_j / d: hull
     membership, solved by Wolfe's minimum-norm point
-    (convex_weights_for_center) on the coordinates of the candidates and
-    I/d in their span. Each element sums the weighted candidates of its
-    state. The kernels come from the spectra the set holds, so nothing is
-    diagonalized here. Raises InfeasibleDualError when no kernel is
+    (convex_weights_for_center) on the rows Re + Im of the candidates and
+    of I/d: that map takes Hermitian matrices isometrically into R^(d*d),
+    since their symmetric and antisymmetric parts are orthogonal. Each
+    element sums the weighted candidates of its state. The kernels come
+    from the spectra the set holds, so nothing is diagonalized here. Raises InfeasibleDualError when no kernel is
     non-trivial or the candidates cannot resolve the identity.
     """
     n, d = ensemble.size, ensemble.dim
@@ -228,14 +225,9 @@ def reconstruct_povm(
     )
     projectors = np.einsum("ni,nj->nij", vectors, vectors.conj())
 
-    # Re + Im maps Hermitian matrices isometrically into R^(d*d): the symmetric
-    # and antisymmetric parts are orthogonal. Orthonormal coordinates of the
-    # span then keep every distance and shorten the vectors to n + 1.
     flat = (projectors.real + projectors.imag).reshape(owners.size, -1)
-    points = np.vstack([flat, np.eye(d).reshape(1, -1) / d])
-    coords = np.linalg.qr(points.T, mode="r").T
     try:
-        weights = d * convex_weights_for_center(coords[:-1], coords[-1])
+        weights = d * convex_weights_for_center(flat, np.eye(d).reshape(-1) / d)
     except ValueError as exc:
         raise InfeasibleDualError("kernel projectors do not resolve the identity") from exc
     np.add.at(povm, owners, weights[:, None, None] * projectors)

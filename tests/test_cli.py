@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 import os
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 import qdiscrim
+import qdiscrim.errors
 
 from qdiscrim import (
     HermitianOperator,
@@ -18,6 +20,7 @@ from qdiscrim import (
     verify_kkt,
 )
 from qdiscrim.cli import main
+from qdiscrim.errors import DiscriminationError, UnsupportedInstanceError
 from qdiscrim.serialize import (
     certificate_to_json,
     ensemble_from_json,
@@ -238,6 +241,53 @@ class TestCliSolve:
         assert main(["solve", trine_file, "--out", str(target)]) == 0
         assert json.loads(target.read_text())["p_guess"] == pytest.approx(2 / 3, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "ensemble",
+        [
+            trine(),
+            random_ensemble(2, 8, pure=False, seed=31),
+            random_ensemble(16, 2, pure=False, seed=32),
+        ],
+        ids=["trine", "qubit-mixed-8", "pair-mixed-16"],
+    )
+    def test_certificate_equals_verify_of_the_printed_document(self, ensemble, tmp_path, capsys):
+        ensemble_path = tmp_path / "e.json"
+        ensemble_path.write_text(json.dumps(ensemble_to_json(ensemble)))
+        assert main(["solve", str(ensemble_path), "--verify"]) == 0
+        printed = capsys.readouterr().out
+        certificate = json.loads(printed)["certificate"]
+        solution_path = tmp_path / "sol.json"
+        solution_path.write_text(printed)
+        assert main(["verify", str(ensemble_path), str(solution_path)]) == 0
+        verified = json.loads(capsys.readouterr().out)
+        assert list(certificate) == list(verified)
+        for key in verified:
+            assert certificate[key] == verified[key], key
+        assert certificate["tolerance"] == 1e-8 and certificate["verdict"] == "pass"
+
+
+class TestExitCodeMap:
+    """main maps every package error to its documented exit code."""
+
+    @pytest.mark.parametrize(
+        "error",
+        [
+            cls
+            for _, cls in inspect.getmembers(qdiscrim.errors, inspect.isclass)
+            if issubclass(cls, DiscriminationError)
+        ]
+        + [ValueError],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_raised_error_exits_with_its_code(self, error, trine_file, monkeypatch, capsys):
+        def failing_solve(ensemble):
+            raise error("injected failure")
+
+        monkeypatch.setattr("qdiscrim.cli.solve", failing_solve)
+        expected = 3 if issubclass(error, (UnsupportedInstanceError, ValueError)) else 4
+        assert main(["solve", trine_file, "--verify"]) == expected
+        assert capsys.readouterr().err == "error: injected failure\n"
+
 
 _ZERO = [[0.0, 0.0], [0.0, 0.0]]
 # A defective state and the diagnostic that names it; the other four
@@ -327,8 +377,66 @@ _FUZZ = {
 }
 
 
+_HUGE = [[1e308, -1e308], [-1e308, 1e308]]
+
+
+def _trine_candidate(defect: str) -> dict:
+    """The trine's solution document with one defect."""
+    doc = solution_to_json(solve(trine()))
+    if defect.startswith("huge-povm"):
+        for element in doc["povm"]:
+            element["re"] = _HUGE
+    if defect == "huge-povm-without-K":
+        del doc["K"]
+    elif defect == "nan-povm-entry":
+        doc["povm"][0]["re"][0][0] = math.nan
+    elif defect == "wrong-povm-count":
+        doc["povm"].pop()
+    elif defect == "missing-povm":
+        del doc["povm"]
+    elif defect == "povm-not-array":
+        doc["povm"] = 5
+    return doc
+
+
+# Defective verify candidates for the trine and generate operators, with their exit codes.
+_VERIFY_FUZZ = {
+    "huge-povm-with-K": 4,
+    "huge-povm-without-K": 4,
+    "nan-povm-entry": 2,
+    "wrong-povm-count": 2,
+    "missing-povm": 2,
+    "povm-not-array": 2,
+}
+_GENERATE_FUZZ = {
+    "huge-operator": (_HUGE, 4),
+    "non-hermitian": ([[0.5, 0.3], [0.1, 0.5]], 3),
+    "trace-2": ([[1.0, 0.0], [0.0, 1.0]], 3),
+}
+
+
+def _one_error_line(err: str) -> bool:
+    lines = err.splitlines()
+    return "Traceback" not in err and sum(line.startswith("error:") for line in lines) == 1
+
+
 class TestCliFuzz:
     """Every malformed document exits 2 or 3 with a diagnostic naming its field."""
+
+    @pytest.mark.parametrize("case", sorted(_VERIFY_FUZZ))
+    def test_verify_candidate_exits_with_its_code(self, case, trine_file, tmp_path, capsys):
+        path = tmp_path / "candidate.json"
+        path.write_text(json.dumps(_trine_candidate(case)))
+        assert main(["verify", trine_file, str(path)]) == _VERIFY_FUZZ[case]
+        assert _one_error_line(capsys.readouterr().err)
+
+    @pytest.mark.parametrize("case", sorted(_GENERATE_FUZZ))
+    def test_generate_operator_exits_with_its_code(self, case, tmp_path, capsys):
+        re, code = _GENERATE_FUZZ[case]
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"dim": 2, "re": re, "im": _ZERO}))
+        assert main(["generate", str(path), "--mode", "steering"]) == code
+        assert _one_error_line(capsys.readouterr().err)
 
     @pytest.mark.parametrize("case", sorted(_FUZZ))
     def test_exits_cleanly_naming_the_field(self, case, tmp_path, capsys):
@@ -364,6 +472,14 @@ class TestCliProcess:
         assert proc.returncode == 2, proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error:")
+
+    @pytest.mark.parametrize("case", ["huge-povm-with-K", "huge-povm-without-K"])
+    def test_huge_candidate_exits_4_without_traceback(self, case, trine_file, tmp_path):
+        path = tmp_path / "candidate.json"
+        path.write_text(json.dumps(_trine_candidate(case)))
+        proc = _run_python("-m", "qdiscrim.cli", "verify", trine_file, str(path))
+        assert proc.returncode == 4, proc.stderr
+        assert _one_error_line(proc.stderr), proc.stderr
 
     def test_import_leaves_scipy_unloaded(self):
         proc = _run_python("-c", "import sys, qdiscrim; print('scipy' in sys.modules)")
