@@ -7,11 +7,9 @@ generators that construct ensembles from a prescribed symmetry operator.
 """
 
 from .bloch import (
-    BallResult,
     ShiftedBallResult,
     convex_weights_for_center,
     from_bloch,
-    min_enclosing_ball,
     shifted_ball_dual,
     to_bloch,
 )
@@ -68,7 +66,6 @@ from .solve import (
 )
 
 __all__ = [
-    "BallResult",
     "ComplementarySet",
     "ConditionalTable",
     "ConvergenceError",
@@ -100,7 +97,6 @@ __all__ = [
     "hermitian_eigen",
     "identity_class_example",
     "is_psd",
-    "min_enclosing_ball",
     "partial_trace",
     "probability_forms",
     "purify",

@@ -2,22 +2,17 @@
 
 A qubit state is rho(v) = (I + v . sigma)/2 with sigma the standard Pauli
 triple and |0> the +Z eigenstate. Dual optimization of qubit discrimination
-reduces to ball problems over scaled Bloch points:
+is the "shifted" enclosing ball: minimize over k the piecewise-smooth
+convex function f(k) = max_x (q_x + |k - q_x v_x|), the smallest ball
+enclosing the balls B(q_x v_x, q_x). Equal priors are equal shifts, and
+then the optimum is the minimum enclosing ball of the points v_x / N, with
+t = 1/N plus its radius.
 
-* equal priors: the minimum enclosing ball of the points v_x / N,
-* general priors: minimize over k the piecewise-smooth convex function
-  f(k) = max_x (q_x + |k - q_x v_x|), the "shifted" enclosing ball.
-
-Both are solved exactly here. The minimum enclosing ball uses Welzl's
-move-to-front recursion (LNCS 555, 1991) under Gaertner's pivoting (ESA
-1999): each step takes the farthest point outside the ball in one
-vectorized scan and re-solves a support of at most four points with it
-pinned to the boundary, each boundary ball a closed-form circumball. The
-shifted problem, the smallest ball enclosing the balls
-B(q_x v_x, q_x), is LP-type of combinatorial dimension four (Matousek,
-Sharir and Welzl, Algorithmica 16, 1996) but not Welzl-solvable (Fischer
-and Gaertner, IJCGA 14, 2004); basis improvement solves it, re-solving a
-basis of at most four balls with the most violated ball in closed form.
+The problem is LP-type of combinatorial dimension four (Matousek, Sharir
+and Welzl, Algorithmica 16, 1996; Fischer and Gaertner, IJCGA 14, 2004),
+the ball of points being its equal-radius case. One exact algorithm
+solves it for every prior: basis improvement, re-solving a basis of at
+most four balls with the most violated ball in closed form.
 Convex weights witnessing an optimum come from Wolfe's minimum-norm point,
 which works in any dimension: it finds the weights of the POVM search,
 for every d, in the real coordinates of d x d operators.
@@ -26,7 +21,6 @@ for every d, in the real coordinates of d x d operators.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -40,10 +34,6 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 BLOCH_NORM_TOL = 1e-10
-SUPPORT_TOL = 1e-9
-_DEDUP_TOL = 1e-12
-_CONTAIN_EPS = 1 + 1e-14
-_MAX_PIVOT_STEPS = 100_000  # the radius rises each step; this only guards rounding
 _WOLFE_RTOL = 1e-14  # Wolfe's stop: target reached, or no point measurably beyond
 
 
@@ -62,16 +52,6 @@ def _bloch_vectors(matrices: np.ndarray) -> np.ndarray:
         ],
         axis=-1,
     )
-
-
-def _lengths(vectors: np.ndarray) -> np.ndarray:
-    """Euclidean lengths of the rows, bit for bit as np.linalg.norm of each row.
-
-    np.linalg.norm(..., axis=1) sums the squares in another order and can
-    differ in the last bit, which moves the POVM that Wolfe's algorithm
-    picks among the many optimal ones of a fully supported ensemble.
-    """
-    return np.sqrt(np.matmul(vectors[..., None, :], vectors[..., :, None])[..., 0, 0])
 
 
 def to_bloch(rho) -> np.ndarray:
@@ -101,23 +81,6 @@ def from_bloch(v) -> DensityOperator:
 
 
 @dataclass(frozen=True, eq=False)
-class BallResult:
-    """Smallest ball enclosing a point set.
-
-    support holds the indices of input points on the boundary (within a
-    1e-9 relative tolerance); the center always lies in their convex
-    hull, which convex_weights_for_center can witness. seed records the
-    shuffle seed for reproducibility and steps the pivot steps taken.
-    """
-
-    center: np.ndarray
-    radius: float
-    support: tuple[int, ...]
-    seed: int
-    steps: int
-
-
-@dataclass(frozen=True, eq=False)
 class ShiftedBallResult:
     """Minimizer of max_x (shift_x + |k - point_x|) over k in R^3.
 
@@ -129,173 +92,6 @@ class ShiftedBallResult:
     value: float
     active: tuple[int, ...]
     steps: int
-
-
-def _ball_contains(center, radius_sq, p) -> bool:
-    d = p - center
-    return float(d @ d) <= radius_sq * _CONTAIN_EPS + 1e-30
-
-
-def _circumcenter_3(a, b, c):
-    """Center of the circle through three points, in their plane."""
-    ab = b - a
-    ac = c - a
-    g11 = float(ab @ ab)
-    g22 = float(ac @ ac)
-    g12 = float(ab @ ac)
-    det = g11 * g22 - g12 * g12
-    if det <= 1e-28 * max(g11 * g22, 1e-300):
-        return None
-    alpha = (0.5 * g11 * g22 - 0.5 * g22 * g12) / det
-    beta = (0.5 * g11 * g22 - 0.5 * g11 * g12) / det
-    return a + alpha * ab + beta * ac
-
-
-def _circumcenter_4(a, b, c, d):
-    """Center of the sphere through four points."""
-    m = 2.0 * np.array([b - a, c - a, d - a])
-    rhs = np.array([b @ b - a @ a, c @ c - a @ a, d @ d - a @ a])
-    det = float(np.linalg.det(m))
-    scale = max(float(np.max(np.abs(m))) ** 3, 1e-300)
-    if abs(det) <= 1e-12 * scale:
-        return None
-    return np.linalg.solve(m, rhs)
-
-
-def _circumball(points):
-    """Smallest ball with every one of at most four points on its sphere.
-
-    That is the circumball in the points' affine hull, in closed form, as
-    (center, radius_sq); None when the set is degenerate (collinear
-    triple, coplanar quadruple).
-    """
-    n = len(points)
-    if n == 1:
-        center = points[0]
-    elif n == 2:
-        center = 0.5 * (points[0] + points[1])
-    elif n == 3:
-        center = _circumcenter_3(*points)
-    else:
-        center = _circumcenter_4(*points)
-    if center is None:
-        return None
-    return center, max(float((p - center) @ (p - center)) for p in points)
-
-
-def _ball_of_basis(basis):
-    """Smallest ball enclosing at most four points, by subset enumeration."""
-    if not basis:
-        return None
-    best = None
-    n = len(basis)
-    for size in range(1, n + 1):
-        for subset in combinations(range(n), size):
-            ball = _circumball([basis[i] for i in subset])
-            if ball is None:
-                continue
-            center, radius_sq = ball
-            if all(_ball_contains(center, radius_sq, basis[i]) for i in range(n)):
-                if best is None or radius_sq < best[1]:
-                    best = ball
-    return best
-
-
-def _welzl(points: list, count: int, boundary: list):
-    """Welzl recursion over the first count points with a fixed boundary set.
-
-    Each boundary ball is the closed-form circumball; a degenerate boundary
-    falls back to the smallest ball enclosing it. Returns the ball
-    (center, radius_sq) and the boundary set defining it.
-    """
-    ball, defining = _circumball(boundary) or _ball_of_basis(boundary), boundary
-    if len(boundary) == 4:
-        return ball, defining
-    i = 0
-    while i < count:
-        p = points[i]
-        if not _ball_contains(ball[0], ball[1], p):
-            ball, defining = _welzl(points, i, boundary + [p])
-            points.pop(i)
-            points.insert(0, p)
-        i += 1
-    return ball, defining
-
-
-def _pivot_ball(pts: np.ndarray, max_iter: int = _MAX_PIVOT_STEPS):
-    """Smallest ball enclosing the rows of pts, by Welzl's recursion with pivoting.
-
-    Starting from the ball of the first point, each step scans every
-    point once for the farthest one outside the ball (the pivot) and
-    re-solves the support of at most four points with the pivot pinned to
-    the boundary: that ball encloses support and pivot, so its radius rises
-    strictly and no support repeats; max_iter only guards against
-    rounding. Returns (center, radius_sq, steps).
-    """
-    support = [pts[0]]
-    center, radius_sq, steps = pts[0], 0.0, 0
-    while True:
-        diff = pts - center
-        dist_sq = np.einsum("ij,ij->i", diff, diff)
-        pivot = int(np.argmax(dist_sq))
-        if dist_sq[pivot] <= radius_sq * _CONTAIN_EPS + 1e-30:
-            return center, radius_sq, steps
-        if steps == max_iter:
-            raise ConvergenceError(f"pivoting did not settle in {max_iter} steps")
-        steps += 1
-        (center, rise), support = _welzl(support, len(support), [pts[pivot]])
-        if rise <= radius_sq:
-            return center, rise, steps  # the rise fell below rounding
-        radius_sq = rise
-
-
-def _distinct(pts: np.ndarray) -> np.ndarray:
-    """Indices of the points kept when each drops within 1e-12 of an earlier kept one.
-
-    Points more than 2e-12 from every other point in x are kept and drop
-    nothing; the sequential rule runs only on the rest, so sets without
-    near pairs pay one sort.
-    """
-    order = np.argsort(pts[:, 0], kind="stable")
-    close = np.diff(pts[order, 0]) <= 2 * _DEDUP_TOL
-    near = np.zeros(len(pts), dtype=bool)
-    near[order[:-1][close]] = True
-    near[order[1:][close]] = True
-    keep = ~near
-    kept: list[int] = []
-    for i in np.flatnonzero(near):
-        if not kept or np.all(_lengths(pts[kept] - pts[i]) > _DEDUP_TOL):
-            kept.append(int(i))
-    keep[kept] = True
-    return np.flatnonzero(keep)
-
-
-def min_enclosing_ball(points, seed: int = 0) -> BallResult:
-    """Exact smallest enclosing ball of points in R^3.
-
-    Duplicates within 1e-12 are collapsed, the rest are shuffled with the
-    seed and solved by Welzl's recursion with pivoting (Gaertner, ESA
-    1999); support membership is evaluated on the original list afterwards.
-    """
-    pts = np.asarray(points, dtype=float)
-    if not len(pts):
-        raise ValueError("at least one point is required")
-    pts = pts.reshape(len(pts), 3)
-    if not np.all(np.isfinite(pts)):
-        raise ValueError("points must be finite")
-
-    kept = _distinct(pts)
-    order = list(range(len(kept)))
-    random.Random(seed).shuffle(order)
-    center, radius_sq, steps = _pivot_ball(pts[kept[order]])
-    radius = math.sqrt(max(radius_sq, 0.0))
-
-    tol = SUPPORT_TOL * (1.0 + radius)
-    on_sphere = np.abs(_lengths(pts - center) - radius) <= tol
-    support = tuple(int(i) for i in np.flatnonzero(on_sphere))
-    center = center.copy()
-    center.setflags(write=False)
-    return BallResult(center=center, radius=radius, support=support, seed=seed, steps=steps)
 
 
 def convex_weights_for_center(points, center, tol: float = 1e-9) -> np.ndarray:
@@ -365,7 +161,38 @@ def _solve_quadratic(a: float, b: float, c: float) -> list[float]:
     return [(-b - root) / (2 * a), (-b + root) / (2 * a)]
 
 
-def _basis_candidates(pts, shifts, subset) -> list[np.ndarray]:
+def _dot(u, v) -> float:
+    return u[0] * v[0] + u[1] * v[1] + u[2] * v[2]
+
+
+def _combination(coeff, vectors) -> tuple[float, float, float]:
+    """sum_j coeff_j vectors_j of 3-vectors."""
+    x = y = z = 0.0
+    for c, (u, v, w) in zip(coeff, vectors):
+        x, y, z = x + c * u, y + c * v, z + c * w
+    return x, y, z
+
+
+def _cramer(gram, rhs) -> tuple[float, list[list[float]]]:
+    """Determinant of a symmetric 2 x 2 or 3 x 3 Gram matrix and, by
+    Cramer's rule, its solutions times that determinant for each right side."""
+    if len(gram) == 2:
+        (a, b), (_, c) = gram
+        return a * c - b * b, [[c * r0 - b * r1, a * r1 - b * r0] for r0, r1 in rhs]
+    (a, b, c), (_, d, e), (_, _, f) = gram
+    c11, c12, c13 = d * f - e * e, c * e - b * f, b * e - c * d
+    c22, c23, c33 = a * f - c * c, b * c - a * e, a * d - b * b
+    return a * c11 + b * c12 + c * c13, [
+        [
+            c11 * r0 + c12 * r1 + c13 * r2,
+            c12 * r0 + c22 * r1 + c23 * r2,
+            c13 * r0 + c23 * r1 + c33 * r2,
+        ]
+        for r0, r1, r2 in rhs
+    ]
+
+
+def _basis_candidates(pts, shifts, subset) -> list[tuple[float, float, float]]:
     """Optimum over a subset if every subset constraint is active there.
 
     The optimal center lies in the affine hull of the active points, so
@@ -373,51 +200,55 @@ def _basis_candidates(pts, shifts, subset) -> list[np.ndarray]:
     constraint equations are linear in the center for a fixed value t,
     yielding center(t) affine in t; the remaining norm equation is then a
     quadratic in t. A root is the optimum iff its center lies in the
-    subset's convex hull (non-negative multipliers).
+    subset's convex hull (non-negative multipliers). pts and shifts are
+    indexed by the subset's members, with rows of three coordinates; the
+    arithmetic on these at most four 3-vectors runs on Python floats, the
+    Gram system by Cramer's rule.
     """
     idx = list(subset)
-    base = pts[idx[0]]
-    s0 = shifts[idx[0]]
+    (bx, by, bz), s0 = pts[idx[0]], shifts[idx[0]]
 
     if len(idx) == 1:
-        return [base]
+        return [(bx, by, bz)]
+
+    edges = [(x - bx, y - by, z - bz) for x, y, z in (pts[i] for i in idx[1:])]
 
     if len(idx) == 2:
-        delta = pts[idx[1]] - base
-        d = float(np.linalg.norm(delta))
+        ex, ey, ez = edges[0]
+        d = math.hypot(ex, ey, ez)
         if d < 1e-14:
             return []
         tau = 0.5 * (d + shifts[idx[1]] - s0)
         if tau < 0.0 or tau > d:
             return []
-        return [base + (tau / d) * delta]
+        f = tau / d
+        return [(bx + f * ex, by + f * ey, bz + f * ez)]
 
-    edges = np.array([pts[i] - base for i in idx[1:]])
-    diffs = np.array([shifts[i] - s0 for i in idx[1:]])
-    lengths_sq = np.sum(edges * edges, axis=1)
-    a_vec = lengths_sq - diffs * (np.array([shifts[i] for i in idx[1:]]) + s0)
-    b_vec = 2.0 * diffs
+    diffs = [shifts[i] - s0 for i in idx[1:]]
+    gram = [[_dot(e, f) for f in edges] for e in edges]
+    half_a = [0.5 * (gram[j][j] - diffs[j] * (shifts[i] + s0)) for j, i in enumerate(idx[1:])]
 
-    gram = edges @ edges.T
-    if abs(float(np.linalg.det(gram))) <= 1e-24 * max(float(np.prod(lengths_sq)), 1e-300):
+    det, (scaled_a, scaled_b) = _cramer(gram, [half_a, diffs])
+    if abs(det) <= 1e-24 * max(math.prod(gram[j][j] for j in range(len(edges))), 1e-300):
         return []
-    coeff_a, coeff_b = np.linalg.solve(gram, 0.5 * np.array([a_vec, b_vec]).T).T
-    w_a, w_b = coeff_a @ edges, coeff_b @ edges
+    coeff_a = [c / det for c in scaled_a]
+    coeff_b = [c / det for c in scaled_b]
+    w_a, w_b = _combination(coeff_a, edges), _combination(coeff_b, edges)
 
     # |w_a + t w_b|^2 = (t - s0)^2
-    qa = float(w_b @ w_b) - 1.0
-    qb = 2.0 * float(w_a @ w_b) + 2.0 * s0
-    qc = float(w_a @ w_a) - s0 * s0
+    qa = _dot(w_b, w_b) - 1.0
+    qb = 2.0 * _dot(w_a, w_b) + 2.0 * s0
+    qc = _dot(w_a, w_a) - s0 * s0
     out = []
     s_max = max(shifts[i] for i in idx)
     for t in _solve_quadratic(qa, qb, qc):
         if t < s_max - 1e-12:
             continue
-        coeff = coeff_a + t * coeff_b
-        if np.min(coeff) < -1e-9 or float(np.sum(coeff)) > 1.0 + 1e-9:
+        coeff = [a + t * b for a, b in zip(coeff_a, coeff_b)]
+        if min(coeff) < -1e-9 or sum(coeff) > 1.0 + 1e-9:
             continue
-        k = base + w_a + t * w_b
-        if all(abs(float(np.linalg.norm(k - pts[i])) - (t - shifts[i])) <= 1e-7 for i in idx):
+        k = (bx + w_a[0] + t * w_b[0], by + w_a[1] + t * w_b[1], bz + w_a[2] + t * w_b[2])
+        if all(abs(math.dist(k, pts[i]) - (t - shifts[i])) <= 1e-7 for i in idx):
             out.append(k)
     return out
 
@@ -427,15 +258,18 @@ def _improve_basis(pts, shifts, basis: tuple[int, ...], violator: int):
 
     The violator raises the optimum, so only subsets holding it (at most
     15) can be bases. A subset optimum feasible for all members is their
-    optimum: the candidate of least value over the members wins.
+    optimum: the candidate of least value over the members wins. Only the
+    members become rows of Python floats.
     """
     members = list(basis) + [violator]
+    rows = dict(zip(members, pts[members].tolist()))
+    member_shifts = dict(zip(members, shifts[members].tolist()))
     best = None
     for size in range(min(len(basis), 3) + 1):
         for rest in combinations(basis, size):
             subset = (violator,) + rest
-            for k in _basis_candidates(pts, shifts, subset):
-                value = float(np.max(shifts[members] + np.linalg.norm(pts[members] - k, axis=1)))
+            for k in _basis_candidates(rows, member_shifts, subset):
+                value = max(member_shifts[m] + math.dist(rows[m], k) for m in members)
                 if best is None or value < best[2]:
                     best = (subset, k, value)
     return best
@@ -447,7 +281,9 @@ def shifted_ball_dual(points, shifts, max_iter: int = 100_000) -> ShiftedBallRes
     Starting from the ball with the largest shift, each step re-solves the
     basis with the most violated ball; the value rises strictly, so no
     basis repeats. With no violation beyond a relative 1e-13 the basis
-    optimum is global. max_iter caps the improvement steps.
+    optimum is global. max_iter caps the improvement steps. With every
+    shift 1/N this is the smallest ball enclosing the points: its center
+    is center and its radius value - 1/N.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     s = np.asarray(shifts, dtype=float).reshape(-1)
@@ -478,6 +314,6 @@ def shifted_ball_dual(points, shifts, max_iter: int = 100_000) -> ShiftedBallRes
     gaps = s + np.linalg.norm(pts - k, axis=1)
     t = float(np.max(gaps))
     active = tuple(int(i) for i in np.flatnonzero(gaps >= t - 1e-7 * (1.0 + t)))
-    k = k.copy()
+    k = np.array(k, dtype=float)
     k.setflags(write=False)
     return ShiftedBallResult(center=k, value=t, active=active, steps=steps)

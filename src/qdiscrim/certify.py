@@ -105,8 +105,13 @@ class ProbabilityForms:
         return max(vals) - min(vals)
 
 
-def _povm_stack(ensemble: WeightedEnsemble, povm) -> np.ndarray:
-    """The POVM as one (N, d, d) stack, checked against the ensemble."""
+def _povm_stack(ensemble: WeightedEnsemble, povm) -> tuple[np.ndarray, np.ndarray]:
+    """The POVM as one (N, d, d) stack, checked against the ensemble, and its eigenvalues.
+
+    The stack is diagonalized before any product over it is formed, so
+    entries that overflow raise ConvergenceError there instead of first
+    warning in a product.
+    """
     d = ensemble.dim
     matrices = [_as_matrix(m) for m in povm]
     if len(matrices) != ensemble.size:
@@ -114,7 +119,8 @@ def _povm_stack(ensemble: WeightedEnsemble, povm) -> np.ndarray:
     for m in matrices:
         if m.shape != (d, d):
             raise ValueError(f"POVM element shape {m.shape} does not match dimension {d}")
-    return np.stack(matrices)
+    stack = np.stack(matrices)
+    return stack, _eigvalsh(stack)
 
 
 def _peak(values: np.ndarray) -> float:
@@ -123,9 +129,13 @@ def _peak(values: np.ndarray) -> float:
 
 
 def _certificate_from(
-    ensemble: WeightedEnsemble, k: np.ndarray, povm: np.ndarray, tol: float
+    ensemble: WeightedEnsemble,
+    k: np.ndarray,
+    povm: np.ndarray,
+    povm_eigenvalues: np.ndarray,
+    tol: float,
 ) -> KktCertificate:
-    """Residuals from three stacked spectra: the gaps, the POVM, the legacy operators."""
+    """Residuals from three stacked spectra: the gaps, the POVM (passed in), the legacy operators."""
     q = ensemble.priors
     rhos = ensemble.matrices
     weighted = q[:, None, None] * rhos
@@ -145,7 +155,7 @@ def _certificate_from(
     orthogonality = _peak(weights[live] * overlaps)
 
     completeness = float(np.max(np.abs(povm.sum(axis=0) - np.eye(ensemble.dim))))
-    povm_positivity = max(0.0, float(np.max(-_eigvalsh(povm)[:, -1])))
+    povm_positivity = max(0.0, float(np.max(-povm_eigenvalues[:, -1])))
 
     # one batched product over y > x per x, never an (N, N, d, d) tensor; a
     # pair with an all-zero element is exactly zero, so only nonzero ones enter
@@ -199,7 +209,7 @@ def verify_kkt(
     d = ensemble.dim
     if k.shape != (d, d):
         raise ValueError(f"operator shape {k.shape} does not match dimension {d}")
-    return _certificate_from(ensemble, k, _povm_stack(ensemble, povm), tol)
+    return _certificate_from(ensemble, k, *_povm_stack(ensemble, povm), tol)
 
 
 def verify_legacy_conditions(
@@ -211,10 +221,10 @@ def verify_legacy_conditions(
     Hermitian at the optimum) and evaluates the same residual set, so a
     verdict here agrees with verify_kkt on optimal candidates.
     """
-    povm = _povm_stack(ensemble, povm)
+    povm, povm_eigenvalues = _povm_stack(ensemble, povm)
     k = (ensemble.priors[:, None, None] * ensemble.matrices @ povm).sum(axis=0)
     k = (k + k.conj().T) / 2.0
-    return _certificate_from(ensemble, k, povm, tol)
+    return _certificate_from(ensemble, k, povm, povm_eigenvalues, tol)
 
 
 def probability_forms(

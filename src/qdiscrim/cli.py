@@ -4,7 +4,7 @@ One entry point with subcommands solve | verify | generate | sweep |
 oracle. Results go to standard output as JSON (or CSV for sweeps) with
 nine significant digits; diagnostics go to standard error. Commands
 raise, and main alone turns an error into its exit code: 0 success, 2 a
-document that cannot be read, 3 an unsupported instance or invalid
+file that cannot be read or written, 3 an unsupported instance or invalid
 parameters (UnsupportedInstanceError, ValueError), 4 any other package
 error (non-convergence, an infeasible dual), 5 generated output failed
 certification (the output is still written).
@@ -47,17 +47,17 @@ EXIT_NO_CONVERGENCE = 4
 EXIT_UNCERTIFIED = 5
 
 
-class _ParseError(Exception):
-    """A document that cannot be read; its message names the file."""
+class _FileError(Exception):
+    """A file that cannot be read or written; its message names the file."""
 
 
 @contextmanager
 def _reading(path: str, errors=(ValueError,)):
-    """Turn the given errors, raised while reading the document at path, into a parse error."""
+    """Turn the given errors, raised while reading the document at path, into a file error."""
     try:
         yield
     except errors as exc:
-        raise _ParseError(f"{path}: {exc}") from exc
+        raise _FileError(f"{path}: {exc}") from exc
 
 
 def _load_json(path: str):
@@ -65,9 +65,9 @@ def _load_json(path: str):
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
     except OSError as exc:
-        raise _ParseError(f"{path}: {exc}") from exc
+        raise _FileError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise _ParseError(
+        raise _FileError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
 
@@ -107,8 +107,11 @@ def _certificate(ensemble, doc, tol: float, legacy: bool = False) -> dict:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        try:
+            with open(out, "w", encoding="utf-8") as handle:
+                handle.write(text + "\n")
+        except OSError as exc:
+            raise _FileError(f"{out}: {exc}") from exc
     else:
         print(text)
 
@@ -257,9 +260,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (_ParseError, ValueError, DiscriminationError) as exc:
+    except (_FileError, ValueError, DiscriminationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        if isinstance(exc, _ParseError):
+        if isinstance(exc, _FileError):
             return EXIT_PARSE
         if isinstance(exc, (UnsupportedInstanceError, ValueError)):
             return EXIT_UNSUPPORTED

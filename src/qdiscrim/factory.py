@@ -83,7 +83,7 @@ def _certify(ensemble: WeightedEnsemble, symmetry_op: HermitianOperator):
     """
     try:
         comp = complementary_states(symmetry_op, ensemble)
-        povm = reconstruct_povm(ensemble, symmetry_op, comp)
+        povm = reconstruct_povm(ensemble, comp)
     except (ValueError, InfeasibleDualError):
         return False, None
     cert = verify_kkt(ensemble, symmetry_op, povm, ANALYTIC_TOL)

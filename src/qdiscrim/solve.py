@@ -3,14 +3,15 @@
 Produces complete solutions: guessing probability, the unique symmetry
 operator of the dual problem, complementary states, an optimal POVM and
 its support. Closed forms cover a single state or dimension one, two
-states in any dimension and arbitrary qubit ensembles (exact
-enclosing-ball reduction for equal priors, exact shifted-ball dual for
-general priors). Given the symmetry operator, one search in any
-dimension finds an optimal POVM on the kernels of the complementary
-states (reconstruct_povm); the qubit solvers and the generators both use
-it. Ensembles of three or more states in dimension three or higher have
-no known solver and are rejected; the certificate module can still check
-externally supplied candidates.
+states in any dimension and arbitrary qubit ensembles, through one exact
+shifted-ball dual for every prior (equal priors are equal shifts, and
+the dual is then the paper's minimum enclosing ball). Given the symmetry
+operator, one search in any dimension finds an optimal POVM on the
+kernels of the complementary states (reconstruct_povm); the qubit
+solvers and the generators both use it. Ensembles of three or more
+states in dimension three or higher have no known solver and are
+rejected; the certificate module can still check externally supplied
+candidates.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .bloch import (
     _bloch_vectors,
     _operators,
     convex_weights_for_center,
-    min_enclosing_ball,
     shifted_ball_dual,
 )
 from .errors import InfeasibleDualError, UnsupportedInstanceError
@@ -178,9 +178,7 @@ def complementary_states(symmetry_op, ensemble: WeightedEnsemble) -> Complementa
 
 
 def reconstruct_povm(
-    ensemble: WeightedEnsemble,
-    symmetry_op,
-    complementary: ComplementarySet,
+    ensemble: WeightedEnsemble, complementary: ComplementarySet
 ) -> list[HermitianOperator]:
     """Optimal POVM for K from the kernels of its complementary states, any d.
 
@@ -198,8 +196,9 @@ def reconstruct_povm(
     of I/d: that map takes Hermitian matrices isometrically into R^(d*d),
     since their symmetric and antisymmetric parts are orthogonal. Each
     element sums the weighted candidates of its state. The kernels come
-    from the spectra the set holds, so nothing is diagonalized here. Raises InfeasibleDualError when no kernel is
-    non-trivial or the candidates cannot resolve the identity.
+    from the spectra the set holds, so nothing is diagonalized here, and
+    the ensemble gives the dimension. Raises InfeasibleDualError when no
+    kernel is non-trivial or the candidates cannot resolve the identity.
     """
     n, d = ensemble.size, ensemble.dim
     povm = np.zeros((n, d, d), dtype=complex)
@@ -304,63 +303,51 @@ def helstrom_two_state(ensemble: WeightedEnsemble) -> DiscriminationSolution:
     )
 
 
-def _solve_qubit_from_ball(
-    ensemble: WeightedEnsemble, value: float, center: np.ndarray
-) -> DiscriminationSolution:
-    sym = HermitianOperator(_operators(value, center))
-    comp = complementary_states(sym, ensemble)
-    povm = reconstruct_povm(ensemble, sym, comp)
-    return _assemble(ensemble, sym, comp, povm)
-
-
 def solve_qubit_equal_priors(ensemble: WeightedEnsemble) -> DiscriminationSolution:
     """Exact solution for any qubit ensemble with uniform priors.
 
     Dual feasibility of K = (t I + k . sigma)/2 says t - 1/N must bound
     the distance from k to every scaled Bloch point v_x / N, so the
     optimum is the minimum enclosing ball of those points: t is 1/N plus
-    its radius and k is its center.
+    its radius and k is its center. That ball is the shifted-ball dual
+    with every shift 1/N, which solve_qubit solves.
     """
     if ensemble.dim != 2:
         raise UnsupportedInstanceError("geometric solver applies to qubit ensembles only")
     n = ensemble.size
     if float(np.max(np.abs(ensemble.priors - 1.0 / n))) > UNIFORM_PRIOR_TOL:
         raise ValueError("geometric solver requires uniform priors")
-
-    points = _bloch_vectors(ensemble.matrices) / n
-    ball = min_enclosing_ball(points)
-    return _solve_qubit_from_ball(ensemble, 1.0 / n + ball.radius, ball.center)
+    return solve_qubit(ensemble)
 
 
 def solve_qubit(ensemble: WeightedEnsemble) -> DiscriminationSolution:
     """Exact solution for any qubit ensemble with arbitrary priors.
 
     Solves the shifted-ball dual min_k max_x (q_x + |k - q_x v_x|) and
-    rebuilds complementary states and POVM from its optimum.
+    rebuilds complementary states and POVM from its optimum
+    K = (t I + k . sigma)/2.
     """
     if ensemble.dim != 2:
         raise UnsupportedInstanceError("qubit solver applies to qubit ensembles only")
     points = ensemble.priors[:, None] * _bloch_vectors(ensemble.matrices)
     result = shifted_ball_dual(points, ensemble.priors)
-    return _solve_qubit_from_ball(ensemble, result.value, result.center)
+    sym = HermitianOperator(_operators(result.value, result.center))
+    comp = complementary_states(sym, ensemble)
+    return _assemble(ensemble, sym, comp, reconstruct_povm(ensemble, comp))
 
 
 def solve(ensemble: WeightedEnsemble) -> DiscriminationSolution:
     """Dispatch to the strongest applicable solver.
 
     A single state or dimension one is trivial; two states of any
-    dimension use the closed form; qubit ensembles use the geometric
-    solver for uniform priors and the shifted-ball dual otherwise.
-    Anything else is unsupported.
+    dimension use the closed form; qubit ensembles of any priors use the
+    shifted-ball dual. Anything else is unsupported.
     """
     if ensemble.size == 1 or ensemble.dim == 1:
         return _trivial_solution(ensemble)
     if ensemble.size == 2:
         return helstrom_two_state(ensemble)
     if ensemble.dim == 2:
-        n = ensemble.size
-        if float(np.max(np.abs(ensemble.priors - 1.0 / n))) <= UNIFORM_PRIOR_TOL:
-            return solve_qubit_equal_priors(ensemble)
         return solve_qubit(ensemble)
     raise UnsupportedInstanceError(
         "no solver for three or more states beyond qubits; "

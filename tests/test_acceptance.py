@@ -33,7 +33,11 @@ from qdiscrim import (
 from qdiscrim.families import isosceles_triple, orthogonal_pairs, trine
 from qdiscrim.operators import HermitianOperator
 
-from conftest import random_class_element_params, random_rotation_3d
+from conftest import (
+    random_class_element_params,
+    random_rotation_3d,
+    reference_min_enclosing_ball,
+)
 
 
 @contextmanager
@@ -155,7 +159,7 @@ def test_criterion_5_kkt_soundness_and_equivalence():
 
 
 def test_criterion_6_dual_optimum_uniqueness():
-    with criterion(6, "geometric and shifted-ball solvers agree on the symmetry operator"):
+    with criterion(6, "both qubit solvers agree on K; trace K is 1/N plus the ball radius"):
         for seed in range(100):
             n = 2 + seed % 5
             e = random_ensemble(2, n, pure=(seed % 2 == 0), seed=7000 + seed)
@@ -163,6 +167,8 @@ def test_criterion_6_dual_optimum_uniqueness():
             a = solve_qubit_equal_priors(uniform)
             b = solve_qubit(uniform)
             assert np.max(np.abs(a.symmetry_op.matrix - b.symmetry_op.matrix)) <= 1e-6
+            _, radius, _ = reference_min_enclosing_ball([to_bloch(s) / n for s in e.states])
+            assert abs(a.symmetry_op.trace() - (1.0 / n + radius)) <= 1e-12
 
 
 def test_criterion_7_factory_round_trip():

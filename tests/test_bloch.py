@@ -1,5 +1,4 @@
 import math
-import random
 from itertools import combinations
 
 import numpy as np
@@ -14,7 +13,6 @@ from qdiscrim import (
     convex_weights_for_center,
     dual_grid_oracle,
     from_bloch,
-    min_enclosing_ball,
     random_ensemble,
     shifted_ball_dual,
     solve_qubit,
@@ -29,7 +27,7 @@ from qdiscrim.families import (
     orthogonal_pairs,
 )
 
-from conftest import random_rotation_3d
+from conftest import random_rotation_3d, reference_min_enclosing_ball
 
 
 def brute_force_meb_radius(points, resolution=2e-3):
@@ -52,43 +50,13 @@ def brute_force_meb_radius(points, resolution=2e-3):
     return best
 
 
-def reference_welzl(points, count, boundary):
-    """Welzl's move-to-front recursion over the whole list, each boundary
-    ball by subset enumeration: what min_enclosing_ball ran before pivoting."""
-    ball = bloch._ball_of_basis(boundary)
-    if len(boundary) == 4:
-        return ball
-    i = 0
-    while i < count:
-        p = points[i]
-        if ball is None or not bloch._ball_contains(ball[0], ball[1], p):
-            ball = reference_welzl(points, i, boundary + [p])
-            points.pop(i)
-            points.insert(0, p)
-        i += 1
-    return ball
-
-
-def sequential_distinct(points):
-    """Indices kept when a point drops within 1e-12 of a point kept before it."""
-    kept = []
-    for i, p in enumerate(points):
-        if all(float(np.linalg.norm(p - points[j])) > 1e-12 for j in kept):
-            kept.append(i)
-    return kept
-
-
-def reference_min_enclosing_ball(points, seed=0):
-    """Center, radius and support by the sequential collapse and reference_welzl."""
-    pts = [np.asarray(p, dtype=float) for p in points]
-    unique = [pts[i] for i in sequential_distinct(pts)]
-    random.Random(seed).shuffle(unique)
-    center, radius_sq = reference_welzl(unique, len(unique), [])
-    radius = math.sqrt(max(radius_sq, 0.0))
-    tol = bloch.SUPPORT_TOL * (1.0 + radius)
-    lengths = [float(np.linalg.norm(p - center)) for p in pts]
-    support = tuple(i for i, r in enumerate(lengths) if abs(r - radius) <= tol)
-    return center, radius, support
+def equal_shift_ball(points):
+    """Center, radius and active set of the smallest ball enclosing the points,
+    as the shifted-ball dual with every shift 1/n: radius = value - 1/n."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    n = len(pts)
+    result = shifted_ball_dual(pts, np.full(n, 1.0 / n))
+    return result.center, result.value - 1.0 / n, result.active
 
 
 def ball_instance(kind, rng):
@@ -237,17 +205,19 @@ class TestBlochConversion:
 
 
 class TestMinEnclosingBall:
+    """The minimum enclosing ball as the equal-shift case of shifted_ball_dual."""
+
     def test_single_point(self):
-        ball = min_enclosing_ball([np.array([0.2, -0.1, 0.5])])
-        assert ball.radius == 0.0
-        assert np.allclose(ball.center, [0.2, -0.1, 0.5])
-        assert ball.support == (0,)
+        center, radius, active = equal_shift_ball([np.array([0.2, -0.1, 0.5])])
+        assert radius == 0.0
+        assert np.allclose(center, [0.2, -0.1, 0.5])
+        assert active == (0,)
 
     def test_two_points(self):
-        ball = min_enclosing_ball([np.array([1.0, 0, 0]), np.array([-1.0, 0, 0])])
-        assert ball.radius == pytest.approx(1.0, abs=1e-12)
-        assert np.allclose(ball.center, 0.0, atol=1e-12)
-        assert ball.support == (0, 1)
+        center, radius, active = equal_shift_ball([np.array([1.0, 0, 0]), np.array([-1.0, 0, 0])])
+        assert radius == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(center, 0.0, atol=1e-12)
+        assert active == (0, 1)
 
     def test_isosceles_triple(self):
         theta = math.pi / 3
@@ -255,185 +225,85 @@ class TestMinEnclosingBall:
             np.array([math.sin(a), 0.0, math.cos(a)]) / 3
             for a in (theta, 0.0, -theta)
         ]
-        ball = min_enclosing_ball(pts)
-        assert ball.radius == pytest.approx(math.sin(theta) / 3, abs=1e-12)
-        assert ball.support == (0, 2)
+        _, radius, active = equal_shift_ball(pts)
+        assert radius == pytest.approx(math.sin(theta) / 3, abs=1e-12)
+        assert active == (0, 2)
 
     def test_scaled_tetrahedron(self):
         pts = [v / 4 for v in REGULAR_TETRAHEDRON]
-        ball = min_enclosing_ball(pts)
-        assert np.allclose(ball.center, 0.0, atol=1e-12)
-        assert ball.radius == pytest.approx(0.25, abs=1e-12)
+        center, radius, _ = equal_shift_ball(pts)
+        assert np.allclose(center, 0.0, atol=1e-12)
+        assert radius == pytest.approx(0.25, abs=1e-12)
         oracle = brute_force_meb_radius(pts)
-        assert abs(ball.radius - oracle) <= 4e-3
+        assert abs(radius - oracle) <= 4e-3
 
     def test_matches_brute_force_on_random_sets(self, rng):
         for n in (2, 3, 4, 5, 6):
             pts = [rng.uniform(-1, 1, 3) for _ in range(n)]
-            ball = min_enclosing_ball(pts)
+            _, radius, _ = equal_shift_ball(pts)
             oracle = brute_force_meb_radius(pts, resolution=1e-3)
-            assert ball.radius <= oracle + 1e-9
-            assert abs(ball.radius - oracle) <= 3e-3
+            assert radius <= oracle + 1e-9
+            assert abs(radius - oracle) <= 3e-3
 
     def test_containment_and_support_invariants(self, rng):
         for trial in range(20):
             n = int(rng.integers(1, 9))
             pts = [rng.uniform(-1, 1, 3) for _ in range(n)]
-            ball = min_enclosing_ball(pts)
-            dists = [float(np.linalg.norm(p - ball.center)) for p in pts]
-            assert max(dists) <= ball.radius + 1e-9
-            assert ball.support
-            for idx in ball.support:
-                assert abs(dists[idx] - ball.radius) <= 1e-9 * (1 + ball.radius)
+            center, radius, active = equal_shift_ball(pts)
+            dists = [float(np.linalg.norm(p - center)) for p in pts]
+            assert max(dists) <= radius + 1e-9
+            assert active
+            for idx in active:
+                assert abs(dists[idx] - radius) <= 1e-9 * (1 + radius)
             # center is witnessed inside the support hull
-            weights = convex_weights_for_center([pts[i] for i in ball.support], ball.center)
-            mix = sum(w * pts[i] for w, i in zip(weights, ball.support))
-            assert np.linalg.norm(mix - ball.center) <= 1e-9
+            weights = convex_weights_for_center([pts[i] for i in active], center)
+            mix = sum(w * pts[i] for w, i in zip(weights, active))
+            assert np.linalg.norm(mix - center) <= 1e-9
 
     def test_rigid_motion_invariance(self, rng):
         pts = [rng.uniform(-1, 1, 3) for _ in range(5)]
-        base = min_enclosing_ball(pts)
+        base_center, base_radius, _ = equal_shift_ball(pts)
         for _ in range(10):
             rot = random_rotation_3d(rng)
             shift = rng.uniform(-2, 2, 3)
             moved = [rot @ p + shift for p in pts]
-            ball = min_enclosing_ball(moved)
-            assert abs(ball.radius - base.radius) <= 1e-9
-            assert np.linalg.norm(ball.center - (rot @ base.center + shift)) <= 1e-9
+            center, radius, _ = equal_shift_ball(moved)
+            assert abs(radius - base_radius) <= 1e-9
+            assert np.linalg.norm(center - (rot @ base_center + shift)) <= 1e-9
 
     def test_duplicates_are_harmless(self):
         p = np.array([0.3, 0.0, 0.1])
         q = np.array([-0.3, 0.0, 0.1])
-        ball = min_enclosing_ball([p, p + 1e-13, q, q])
-        assert ball.radius == pytest.approx(0.3, abs=1e-12)
-        assert ball.support == (0, 1, 2, 3)
-
-    def test_duplicate_collapse_and_support_match_loop_reference(self, rng):
-        # the original per-pair loops: a point is dropped only when it lies
-        # within 1e-12 of a point kept before it; the pivoting core then runs
-        # on that list shuffled with the same seed
-        def reference(points, seed=0):
-            pts = [np.asarray(p, dtype=float) for p in points]
-            unique = []
-            for p in pts:
-                if all(float(np.linalg.norm(p - u)) > 1e-12 for u in unique):
-                    unique.append(p)
-            random.Random(seed).shuffle(unique)
-            center, radius_sq, _ = bloch._pivot_ball(np.array(unique))
-            radius = math.sqrt(max(radius_sq, 0.0))
-            tol = bloch.SUPPORT_TOL * (1.0 + radius)
-            lengths = [float(np.linalg.norm(p - center)) for p in pts]
-            support = tuple(i for i, r in enumerate(lengths) if abs(r - radius) <= tol)
-            return center, radius, support
-
-        step = np.array([1.0, 0.0, 0.0])
-        for trial in range(40):
-            base = list(rng.standard_normal((int(rng.integers(2, 12)), 3)) * 0.3)
-            a = base[0]
-            # a chain a, a + 0.8e-12, a + 1.6e-12 keeps its third point
-            pts = base + [a + 0.8e-12 * step, a + 1.6e-12 * step, base[-1] + 0.99e-12 * step]
-            pts += [base[-1] + 1.01e-12 * step, base[1].copy()]
-            order = rng.permutation(len(pts))
-            pts = [pts[i] for i in order]
-            center, radius, support = reference(pts, seed=trial)
-            ball = min_enclosing_ball(pts, seed=trial)
-            assert np.array_equal(ball.center, center) and ball.radius == radius
-            assert ball.support == support
+        _, radius, active = equal_shift_ball([p, p + 1e-13, q, q])
+        assert radius == pytest.approx(0.3, abs=1e-12)
+        assert active == (0, 1, 2, 3)
 
     @pytest.mark.parametrize(
         "kind",
         ["random", "coplanar", "collinear", "on-sphere", "cocircular", "near-duplicate", "family"],
     )
     def test_matches_reference_recursion(self, kind):
+        # near-duplicate balls can be about 1e-12 across, below the rounding
+        # of value - 1/n relative to the radius: their radius is held absolutely
         rng = np.random.default_rng([53, len(kind)])
         for trial in range(150):
             pts = ball_instance(kind, rng)
             center, radius, support = reference_min_enclosing_ball(pts, seed=trial)
-            ball = min_enclosing_ball(pts, seed=trial)
-            assert abs(ball.radius - radius) <= 1e-12 * radius
-            assert np.linalg.norm(ball.center - center) <= 1e-12
-            assert ball.support == support
-
-    def test_random_sets_need_no_subset_enumeration(self, monkeypatch):
-        # in general position every boundary ball has a closed form, and
-        # a handful of pivot steps settles even a thousand points
-        calls = {"enumerations": 0}
-        enumerate_subsets = bloch._ball_of_basis
-
-        def counted(*args):
-            calls["enumerations"] += 1
-            return enumerate_subsets(*args)
-
-        monkeypatch.setattr(bloch, "_ball_of_basis", counted)
-        for seed in range(60):
-            e = random_ensemble(2, 40, pure=False, seed=seed)
-            ball = min_enclosing_ball(bloch._bloch_vectors(e.matrices) / 40, seed=seed)
-            assert 1 <= ball.steps <= 20
-        assert calls["enumerations"] == 0
-        rng = np.random.default_rng(59)
-        for trial in range(20):
-            pts = rng.standard_normal((1000, 3))
-            if trial % 2:
-                pts /= np.linalg.norm(pts, axis=1, keepdims=True)  # all on one sphere
-            assert 1 <= min_enclosing_ball(pts / 1000, seed=trial).steps <= 20
-
-    def test_degenerate_boundary_falls_back_to_enclosing_ball(self):
-        # no circumball in closed form: a collinear triple, a coplanar square
-        a, b, c = np.array([-1.0, 0, 0]), np.array([1.0, 0, 0]), np.array([0.2, 0, 0])
-        assert bloch._circumball([a, c, b]) is None
-        (center, radius_sq), _ = bloch._welzl([], 0, [a, c, b])
-        assert np.array_equal(center, [0.0, 0, 0]) and radius_sq == 1.0
-        square = [np.array([x, y, 0.5]) for x, y in ((1, 0), (0, 1), (-1, 0), (0, -1))]
-        assert bloch._circumball(square) is None
-        (center, radius_sq), _ = bloch._welzl([], 0, square)
-        assert np.linalg.norm(center - [0, 0, 0.5]) <= 1e-15
-        assert radius_sq == pytest.approx(1.0, abs=1e-15)
-
-    def test_dedup_screen_matches_sequential_rule(self, rng):
-        along_x = np.array([1.0, 0.0, 0.0])
-        for trial in range(300):
-            n = int(rng.integers(1, 30))
-            pts = rng.standard_normal((n, 3)) * 0.3
-            if trial % 3 == 0:
-                pts[:, 0] = pts[0, 0]  # equal x: every point is screened in
-            chain = pts[int(rng.integers(n))] + np.outer(
-                np.arange(1, int(rng.integers(2, 6))), rng.uniform(0.5, 1.5) * 1e-12 * along_x
-            )
-            ties = pts[rng.integers(n, size=3)] + 1e-12 * rng.uniform(0.9, 1.1) * rng.standard_normal(
-                (3, 3)
-            ) / math.sqrt(3)
-            pts = np.vstack([pts, chain, ties])
-            pts = pts[rng.permutation(len(pts))]
-            assert list(bloch._distinct(pts)) == sequential_distinct(pts)
-
-    def test_max_iter_caps_pivot_steps(self):
-        e = random_ensemble(2, 40, pure=False, seed=3)
-        pts = bloch._bloch_vectors(e.matrices) / 40
-        steps = bloch._pivot_ball(pts)[2]
-        assert steps >= 2
-        with pytest.raises(ConvergenceError, match=f"{steps - 1} steps"):
-            bloch._pivot_ball(pts, max_iter=steps - 1)
-        assert bloch._pivot_ball(pts, max_iter=steps)[2] == steps
-
-    def test_seed_recorded_and_deterministic(self):
-        pts = [np.array([0.1, 0.2, 0.3]), np.array([-0.4, 0.0, 0.2]), np.array([0.0, 0.5, -0.1])]
-        a = min_enclosing_ball(pts, seed=7)
-        b = min_enclosing_ball(pts, seed=7)
-        assert a.seed == 7
-        assert np.array_equal(a.center, b.center) and a.radius == b.radius
-        c = min_enclosing_ball(pts, seed=99)
-        assert abs(a.radius - c.radius) <= 1e-12
-        assert np.linalg.norm(a.center - c.center) <= 1e-12
+            got_center, got_radius, active = equal_shift_ball(pts)
+            scale = 1.0 if kind == "near-duplicate" else radius
+            assert abs(got_radius - radius) <= 1e-12 * scale
+            assert np.linalg.norm(got_center - center) <= 1e-12
+            assert set(support) <= set(active)
 
     def test_collinear_points(self):
         pts = [np.array([x, 0.0, 0.0]) for x in (-0.5, -0.1, 0.2, 0.7)]
-        ball = min_enclosing_ball(pts)
-        assert ball.radius == pytest.approx(0.6, abs=1e-12)
-        assert np.allclose(ball.center, [0.1, 0, 0], atol=1e-12)
+        center, radius, _ = equal_shift_ball(pts)
+        assert radius == pytest.approx(0.6, abs=1e-12)
+        assert np.allclose(center, [0.1, 0, 0], atol=1e-12)
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
-            min_enclosing_ball([])
+            shifted_ball_dual([], [])
 
 
 class TestConvexWeights:
@@ -514,9 +384,9 @@ class TestShiftedBallDual:
         for trial in range(100):
             n = int(rng.integers(1, 7))
             pts = [rng.uniform(-1, 1, 3) / n for _ in range(n)]
-            ball = min_enclosing_ball(pts)
+            _, radius, _ = reference_min_enclosing_ball(pts)
             result = shifted_ball_dual(pts, [1.0 / n] * n)
-            assert abs(result.value - (1.0 / n + ball.radius)) <= 1e-7
+            assert abs(result.value - (1.0 / n + radius)) <= 1e-7
 
     def test_two_point_value_matches_trace_norm_formula(self, rng):
         for trial in range(100):
@@ -551,7 +421,7 @@ class TestShiftedBallDual:
         with pytest.raises(ValueError, match="finite"):
             shifted_ball_dual([np.array([np.nan, 0, 0]), np.ones(3)], [0.5, 0.5])
         with pytest.raises(ValueError, match="finite"):
-            min_enclosing_ball([np.array([np.inf, 0, 0])])
+            shifted_ball_dual([np.array([np.inf, 0, 0])], [1.0])
         with pytest.raises(ValueError, match="finite"):
             from_bloch([np.nan, 0, 0])
 

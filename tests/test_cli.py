@@ -448,6 +448,13 @@ class TestCliFuzz:
         assert err.startswith(f"error: {path}: ") and field in err
         assert "Traceback" not in err
 
+    def test_unwritable_out_exits_2_naming_the_file(self, trine_file, tmp_path, capsys):
+        out = tmp_path / "missing-directory" / "solution.json"
+        assert main(["solve", trine_file, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out}: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
 
 def _run_python(*args, timeout=60):
     """Run a fresh interpreter that imports qdiscrim from this checkout."""
@@ -480,6 +487,8 @@ class TestCliProcess:
         proc = _run_python("-m", "qdiscrim.cli", "verify", trine_file, str(path))
         assert proc.returncode == 4, proc.stderr
         assert _one_error_line(proc.stderr), proc.stderr
+        # no numpy warning precedes the diagnostic: stderr is that one line
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
 
     def test_import_leaves_scipy_unloaded(self):
         proc = _run_python("-c", "import sys, qdiscrim; print('scipy' in sys.modules)")

@@ -300,7 +300,7 @@ def reference_kernel_povm_search(ensemble, comp):
 def kernel_search(out, comp):
     """reconstruct_povm, with None for a search that finds no measurement."""
     try:
-        return reconstruct_povm(out.ensemble, out.symmetry_op, comp)
+        return reconstruct_povm(out.ensemble, comp)
     except InfeasibleDualError:
         return None
 

@@ -23,7 +23,7 @@ from qdiscrim import (
     verify_kkt,
 )
 
-from conftest import random_rotation_3d
+from conftest import random_rotation_3d, reference_min_enclosing_ball
 
 KINDS = (
     "near-duplicate",
@@ -94,6 +94,8 @@ def test_hard_geometry_certifies_agrees_and_is_invariant(kind, data):
     ball = solve_qubit_equal_priors(uniform).symmetry_op.matrix
     shifted = solve_qubit(uniform).symmetry_op.matrix
     assert np.max(np.abs(ball - shifted)) <= 1e-10, kind
+    _, radius, _ = reference_min_enclosing_ball(vectors / n)
+    assert abs(np.trace(ball).real - (1.0 / n + radius)) <= 1e-12, kind
 
     rotation = random_rotation_3d(rng)
     order = rng.permutation(n)

@@ -21,7 +21,7 @@ from qdiscrim import (
     trace_norm,
     verify_kkt,
 )
-from qdiscrim.bloch import _bloch_vectors, _lengths, _operators, convex_weights_for_center
+from qdiscrim.bloch import _bloch_vectors, _operators, convex_weights_for_center
 from qdiscrim.families import (
     REGULAR_TETRAHEDRON,
     inscribed_tetrahedron,
@@ -31,7 +31,7 @@ from qdiscrim.families import (
 )
 from qdiscrim.operators import _hermitian_operators
 
-from conftest import compose_rotations_unitary
+from conftest import compose_rotations_unitary, reference_min_enclosing_ball
 
 ZERO = from_bloch([0, 0, 1])
 ONE = from_bloch([0, 0, -1])
@@ -222,6 +222,9 @@ class TestSolveQubit:
             b = solve_qubit(uniform)
             assert abs(a.p_guess - b.p_guess) <= 1e-7
             assert np.max(np.abs(a.symmetry_op.matrix - b.symmetry_op.matrix)) <= 1e-6
+            points = _bloch_vectors(uniform.matrices) / n
+            _, radius, _ = reference_min_enclosing_ball(points)
+            assert a.p_guess == pytest.approx(1.0 / n + radius, abs=1e-12)
 
     def test_extreme_priors_approach_certainty(self, rng):
         eps = 1e-3
@@ -319,6 +322,16 @@ class TestComplementaryStates:
         assert comp.weights[0] == pytest.approx(0.0, abs=1e-12)
 
 
+def _lengths(vectors: np.ndarray) -> np.ndarray:
+    """Euclidean lengths of the rows, bit for bit as np.linalg.norm of each row.
+
+    np.linalg.norm(..., axis=1) sums the squares in another order and can
+    differ in the last bit, which moves the POVM that Wolfe's algorithm
+    picks among the many optimal ones of a fully supported ensemble.
+    """
+    return np.sqrt(np.matmul(vectors[..., None, :], vectors[..., :, None])[..., 0, 0])
+
+
 def reference_bloch_povm(ensemble, complementary):
     """The former qubit-only reconstruction: Wolfe in R^3 on the Bloch directions.
 
@@ -351,7 +364,7 @@ class TestReconstructPovm:
     def test_two_state_matches_helstrom_projectors(self):
         e = WeightedEnsemble([0.35, 0.65], [ZERO, PLUS])
         sol = helstrom_two_state(e)
-        rebuilt = reconstruct_povm(e, sol.symmetry_op, sol.complementary)
+        rebuilt = reconstruct_povm(e, sol.complementary)
         for ours, reference in zip(rebuilt, sol.povm):
             assert np.max(np.abs(ours.matrix - reference.matrix)) <= 1e-8
 
@@ -359,7 +372,7 @@ class TestReconstructPovm:
         for seed in range(25):
             e = random_ensemble(2, 2 + seed % 4, pure=(seed % 2 == 0), seed=700 + seed)
             sol = solve_qubit(e)
-            rebuilt = reconstruct_povm(e, sol.symmetry_op, sol.complementary)
+            rebuilt = reconstruct_povm(e, sol.complementary)
             total = sum(m.matrix for m in rebuilt)
             assert np.max(np.abs(total - np.eye(2))) <= 1e-9
             for m, sigma, weight in zip(
@@ -374,7 +387,7 @@ class TestReconstructPovm:
         for d in (3, 8, 64):
             e = random_ensemble(d, 2, pure=False, seed=11 + d)
             sol = helstrom_two_state(e)
-            rebuilt = reconstruct_povm(e, sol.symmetry_op, sol.complementary)
+            rebuilt = reconstruct_povm(e, sol.complementary)
             cert = verify_kkt(e, sol.symmetry_op, rebuilt, tol=1e-8)
             assert cert.passed, (d, cert.residuals())
 
@@ -387,7 +400,7 @@ class TestReconstructPovm:
         for e in ensembles:
             sol = solve(e)
             for povm in (
-                reconstruct_povm(e, sol.symmetry_op, sol.complementary),
+                reconstruct_povm(e, sol.complementary),
                 reference_bloch_povm(e, sol.complementary),
             ):
                 cert = verify_kkt(e, sol.symmetry_op, povm, tol=1e-8)
@@ -410,7 +423,7 @@ class TestReconstructPovm:
         comp = ComplementarySet(np.full(3, 0.5), states)
         mixed = DensityOperator(HermitianOperator(eye / 3))
         e = WeightedEnsemble([1 / 3] * 3, [mixed] * 3)
-        rebuilt = reconstruct_povm(e, HermitianOperator(eye / 2), comp)
+        rebuilt = reconstruct_povm(e, comp)
         for m, target in zip(rebuilt, [v] + kernels):
             assert np.max(np.abs(m.matrix - np.outer(target, target.conj()))) <= 1e-12
 
@@ -419,7 +432,7 @@ class TestReconstructPovm:
         sym = HermitianOperator(0.5 * PLUS.matrix)
         comp = complementary_states(sym, e)
         assert comp.states == (None, None)
-        rebuilt = reconstruct_povm(e, sym, comp)
+        rebuilt = reconstruct_povm(e, comp)
         assert np.array_equal(rebuilt[0].matrix, np.eye(2))
         assert np.array_equal(rebuilt[1].matrix, np.zeros((2, 2)))
 
@@ -427,7 +440,7 @@ class TestReconstructPovm:
         e = trine()
         sym = HermitianOperator(np.eye(2) / 2)
         with pytest.raises(InfeasibleDualError, match="no complementary state has a kernel"):
-            reconstruct_povm(e, sym, complementary_states(sym, e))
+            reconstruct_povm(e, complementary_states(sym, e))
 
     def test_kernels_that_miss_the_identity_are_infeasible(self):
         # only the first complementary state is pure: one projector cannot sum to I
@@ -436,7 +449,7 @@ class TestReconstructPovm:
         comp = complementary_states(sym, e)
         assert np.count_nonzero(comp.spectra.eigenvalues <= 1e-9) == 1
         with pytest.raises(InfeasibleDualError, match="do not resolve the identity"):
-            reconstruct_povm(e, sym, comp)
+            reconstruct_povm(e, comp)
 
     def test_kernels_come_from_the_gap_spectra(self):
         # the handed-over spectra match a fresh decomposition of each state
