@@ -12,10 +12,13 @@ The problem is LP-type of combinatorial dimension four (Matousek, Sharir
 and Welzl, Algorithmica 16, 1996; Fischer and Gaertner, IJCGA 14, 2004),
 the ball of points being its equal-radius case. One exact algorithm
 solves it for every prior: basis improvement, re-solving a basis of at
-most four balls with the most violated ball in closed form.
-Convex weights witnessing an optimum come from Wolfe's minimum-norm point,
-which works in any dimension: it finds the weights of the POVM search,
-for every d, in the real coordinates of d x d operators.
+most four balls with the most violated ball in closed form. The final
+basis and its barycentric multipliers witness the optimum, and they
+give the qubit POVM in closed form (solve.solve_qubit).
+Where no basis is known, convex weights come from Wolfe's minimum-norm
+point, which works in any dimension: it finds the weights of the POVM
+search for a given K, for every d, in the real coordinates of d x d
+operators.
 """
 
 from __future__ import annotations
@@ -85,13 +88,21 @@ class ShiftedBallResult:
     """Minimizer of max_x (shift_x + |k - point_x|) over k in R^3.
 
     value is the optimal objective; active lists the indices attaining it
-    within tolerance; steps counts the basis-improvement steps.
+    within tolerance; steps counts the basis-improvement steps. basis
+    holds the at most four indices whose optimum this is, and multipliers
+    their barycentric coordinates lambda >= 0, summing to one, with
+    center = sum_j lambda_j point_{basis_j}: the weights lambda_j
+    |center - point_j| witness the optimum (zero is in the convex hull of
+    the active directions), so they give an optimal measurement. A start
+    that no ball violates keeps the one-point basis, lambda = (1,).
     """
 
     center: np.ndarray
     value: float
     active: tuple[int, ...]
     steps: int
+    basis: tuple[int, ...]
+    multipliers: np.ndarray
 
 
 def convex_weights_for_center(points, center, tol: float = 1e-9) -> np.ndarray:
@@ -192,24 +203,27 @@ def _cramer(gram, rhs) -> tuple[float, list[list[float]]]:
     ]
 
 
-def _basis_candidates(pts, shifts, subset) -> list[tuple[float, float, float]]:
-    """Optimum over a subset if every subset constraint is active there.
+def _basis_candidates(pts, shifts, subset) -> list[tuple[tuple[float, float, float], list[float]]]:
+    """Optimum over a subset if every subset constraint is active there,
+    as pairs of a center and its multipliers over the subset.
 
     The optimal center lies in the affine hull of the active points, so
     restricting to that hull loses nothing. Differences of squared
     constraint equations are linear in the center for a fixed value t,
     yielding center(t) affine in t; the remaining norm equation is then a
     quadratic in t. A root is the optimum iff its center lies in the
-    subset's convex hull (non-negative multipliers). pts and shifts are
-    indexed by the subset's members, with rows of three coordinates; the
-    arithmetic on these at most four 3-vectors runs on Python floats, the
-    Gram system by Cramer's rule.
+    subset's convex hull: the multipliers, its barycentric coordinates
+    over the subset in order, are non-negative (to -1e-9, then clipped to
+    zero) and sum to one. pts and shifts are indexed by the subset's
+    members, with rows of three coordinates; the arithmetic on these at
+    most four 3-vectors runs on Python floats, the Gram system by
+    Cramer's rule.
     """
     idx = list(subset)
     (bx, by, bz), s0 = pts[idx[0]], shifts[idx[0]]
 
     if len(idx) == 1:
-        return [(bx, by, bz)]
+        return [((bx, by, bz), [1.0])]
 
     edges = [(x - bx, y - by, z - bz) for x, y, z in (pts[i] for i in idx[1:])]
 
@@ -222,7 +236,7 @@ def _basis_candidates(pts, shifts, subset) -> list[tuple[float, float, float]]:
         if tau < 0.0 or tau > d:
             return []
         f = tau / d
-        return [(bx + f * ex, by + f * ey, bz + f * ez)]
+        return [((bx + f * ex, by + f * ey, bz + f * ez), [1.0 - f, f])]
 
     diffs = [shifts[i] - s0 for i in idx[1:]]
     gram = [[_dot(e, f) for f in edges] for e in edges]
@@ -249,17 +263,20 @@ def _basis_candidates(pts, shifts, subset) -> list[tuple[float, float, float]]:
             continue
         k = (bx + w_a[0] + t * w_b[0], by + w_a[1] + t * w_b[1], bz + w_a[2] + t * w_b[2])
         if all(abs(math.dist(k, pts[i]) - (t - shifts[i])) <= 1e-7 for i in idx):
-            out.append(k)
+            lam = [max(c, 0.0) for c in [1.0 - sum(coeff)] + coeff]
+            total = sum(lam)
+            out.append((k, [c / total for c in lam]))
     return out
 
 
 def _improve_basis(pts, shifts, basis: tuple[int, ...], violator: int):
-    """Optimum over basis plus violator and a basis attaining it.
+    """Optimum over basis plus violator: (basis, multipliers, center, value).
 
     The violator raises the optimum, so only subsets holding it (at most
     15) can be bases. A subset optimum feasible for all members is their
-    optimum: the candidate of least value over the members wins. Only the
-    members become rows of Python floats.
+    optimum: the candidate of least value over the members wins, with its
+    multipliers over the new basis. Only the members become rows of
+    Python floats.
     """
     members = list(basis) + [violator]
     rows = dict(zip(members, pts[members].tolist()))
@@ -268,10 +285,10 @@ def _improve_basis(pts, shifts, basis: tuple[int, ...], violator: int):
     for size in range(min(len(basis), 3) + 1):
         for rest in combinations(basis, size):
             subset = (violator,) + rest
-            for k in _basis_candidates(rows, member_shifts, subset):
+            for k, lam in _basis_candidates(rows, member_shifts, subset):
                 value = max(member_shifts[m] + math.dist(rows[m], k) for m in members)
-                if best is None or value < best[2]:
-                    best = (subset, k, value)
+                if best is None or value < best[3]:
+                    best = (subset, lam, k, value)
     return best
 
 
@@ -296,7 +313,7 @@ def shifted_ball_dual(points, shifts, max_iter: int = 100_000) -> ShiftedBallRes
     if abs(float(np.sum(s)) - 1.0) > 1e-10:
         raise ValueError("shifts must sum to 1")
 
-    basis = (int(np.argmax(s)),)
+    basis, multipliers = (int(np.argmax(s)),), [1.0]
     k, t, steps = pts[basis[0]], float(s[basis[0]]), 0
     while True:
         gaps = s + np.linalg.norm(pts - k, axis=1)
@@ -306,7 +323,7 @@ def shifted_ball_dual(points, shifts, max_iter: int = 100_000) -> ShiftedBallRes
         if steps == max_iter:
             raise ConvergenceError(f"basis improvement did not settle in {max_iter} steps")
         steps += 1
-        basis, k, value = _improve_basis(pts, s, basis, violator)
+        basis, multipliers, k, value = _improve_basis(pts, s, basis, violator)
         if value <= t:
             break  # the rise fell below rounding: k is optimal to working precision
         t = value
@@ -315,5 +332,14 @@ def shifted_ball_dual(points, shifts, max_iter: int = 100_000) -> ShiftedBallRes
     t = float(np.max(gaps))
     active = tuple(int(i) for i in np.flatnonzero(gaps >= t - 1e-7 * (1.0 + t)))
     k = np.array(k, dtype=float)
-    k.setflags(write=False)
-    return ShiftedBallResult(center=k, value=t, active=active, steps=steps)
+    multipliers = np.array(multipliers, dtype=float)
+    for array in (k, multipliers):
+        array.setflags(write=False)
+    return ShiftedBallResult(
+        center=k,
+        value=t,
+        active=active,
+        steps=steps,
+        basis=basis,
+        multipliers=multipliers,
+    )

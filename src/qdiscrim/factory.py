@@ -7,7 +7,7 @@ sigma_x, which is exactly the decomposition an optimal discrimination of
 the resulting ensemble must produce. Whether the ensemble actually
 attains trace(K) as its guessing probability depends on an optimal POVM
 existing for that decomposition, so every output carries a certification
-flag backed by an explicit POVM search (the solvers' reconstruct_povm on
+flag backed by an explicit POVM search (solve.reconstruct_povm on
 the kernels of the complementary states) instead of an unchecked claim.
 
 The direct qubit constructor chooses the POVM data first and builds the

@@ -114,15 +114,43 @@ def ensemble_from_json(obj) -> WeightedEnsemble:
         raise ValueError(f"priors: must sum to 1, got {total!r}")
     q = q / total
 
-    matrices = [matrix_from_json(s, field=f"states[{i}]") for i, s in enumerate(states_json)]
-    dims = sorted({m.shape[0] for m in matrices})
-    if len(dims) > 1:
-        raise ValueError(f"ensemble: states must share one dimension, got {dims}")
-    states = _densities_from_rounded(np.stack(matrices)) if matrices else ()
+    matrices = _stacked_matrices(states_json)
+    if matrices is None:
+        parsed = [matrix_from_json(s, field=f"states[{i}]") for i, s in enumerate(states_json)]
+        dims = sorted({m.shape[0] for m in parsed})
+        if len(dims) > 1:
+            raise ValueError(f"ensemble: states must share one dimension, got {dims}")
+        matrices = np.stack(parsed) if parsed else None
+    states = _densities_from_rounded(matrices) if matrices is not None else ()
     try:
         return WeightedEnsemble(q, states)
     except ValueError as exc:
         raise ValueError(f"ensemble: {exc}") from exc
+
+
+def _stacked_matrices(states_json: list) -> np.ndarray | None:
+    """The state matrices (N, d, d) from one conversion of all re and one of all im.
+
+    None when any state is not an object with keys dim/re/im, the dims
+    differ or fall outside 1..MAX_DIM, or the entries do not convert to
+    that shape: matrix_from_json then parses state by state and names the
+    first defect.
+    """
+    if not states_json or not all(
+        isinstance(s, dict) and "re" in s and "im" in s and type(s.get("dim")) is int
+        for s in states_json
+    ):
+        return None
+    dim = states_json[0]["dim"]
+    if not 1 <= dim <= MAX_DIM or any(s["dim"] != dim for s in states_json):
+        return None
+    try:
+        re = np.asarray([s["re"] for s in states_json], dtype=float)
+        im = np.asarray([s["im"] for s in states_json], dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        return None
+    shape = (len(states_json), dim, dim)
+    return re + 1j * im if re.shape == shape and im.shape == shape else None
 
 
 def _densities_from_rounded(matrices: np.ndarray) -> tuple[DensityOperator, ...]:

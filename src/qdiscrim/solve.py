@@ -5,13 +5,13 @@ operator of the dual problem, complementary states, an optimal POVM and
 its support. Closed forms cover a single state or dimension one, two
 states in any dimension and arbitrary qubit ensembles, through one exact
 shifted-ball dual for every prior (equal priors are equal shifts, and
-the dual is then the paper's minimum enclosing ball). Given the symmetry
-operator, one search in any dimension finds an optimal POVM on the
-kernels of the complementary states (reconstruct_povm); the qubit
-solvers and the generators both use it. Ensembles of three or more
-states in dimension three or higher have no known solver and are
-rejected; the certificate module can still check externally supplied
-candidates.
+the dual is then the paper's minimum enclosing ball), whose basis gives
+the qubit POVM in closed form. Given only a symmetry operator, one
+search in any dimension finds an optimal POVM on the kernels of the
+complementary states (reconstruct_povm); the generators use it.
+Ensembles of three or more states in dimension three or higher have no
+known solver and are rejected; the certificate module can still check
+externally supplied candidates.
 """
 
 from __future__ import annotations
@@ -323,9 +323,18 @@ def solve_qubit_equal_priors(ensemble: WeightedEnsemble) -> DiscriminationSoluti
 def solve_qubit(ensemble: WeightedEnsemble) -> DiscriminationSolution:
     """Exact solution for any qubit ensemble with arbitrary priors.
 
-    Solves the shifted-ball dual min_k max_x (q_x + |k - q_x v_x|) and
-    rebuilds complementary states and POVM from its optimum
-    K = (t I + k . sigma)/2.
+    Solves the shifted-ball dual min_k max_x (q_x + |k - p_x|), with
+    p_x = q_x v_x, and rebuilds complementary states from its optimum
+    K = (t I + k . sigma)/2. The POVM comes in closed form from the dual's
+    basis, with no search: a state with no complementary state (r_x = 0)
+    attains trace(K) alone and takes the identity; otherwise, writing
+    k = sum_x lambda_x p_x over the basis, sum_x lambda_x (k - p_x) = 0
+    says the weights w_x proportional to lambda_x |k - p_x|, summing to
+    two, balance the directions u_x of the pure complementary states, and
+    M_x = w_x (I - u_x . sigma)/2 is an optimal POVM, zero off the basis.
+    k - p_x is taken in the dual's edge coordinates, the offset
+    sum_j lambda_j e_j minus e_x with e_x = p_x - p_b for the first basis
+    member b, so that near-duplicate points keep their small differences.
     """
     if ensemble.dim != 2:
         raise UnsupportedInstanceError("qubit solver applies to qubit ensembles only")
@@ -333,7 +342,21 @@ def solve_qubit(ensemble: WeightedEnsemble) -> DiscriminationSolution:
     result = shifted_ball_dual(points, ensemble.priors)
     sym = HermitianOperator(_operators(result.value, result.center))
     comp = complementary_states(sym, ensemble)
-    return _assemble(ensemble, sym, comp, reconstruct_povm(ensemble, comp))
+    povm = np.zeros((ensemble.size, 2, 2), dtype=complex)
+    absent = [x for x, sigma in enumerate(comp.states) if sigma is None]
+    if absent:
+        povm[absent[0]] = np.eye(2)
+    else:
+        basis, lam = list(result.basis), result.multipliers
+        edges = points[basis] - points[basis[0]]
+        offsets = lam @ edges - edges  # k - p_x for each basis member
+        weights = lam * np.linalg.norm(offsets, axis=1)
+        total = float(weights.sum())
+        if not total > 0.0:
+            raise InfeasibleDualError("the dual basis balances no measurement directions")
+        scale = 2.0 / total
+        povm[basis] = _operators(scale * weights, -scale * lam[:, None] * offsets)
+    return _assemble(ensemble, sym, comp, list(_hermitian_operators(povm)))
 
 
 def solve(ensemble: WeightedEnsemble) -> DiscriminationSolution:

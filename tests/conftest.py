@@ -5,7 +5,16 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from qdiscrim import HermitianOperator, SteeringMeasurement, convex_weights_for_center
+from qdiscrim import (
+    HermitianOperator,
+    SteeringMeasurement,
+    convex_weights_for_center,
+    reconstruct_povm,
+    shifted_ball_dual,
+    solve_qubit,
+    verify_kkt,
+)
+from qdiscrim.bloch import _bloch_vectors
 from qdiscrim.operators import hermitian_eigen
 
 
@@ -164,6 +173,34 @@ def reference_min_enclosing_ball(points, seed=0):
     lengths = [float(np.linalg.norm(p - center)) for p in pts]
     support = tuple(i for i, r in enumerate(lengths) if abs(r - radius) <= 1e-9 * (1.0 + radius))
     return center, radius, support
+
+
+def assert_basis_povm_matches_kernel_search(ensemble, tol=1e-8):
+    """solve_qubit's closed-form basis POVM against reconstruct_povm's search on its K.
+
+    Both certify at tol and reach trace K as the primal value within 1e-12.
+    The basis POVM is the identity on the first state with no complementary
+    state, if any, and otherwise lives on the dual basis: nonzero on at most
+    four active states, exactly zero elsewhere. Returns the solution.
+    """
+    solution = solve_qubit(ensemble)
+    points = ensemble.priors[:, None] * _bloch_vectors(ensemble.matrices)
+    dual = shifted_ball_dual(points, ensemble.priors)
+    trace_k = solution.symmetry_op.trace()
+    for povm in (solution.povm, reconstruct_povm(ensemble, solution.complementary)):
+        cert = verify_kkt(ensemble, solution.symmetry_op, povm, tol)
+        assert cert.passed, cert.residuals()
+        elements = np.stack([m.matrix for m in povm])
+        primal = np.einsum("x,xij,xji->", ensemble.priors, elements, ensemble.matrices).real
+        assert abs(primal - trace_k) <= 1e-12
+    nonzero = {x for x, m in enumerate(solution.povm) if np.any(m.matrix != 0)}
+    absent = [x for x, sigma in enumerate(solution.complementary.states) if sigma is None]
+    if absent:
+        assert nonzero == {absent[0]}
+    else:
+        assert nonzero <= set(dual.basis)
+    assert nonzero <= set(dual.active) and 1 <= len(nonzero) <= 4
+    return solution
 
 
 @pytest.fixture

@@ -50,6 +50,29 @@ def brute_force_meb_radius(points, resolution=2e-3):
     return best
 
 
+def assert_basis_witnesses_center(result, points):
+    """The dual's basis multipliers are barycentric coordinates of its center."""
+    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    lam = result.multipliers
+    assert 1 <= len(result.basis) <= 4 and len(lam) == len(result.basis)
+    assert len(set(result.basis)) == len(result.basis)
+    assert set(result.basis) <= set(result.active)
+    assert np.min(lam) >= 0.0 and abs(lam.sum() - 1.0) <= 1e-12
+    assert np.linalg.norm(lam @ pts[list(result.basis)] - result.center) <= 1e-12
+
+
+@pytest.fixture
+def basis_checked(monkeypatch):
+    """Check the basis and multipliers of every shifted_ball_dual result a test sees."""
+
+    def checked(points, shifts, *args, **kwargs):
+        result = bloch.shifted_ball_dual(points, shifts, *args, **kwargs)
+        assert_basis_witnesses_center(result, points)
+        return result
+
+    monkeypatch.setitem(globals(), "shifted_ball_dual", checked)
+
+
 def equal_shift_ball(points):
     """Center, radius and active set of the smallest ball enclosing the points,
     as the shifted-ball dual with every shift 1/n: radius = value - 1/n."""
@@ -100,7 +123,7 @@ def reference_shifted_ball(points, shifts):
         k
         for size in range(1, min(4, len(pts)) + 1)
         for subset in combinations(range(len(pts)), size)
-        for k in bloch._basis_candidates(pts, s, subset)
+        for k, _ in bloch._basis_candidates(pts, s, subset)
     ]
     cand = np.asarray(candidates)
     objective = np.max(s[None, :] + np.linalg.norm(cand[:, None, :] - pts[None, :, :], axis=2), axis=1)
@@ -204,6 +227,7 @@ class TestBlochConversion:
         assert np.max(np.abs(to_bloch(from_bloch(v)) - v)) <= 1e-12
 
 
+@pytest.mark.usefixtures("basis_checked")
 class TestMinEnclosingBall:
     """The minimum enclosing ball as the equal-shift case of shifted_ball_dual."""
 
@@ -372,6 +396,7 @@ class TestConvexWeights:
             convex_weights_for_center(vertices, outside)
 
 
+@pytest.mark.usefixtures("basis_checked")
 class TestShiftedBallDual:
     def test_single_point_is_certain(self):
         v = np.array([0.3, -0.2, 0.4])
@@ -410,6 +435,28 @@ class TestShiftedBallDual:
             gaps = [s + np.linalg.norm(result.center - p) for s, p in zip(shifts, pts)]
             assert result.value >= max(gaps) - 1e-8
             assert result.active
+
+    def test_dominant_shift_keeps_the_one_point_basis(self):
+        # 0.8 - 0.1 >= |k - p_x| for k = p_0: no ball is violated at the start
+        pts = [np.zeros(3), np.array([0.1, 0, 0]), np.array([0, -0.05, 0.05])]
+        result = shifted_ball_dual(pts, [0.8, 0.1, 0.1])
+        assert result.steps == 0 and result.value == 0.8
+        assert result.basis == (0,) and np.array_equal(result.multipliers, [1.0])
+
+    def test_collinear_and_coplanar_bases(self, rng):
+        for trial in range(60):
+            n = int(rng.integers(2, 12))
+            shifts = rng.dirichlet(np.ones(n))
+            if trial % 2:
+                pts = np.outer(rng.uniform(-1, 1, n), rng.standard_normal(3))
+            else:
+                pts = rng.uniform(-1, 1, (n, 3))
+                pts[:, 2] = 0.0
+                pts = pts @ random_rotation_3d(rng)
+            pts *= shifts[:, None] / np.maximum(1.0, np.linalg.norm(pts, axis=1, keepdims=True))
+            result = shifted_ball_dual(pts, shifts)
+            # an optimum in a line (plane) needs at most two (three) balls
+            assert len(result.basis) <= (2 if trial % 2 else 3)
 
     def test_input_validation(self):
         with pytest.raises(ValueError, match="equal length"):

@@ -201,6 +201,18 @@ class TestCliSolve:
         assert main(["verify", str(ensemble_path), str(solution_path), "--tol", "1e-8"]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
 
+    def test_near_duplicate_states_certify(self, tmp_path, capsys):
+        # five pure states within 1e-9 of one direction, equal priors
+        rng = np.random.default_rng(2)
+        vectors = np.array([0.6, 0.0, 0.8]) + 1e-9 * rng.standard_normal((5, 3))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        e = WeightedEnsemble(np.full(5, 0.2), [from_bloch(v) for v in vectors])
+        path = tmp_path / "near.json"
+        path.write_text(json.dumps(ensemble_to_json(e)))
+        assert main(["solve", str(path), "--verify"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["certificate"]["verdict"] == "pass"
+
     def test_malformed_json_exits_2(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text('{"priors": [0.5')

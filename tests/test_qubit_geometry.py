@@ -3,7 +3,9 @@
 Each example is one of the geometries that stress the exact qubit duals:
 near-duplicate states with unequal priors, collinear and coplanar Bloch
 sets, priors at the 1e-6 floor, maximally mixed members, near-antipodal
-pure pairs, and pure equal-prior sets on the whole sphere up to N=60.
+pure pairs, and pure equal-prior sets on the whole sphere up to N=60. On each, the
+qubit solver's basis POVM and the kernel search on the same K both
+certify.
 """
 
 import math
@@ -23,7 +25,11 @@ from qdiscrim import (
     verify_kkt,
 )
 
-from conftest import random_rotation_3d, reference_min_enclosing_ball
+from conftest import (
+    assert_basis_povm_matches_kernel_search,
+    random_rotation_3d,
+    reference_min_enclosing_ball,
+)
 
 KINDS = (
     "near-duplicate",
@@ -101,3 +107,15 @@ def test_hard_geometry_certifies_agrees_and_is_invariant(kind, data):
     order = rng.permutation(n)
     moved = WeightedEnsemble(priors[order], [from_bloch(rotation @ vectors[i]) for i in order])
     assert abs(solve(moved).p_guess - p) <= 1e-10, kind
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_basis_povm_matches_kernel_search(kind, data):
+    n = data.draw(st.integers(3, 60 if kind == "sphere" else 10), label="n")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    vectors, priors = hard_instance(kind, n, rng)
+    states = [from_bloch(v) for v in vectors]
+    for weights in (priors, np.full(n, 1.0 / n)):
+        assert_basis_povm_matches_kernel_search(WeightedEnsemble(weights, states))

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from qdiscrim import (
     trace_norm,
     verify_kkt,
 )
+from qdiscrim import bloch, factory
 from qdiscrim.bloch import _bloch_vectors, _operators, convex_weights_for_center
 from qdiscrim.families import (
     REGULAR_TETRAHEDRON,
@@ -31,7 +33,13 @@ from qdiscrim.families import (
 )
 from qdiscrim.operators import _hermitian_operators
 
-from conftest import compose_rotations_unitary, reference_min_enclosing_ball
+from conftest import (
+    assert_basis_povm_matches_kernel_search,
+    compose_rotations_unitary,
+    reference_min_enclosing_ball,
+)
+
+solve_module = importlib.import_module("qdiscrim.solve")  # the package exports solve()
 
 ZERO = from_bloch([0, 0, 1])
 ONE = from_bloch([0, 0, -1])
@@ -460,6 +468,75 @@ class TestReconstructPovm:
             built = ComplementarySet(sol.complementary.weights, sol.complementary.states).spectra
             assert np.max(np.abs(handed.eigenvalues - built.eigenvalues)) <= 1e-12
             assert np.max(np.abs(handed.reconstruct() - built.reconstruct())) <= 1e-12
+
+
+class TestBasisPovm:
+    """solve_qubit's POVM from the dual basis, against the kernel search on the same K."""
+
+    @pytest.mark.parametrize("pure", [True, False])
+    @pytest.mark.parametrize("uniform", [True, False])
+    def test_random_ensembles_match_kernel_search(self, pure, uniform):
+        for seed in range(12):
+            n = 3 + (seed * 11) % 58
+            e = random_ensemble(2, n, pure=pure, seed=6000 + seed)
+            if uniform:
+                e = WeightedEnsemble(np.full(n, 1.0 / n), e.states)
+            assert_basis_povm_matches_kernel_search(e)
+
+    def test_families_match_kernel_search(self, rng):
+        for angle in rng.uniform(0.05, math.pi, 6):
+            assert_basis_povm_matches_kernel_search(isosceles_triple(angle, base_angle=0.3))
+            assert_basis_povm_matches_kernel_search(orthogonal_pairs(angle / 2, base_angle=0.7))
+        for purity in (0.2, 0.7, 1.0):
+            sol = assert_basis_povm_matches_kernel_search(inscribed_tetrahedron(purity))
+            assert len(sol.support) == 4
+        assert assert_basis_povm_matches_kernel_search(trine()).support == (0, 1, 2)
+
+    def test_dominant_prior_takes_the_identity(self):
+        # q_0 - q_x >= |q_0 v_0 - q_x v_x| for every x: naming state 0 is optimal
+        e = WeightedEnsemble([0.8, 0.1, 0.1], [from_bloch([0, 0, 0]), ZERO, planar_pure(0.3)])
+        sol = assert_basis_povm_matches_kernel_search(e)
+        assert sol.p_guess == pytest.approx(0.8, abs=1e-12)
+        assert np.array_equal(sol.povm[0].matrix, np.eye(2))
+        assert sol.support == (0,)
+
+    @pytest.mark.parametrize("eps", [1e-10, 1e-9, 1e-8])
+    def test_near_duplicate_equal_prior_states_certify(self, eps):
+        # the kernel search raised on 42 of these 45 ensembles: the complementary
+        # states' kernels are resolved to about 1e-16 / eps only
+        for n in (3, 5, 8):
+            for seed in range(5):
+                e = near_duplicate_ensemble(n, eps, seed)
+                sol = solve(e)
+                cert = verify_kkt(e, sol.symmetry_op, sol.povm, tol=1e-8)
+                assert cert.passed, (n, seed, cert.residuals())
+
+    def test_solve_needs_no_hull_search(self, monkeypatch):
+        calls = []
+
+        def refuse(*args, **kwargs):
+            calls.append(args)
+            raise ValueError("target point is not in the convex hull of the given points")
+
+        for module in (bloch, solve_module):
+            monkeypatch.setattr(module, "convex_weights_for_center", refuse)
+        for seed in range(10):
+            e = random_ensemble(2, 3 + seed, pure=(seed % 2 == 0), seed=6100 + seed)
+            sol = solve(e)
+            assert verify_kkt(e, sol.symmetry_op, sol.povm, tol=1e-8).passed
+        assert calls == []
+        # a K given from outside still goes through the kernel search
+        assert factory._certify(e, sol.symmetry_op) == (False, None)
+        assert len(calls) == 1
+
+
+def near_duplicate_ensemble(n, eps, seed):
+    """n pure states at unit(v + eps g_i), g_i standard normal, uniform priors."""
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(3)
+    vectors = v / np.linalg.norm(v) + eps * rng.standard_normal((n, 3))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    return WeightedEnsemble(np.full(n, 1.0 / n), [from_bloch(u) for u in vectors])
 
 
 class TestSolveDispatch:
