@@ -241,7 +241,7 @@ def probability_forms(
     k = solution.symmetry_op.matrix
     trace_k = float(np.trace(k).real)
 
-    povm = np.stack([m.matrix for m in solution.povm])
+    povm = solution.povm_matrices
     primal = float(q @ np.einsum("xij,xji->x", povm, rhos).real)
     weights = trace_k - q
     average_weight = 1.0 / n + float(np.sum(weights)) / n

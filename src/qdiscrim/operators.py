@@ -11,7 +11,9 @@ diagonalized once: the helpers that need several spectral quantities of
 one matrix take them from a single decomposition. Validation, the
 eigensolver and the rebuild of states from a spectrum take stacks
 (..., d, d), so per-state work over an ensemble is one LAPACK call per
-layer; a single matrix is a stack of one.
+layer; a single matrix is a stack of one. Collections of operators are
+stored as such stacks; their tuples of wrapper objects are built from
+the stack on first access (_wrap_hermitian, _wrap_density).
 """
 
 from __future__ import annotations
@@ -278,24 +280,29 @@ def _hermitian_operators(matrices) -> tuple[HermitianOperator, ...]:
     return _wrap_hermitian(_hermitian_stack(matrices))
 
 
-def _density_from_spectrum(values: np.ndarray, vectors: np.ndarray) -> tuple[DensityOperator, ...]:
-    """States rebuilt from known spectra: values (N, d) descending, vectors (N, d, d).
-
-    Callers reject eigenvalues below their own noise floor first; the
-    rest of the negative noise is clipped to zero and each rebuilt matrix
-    normalized to unit trace. That makes every state Hermitian, unit
-    trace and PSD by construction, so the states are wrapped without
-    being validated or diagonalized again.
-    """
-    clipped = np.maximum(values, 0.0)
-    rebuilt = (vectors * clipped[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
-    rebuilt = rebuilt / np.trace(rebuilt, axis1=-2, axis2=-1).real[..., None, None]
+def _wrap_density(stack: np.ndarray) -> tuple[DensityOperator, ...]:
+    """Wrap each matrix of a frozen stack already built as states, unchecked."""
     states = []
-    for op in _wrap_hermitian(_symmetrized(rebuilt)):
+    for op in _wrap_hermitian(stack):
         rho = object.__new__(DensityOperator)
         object.__setattr__(rho, "op", op)
         states.append(rho)
     return tuple(states)
+
+
+def _state_stack(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Frozen states (N, d, d) rebuilt from known spectra: values (N, d), vectors (N, d, d).
+
+    Callers reject eigenvalues below their own noise floor first; the
+    rest of the negative noise is clipped to zero and each rebuilt matrix
+    normalized to unit trace. That makes every state Hermitian, unit
+    trace and PSD by construction, so the stack is wrapped as states
+    (_wrap_density) without being validated or diagonalized again.
+    """
+    clipped = np.maximum(values, 0.0)
+    rebuilt = (vectors * clipped[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
+    rebuilt = rebuilt / np.trace(rebuilt, axis1=-2, axis2=-1).real[..., None, None]
+    return _symmetrized(rebuilt)
 
 
 def purify(rho: DensityOperator) -> PureBipartiteState:

@@ -62,12 +62,8 @@ class TableGuessing:
 
 def conditional_table_from_povm(ensemble: WeightedEnsemble, povm) -> ConditionalTable:
     """Born-rule table P(x|y) = tr[M_x rho_y] for a measurement."""
-    n = ensemble.size
-    matrices = [_as_matrix(m) for m in povm]
-    table = np.zeros((n, n))
-    for y, rho in enumerate(ensemble.states):
-        for x in range(n):
-            table[x, y] = float(np.trace(matrices[x] @ rho.matrix).real)
+    matrices = np.stack([_as_matrix(m) for m in povm])
+    table = np.einsum("xij,yji->xy", matrices, ensemble.matrices).real
     return ConditionalTable(np.clip(table, 0.0, 1.0))
 
 

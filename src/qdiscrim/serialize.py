@@ -14,10 +14,9 @@ from .certify import KktCertificate
 from .factory import FactoryOutput
 from .operators import (
     MAX_DIM,
-    DensityOperator,
-    _density_from_spectrum,
     _eigh,
     _hermitian_stack,
+    _state_stack,
 )
 from .solve import DiscriminationSolution, WeightedEnsemble
 
@@ -70,14 +69,23 @@ def matrix_from_json(obj, field: str = "matrix") -> np.ndarray:
     return re + 1j * im
 
 
+def _stack_to_json(stack: np.ndarray) -> list[dict]:
+    """matrix_to_json of each matrix of a stack (N, d, d), with one tolist per part."""
+    dim = stack.shape[-1]
+    return [
+        {"dim": dim, "re": re, "im": im}
+        for re, im in zip(stack.real.tolist(), stack.imag.tolist())
+    ]
+
+
 def bloch_to_json(v) -> list[float]:
     return [float(x) for x in np.asarray(v, dtype=float).reshape(3)]
 
 
 def ensemble_to_json(ensemble: WeightedEnsemble) -> dict:
     return {
-        "priors": [float(q) for q in ensemble.priors],
-        "states": [matrix_to_json(s) for s in ensemble.states],
+        "priors": ensemble.priors.tolist(),
+        "states": _stack_to_json(ensemble.matrices),
     }
 
 
@@ -121,9 +129,9 @@ def ensemble_from_json(obj) -> WeightedEnsemble:
         if len(dims) > 1:
             raise ValueError(f"ensemble: states must share one dimension, got {dims}")
         matrices = np.stack(parsed) if parsed else None
-    states = _densities_from_rounded(matrices) if matrices is not None else ()
+    states = np.zeros((0, 0, 0)) if matrices is None else _states_from_rounded(matrices)
     try:
-        return WeightedEnsemble(q, states)
+        return WeightedEnsemble._from_matrices(q, states)
     except ValueError as exc:
         raise ValueError(f"ensemble: {exc}") from exc
 
@@ -153,8 +161,8 @@ def _stacked_matrices(states_json: list) -> np.ndarray | None:
     return re + 1j * im if re.shape == shape and im.shape == shape else None
 
 
-def _densities_from_rounded(matrices: np.ndarray) -> tuple[DensityOperator, ...]:
-    """Build states from serialized entries, absorbing rounding up to 1e-8.
+def _states_from_rounded(matrices: np.ndarray) -> np.ndarray:
+    """The frozen state stack of serialized entries, absorbing rounding up to 1e-8.
 
     The whole stack is validated and diagonalized at once; a defect names
     its state as states[i].
@@ -170,20 +178,21 @@ def _densities_from_rounded(matrices: np.ndarray) -> tuple[DensityOperator, ...]
     if negative.size:
         i = int(negative[0])
         raise ValueError(f"states[{i}]: state has negative eigenvalue {values[i, -1]:.3e}")
-    return _density_from_spectrum(values, vectors)
+    return _state_stack(values, vectors)
 
 
 def solution_to_json(solution: DiscriminationSolution) -> dict:
-    complementary = []
-    for r, sigma in zip(solution.complementary.weights, solution.complementary.states):
-        complementary.append(
-            {"r": float(r), "sigma": None if sigma is None else matrix_to_json(sigma)}
-        )
+    comp = solution.complementary
+    sigmas = iter(_stack_to_json(comp.matrices))
+    complementary = [
+        {"r": r, "sigma": next(sigmas) if present else None}
+        for r, present in zip(comp.weights.tolist(), comp.present.tolist())
+    ]
     return {
         "p_guess": float(solution.p_guess),
         "K": matrix_to_json(solution.symmetry_op),
         "complementary": complementary,
-        "povm": [matrix_to_json(m) for m in solution.povm],
+        "povm": _stack_to_json(solution.povm_matrices),
         "support": [int(x) for x in solution.support],
     }
 

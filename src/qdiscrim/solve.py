@@ -5,22 +5,32 @@ operator of the dual problem, complementary states, an optimal POVM and
 its support. Closed forms cover a single state or dimension one, two
 states in any dimension and arbitrary qubit ensembles, through one exact
 shifted-ball dual for every prior (equal priors are equal shifts, and
-the dual is then the paper's minimum enclosing ball), whose basis gives
-the qubit POVM in closed form. Given only a symmetry operator, one
+the dual is then the paper's minimum enclosing ball). On qubits the
+dual's center and value give the complementary states in closed form
+and its basis gives the POVM, so a qubit solve diagonalizes no gap; in
+other dimensions complementary_states diagonalizes the gaps
+K - q_x rho_x in one stacked call. Given only a symmetry operator, one
 search in any dimension finds an optimal POVM on the kernels of the
 complementary states (reconstruct_povm); the generators use it.
 Ensembles of three or more states in dimension three or higher have no
 known solver and are rejected; the certificate module can still check
 externally supplied candidates.
+
+Ensembles, complementary sets and solutions store their operators as
+read-only stacks (N, d, d), which every layer reads. Their states and
+povm tuples stay: one built from a stack wraps them on first access,
+in one pass over the stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .bloch import (
+    ShiftedBallResult,
     _bloch_vectors,
     _operators,
     convex_weights_for_center,
@@ -32,11 +42,14 @@ from .operators import (
     HermitianOperator,
     SpectralDecomposition,
     _as_matrix,
-    _density_from_spectrum,
     _eigh,
     _eigvalsh,
     _hermitian_operators,
+    _hermitian_stack,
     _negative_part_and_projector,
+    _state_stack,
+    _wrap_density,
+    _wrap_hermitian,
 )
 
 DEGENERATE_WEIGHT_TOL = 1e-12
@@ -47,12 +60,18 @@ UNIFORM_PRIOR_TOL = 1e-10
 COMPLEMENTARY_NOISE_TOL = 1e-6
 
 
+def _missing(obj, name: str) -> AttributeError:
+    return AttributeError(f"{type(obj).__name__!r} object has no attribute {name!r}")
+
+
 @dataclass(frozen=True, eq=False)
 class WeightedEnsemble:
     """Prior probabilities q_x and density operators rho_x of common dimension.
 
-    matrices is the read-only stack (N, d, d) of the state matrices, built
-    once, for the per-state work of the solvers and the certificate.
+    matrices is the read-only stack (N, d, d) of the state matrices, which
+    the solvers, the certificate and the serializer read. An ensemble
+    built from a stack (ensemble_from_json) wraps its states tuple from
+    that stack on first access.
     """
 
     priors: np.ndarray
@@ -61,35 +80,53 @@ class WeightedEnsemble:
     matrices: np.ndarray = field(init=False, repr=False)
 
     def __init__(self, priors, states, seed: int | None = None) -> None:
-        q = np.asarray(priors, dtype=float).reshape(-1)
         states = tuple(
             s if isinstance(s, DensityOperator) else DensityOperator(s) for s in states
         )
-        if len(q) != len(states) or len(states) == 0:
+        self._fill(priors, [s.matrix for s in states], seed)
+        object.__setattr__(self, "states", states)
+
+    def _fill(self, priors, matrices, seed) -> None:
+        q = np.asarray(priors, dtype=float).reshape(-1)
+        if len(q) != len(matrices) or len(matrices) == 0:
             raise ValueError("priors and states must be non-empty and of equal length")
         if np.any(q <= 0):
             raise ValueError("priors must be strictly positive")
         if abs(float(np.sum(q)) - 1.0) > 1e-10:
             raise ValueError(f"priors must sum to 1, got {float(np.sum(q))!r}")
-        dims = {s.dim for s in states}
-        if len(dims) != 1:
-            raise ValueError(f"states must share one dimension, got {sorted(dims)}")
+        if not isinstance(matrices, np.ndarray):
+            dims = {m.shape[0] for m in matrices}
+            if len(dims) != 1:
+                raise ValueError(f"states must share one dimension, got {sorted(dims)}")
+            matrices = np.stack(matrices)
+            matrices.setflags(write=False)
         q = q.copy()
         q.setflags(write=False)
-        matrices = np.stack([s.matrix for s in states])
-        matrices.setflags(write=False)
         object.__setattr__(self, "priors", q)
-        object.__setattr__(self, "states", states)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "matrices", matrices)
 
+    @classmethod
+    def _from_matrices(cls, priors, matrices: np.ndarray) -> WeightedEnsemble:
+        """An ensemble on a frozen stack of matrices already validated as states."""
+        out = object.__new__(cls)
+        out._fill(priors, matrices, None)
+        return out
+
+    def __getattr__(self, name: str):
+        if name != "states":
+            raise _missing(self, name)
+        states = _wrap_density(self.matrices)
+        object.__setattr__(self, "states", states)
+        return states
+
     @property
     def size(self) -> int:
-        return len(self.states)
+        return len(self.matrices)
 
     @property
     def dim(self) -> int:
-        return self.states[0].dim
+        return self.matrices.shape[-1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,47 +135,112 @@ class ComplementarySet:
 
     A state is None exactly when its weight is numerically zero, meaning
     the ensemble member is identified with certainty and its complementary
-    state is undefined. spectra stacks the eigenvalues (L, d), descending,
-    and eigenvector columns (L, d, d) of the L present states in order,
+    state is undefined. present marks the states that are not None, and
+    matrices stacks those L states (L, d, d) in order. A set built from
+    a stack (complementary_states, the qubit solver) wraps its states
+    tuple on first access. spectra stacks the eigenvalues (L, d),
+    descending, and eigenvector columns (L, d, d) of the present states,
     for the POVM search: complementary_states hands over the spectra of
-    the gaps it diagonalized, and a set built from its states derives them
-    in one stacked call.
+    the gaps it diagonalized, and any other set decomposes its states in
+    one stacked call on first access.
     """
 
     weights: np.ndarray
     states: tuple[DensityOperator | None, ...]
-    spectra: SpectralDecomposition = field(init=False, repr=False)
+    present: np.ndarray = field(init=False, repr=False)
+    matrices: np.ndarray = field(init=False, repr=False)
 
     def __init__(self, weights, states) -> None:
         states = tuple(states)
-        present = [s.matrix for s in states if s is not None]
-        empty = (np.zeros((0, 0)), np.zeros((0, 0, 0), dtype=complex))
-        self._fill(weights, states, *(_eigh(np.stack(present)) if present else empty))
-
-    def _fill(self, weights, states, values, vectors) -> None:
-        values.setflags(write=False)
-        vectors.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
+        present = np.array([s is not None for s in states], dtype=bool)
+        if present.any():
+            matrices = np.stack([s.matrix for s in states if s is not None])
+        else:
+            matrices = np.zeros((0, 0, 0), dtype=complex)
+        matrices.setflags(write=False)
+        self._fill(weights, matrices, present)
         object.__setattr__(self, "states", states)
-        object.__setattr__(self, "spectra", SpectralDecomposition(values, vectors))
+
+    def _fill(self, weights, matrices, present) -> None:
+        present.setflags(write=False)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "present", present)
+        object.__setattr__(self, "matrices", matrices)
 
     @classmethod
-    def _from_spectra(cls, weights, states, values, vectors) -> ComplementarySet:
-        """A set whose states' spectra are already known, decomposed no further."""
+    def _from_stack(cls, weights, matrices, present, spectra=None) -> ComplementarySet:
+        """A set on a frozen stack of the present states, with their spectra if known."""
         out = object.__new__(cls)
-        out._fill(weights, states, values, vectors)
+        out._fill(weights, matrices, present)
+        if spectra is not None:
+            object.__setattr__(out, "spectra", spectra)
         return out
+
+    def __getattr__(self, name: str):
+        if name != "states":
+            raise _missing(self, name)
+        wrapped = iter(_wrap_density(self.matrices))
+        states = tuple(next(wrapped) if keep else None for keep in self.present)
+        object.__setattr__(self, "states", states)
+        return states
+
+    @cached_property
+    def spectra(self) -> SpectralDecomposition:
+        if len(self.matrices):
+            values, vectors = _eigh(self.matrices)
+        else:
+            values, vectors = np.zeros((0, 0)), np.zeros((0, 0, 0), dtype=complex)
+        values.setflags(write=False)
+        vectors.setflags(write=False)
+        return SpectralDecomposition(values, vectors)
 
 
 @dataclass(frozen=True, eq=False)
 class DiscriminationSolution:
-    """A solved instance: value, dual optimum, complementary states, POVM."""
+    """A solved instance: value, dual optimum, complementary states, POVM.
+
+    povm_matrices is the read-only POVM stack (N, d, d). A solution built
+    from a stack (the solvers) wraps its povm tuple on first access.
+    """
 
     p_guess: float
     symmetry_op: HermitianOperator
     complementary: ComplementarySet
     povm: tuple[HermitianOperator, ...]
     support: tuple[int, ...]
+    povm_matrices: np.ndarray = field(init=False, repr=False)
+
+    def __init__(self, p_guess, symmetry_op, complementary, povm, support) -> None:
+        povm = tuple(
+            m if isinstance(m, HermitianOperator) else HermitianOperator(m) for m in povm
+        )
+        matrices = np.stack([m.matrix for m in povm])
+        matrices.setflags(write=False)
+        self._fill(p_guess, symmetry_op, complementary, matrices, support)
+        object.__setattr__(self, "povm", povm)
+
+    def _fill(self, p_guess, symmetry_op, complementary, matrices, support) -> None:
+        object.__setattr__(self, "p_guess", p_guess)
+        object.__setattr__(self, "symmetry_op", symmetry_op)
+        object.__setattr__(self, "complementary", complementary)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "povm_matrices", matrices)
+
+    @classmethod
+    def _from_stack(
+        cls, p_guess, symmetry_op, complementary, matrices, support
+    ) -> DiscriminationSolution:
+        """A solution on a frozen POVM stack already validated as Hermitian."""
+        out = object.__new__(cls)
+        out._fill(p_guess, symmetry_op, complementary, matrices, support)
+        return out
+
+    def __getattr__(self, name: str):
+        if name != "povm":
+            raise _missing(self, name)
+        povm = _wrap_hermitian(self.povm_matrices)
+        object.__setattr__(self, "povm", povm)
+        return povm
 
 
 def complementary_states(symmetry_op, ensemble: WeightedEnsemble) -> ComplementarySet:
@@ -170,11 +272,11 @@ def complementary_states(symmetry_op, ensemble: WeightedEnsemble) -> Complementa
         smallest = values[x, -1] / weights[x]
         raise InfeasibleDualError(f"operator has negative eigenvalue {smallest:.3e}")
     vectors = vectors[live]
-    rebuilt = iter(_density_from_spectrum(scaled, vectors))
-    states = tuple(next(rebuilt) if keep else None for keep in live)
     weights = np.maximum(weights, 0.0)
-    weights.setflags(write=False)
-    return ComplementarySet._from_spectra(weights, states, scaled, vectors)
+    for array in (weights, scaled, vectors):
+        array.setflags(write=False)
+    spectra = SpectralDecomposition(scaled, vectors)
+    return ComplementarySet._from_stack(weights, _state_stack(scaled, vectors), live, spectra)
 
 
 def reconstruct_povm(
@@ -202,9 +304,8 @@ def reconstruct_povm(
     """
     n, d = ensemble.size, ensemble.dim
     povm = np.zeros((n, d, d), dtype=complex)
-    absent = [x for x, sigma in enumerate(complementary.states) if sigma is None]
-    if absent:
-        povm[absent[0]] = np.eye(d)
+    if not complementary.present.all():
+        povm[np.argmin(complementary.present)] = np.eye(d)
         return list(_hermitian_operators(povm))
 
     rows = complementary.spectra.eigenvectors.swapaxes(1, 2)  # row j: eigenvector j
@@ -237,12 +338,12 @@ def _assemble(
     ensemble: WeightedEnsemble,
     sym: HermitianOperator,
     comp: ComplementarySet,
-    povm: list[HermitianOperator],
+    povm: np.ndarray,
 ) -> DiscriminationSolution:
-    """Combine solver outputs into a validated solution."""
+    """Combine solver outputs, the POVM as a stack (N, d, d), into a validated solution."""
     p_guess = sym.trace()
 
-    matrices = np.stack([m.matrix for m in povm])
+    matrices = _hermitian_stack(povm)
     if float(np.max(np.abs(matrices.sum(axis=0) - np.eye(ensemble.dim)))) > COMPLETENESS_TOL:
         raise InfeasibleDualError("POVM does not sum to the identity")
     if np.any(_eigvalsh(matrices)[:, -1] < -1e-10):
@@ -253,13 +354,7 @@ def _assemble(
 
     peaks = np.max(np.abs(matrices), axis=(1, 2))
     support = tuple(int(x) for x in np.flatnonzero(peaks > DEGENERATE_WEIGHT_TOL))
-    return DiscriminationSolution(
-        p_guess=p_guess,
-        symmetry_op=sym,
-        complementary=comp,
-        povm=tuple(povm),
-        support=support,
-    )
+    return DiscriminationSolution._from_stack(p_guess, sym, comp, matrices, support)
 
 
 def _trivial_solution(ensemble: WeightedEnsemble) -> DiscriminationSolution:
@@ -270,12 +365,10 @@ def _trivial_solution(ensemble: WeightedEnsemble) -> DiscriminationSolution:
     dimension one) and the identity as its POVM element.
     """
     m = int(np.argmax(ensemble.priors))
-    sym = HermitianOperator(ensemble.priors[m] * ensemble.states[m].matrix)
+    sym = HermitianOperator(ensemble.priors[m] * ensemble.matrices[m])
     povm = np.zeros((ensemble.size, ensemble.dim, ensemble.dim), dtype=complex)
     povm[m] = np.eye(ensemble.dim)
-    return _assemble(
-        ensemble, sym, complementary_states(sym, ensemble), list(_hermitian_operators(povm))
-    )
+    return _assemble(ensemble, sym, complementary_states(sym, ensemble), povm)
 
 
 def helstrom_two_state(ensemble: WeightedEnsemble) -> DiscriminationSolution:
@@ -289,28 +382,24 @@ def helstrom_two_state(ensemble: WeightedEnsemble) -> DiscriminationSolution:
     if ensemble.size != 2:
         raise ValueError(f"two-state solver got {ensemble.size} states")
     q1, q2 = ensemble.priors
-    rho1, rho2 = (s.matrix for s in ensemble.states)
+    rho1, rho2 = ensemble.matrices
     delta = q1 * rho1 - q2 * rho2
 
     negative, m1 = _negative_part_and_projector(delta)
     m2 = np.eye(ensemble.dim, dtype=complex) - m1
     sym = HermitianOperator(q1 * rho1 + negative)
-    return _assemble(
-        ensemble,
-        sym,
-        complementary_states(sym, ensemble),
-        [HermitianOperator(m1), HermitianOperator(m2)],
-    )
+    return _assemble(ensemble, sym, complementary_states(sym, ensemble), np.stack([m1, m2]))
 
 
 def solve_qubit_equal_priors(ensemble: WeightedEnsemble) -> DiscriminationSolution:
-    """Exact solution for any qubit ensemble with uniform priors.
+    """solve_qubit for uniform priors, kept as a documented alias.
 
     Dual feasibility of K = (t I + k . sigma)/2 says t - 1/N must bound
     the distance from k to every scaled Bloch point v_x / N, so the
     optimum is the minimum enclosing ball of those points: t is 1/N plus
     its radius and k is its center. That ball is the shifted-ball dual
-    with every shift 1/N, which solve_qubit solves.
+    with every shift 1/N, which solve_qubit solves. Raises ValueError
+    unless the priors are uniform.
     """
     if ensemble.dim != 2:
         raise UnsupportedInstanceError("geometric solver applies to qubit ensembles only")
@@ -321,42 +410,100 @@ def solve_qubit_equal_priors(ensemble: WeightedEnsemble) -> DiscriminationSoluti
 
 
 def solve_qubit(ensemble: WeightedEnsemble) -> DiscriminationSolution:
-    """Exact solution for any qubit ensemble with arbitrary priors.
+    """Exact solution for any qubit ensemble with arbitrary priors, with no eigensolver.
 
     Solves the shifted-ball dual min_k max_x (q_x + |k - p_x|), with
-    p_x = q_x v_x, and rebuilds complementary states from its optimum
-    K = (t I + k . sigma)/2. The POVM comes in closed form from the dual's
-    basis, with no search: a state with no complementary state (r_x = 0)
-    attains trace(K) alone and takes the identity; otherwise, writing
-    k = sum_x lambda_x p_x over the basis, sum_x lambda_x (k - p_x) = 0
-    says the weights w_x proportional to lambda_x |k - p_x|, summing to
-    two, balance the directions u_x of the pure complementary states, and
-    M_x = w_x (I - u_x . sigma)/2 is an optimal POVM, zero off the basis.
-    k - p_x is taken in the dual's edge coordinates, the offset
-    sum_j lambda_j e_j minus e_x with e_x = p_x - p_b for the first basis
-    member b, so that near-duplicate points keep their small differences.
+    p_x = q_x v_x; its optimum K = (t I + k . sigma)/2 gives the
+    complementary states and the POVM in closed form
+    (_qubit_complementary, _basis_povm).
     """
     if ensemble.dim != 2:
         raise UnsupportedInstanceError("qubit solver applies to qubit ensembles only")
     points = ensemble.priors[:, None] * _bloch_vectors(ensemble.matrices)
     result = shifted_ball_dual(points, ensemble.priors)
     sym = HermitianOperator(_operators(result.value, result.center))
-    comp = complementary_states(sym, ensemble)
-    povm = np.zeros((ensemble.size, 2, 2), dtype=complex)
-    absent = [x for x, sigma in enumerate(comp.states) if sigma is None]
-    if absent:
-        povm[absent[0]] = np.eye(2)
-    else:
-        basis, lam = list(result.basis), result.multipliers
-        edges = points[basis] - points[basis[0]]
-        offsets = lam @ edges - edges  # k - p_x for each basis member
-        weights = lam * np.linalg.norm(offsets, axis=1)
-        total = float(weights.sum())
-        if not total > 0.0:
+    comp = _qubit_complementary(sym.trace(), result.center, points, ensemble.priors)
+    return _assemble(ensemble, sym, comp, _basis_povm(result, points, comp.present))
+
+
+def _qubit_complementary(total, center, points, priors) -> ComplementarySet:
+    """Complementary weights and states of K = (t I + k . sigma)/2, in closed form.
+
+    With total = trace(K) = t, the gap K - q_x rho_x is
+    ((t - q_x) I + (k - p_x) . sigma)/2, so r_x = t - q_x, its smallest
+    eigenvalue is (r_x - |k - p_x|)/2, rejected below
+    -DUAL_FEASIBILITY_TOL, and sigma_x = (I + u_x . sigma)/2 with
+    u_x = (k - p_x)/r_x, clipped to |u_x| <= 1 against rounding. The
+    weights and the absent states (r_x <= DEGENERATE_WEIGHT_TOL) are those
+    of complementary_states on the same K. Only the absolute
+    DUAL_FEASIBILITY_TOL bound applies, the one verify_kkt checks: the
+    relative COMPLEMENTARY_NOISE_TOL bound of complementary_states guards
+    against eigensolver noise divided by a small r_x, and a closed form
+    has none.
+    """
+    weights = total - priors
+    offsets = center - points
+    lengths = np.linalg.norm(offsets, axis=1)
+    smallest = (weights - lengths) / 2.0
+    infeasible = smallest < -DUAL_FEASIBILITY_TOL
+    if infeasible.any():
+        x = int(np.argmax(infeasible))
+        raise InfeasibleDualError(
+            f"K - q_x rho_x has eigenvalue {smallest[x]:.3e} for state {x}"
+        )
+    live = weights > DEGENERATE_WEIGHT_TOL
+    units = offsets[live] / np.maximum(weights[live], lengths[live])[:, None]
+    matrices = _operators(1.0, units)
+    weights = np.maximum(weights, 0.0)
+    for array in (weights, matrices):
+        array.setflags(write=False)
+    return ComplementarySet._from_stack(weights, matrices, live)
+
+
+def _basis_povm(result: ShiftedBallResult, points: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """An optimal qubit POVM stack (N, 2, 2) read off the dual's basis.
+
+    A state with no complementary state (r_x = 0) attains trace(K) alone
+    and takes the identity. Otherwise only the effective basis counts,
+    the members with multiplier lambda_x > 0, and k = sum_x lambda_x p_x
+    over it:
+    - one member takes the identity;
+    - two members a, b take the projective pair (I -+ e . sigma)/2 along
+      the unit edge e from p_a to p_b, the directions of their pure
+      complementary states, with no division by |k - p_x|;
+    - three or four members: sum_x lambda_x (k - p_x) = 0 says the weights
+      w_x proportional to lambda_x |k - p_x|, summing to two, balance the
+      directions u_x, and M_x = w_x (I - u_x . sigma)/2.
+    k - p_x is taken in the dual's edge coordinates, the offset
+    sum_j lambda_j e_j minus e_x with e_x = p_x - p_b for the first member
+    b, so that near-duplicate points keep their small differences. Every
+    other element is an exact zero.
+    """
+    povm = np.zeros((len(points), 2, 2), dtype=complex)
+    if not present.all():
+        povm[np.argmin(present)] = np.eye(2)
+        return povm
+    effective = result.multipliers > 0.0
+    basis, lam = np.asarray(result.basis)[effective], result.multipliers[effective]
+    if len(basis) == 1:
+        povm[basis[0]] = np.eye(2)
+        return povm
+    edges = points[basis] - points[basis[0]]
+    if len(basis) == 2:
+        length = float(np.linalg.norm(edges[1]))
+        if not length > 0.0:
             raise InfeasibleDualError("the dual basis balances no measurement directions")
-        scale = 2.0 / total
-        povm[basis] = _operators(scale * weights, -scale * lam[:, None] * offsets)
-    return _assemble(ensemble, sym, comp, list(_hermitian_operators(povm)))
+        unit = edges[1] / length
+        povm[basis] = _operators(1.0, np.stack([-unit, unit]))
+        return povm
+    offsets = lam @ edges - edges  # k - p_x for each basis member
+    weights = lam * np.linalg.norm(offsets, axis=1)
+    total = float(weights.sum())
+    if not total > 0.0:
+        raise InfeasibleDualError("the dual basis balances no measurement directions")
+    scale = 2.0 / total
+    povm[basis] = _operators(scale * weights, -scale * lam[:, None] * offsets)
+    return povm
 
 
 def solve(ensemble: WeightedEnsemble) -> DiscriminationSolution:

@@ -8,13 +8,14 @@ import pytest
 from qdiscrim import (
     HermitianOperator,
     SteeringMeasurement,
+    complementary_states,
     convex_weights_for_center,
     reconstruct_povm,
     shifted_ball_dual,
     solve_qubit,
     verify_kkt,
 )
-from qdiscrim.bloch import _bloch_vectors
+from qdiscrim.bloch import _bloch_vectors, _operators
 from qdiscrim.operators import hermitian_eigen
 
 
@@ -181,11 +182,14 @@ def assert_basis_povm_matches_kernel_search(ensemble, tol=1e-8):
     Both certify at tol and reach trace K as the primal value within 1e-12.
     The basis POVM is the identity on the first state with no complementary
     state, if any, and otherwise lives on the dual basis: nonzero on at most
-    four active states, exactly zero elsewhere. Returns the solution.
+    four active states, exactly zero elsewhere. The closed-form
+    complementary set matches the eigensolver's on the same K
+    (assert_closed_form_matches_eigensolver). Returns the solution.
     """
     solution = solve_qubit(ensemble)
     points = ensemble.priors[:, None] * _bloch_vectors(ensemble.matrices)
     dual = shifted_ball_dual(points, ensemble.priors)
+    assert_closed_form_matches_eigensolver(ensemble, solution, dual)
     trace_k = solution.symmetry_op.trace()
     for povm in (solution.povm, reconstruct_povm(ensemble, solution.complementary)):
         cert = verify_kkt(ensemble, solution.symmetry_op, povm, tol)
@@ -201,6 +205,26 @@ def assert_basis_povm_matches_kernel_search(ensemble, tol=1e-8):
         assert nonzero <= set(dual.basis)
     assert nonzero <= set(dual.active) and 1 <= len(nonzero) <= 4
     return solution
+
+
+def assert_closed_form_matches_eigensolver(ensemble, solution, dual):
+    """A qubit solution's complementary set against complementary_states on its K.
+
+    K and p_guess are bit for bit the dual optimum's operator and trace,
+    as solve_qubit built them from the eigensolver's set. The weights and
+    the absent states are identical, and sigma_x agrees within 1e-12
+    wherever r_x > 1e-9.
+    """
+    sym = HermitianOperator(_operators(dual.value, dual.center))
+    assert np.array_equal(solution.symmetry_op.matrix, sym.matrix)
+    assert solution.p_guess == sym.trace()
+    reference = complementary_states(sym, ensemble)
+    ours = solution.complementary
+    assert np.array_equal(ours.weights, reference.weights)
+    assert [s is None for s in ours.states] == [s is None for s in reference.states]
+    wide = reference.weights[reference.present] > 1e-9
+    gap = np.abs(ours.matrices[wide] - reference.matrices[wide])
+    assert np.max(gap, initial=0.0) <= 1e-12
 
 
 @pytest.fixture

@@ -1,3 +1,5 @@
+import dataclasses
+import importlib
 import json
 import math
 
@@ -17,7 +19,7 @@ from qdiscrim import (
     purify,
     trace_norm,
 )
-from qdiscrim import random_ensemble, verify_kkt
+from qdiscrim import operators, random_ensemble, verify_kkt
 from qdiscrim.operators import (
     _eigh,
     _eigvalsh,
@@ -26,10 +28,12 @@ from qdiscrim.operators import (
     negative_part,
     nonnegative_eigenprojector,
 )
-from qdiscrim.serialize import ensemble_from_json, ensemble_to_json
-from qdiscrim.solve import solve
+from qdiscrim.serialize import ensemble_from_json, ensemble_to_json, solution_to_json
+from qdiscrim.solve import DiscriminationSolution, solve
 
 from conftest import compose_rotations_unitary, random_hermitian
+
+solve_module = importlib.import_module("qdiscrim.solve")  # the package exports solve()
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 
@@ -401,10 +405,82 @@ class TestDecompositionCounts:
         (parse, solve_n, verify), (parse_calls, solve_calls, verify_calls) = self._stages(
             monkeypatch, json.loads(json.dumps(doc))
         )
-        # per state: its parse, its gap and POVM element in the solve, and
+        # per state: its parse, its POVM element's positivity check in the
+        # solve (the complementary states are closed forms of the dual), and
         # its gap, POVM element and legacy operator condition in verify
-        assert (parse, solve_n, verify) == (n, 2 * n, 3 * n)
+        assert (parse, solve_n, verify) == (n, n, 3 * n)
         # the per-state work is stacked: the call count does not grow with N
         assert parse_calls == 1
-        assert solve_calls <= 2
+        assert solve_calls == 1
         assert verify_calls == 3
+
+
+class TestStackedTuples:
+    """Ensembles, complementary sets and solutions store stacks; their tuples are built lazily."""
+
+    def test_request_path_builds_no_per_state_wrapper(self, monkeypatch):
+        n = 1000
+        doc = json.loads(json.dumps(ensemble_to_json(random_ensemble(2, n, pure=False, seed=5))))
+        wrapped, built = [], []
+        real_wrap = operators._wrap_hermitian
+
+        def counting_wrap(stack):
+            wrapped.append(len(stack))
+            return real_wrap(stack)
+
+        def counting_init(cls):
+            real_init = cls.__init__
+
+            def init(self, *args, **kwargs):
+                built.append(cls.__name__)
+                real_init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", init)
+
+        for module in (operators, solve_module):
+            monkeypatch.setattr(module, "_wrap_hermitian", counting_wrap)
+        counting_init(HermitianOperator)
+        counting_init(DensityOperator)
+        ensemble = ensemble_from_json(doc)
+        sol = solve(ensemble)
+        out = solution_to_json(sol)
+        assert len(out["povm"]) == len(out["complementary"]) == n
+        assert wrapped == []
+        assert built == ["HermitianOperator"]  # the symmetry operator
+
+        # the povm tuple is wrapped from the stack once, on first access
+        assert verify_kkt(ensemble, sol.symmetry_op, sol.povm).passed
+        assert wrapped == [n]
+        assert sol.povm is sol.povm and wrapped == [n]
+        assert built == ["HermitianOperator"]
+        assert "states" not in vars(ensemble) and "states" not in vars(sol.complementary)
+
+    def test_tuples_from_stacks_are_tuples_of_their_matrices(self):
+        e = random_ensemble(2, 6, pure=False, seed=1)
+        parsed = ensemble_from_json(json.loads(json.dumps(ensemble_to_json(e))))
+        sol = solve(parsed)
+        comp = sol.complementary
+        assert isinstance(parsed.states, tuple) and isinstance(sol.povm, tuple)
+        assert isinstance(comp.states, tuple) and len(comp.states) == 6
+        assert all(isinstance(s, DensityOperator) for s in parsed.states)
+        assert len(parsed.states + (parsed.states[0],)) == 7
+        assert np.array_equal(np.stack([s.matrix for s in parsed.states]), parsed.matrices)
+        assert np.array_equal(np.stack([m.matrix for m in sol.povm]), sol.povm_matrices)
+        assert [s is None for s in comp.states] == list(~comp.present)
+        live = [s.matrix for s in comp.states if s is not None]
+        assert np.array_equal(np.stack(live), comp.matrices)
+
+    def test_solution_constructor_takes_operators(self):
+        sol = solve(random_ensemble(2, 4, pure=True, seed=2))
+        built = DiscriminationSolution(
+            sol.p_guess, sol.symmetry_op, sol.complementary, list(sol.povm_matrices), sol.support
+        )
+        assert all(isinstance(m, HermitianOperator) for m in built.povm)
+        assert np.array_equal(built.povm_matrices, sol.povm_matrices)
+        lowered = dataclasses.replace(sol, p_guess=0.5)
+        assert lowered.povm == sol.povm
+        assert np.array_equal(lowered.povm_matrices, sol.povm_matrices)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DiscriminationSolution(
+                sol.p_guess, sol.symmetry_op, sol.complementary, [PAULI_X * 1j] * 4, sol.support
+            )

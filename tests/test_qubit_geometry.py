@@ -5,7 +5,9 @@ near-duplicate states with unequal priors, collinear and coplanar Bloch
 sets, priors at the 1e-6 floor, maximally mixed members, near-antipodal
 pure pairs, and pure equal-prior sets on the whole sphere up to N=60. On each, the
 qubit solver's basis POVM and the kernel search on the same K both
-certify.
+certify, and its closed-form complementary states match the
+eigensolver's. A permuted, unitarily conjugated ensemble in general
+position has the conjugated solution.
 """
 
 import math
@@ -16,9 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdiscrim import (
+    DensityOperator,
+    HermitianOperator,
     WeightedEnsemble,
     dual_grid_oracle,
     from_bloch,
+    shifted_ball_dual,
     solve,
     solve_qubit,
     solve_qubit_equal_priors,
@@ -27,6 +32,7 @@ from qdiscrim import (
 
 from conftest import (
     assert_basis_povm_matches_kernel_search,
+    compose_rotations_unitary,
     random_rotation_3d,
     reference_min_enclosing_ball,
 )
@@ -119,3 +125,40 @@ def test_basis_povm_matches_kernel_search(kind, data):
     states = [from_bloch(v) for v in vectors]
     for weights in (priors, np.full(n, 1.0 / n)):
         assert_basis_povm_matches_kernel_search(WeightedEnsemble(weights, states))
+
+
+@pytest.mark.parametrize("uniform", [False, True])
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_permuted_conjugated_ensemble_has_the_conjugated_solution(uniform, data):
+    # the closed-form basis POVM is read in the order of the input, so
+    # relabelling the states must move nothing but the labels; the support
+    # is compared where at most four states are active and the optimal POVM
+    # is unique (pure states with uniform priors all lie on one sphere)
+    n = data.draw(st.integers(3, 40), label="n")
+    pure = data.draw(st.booleans(), label="pure")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    vectors = _units(rng, n) * (1.0 if pure else rng.uniform(0.0, 1.0, (n, 1)))
+    priors = np.full(n, 1.0 / n) if uniform else rng.dirichlet(np.ones(n))
+    ensemble = WeightedEnsemble(priors, [from_bloch(v) for v in vectors])
+    unitary = compose_rotations_unitary(2, rng)
+    order = rng.permutation(n)
+    moved = WeightedEnsemble(
+        priors[order],
+        [
+            DensityOperator(HermitianOperator(unitary @ ensemble.matrices[x] @ unitary.conj().T))
+            for x in order
+        ],
+    )
+    solution, moved_solution = solve(ensemble), solve(moved)
+
+    assert abs(moved_solution.p_guess - solution.p_guess) <= 1e-12
+    conjugated = unitary @ solution.symmetry_op.matrix @ unitary.conj().T
+    assert np.max(np.abs(moved_solution.symmetry_op.matrix - conjugated)) <= 1e-10
+    points = priors[:, None] * vectors
+    if len(shifted_ball_dual(points, priors).active) <= 4:
+        moved_support = sorted(int(order[x]) for x in moved_solution.support)
+        assert moved_support == list(solution.support)
+    for e, sol in ((ensemble, solution), (moved, moved_solution)):
+        cert = verify_kkt(e, sol.symmetry_op, sol.povm, tol=1e-8)
+        assert cert.passed, cert.residuals()

@@ -323,6 +323,25 @@ class TestComplementaryStates:
         with pytest.raises(InfeasibleDualError):
             complementary_states(HermitianOperator(0.5 * ZERO.matrix), e)
 
+    @pytest.mark.parametrize("push", [1e-8, 4e-8])
+    def test_qubit_closed_form_checks_the_absolute_gap_bound(self, push):
+        # pushing the dual center by `push` away from a basis point makes that
+        # gap's smallest eigenvalue (r_x - |k - p_x|)/2 about -push/2; the
+        # closed form rejects it below -DUAL_FEASIBILITY_TOL (1e-8) and
+        # otherwise clips sigma_x back onto the Bloch ball
+        e = random_ensemble(2, 5, pure=True, seed=11)
+        points = e.priors[:, None] * _bloch_vectors(e.matrices)
+        dual = bloch.shifted_ball_dual(points, e.priors)
+        offset = dual.center - points[dual.basis[0]]
+        center = dual.center + push * offset / np.linalg.norm(offset)
+        args = (dual.value, center, points, e.priors)
+        if push > 2 * solve_module.DUAL_FEASIBILITY_TOL:
+            with pytest.raises(InfeasibleDualError, match="has eigenvalue -2.0"):
+                solve_module._qubit_complementary(*args)
+        else:
+            comp = solve_module._qubit_complementary(*args)
+            assert np.max(np.linalg.norm(_bloch_vectors(comp.matrices), axis=1)) <= 1 + 1e-15
+
     def test_degenerate_weight_marked_absent(self):
         e = WeightedEnsemble([1.0], [ZERO])
         comp = complementary_states(HermitianOperator(ZERO.matrix), e)
@@ -500,16 +519,39 @@ class TestBasisPovm:
         assert np.array_equal(sol.povm[0].matrix, np.eye(2))
         assert sol.support == (0,)
 
-    @pytest.mark.parametrize("eps", [1e-10, 1e-9, 1e-8])
+    @pytest.mark.parametrize("eps", [1e-11, 1e-10, 1e-9, 1e-8])
     def test_near_duplicate_equal_prior_states_certify(self, eps):
-        # the kernel search raised on 42 of these 45 ensembles: the complementary
-        # states' kernels are resolved to about 1e-16 / eps only
+        # the kernel search raised on 42 of the 45 ensembles at eps >= 1e-10:
+        # the complementary states' kernels are resolved to about 1e-16 / eps
+        # only; at 1e-11, r_x is about 1e-11 and the eigensolver's noise on
+        # sigma_x rejected 6 of 15 as infeasible
+        self._assert_certify(eps, dirichlet=False)
+
+    @pytest.mark.parametrize("eps", [1e-8, 1e-6])
+    def test_near_duplicate_dirichlet_prior_states_certify(self, eps):
+        # at 1e-6 the dominant state's r_x is about 1e-12: the eigensolver's
+        # sigma_x failed 4 of 15, and the final bases have multipliers like
+        # (1e-11, 1), whose lambda |k - p_x| weights sum to about 1e-12
+        self._assert_certify(eps, dirichlet=True)
+
+    @staticmethod
+    def _assert_certify(eps, dirichlet):
         for n in (3, 5, 8):
             for seed in range(5):
-                e = near_duplicate_ensemble(n, eps, seed)
+                e = near_duplicate_ensemble(n, eps, seed, dirichlet)
                 sol = solve(e)
                 cert = verify_kkt(e, sol.symmetry_op, sol.povm, tol=1e-8)
                 assert cert.passed, (n, seed, cert.residuals())
+
+    def test_two_member_basis_takes_the_projective_pair(self):
+        # a pure pair and a state inside their segment's ball: the basis is
+        # the pair, and the POVM the projectors along its edge
+        e = WeightedEnsemble([0.4, 0.4, 0.2], [ZERO, ONE, from_bloch([0.1, 0.0, 0.0])])
+        sol = solve(e)
+        assert sol.support == (0, 1)
+        assert np.array_equal(sol.povm_matrices[0], np.diag([1.0, 0.0]).astype(complex))
+        assert np.array_equal(sol.povm_matrices[1], np.diag([0.0, 1.0]).astype(complex))
+        assert np.array_equal(sol.povm_matrices[2], np.zeros((2, 2)))
 
     def test_solve_needs_no_hull_search(self, monkeypatch):
         calls = []
@@ -530,13 +572,18 @@ class TestBasisPovm:
         assert len(calls) == 1
 
 
-def near_duplicate_ensemble(n, eps, seed):
-    """n pure states at unit(v + eps g_i), g_i standard normal, uniform priors."""
+def near_duplicate_ensemble(n, eps, seed, dirichlet=False):
+    """n pure states at unit(v + eps g_i), g_i standard normal.
+
+    Priors are uniform, or with dirichlet drawn from the flat Dirichlet
+    distribution after the states, from the same generator.
+    """
     rng = np.random.default_rng(seed)
     v = rng.standard_normal(3)
     vectors = v / np.linalg.norm(v) + eps * rng.standard_normal((n, 3))
     vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
-    return WeightedEnsemble(np.full(n, 1.0 / n), [from_bloch(u) for u in vectors])
+    priors = rng.dirichlet(np.ones(n)) if dirichlet else np.full(n, 1.0 / n)
+    return WeightedEnsemble(priors, [from_bloch(u) for u in vectors])
 
 
 class TestSolveDispatch:
