@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operators import _as_matrix, _eigvalsh
+from .operators import _as_matrix, _eigvalsh, _matrix_stack
 from .solve import (
     DEGENERATE_WEIGHT_TOL,
     DiscriminationSolution,
@@ -108,18 +108,16 @@ class ProbabilityForms:
 def _povm_stack(ensemble: WeightedEnsemble, povm) -> tuple[np.ndarray, np.ndarray]:
     """The POVM as one (N, d, d) stack, checked against the ensemble, and its eigenvalues.
 
-    The stack is diagonalized before any product over it is formed, so
-    entries that overflow raise ConvergenceError there instead of first
-    warning in a product.
+    A stack (N, d, d) is taken as is and a sequence stacked once. The stack
+    is diagonalized before any product over it is formed, so entries that
+    overflow raise ConvergenceError there instead of first warning in a product.
     """
     d = ensemble.dim
-    matrices = [_as_matrix(m) for m in povm]
-    if len(matrices) != ensemble.size:
-        raise ValueError(f"expected {ensemble.size} POVM elements, got {len(matrices)}")
-    for m in matrices:
-        if m.shape != (d, d):
-            raise ValueError(f"POVM element shape {m.shape} does not match dimension {d}")
-    stack = np.stack(matrices)
+    stack = _matrix_stack(povm, "POVM elements")
+    if len(stack) != ensemble.size:
+        raise ValueError(f"expected {ensemble.size} POVM elements, got {len(stack)}")
+    if stack.shape[1:] != (d, d):
+        raise ValueError(f"POVM element shape {stack.shape[1:]} does not match dimension {d}")
     return stack, _eigvalsh(stack)
 
 
@@ -203,7 +201,8 @@ def verify_kkt(
 
     Complementary weights and states are always recomputed from the
     operator as r_x = trace(K) - q_x and sigma_x = (K - q_x rho_x) / r_x,
-    never trusted from the caller.
+    never trusted from the caller. The POVM is a sequence of operators or
+    matrices, or a stack (N, d, d), which is taken as is.
     """
     k = _as_matrix(symmetry_op)
     d = ensemble.dim

@@ -28,9 +28,10 @@ from .factory import (
     identity_class_example,
 )
 from .families import inscribed_tetrahedron, isosceles_triple, orthogonal_pairs
-from .operators import HermitianOperator
+from .operators import HermitianOperator, _hermitian_stack
 from .oracle import dual_grid_oracle
 from .serialize import (
+    _matrices_from_json,
     certificate_to_json,
     ensemble_from_json,
     factory_output_to_json,
@@ -87,20 +88,17 @@ def _certificate(ensemble, doc, tol: float, legacy: bool = False) -> dict:
 
     The one certification path: `verify` runs it on a candidate file and
     `solve --verify` on the rounded document it prints. A defect of the
-    document raises ValueError.
+    document raises ValueError naming its field (povm[i], K).
     """
     if not isinstance(doc, dict) or "povm" not in doc:
         raise ValueError("missing key 'povm'")
     if not isinstance(doc["povm"], list):
         raise ValueError("povm: expected an array of matrices")
-    povm = [
-        HermitianOperator(matrix_from_json(m, field=f"povm[{i}]"))
-        for i, m in enumerate(doc["povm"])
-    ]
+    povm = _matrices_from_json(doc["povm"], "povm", "candidate")
     if legacy or "K" not in doc:
         cert = verify_legacy_conditions(ensemble, povm, tol=tol)
     else:
-        sym = HermitianOperator(matrix_from_json(doc["K"], field="K"))
+        sym = _hermitian_stack(matrix_from_json(doc["K"], field="K"), field="K")
         cert = verify_kkt(ensemble, sym, povm, tol=tol)
     return certificate_to_json(cert)
 

@@ -12,8 +12,8 @@ one matrix take them from a single decomposition. Validation, the
 eigensolver and the rebuild of states from a spectrum take stacks
 (..., d, d), so per-state work over an ensemble is one LAPACK call per
 layer; a single matrix is a stack of one. Collections of operators are
-stored as such stacks; their tuples of wrapper objects are built from
-the stack on first access (_wrap_hermitian, _wrap_density).
+stored as such stacks (_matrix_stack builds one); their wrapper tuples
+are built from the stack on first access (_wrap_hermitian, _wrap_density).
 """
 
 from __future__ import annotations
@@ -36,6 +36,20 @@ def _as_matrix(operator) -> np.ndarray:
     if isinstance(operator, (HermitianOperator, DensityOperator)):
         return operator.matrix
     return np.asarray(operator, dtype=complex)
+
+
+def _matrix_stack(ops, what: str = "matrices") -> np.ndarray:
+    """Operators or matrices as one stack (N, d, d); an ndarray passes through unchanged.
+
+    An empty sequence gives (0, 0, 0); differing shapes raise "<what> must share one dimension".
+    """
+    if isinstance(ops, np.ndarray):
+        return ops
+    matrices = [_as_matrix(m) for m in ops]
+    if len({m.shape for m in matrices}) > 1:
+        dims = sorted({n for m in matrices for n in m.shape})
+        raise ValueError(f"{what} must share one dimension, got {dims}")
+    return np.stack(matrices) if matrices else np.zeros((0, 0, 0), dtype=complex)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:

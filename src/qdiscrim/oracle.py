@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import _bloch_vectors
-from .operators import DensityOperator, HermitianOperator, _as_matrix
+from .operators import DensityOperator, HermitianOperator, _matrix_stack
 from .solve import WeightedEnsemble
 
 _COARSE_STEP = 0.05
@@ -62,8 +62,7 @@ class TableGuessing:
 
 def conditional_table_from_povm(ensemble: WeightedEnsemble, povm) -> ConditionalTable:
     """Born-rule table P(x|y) = tr[M_x rho_y] for a measurement."""
-    matrices = np.stack([_as_matrix(m) for m in povm])
-    table = np.einsum("xij,yji->xy", matrices, ensemble.matrices).real
+    table = np.einsum("xij,yji->xy", _matrix_stack(povm), ensemble.matrices).real
     return ConditionalTable(np.clip(table, 0.0, 1.0))
 
 

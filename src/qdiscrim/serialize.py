@@ -3,7 +3,10 @@
 Matrices travel as {"dim": n, "re": [[...]], "im": [[...]]}, row-major
 with decimal floating point entries. Bloch vectors are plain [x, y, z]
 triples. Parsing errors carry the offending field in their message so the
-CLI can emit a usable diagnostic.
+CLI can emit a usable diagnostic. Every array of matrices (an ensemble's
+states, a candidate solution's POVM) is parsed as one stack (N, d, d) by
+one parser (_matrices_from_json) and written from a stack by one writer
+(_stack_to_json); a single matrix is a stack of one.
 """
 
 from __future__ import annotations
@@ -14,8 +17,10 @@ from .certify import KktCertificate
 from .factory import FactoryOutput
 from .operators import (
     MAX_DIM,
+    _as_matrix,
     _eigh,
     _hermitian_stack,
+    _matrix_stack,
     _state_stack,
 )
 from .solve import DiscriminationSolution, WeightedEnsemble
@@ -40,12 +45,7 @@ def _rounded(value, spec: str):
 
 
 def matrix_to_json(matrix) -> dict:
-    m = matrix.matrix if hasattr(matrix, "matrix") else np.asarray(matrix, dtype=complex)
-    return {
-        "dim": m.shape[0],
-        "re": m.real.tolist(),
-        "im": m.imag.tolist(),
-    }
+    return _stack_to_json(_as_matrix(matrix)[None])[0]
 
 
 def matrix_from_json(obj, field: str = "matrix") -> np.ndarray:
@@ -63,10 +63,38 @@ def matrix_from_json(obj, field: str = "matrix") -> np.ndarray:
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValueError(f"{field}: entries must be numbers ({exc})") from exc
     if re.shape != (dim, dim) or im.shape != (dim, dim):
-        raise ValueError(
-            f"{field}: re/im must be {dim}x{dim}, got {re.shape} and {im.shape}"
-        )
+        raise ValueError(f"{field}: re/im must be {dim}x{dim}, got {re.shape} and {im.shape}")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError(f"{field}: matrix entries must be finite")
     return re + 1j * im
+
+
+def _matrices_from_json(items: list, field: str, owner: str) -> np.ndarray:
+    """The Hermitian stack (N, d, d) of a JSON array of {"dim", "re", "im"} objects.
+
+    One np.asarray converts all re and one all im, and _hermitian_stack
+    checks the stack at once, naming a bad matrix field[i]. Other defects,
+    non-finite entries too (1j * inf warns), send the items one by one through
+    matrix_from_json, which names the first; mixed dimensions raise "<owner>:
+    <field> must share one dimension". An empty array stays unchecked.
+    """
+    dim = items[0].get("dim") if items and isinstance(items[0], dict) else None
+    stack = None
+    if type(dim) is int and 1 <= dim <= MAX_DIM and all(
+        isinstance(m, dict) and "re" in m and "im" in m and type(m.get("dim")) is int
+        and m["dim"] == dim for m in items
+    ):
+        try:
+            re = np.asarray([m["re"] for m in items], dtype=float)
+            im = np.asarray([m["im"] for m in items], dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            re = im = np.zeros(0)
+        if re.shape == im.shape == (len(items), dim, dim) and np.isfinite([re, im]).all():
+            stack = re + 1j * im
+    if stack is None:
+        parsed = [matrix_from_json(m, field=f"{field}[{i}]") for i, m in enumerate(items)]
+        stack = _matrix_stack(parsed, f"{owner}: {field}")
+    return _hermitian_stack(stack, field=f"{field}[{{}}]") if len(stack) else stack
 
 
 def _stack_to_json(stack: np.ndarray) -> list[dict]:
@@ -122,52 +150,20 @@ def ensemble_from_json(obj) -> WeightedEnsemble:
         raise ValueError(f"priors: must sum to 1, got {total!r}")
     q = q / total
 
-    matrices = _stacked_matrices(states_json)
-    if matrices is None:
-        parsed = [matrix_from_json(s, field=f"states[{i}]") for i, s in enumerate(states_json)]
-        dims = sorted({m.shape[0] for m in parsed})
-        if len(dims) > 1:
-            raise ValueError(f"ensemble: states must share one dimension, got {dims}")
-        matrices = np.stack(parsed) if parsed else None
-    states = np.zeros((0, 0, 0)) if matrices is None else _states_from_rounded(matrices)
+    matrices = _matrices_from_json(states_json, "states", "ensemble")
+    states = _states_from_rounded(matrices) if len(matrices) else matrices
     try:
         return WeightedEnsemble._from_matrices(q, states)
     except ValueError as exc:
         raise ValueError(f"ensemble: {exc}") from exc
 
 
-def _stacked_matrices(states_json: list) -> np.ndarray | None:
-    """The state matrices (N, d, d) from one conversion of all re and one of all im.
+def _states_from_rounded(h: np.ndarray) -> np.ndarray:
+    """The frozen state stack of parsed Hermitian matrices, absorbing rounding up to 1e-8.
 
-    None when any state is not an object with keys dim/re/im, the dims
-    differ or fall outside 1..MAX_DIM, or the entries do not convert to
-    that shape: matrix_from_json then parses state by state and names the
-    first defect.
+    The whole stack is diagonalized at once; a defect names its state as
+    states[i].
     """
-    if not states_json or not all(
-        isinstance(s, dict) and "re" in s and "im" in s and type(s.get("dim")) is int
-        for s in states_json
-    ):
-        return None
-    dim = states_json[0]["dim"]
-    if not 1 <= dim <= MAX_DIM or any(s["dim"] != dim for s in states_json):
-        return None
-    try:
-        re = np.asarray([s["re"] for s in states_json], dtype=float)
-        im = np.asarray([s["im"] for s in states_json], dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        return None
-    shape = (len(states_json), dim, dim)
-    return re + 1j * im if re.shape == shape and im.shape == shape else None
-
-
-def _states_from_rounded(matrices: np.ndarray) -> np.ndarray:
-    """The frozen state stack of serialized entries, absorbing rounding up to 1e-8.
-
-    The whole stack is validated and diagonalized at once; a defect names
-    its state as states[i].
-    """
-    h = _hermitian_stack(matrices, field="states[{}]")
     traces = np.trace(h, axis1=1, axis2=2).real
     off = np.flatnonzero(np.abs(traces - 1.0) > 1e-8)
     if off.size:
@@ -211,5 +207,5 @@ def factory_output_to_json(output: FactoryOutput) -> dict:
     doc["certified"] = bool(output.certified)
     doc["K"] = matrix_to_json(output.symmetry_op)
     if output.povm is not None:
-        doc["povm"] = [matrix_to_json(m) for m in output.povm]
+        doc["povm"] = _stack_to_json(_matrix_stack(output.povm))
     return doc

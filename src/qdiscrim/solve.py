@@ -46,6 +46,7 @@ from .operators import (
     _eigvalsh,
     _hermitian_operators,
     _hermitian_stack,
+    _matrix_stack,
     _negative_part_and_projector,
     _state_stack,
     _wrap_density,
@@ -83,23 +84,19 @@ class WeightedEnsemble:
         states = tuple(
             s if isinstance(s, DensityOperator) else DensityOperator(s) for s in states
         )
-        self._fill(priors, [s.matrix for s in states], seed)
+        self._fill(priors, states, seed)
         object.__setattr__(self, "states", states)
 
-    def _fill(self, priors, matrices, seed) -> None:
+    def _fill(self, priors, states, seed) -> None:
         q = np.asarray(priors, dtype=float).reshape(-1)
-        if len(q) != len(matrices) or len(matrices) == 0:
+        if len(q) != len(states) or len(states) == 0:
             raise ValueError("priors and states must be non-empty and of equal length")
         if np.any(q <= 0):
             raise ValueError("priors must be strictly positive")
         if abs(float(np.sum(q)) - 1.0) > 1e-10:
             raise ValueError(f"priors must sum to 1, got {float(np.sum(q))!r}")
-        if not isinstance(matrices, np.ndarray):
-            dims = {m.shape[0] for m in matrices}
-            if len(dims) != 1:
-                raise ValueError(f"states must share one dimension, got {sorted(dims)}")
-            matrices = np.stack(matrices)
-            matrices.setflags(write=False)
+        matrices = _matrix_stack(states, "states")
+        matrices.setflags(write=False)
         q = q.copy()
         q.setflags(write=False)
         object.__setattr__(self, "priors", q)
@@ -153,10 +150,7 @@ class ComplementarySet:
     def __init__(self, weights, states) -> None:
         states = tuple(states)
         present = np.array([s is not None for s in states], dtype=bool)
-        if present.any():
-            matrices = np.stack([s.matrix for s in states if s is not None])
-        else:
-            matrices = np.zeros((0, 0, 0), dtype=complex)
+        matrices = _matrix_stack([s for s in states if s is not None])
         matrices.setflags(write=False)
         self._fill(weights, matrices, present)
         object.__setattr__(self, "states", states)
@@ -214,7 +208,7 @@ class DiscriminationSolution:
         povm = tuple(
             m if isinstance(m, HermitianOperator) else HermitianOperator(m) for m in povm
         )
-        matrices = np.stack([m.matrix for m in povm])
+        matrices = _matrix_stack(povm)
         matrices.setflags(write=False)
         self._fill(p_guess, symmetry_op, complementary, matrices, support)
         object.__setattr__(self, "povm", povm)

@@ -19,7 +19,8 @@ from qdiscrim import (
     random_ensemble,
     verify_kkt,
 )
-from qdiscrim.cli import main
+from qdiscrim.certify import ANALYTIC_TOL, verify_legacy_conditions
+from qdiscrim.cli import _certificate, main
 from qdiscrim.errors import DiscriminationError, UnsupportedInstanceError
 from qdiscrim.serialize import (
     certificate_to_json,
@@ -424,6 +425,7 @@ _GENERATE_FUZZ = {
     "huge-operator": (_HUGE, 4),
     "non-hermitian": ([[0.5, 0.3], [0.1, 0.5]], 3),
     "trace-2": ([[1.0, 0.0], [0.0, 1.0]], 3),
+    "nan-operator": ([[math.nan, 0.0], [0.0, 0.5]], 2),
 }
 
 
@@ -466,6 +468,175 @@ class TestCliFuzz:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {out}: ") and len(err.splitlines()) == 1
         assert not out.exists()
+
+
+def reference_certificate(ensemble, doc, tol, legacy=False) -> dict:
+    """The element-by-element certificate path that cli._certificate must reproduce."""
+    if not isinstance(doc, dict) or "povm" not in doc:
+        raise ValueError("missing key 'povm'")
+    if not isinstance(doc["povm"], list):
+        raise ValueError("povm: expected an array of matrices")
+    povm = [
+        HermitianOperator(matrix_from_json(m, field=f"povm[{i}]"))
+        for i, m in enumerate(doc["povm"])
+    ]
+    if legacy or "K" not in doc:
+        cert = verify_legacy_conditions(ensemble, povm, tol=tol)
+    else:
+        sym = HermitianOperator(matrix_from_json(doc["K"], field="K"))
+        cert = verify_kkt(ensemble, sym, povm, tol=tol)
+    return certificate_to_json(cert)
+
+
+def _printed(ensemble):
+    """The ensemble as the CLI reads its file, and the rounded solution document it prints."""
+    parsed = ensemble_from_json(json.loads(json.dumps(ensemble_to_json(ensemble))))
+    doc = round_floats(solution_to_json(solve(parsed)))
+    return parsed, json.loads(json.dumps(doc, indent=2))
+
+
+def _numpy_message(entries) -> str:
+    try:
+        np.asarray(entries, dtype=float)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError("entries converted")
+
+
+_RAGGED = [[0.5, 0.0], [0.5]]
+_POVM_DEFECTS = {
+    "non-hermitian": (
+        {"dim": 2, "re": [[0.5, 0.3], [0.1, 0.5]], "im": _ZERO},
+        "povm[1]: matrix is not Hermitian: asymmetry 2.000e-01 > 1e-12",
+    ),
+    "nan": (
+        {"dim": 2, "re": [[math.nan, 0.0], [0.0, 0.5]], "im": _ZERO},
+        "povm[1]: matrix entries must be finite",
+    ),
+    "inf": (
+        {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0, math.inf], [0.0, 0.0]]},
+        "povm[1]: matrix entries must be finite",
+    ),
+    "ragged-re": (
+        {"dim": 2, "re": _RAGGED, "im": _ZERO},
+        f"povm[1]: entries must be numbers ({_numpy_message(_RAGGED)})",
+    ),
+    "not-an-object": (3, "povm[1]: expected an object with dim/re/im"),
+    "missing-im": ({"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]]}, "povm[1]: missing key 'im'"),
+    "boolean-dim": (
+        {"dim": True, "re": [[1.0]], "im": [[0.0]]},
+        "povm[1].dim: expected an integer in 1..64, got True",
+    ),
+    "string-entry": (
+        {"dim": 2, "re": [["a", 0.0], [0.0, 0.5]], "im": _ZERO},
+        "povm[1]: entries must be numbers (could not convert string to float: 'a')",
+    ),
+    "3x3-element": (
+        {"dim": 3, "re": (np.eye(3) / 3).tolist(), "im": np.zeros((3, 3)).tolist()},
+        "candidate: povm must share one dimension, got [2, 3]",
+    ),
+    "empty-povm": (None, "expected 3 POVM elements, got 0"),
+}
+
+
+def _trine_with_bad_element(defect: str) -> dict:
+    """The trine's solution document with povm[1] replaced by a defect (or no povm at all)."""
+    doc = json.loads(json.dumps(solution_to_json(solve(trine()))))
+    bad = _POVM_DEFECTS[defect][0]
+    if bad is None:
+        doc["povm"] = []
+    else:
+        doc["povm"][1] = bad
+    return doc
+
+
+def _trine_ensemble():
+    return ensemble_from_json(ensemble_to_json(trine()))
+
+
+class TestPovmParseDiagnostics:
+    """The stacked POVM parse names the defective element as povm[i]."""
+
+    @pytest.mark.parametrize("defect", sorted(_POVM_DEFECTS))
+    def test_defect_names_its_element(self, defect):
+        with pytest.raises(ValueError) as info:
+            _certificate(_trine_ensemble(), _trine_with_bad_element(defect), ANALYTIC_TOL)
+        assert str(info.value) == _POVM_DEFECTS[defect][1]
+
+    @pytest.mark.parametrize("defect", sorted(_POVM_DEFECTS))
+    def test_verify_exits_2_with_the_message(self, defect, trine_file, tmp_path, capsys):
+        path = tmp_path / "candidate.json"
+        path.write_text(json.dumps(_trine_with_bad_element(defect)))
+        assert main(["verify", trine_file, str(path)]) == 2
+        err = capsys.readouterr().err
+        assert _one_error_line(err)
+        assert err == f"error: {path}: {_POVM_DEFECTS[defect][1]}\n"
+
+    def test_non_finite_operator_names_k(self, tmp_path, capsys):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"dim": 2, "re": [[math.inf, 0.0], [0.0, 0.5]], "im": _ZERO}))
+        assert main(["generate", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: K: matrix entries must be finite\n"
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Record each call of module.name, through every qdiscrim module that binds it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    for loaded in list(sys.modules.values()):
+        if getattr(loaded, "__name__", "").startswith("qdiscrim") and (
+            getattr(loaded, name, None) is original
+        ):
+            monkeypatch.setattr(loaded, name, counted)
+    return calls
+
+
+class TestCertificateParse:
+    """cli._certificate validates the POVM in one pass and matches the per-element path."""
+
+    def test_one_validation_pass_at_n_1000(self, monkeypatch):
+        ensemble, doc = _printed(random_ensemble(2, 1000, pure=False, seed=11))
+        stacks = _count_calls(monkeypatch, qdiscrim.operators, "_hermitian_stack")
+        parses = _count_calls(monkeypatch, qdiscrim.serialize, "matrix_from_json")
+        assert _certificate(ensemble, doc, ANALYTIC_TOL)["verdict"] == "pass"
+        assert len(stacks) <= 2
+        assert len(parses) <= 1
+
+    @pytest.mark.parametrize(
+        "ensemble",
+        [random_ensemble(2, n, pure=False, seed=n) for n in range(3, 40)]
+        + [
+            WeightedEnsemble(np.full(n, 1.0 / n), random_ensemble(2, n, pure=True, seed=n).states)
+            for n in range(3, 40)
+        ]
+        + [random_ensemble(2, 1000, pure=False, seed=11)]
+        + [random_ensemble(d, 2, pure=False, seed=d) for d in (4, 16, 64)],
+        ids=lambda e: f"d{e.dim}-n{e.size}-{'uniform' if np.ptp(e.priors) == 0 else 'general'}",
+    )
+    def test_matches_reference_on_printed_documents(self, ensemble):
+        parsed, doc = _printed(ensemble)
+        for legacy in (False, True):
+            assert _certificate(parsed, doc, ANALYTIC_TOL, legacy) == reference_certificate(
+                parsed, doc, ANALYTIC_TOL, legacy
+            )
+
+    @pytest.mark.parametrize("defect", sorted(_POVM_DEFECTS) + sorted(_VERIFY_FUZZ))
+    def test_defects_raise_the_reference_error_class(self, defect):
+        if defect in _POVM_DEFECTS:
+            doc = _trine_with_bad_element(defect)
+        else:
+            doc = json.loads(json.dumps(_trine_candidate(defect)))
+        raised = []
+        for certify in (_certificate, reference_certificate):
+            with pytest.raises(Exception) as info:
+                certify(_trine_ensemble(), doc, ANALYTIC_TOL)
+            raised.append(type(info.value))
+        assert raised[0] is raised[1]
 
 
 def _run_python(*args, timeout=60):
