@@ -78,9 +78,11 @@ def _load_ensemble(path: str):
         return ensemble_from_json(_load_json(path))
 
 
-def _load_matrix(path: str, field: str) -> np.ndarray:
+def _load_operator(path: str, field: str) -> HermitianOperator:
+    """The Hermitian operator of a matrix document; any defect of it is a file error."""
     with _reading(path):
-        return matrix_from_json(_load_json(path), field=field)
+        matrix = _hermitian_stack(matrix_from_json(_load_json(path), field=field), field=field)
+    return HermitianOperator(matrix)
 
 
 def _certificate(ensemble, doc, tol: float, legacy: bool = False) -> dict:
@@ -147,7 +149,7 @@ def _random_projective_measurements(dim: int, count: int, seed: int):
 
 
 def _cmd_generate(args) -> int:
-    sym = HermitianOperator(_load_matrix(args.operator, field="K"))
+    sym = _load_operator(args.operator, field="K")
     if args.mode == "identity":
         if float(np.max(np.abs(sym.matrix - np.eye(sym.dim) / sym.dim))) > 1e-9:
             raise ValueError("identity mode expects the operator I/d")

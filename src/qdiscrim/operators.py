@@ -206,15 +206,19 @@ def _fix_phases(v: np.ndarray) -> np.ndarray:
     return v * phases
 
 
-def _lapack_eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
-    """``numpy.linalg.eigh`` (ascending) with failures raised as ConvergenceError."""
+def _lapack(driver, matrix) -> tuple[np.ndarray, ...]:
+    """A ``numpy.linalg`` Hermitian driver's outputs (values ascending), as a tuple.
+
+    LAPACK failures and non-finite outputs raise ConvergenceError.
+    """
     try:
-        values, vectors = np.linalg.eigh(np.asarray(matrix, dtype=complex))
+        out = driver(np.asarray(matrix, dtype=complex))
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigendecomposition failed: {exc}") from exc
-    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(vectors))):
+    out = tuple(out) if isinstance(out, tuple) else (out,)
+    if not all(np.all(np.isfinite(part)) for part in out):
         raise ConvergenceError("eigendecomposition returned non-finite values")
-    return values, vectors
+    return out
 
 
 def _eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
@@ -227,7 +231,7 @@ def _eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
     ascending output). Raises ConvergenceError when LAPACK fails or
     returns non-finite values, which signals pathological input.
     """
-    values, vectors = _lapack_eigh(matrix)
+    values, vectors = _lapack(np.linalg.eigh, matrix)
     order = np.argsort(-values, axis=-1, kind="stable")
     values = np.take_along_axis(values, order, axis=-1)
     vectors = np.take_along_axis(vectors, order[..., None, :], axis=-1)
@@ -235,8 +239,13 @@ def _eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eigvalsh(matrix) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix or stack, descending (LAPACK's order reversed)."""
-    return _lapack_eigh(matrix)[0][..., ::-1]
+    """Eigenvalues of a Hermitian matrix or stack, descending (LAPACK's order reversed).
+
+    One call to LAPACK's values-only driver (``numpy.linalg.eigvalsh``), which
+    skips the eigenvectors: checks that read only a spectrum use it. Its
+    values may differ from _eigh's in the last bits.
+    """
+    return _lapack(np.linalg.eigvalsh, matrix)[0][..., ::-1]
 
 
 def hermitian_eigen(operator) -> SpectralDecomposition:
@@ -261,9 +270,8 @@ def is_psd(operator, tol: float = PSD_TOL) -> bool:
     return float(_eigvalsh(_as_matrix(operator))[-1]) >= -tol
 
 
-def _negative_part_and_projector(operator) -> tuple[np.ndarray, np.ndarray]:
-    """Negative part and non-negative eigenprojector from one diagonalization."""
-    values, vectors = _eigh(_as_matrix(operator))
+def _negative_part_and_projector(values, vectors) -> tuple[np.ndarray, np.ndarray]:
+    """Negative part and non-negative eigenprojector of a matrix, from its _eigh spectrum."""
     neg = np.minimum(values, 0.0)
     keep = vectors[:, values >= 0.0]
     return (vectors * (-neg)) @ vectors.conj().T, keep @ keep.conj().T
@@ -271,12 +279,12 @@ def _negative_part_and_projector(operator) -> tuple[np.ndarray, np.ndarray]:
 
 def negative_part(operator) -> np.ndarray:
     """PSD matrix built from the negative eigenspace: sum of -lambda v v†."""
-    return _negative_part_and_projector(operator)[0]
+    return _negative_part_and_projector(*_eigh(_as_matrix(operator)))[0]
 
 
 def nonnegative_eigenprojector(operator) -> np.ndarray:
     """Orthogonal projector onto the span of eigenvectors with lambda >= 0."""
-    return _negative_part_and_projector(operator)[1]
+    return _negative_part_and_projector(*_eigh(_as_matrix(operator)))[1]
 
 
 def _wrap_hermitian(stack: np.ndarray) -> tuple[HermitianOperator, ...]:

@@ -11,6 +11,8 @@ one parser (_matrices_from_json) and written from a stack by one writer
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .certify import KktCertificate
@@ -27,21 +29,115 @@ from .solve import DiscriminationSolution, WeightedEnsemble
 
 
 def round_floats(value, digits: int = 9):
-    """Recursively round floats to a fixed number of significant digits."""
-    return _rounded(value, f".{digits}g")
+    """Recursively round floats to a fixed number of significant digits.
+
+    Every float v becomes float(format(v, f".{digits}g")), tuples become
+    lists. At 1..15 digits the matrices (lists of equal-length list rows
+    of plain floats, rows wider than two) are gathered by row width and
+    rounded as arrays by _round_significant, which gives exactly those
+    values; the rows are rebuilt with one tolist per width. Everything
+    else is rounded float by float.
+    """
+    spec = f".{digits}g"
+    gather = type(digits) is int and 1 <= digits <= _EXACT_DIGITS
+    # row width -> (the gathered matrices' rows, their placeholder matrices)
+    gathered: dict[int, tuple[list, list]] = {}
+
+    def walk(value):
+        # lists first: most calls are on matrices and their rows
+        if isinstance(value, (list, tuple)):
+            # 2x2 blocks (qubit documents) cost less float by float than the
+            # kernel's fixed cost, so only wider rows are gathered
+            if (
+                value
+                and type(value[0]) is list
+                and len(value[0]) > 2
+                and gather
+                and type(value) is list
+                and _is_matrix(value)
+            ):
+                rows, targets = gathered.setdefault(len(value[0]), ([], []))
+                rows.extend(value)
+                targets.append([None] * len(value))
+                return targets[-1]
+            # a matrix row is a flat list of floats: one comprehension, no recursion
+            return [float(format(v, spec)) if isinstance(v, float) else walk(v) for v in value]
+        if isinstance(value, float):
+            return float(format(value, spec))
+        if isinstance(value, dict):
+            return {k: walk(v) for k, v in value.items()}
+        return value
+
+    out = walk(value)
+    del walk  # walk refers to itself: free it, and the rows it gathered, without the cyclic GC
+    for rows, targets in gathered.values():
+        rounded = _round_significant(np.array(rows, dtype=float), digits).tolist()
+        start = 0
+        for target in targets:
+            target[:] = rounded[start : start + len(target)]
+            start += len(target)
+    return out
 
 
-def _rounded(value, spec: str):
-    if isinstance(value, float):
-        return float(format(value, spec))
-    if isinstance(value, dict):
-        return {k: _rounded(v, spec) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        # a matrix row is a flat list of floats: one comprehension, no recursion
-        return [
-            float(format(v, spec)) if isinstance(v, float) else _rounded(v, spec) for v in value
-        ]
-    return value
+def _is_matrix(value: list) -> bool:
+    """Whether a list with a non-empty list first row is rows of that length, all floats."""
+    return (
+        set(map(type, value)) == {list}
+        and len(set(map(len, value))) == 1
+        and set(map(type, chain.from_iterable(value))) == {float}
+    )
+
+
+# The kernel's exact range: m < 10**15 < 2**53 is an exact integer, 10**s an
+# exact double for 0 <= s <= 22, and no scaled value nears overflow or underflow.
+_EXACT_DIGITS = 15
+_POWERS_OF_TEN = 10.0 ** np.arange(23)
+_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
+
+
+def _product_error(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """The exact a * b - p for p = fl(a * b) (Dekker, Numer. Math. 18, 1971)."""
+    ta, tb = _SPLIT * a, _SPLIT * b
+    a_hi, b_hi = ta - (ta - a), tb - (tb - b)
+    a_lo, b_lo = a - a_hi, b - b_hi
+    return ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _round_significant(x: np.ndarray, digits: int) -> np.ndarray:
+    """float(format(v, f".{digits}g")) for every element of x, 1 <= digits <= 15.
+
+    With e = floor(log10 |v|) and s = digits - 1 - e, that decimal is
+    m / 10**s for m = |v| * 10**s rounded half to even, and dividing m by
+    the exact power 10**s rounds correctly, as parsing the decimal does.
+    The product is rounded once, so rint can miss the exact rounding only
+    when the product lands on a half, which Dekker's exact product error
+    settles. A product outside (10**(digits-1), 10**digits) means log10
+    missed the exponent. Such misses, s outside 0..22, |v| < 1e-14,
+    |v| >= 1e9, inf and nan are formatted one by one; zeros stay as they are.
+    """
+    magnitude = np.abs(x)
+    regular = (magnitude >= 1e-14) & (magnitude < 1e9)
+    magnitude[~regular] = 1.0
+    shift = digits - 1 - np.floor(np.log10(magnitude))
+    regular &= (shift >= 0) & (shift <= 22)
+    scale = _POWERS_OF_TEN[np.where(regular, shift, 0).astype(np.intp)]
+    del shift
+    scaled = magnitude * scale
+    regular &= (scaled > 10.0 ** (digits - 1)) & (scaled < 10.0**digits)
+    m = np.rint(scaled)
+    ties = regular & (scaled - np.floor(scaled) == 0.5)
+    if ties.any():
+        half = scaled[ties]
+        error = _product_error(magnitude[ties], scale[ties], half)
+        m[ties] = np.where(error > 0, half + 0.5, np.where(error < 0, half - 0.5, m[ties]))
+    del scaled, magnitude
+    out = np.where(regular, np.copysign(m / scale, x), x)
+    del m, scale
+    odd = ~regular & (x != 0.0)
+    if odd.any():
+        spec = f".{digits}g"
+        out[odd] = [float(format(v, spec)) for v in x[odd].tolist()]
+    return out
 
 
 def matrix_to_json(matrix) -> dict:

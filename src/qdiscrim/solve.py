@@ -7,9 +7,11 @@ states in any dimension and arbitrary qubit ensembles, through one exact
 shifted-ball dual for every prior (equal priors are equal shifts, and
 the dual is then the paper's minimum enclosing ball). On qubits the
 dual's center and value give the complementary states in closed form
-and its basis gives the POVM, so a qubit solve diagonalizes no gap; in
-other dimensions complementary_states diagonalizes the gaps
-K - q_x rho_x in one stacked call. Given only a symmetry operator, one
+and its basis gives the POVM, so a qubit solve diagonalizes no gap. Two
+states read everything, the complementary states too, off the one
+spectrum of q1 rho1 - q2 rho2, whose negative and positive parts are the
+gaps K - q_x rho_x. Otherwise complementary_states diagonalizes the gaps
+in one stacked call. Given only a symmetry operator, one
 search in any dimension finds an optimal POVM on the kernels of the
 complementary states (reconstruct_povm); the generators use it.
 Ensembles of three or more states in dimension three or higher have no
@@ -366,23 +368,34 @@ def _trivial_solution(ensemble: WeightedEnsemble) -> DiscriminationSolution:
 
 
 def helstrom_two_state(ensemble: WeightedEnsemble) -> DiscriminationSolution:
-    """Closed-form optimum for two states of any common dimension.
+    """Closed-form optimum for two states of any common dimension, from one diagonalization.
 
     The value is (1 + ||q1 rho1 - q2 rho2||_1) / 2; the first POVM element
     projects onto the non-negative eigenspace of the weighted difference
-    and the symmetry operator is q1 rho1 plus the difference's negative
-    part.
+    Delta = V diag(lambda) V† and the symmetry operator is q1 rho1 plus
+    Delta's negative part. The gaps K - q1 rho1 and K - q2 rho2 are
+    Delta's negative and positive parts, so the complementary states are
+    sigma_1 = V max(-lambda, 0) V† / r_1 and sigma_2 = V max(lambda, 0) V† / r_2
+    with the weights and absent states of complementary_states on the
+    same K: nothing is diagonalized but Delta.
     """
     if ensemble.size != 2:
         raise ValueError(f"two-state solver got {ensemble.size} states")
     q1, q2 = ensemble.priors
     rho1, rho2 = ensemble.matrices
-    delta = q1 * rho1 - q2 * rho2
+    values, vectors = _eigh(q1 * rho1 - q2 * rho2)
 
-    negative, m1 = _negative_part_and_projector(delta)
+    negative, m1 = _negative_part_and_projector(values, vectors)
     m2 = np.eye(ensemble.dim, dtype=complex) - m1
     sym = HermitianOperator(q1 * rho1 + negative)
-    return _assemble(ensemble, sym, complementary_states(sym, ensemble), np.stack([m1, m2]))
+    weights = sym.trace() - ensemble.priors
+    live = weights > DEGENERATE_WEIGHT_TOL
+    gaps = np.stack([-values, values])[live]
+    states = _state_stack(gaps, np.broadcast_to(vectors, (2, *vectors.shape))[live])
+    weights = np.maximum(weights, 0.0)
+    weights.setflags(write=False)
+    comp = ComplementarySet._from_stack(weights, states, live)
+    return _assemble(ensemble, sym, comp, np.stack([m1, m2]))
 
 
 def solve_qubit_equal_priors(ensemble: WeightedEnsemble) -> DiscriminationSolution:

@@ -8,9 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdiscrim
 import qdiscrim.errors
+import qdiscrim.serialize as serialize
 
 from qdiscrim import (
     HermitianOperator,
@@ -107,6 +110,65 @@ class TestSerialization:
         for digits in (9, 3, 17):
             expected = json.dumps(_round_floats_reference(doc, digits))
             assert json.dumps(round_floats(doc, digits)) == expected
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        matrices=st.lists(
+            st.integers(1, 6).flatmap(
+                lambda width: st.lists(
+                    st.lists(st.floats(), min_size=width, max_size=width), min_size=1, max_size=5
+                )
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+        digits=st.integers(1, 17),
+    )
+    def test_round_floats_matrices_match_reference(self, matrices, digits):
+        # any doubles, subnormals, signed zeros, inf and nan among them
+        doc = {"matrices": matrices, "first": matrices[0]}
+        expected = json.dumps(_round_floats_reference(doc, digits))
+        assert json.dumps(round_floats(doc, digits)) == expected
+
+    def test_round_floats_exact_cases(self):
+        powers = [float(f"1e{k}") for k in range(-30, 31)]
+        edges = [np.nextafter(p, direction).item() for p in powers for direction in (0.0, np.inf)]
+        values = [123456789.5, 0.125, 1.5e9, 5e-324, -0.0, 0.0, *powers, *edges]
+        values += [-v for v in values]
+        rows = [values[i : i + 3] for i in range(0, len(values) - len(values) % 3, 3)]
+        for digits in range(1, 18):
+            doc = {"re": rows, "im": [[v] * 4 for v in values]}
+            expected = json.dumps(_round_floats_reference(doc, digits))
+            assert json.dumps(round_floats(doc, digits)) == expected, digits
+        # the exact ties, half to even like format
+        assert round_floats([[123456789.5, 0.125, 1.0]], 9) == [[123456790.0, 0.125, 1.0]]
+        assert round_floats([[0.125, 0.375, 2.5]], 2) == [[0.12, 0.38, 2.5]]
+
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            [[0.5, 0.25, 7], [0.5, 0.25, 0.125]],
+            [[0.5, 0.25, True], [0.5, 0.25, 0.125]],
+            [[0.5, 0.25, np.float64(1 / 3)], [0.5, 0.25, 0.125]],
+            [(0.5, 0.25, 0.125), (0.5, 0.25, 0.125)],
+            [[0.5, 0.25, 0.125], [0.5, 0.25]],
+            [[]],
+        ],
+        ids=["int", "bool", "float64", "tuple-rows", "ragged", "empty-row"],
+    )
+    def test_round_floats_leaves_non_matrices_to_the_float_path(self, matrix, monkeypatch):
+        gathered = []
+        real = serialize._round_significant
+
+        def recording(x, digits):
+            gathered.append(x.size)
+            return real(x, digits)
+
+        monkeypatch.setattr(serialize, "_round_significant", recording)
+        doc = {"m": matrix, "wide": [[1 / 3] * 3] * 2}
+        expected = json.dumps(_round_floats_reference(doc, 9))
+        assert json.dumps(round_floats(doc, 9)) == expected
+        assert gathered == [6]  # the plain-float matrix only
 
     @pytest.mark.parametrize(
         "ensemble",
@@ -423,7 +485,7 @@ _VERIFY_FUZZ = {
 }
 _GENERATE_FUZZ = {
     "huge-operator": (_HUGE, 4),
-    "non-hermitian": ([[0.5, 0.3], [0.1, 0.5]], 3),
+    "non-hermitian": ([[0.5, 0.3], [0.1, 0.5]], 2),
     "trace-2": ([[1.0, 0.0], [0.0, 1.0]], 3),
     "nan-operator": ([[math.nan, 0.0], [0.0, 0.5]], 2),
 }
@@ -451,6 +513,15 @@ class TestCliFuzz:
         path.write_text(json.dumps({"dim": 2, "re": re, "im": _ZERO}))
         assert main(["generate", str(path), "--mode", "steering"]) == code
         assert _one_error_line(capsys.readouterr().err)
+
+    def test_generate_names_the_file_and_k_of_a_non_hermitian_operator(self, tmp_path, capsys):
+        # the defect that exits 2 as a verify candidate's K exits 2 from generate too
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"dim": 2, "re": _GENERATE_FUZZ["non-hermitian"][0], "im": _ZERO}))
+        assert main(["generate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: K: matrix is not Hermitian")
+        assert len(err.splitlines()) == 1
 
     @pytest.mark.parametrize("case", sorted(_FUZZ))
     def test_exits_cleanly_naming_the_field(self, case, tmp_path, capsys):
