@@ -11,9 +11,12 @@ diagonalized once: the helpers that need several spectral quantities of
 one matrix take them from a single decomposition. Validation, the
 eigensolver and the rebuild of states from a spectrum take stacks
 (..., d, d), so per-state work over an ensemble is one LAPACK call per
-layer; a single matrix is a stack of one. Collections of operators are
-stored as such stacks (_matrix_stack builds one); their wrapper tuples
-are built from the stack on first access (_wrap_hermitian, _wrap_density).
+layer; a single matrix is a stack of one. The eigenvalues of 2 x 2
+matrices (_eigvalsh) have a closed form that calls no LAPACK, so with the
+closed-form qubit parse (serialize) a qubit request makes no LAPACK call.
+Collections of operators are stored as such stacks (_matrix_stack builds
+one); their wrapper tuples are built from the stack on first access
+(_wrap_hermitian, _wrap_density).
 """
 
 from __future__ import annotations
@@ -239,13 +242,29 @@ def _eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eigvalsh(matrix) -> np.ndarray:
-    """Eigenvalues of a Hermitian matrix or stack, descending (LAPACK's order reversed).
+    """Eigenvalues of a Hermitian matrix or stack, descending.
 
-    One call to LAPACK's values-only driver (``numpy.linalg.eigvalsh``), which
-    skips the eigenvectors: checks that read only a spectrum use it. Its
-    values may differ from _eigh's in the last bits.
+    Checks that read only a spectrum use it. A 2 x 2 matrix [[a, b*], [b, d]]
+    (read from its lower triangle, as LAPACK reads it) has the closed form
+    mean +- radius with mean = a/2 + d/2 and radius = hypot(a/2 - d/2, |b|);
+    halving first keeps entries near the float maximum finite, and a
+    non-finite result raises ConvergenceError as _lapack does. Any other
+    dimension is one call to LAPACK's values-only driver
+    (``numpy.linalg.eigvalsh``), which skips the eigenvectors. Either may
+    differ from _eigh's values in the last bits.
     """
-    return _lapack(np.linalg.eigvalsh, matrix)[0][..., ::-1]
+    m = np.asarray(matrix)
+    if m.shape[-2:] != (2, 2):
+        return _lapack(np.linalg.eigvalsh, m)[0][..., ::-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = m[..., 0, 0].real / 2.0
+        d = m[..., 1, 1].real / 2.0
+        mean = a + d
+        radius = np.hypot(a - d, np.abs(m[..., 1, 0]))
+        values = np.stack((mean + radius, mean - radius), axis=-1)
+    if not np.isfinite(values).all():
+        raise ConvergenceError("eigendecomposition returned non-finite values")
+    return values
 
 
 def hermitian_eigen(operator) -> SpectralDecomposition:

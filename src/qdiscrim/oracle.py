@@ -8,6 +8,7 @@ guessing identities live here as well.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,29 +88,27 @@ def _grid_minimum(pts, shifts, grid):
 def dual_grid_oracle(ensemble: WeightedEnsemble, resolution: float) -> float:
     """Brute-force qubit dual value by grid search over the ball parameter.
 
-    Starts from a coarse 0.05 grid on [-1, 1]^3 and repeatedly refines a
-    shrinking window around the running argmin until the grid step reaches
-    the requested resolution. Every evaluation is the true objective, so
-    the result upper-bounds the optimum; the objective is 1-Lipschitz in
-    the grid point, bounding the overshoot by sqrt(3) times the
-    resolution.
+    Starts from a coarse 0.05 grid on [-1, 1]^3 (41^3 points) and
+    repeatedly refines a window of 21^3 points around the running argmin,
+    the step shrinking fivefold per level, until it reaches the requested
+    resolution; so no level is larger than the coarse grid, however fine
+    the resolution. Every evaluation is the true objective, so the result
+    upper-bounds the optimum; the objective is 1-Lipschitz in the grid
+    point, bounding the overshoot by sqrt(3) times the resolution. The
+    resolution must be finite and positive.
     """
-    if resolution <= 0:
-        raise ValueError("resolution must be positive")
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
     if ensemble.dim != 2:
         raise ValueError("the grid oracle covers qubit ensembles only")
     q = ensemble.priors
     pts = q[:, None] * _bloch_vectors(ensemble.matrices)
 
     global _COARSE_GRID
-    step = min(_COARSE_STEP, resolution * 50)
-    if step == _COARSE_STEP:
-        if _COARSE_GRID is None:
-            _COARSE_GRID = _grid_points(np.full(3, -1.0), np.full(3, 1.0), _COARSE_STEP)
-        grid = _COARSE_GRID
-    else:
-        grid = _grid_points(np.full(3, -1.0), np.full(3, 1.0), step)
-    best_k, best_f = _grid_minimum(pts, q, grid)
+    if _COARSE_GRID is None:
+        _COARSE_GRID = _grid_points(np.full(3, -1.0), np.full(3, 1.0), _COARSE_STEP)
+    step = _COARSE_STEP
+    best_k, best_f = _grid_minimum(pts, q, _COARSE_GRID)
     while step > resolution:
         next_step = max(resolution, step / 5)
         window = 2 * step

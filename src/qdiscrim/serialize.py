@@ -15,6 +15,7 @@ from itertools import chain
 
 import numpy as np
 
+from .bloch import _bloch_vectors, _operators
 from .certify import KktCertificate
 from .factory import FactoryOutput
 from .operators import (
@@ -257,20 +258,49 @@ def ensemble_from_json(obj) -> WeightedEnsemble:
 def _states_from_rounded(h: np.ndarray) -> np.ndarray:
     """The frozen state stack of parsed Hermitian matrices, absorbing rounding up to 1e-8.
 
-    The whole stack is diagonalized at once; a defect names its state as
-    states[i].
+    Each matrix is normalized to unit trace. Qubits are rebuilt from their
+    Bloch vectors in closed form (_qubit_states), so parsing a qubit
+    ensemble calls no LAPACK; larger states are diagonalized as one stack
+    and rebuilt from their spectra (_state_stack). An eigenvalue below
+    -1e-8 (or a trace off 1 by more than 1e-8) names its state as states[i].
     """
     traces = np.trace(h, axis1=1, axis2=2).real
     off = np.flatnonzero(np.abs(traces - 1.0) > 1e-8)
     if off.size:
         i = int(off[0])
         raise ValueError(f"states[{i}]: state trace must be 1, got {float(traces[i])!r}")
-    values, vectors = _eigh(h / traces[:, None, None])
-    negative = np.flatnonzero(values[:, -1] < -1e-8)
+    # entries near the float maximum can overflow here; the spectrum rejects them
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = h / traces[:, None, None]
+        if rho.shape[-1] == 2:
+            return _qubit_states(rho)
+    values, vectors = _eigh(rho)
+    _reject_negative(values[:, -1])
+    return _state_stack(values, vectors)
+
+
+def _qubit_states(rho: np.ndarray) -> np.ndarray:
+    """The frozen states of unit-trace qubit matrices I/2 + h . sigma, with no eigensolver.
+
+    Their eigenvalues are 1/2 +- |h|. The state (I + h/max(|h|, 1/2) . sigma)/2
+    is that spectrum clipped at zero and renormalized, as _state_stack
+    rebuilds it. h is read from halved entries, whose sums stay finite on
+    entries near the float maximum.
+    """
+    half_bloch = _bloch_vectors(rho / 2.0)
+    norms = np.hypot(np.hypot(half_bloch[:, 0], half_bloch[:, 1]), half_bloch[:, 2])
+    _reject_negative(0.5 - norms)
+    states = _operators(1.0, half_bloch / np.maximum(norms, 0.5)[:, None])
+    states.setflags(write=False)
+    return states
+
+
+def _reject_negative(smallest: np.ndarray) -> None:
+    """Name the first state whose smallest eigenvalue is below -1e-8 (or NaN)."""
+    negative = np.flatnonzero(~(smallest >= -1e-8))
     if negative.size:
         i = int(negative[0])
-        raise ValueError(f"states[{i}]: state has negative eigenvalue {values[i, -1]:.3e}")
-    return _state_stack(values, vectors)
+        raise ValueError(f"states[{i}]: state has negative eigenvalue {smallest[i]:.3e}")
 
 
 def solution_to_json(solution: DiscriminationSolution) -> dict:

@@ -26,6 +26,7 @@ from qdiscrim.certify import ANALYTIC_TOL, verify_legacy_conditions
 from qdiscrim.cli import _certificate, main
 from qdiscrim.errors import DiscriminationError, UnsupportedInstanceError
 from qdiscrim.serialize import (
+    _matrices_from_json,
     certificate_to_json,
     ensemble_from_json,
     ensemble_to_json,
@@ -34,8 +35,12 @@ from qdiscrim.serialize import (
     round_floats,
     solution_to_json,
 )
+from qdiscrim.bloch import _bloch_vectors, _operators
 from qdiscrim.families import trine
+from qdiscrim.operators import _eigh, _state_stack
 from qdiscrim.solve import solve
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _round_floats_reference(value, digits):
@@ -392,6 +397,12 @@ _DEFECTS = {
         {"dim": 2, "re": [[0.5, -1e308], [-1e308, 0.5]], "im": _ZERO},
         "state has negative eigenvalue -1.000e+308",
     ),
+    # the largest float over a trace just below 1 overflows, silently
+    "max-float-over-trace": (
+        {"dim": 2, "re": [[0.5, sys.float_info.max], [sys.float_info.max, 0.5 - 1e-9]],
+         "im": _ZERO},
+        "state has negative eigenvalue -inf",
+    ),
 }
 
 
@@ -424,6 +435,95 @@ class TestBatchedParseDiagnostics:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "states[2]" in err
         assert "Traceback" not in err
+
+
+def _rebuild_reference(doc):
+    """The states of an ensemble document as the eigensolver parse, which the
+    qubit closed form replaced, builds them: normalize the trace, diagonalize,
+    reject eigenvalues below -1e-8, clip the rest and renormalize."""
+    matrices = _matrices_from_json(doc["states"], "states", "ensemble")
+    traces = np.trace(matrices, axis1=1, axis2=2).real
+    values, vectors = _eigh(matrices / traces[:, None, None])
+    negative = np.flatnonzero(values[:, -1] < -1e-8)
+    if negative.size:
+        i = int(negative[0])
+        raise ValueError(f"states[{i}]: state has negative eigenvalue {values[i, -1]:.3e}")
+    return _state_stack(values, vectors)
+
+
+def _qubit_doc(vectors, digits=None) -> dict:
+    """An equal-prior ensemble document of the states (I + v . sigma)/2."""
+    vectors = np.asarray(vectors, dtype=float)
+    doc = {
+        "priors": [1.0 / len(vectors)] * len(vectors),
+        "states": serialize._stack_to_json(_operators(1.0, vectors)),
+    }
+    return doc if digits is None else round_floats(doc, digits)
+
+
+class TestQubitParse:
+    """Qubit states are read as Bloch vectors, with no eigensolver, and agree
+    with the diagonalize-clip-rebuild parse to rounding."""
+
+    @staticmethod
+    def _agrees(doc):
+        parsed = ensemble_from_json(doc).matrices
+        reference = _rebuild_reference(doc)
+        assert not parsed.flags.writeable
+        assert np.max(np.abs(parsed - reference)) <= 1e-15
+        assert np.max(np.abs(np.trace(parsed, axis1=1, axis2=2) - 1.0)) <= 1e-15
+        assert np.array_equal(parsed, parsed.conj().swapaxes(1, 2))
+        return parsed
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_perfbench_qubit_decks(self, seed):
+        sys.path.insert(0, str(ROOT / "perfbench"))
+        try:
+            import workloads
+        finally:
+            sys.path.remove(str(ROOT / "perfbench"))
+        for case in workloads.deck("qubit", seed):
+            self._agrees(json.loads(case.doc))
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        vectors=st.lists(st.tuples(*[st.floats(-1.0, 1.0)] * 3), min_size=1, max_size=8),
+        radius=st.sampled_from([0.0, 1e-9, 0.3, 1.0 - 1e-12, 1.0, 1.0 + 5e-9]),
+        digits=st.sampled_from([None, 9, 12]),
+    )
+    def test_states_match_the_rebuild(self, vectors, radius, digits):
+        v = np.array(vectors)
+        norms = np.linalg.norm(v, axis=1)
+        v = np.where(norms[:, None] > 1e-3, v / np.maximum(norms, 1e-3)[:, None] * radius, v)
+        self._agrees(_qubit_doc(v, digits))
+
+    def test_pure_states_printed_at_9_digits_are_clipped(self):
+        rng = np.random.default_rng(9)
+        v = rng.standard_normal((200, 3))
+        doc = _qubit_doc(v / np.linalg.norm(v, axis=1)[:, None], digits=9)
+        printed = _matrices_from_json(doc["states"], "states", "ensemble")
+        printed = printed / np.trace(printed, axis1=1, axis2=2)[:, None, None]
+        # rounding pushes some printed Bloch vectors past the sphere; parsing
+        # clips those back onto it and keeps the rest
+        outside = np.linalg.norm(_bloch_vectors(printed), axis=1) > 1.0 + 1e-11
+        assert outside.sum() > 20
+        parsed = self._agrees(doc)
+        norms = np.linalg.norm(_bloch_vectors(parsed), axis=1)
+        assert np.max(np.abs(norms[outside] - 1.0)) <= 1e-15
+        assert np.max(norms) <= 1.0 + 1e-15
+        assert np.min(np.linalg.eigvalsh(parsed)) >= -1e-15
+
+    def test_negative_eigenvalue_threshold(self):
+        directions = np.eye(3)
+        accepted = _qubit_doc(directions * [1.0, 0.5, 1.0 + 1.9e-8])
+        assert self._agrees(accepted).shape == (3, 2, 2)
+        rejected = _qubit_doc(directions * [1.0, 0.5, 1.0 + 2.1e-8])
+        messages = []
+        for parse in (ensemble_from_json, _rebuild_reference):
+            with pytest.raises(ValueError) as info:
+                parse(rejected)
+            messages.append(str(info.value))
+        assert messages[0] == messages[1] == "states[2]: state has negative eigenvalue -1.050e-08"
 
 
 _STATE = {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": _ZERO}
@@ -877,3 +977,18 @@ class TestCliOracle:
         assert main(["oracle", trine_file, "--resolution", "1e-3"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["value"] == pytest.approx(2 / 3, abs=2e-3)
+
+    def test_fine_resolution_refines_without_a_fine_full_grid(self, trine_file, capsys):
+        assert main(["oracle", trine_file, "--resolution", "1e-6"]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        value = json.loads(out)["value"]
+        assert 2 / 3 - 1e-9 <= value <= 2 / 3 + math.sqrt(3) * 1e-6
+
+    @pytest.mark.parametrize("resolution", ["nan", "inf", "0", "-1"])
+    def test_invalid_resolution_exits_3(self, resolution, trine_file, capsys):
+        # an invalid parameter, like a sweep range, exits 3
+        assert main(["oracle", trine_file, "--resolution", resolution]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert _one_error_line(err) and "resolution must be finite and positive" in err

@@ -2,6 +2,7 @@ import dataclasses
 import importlib
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -364,6 +365,81 @@ class TestEigensolverContract:
         assert np.array_equal(_fix_phases(zero_column), _fix_phases_by_column(zero_column))
 
 
+_UNIT = st.floats(-1.0, 1.0, allow_nan=False)
+_SCALE = st.integers(-300, 300).map(lambda k: 10.0**k)
+
+
+@st.composite
+def _hermitian_2x2(draw):
+    """A 2 x 2 Hermitian matrix: general (each entry at its own scale), diagonal,
+    a multiple of the identity or rank one, with entries from 1e-300 to 1e300."""
+    kind = draw(st.sampled_from(["general", "diagonal", "scalar", "rank-one"]))
+    if kind == "rank-one":
+        g = np.array([complex(draw(_UNIT), draw(_UNIT)) for _ in range(2)])
+        return np.outer(g, g.conj()) * draw(_SCALE)
+    a, d = draw(_UNIT) * draw(_SCALE), draw(_UNIT) * draw(_SCALE)
+    b = complex(draw(_UNIT), draw(_UNIT)) * draw(_SCALE)
+    if kind == "scalar":
+        d, b = a, 0.0
+    elif kind == "diagonal":
+        b = 0.0
+    return np.array([[a, np.conj(b)], [b, d]], dtype=complex)
+
+
+def _within_exact_spectrum(m, values, tol: Fraction) -> bool:
+    """Whether values lie within tol of the exact eigenvalues mean +- sqrt(disc) of
+    the 2 x 2 matrix m (read from its lower triangle), in rational arithmetic."""
+    a, d, b = Fraction(m[0, 0].real), Fraction(m[1, 1].real), m[1, 0]
+    mean = (a + d) / 2
+    disc = ((a - d) / 2) ** 2 + Fraction(b.real) ** 2 + Fraction(b.imag) ** 2
+    for sign, value in zip((1, -1), values.tolist()):
+        root = sign * (Fraction(value) - mean)  # sqrt(disc), up to the error
+        low, high = root - tol, root + tol
+        if high < 0 or high * high < disc or (low > 0 and low * low > disc):
+            return False
+    return True
+
+
+class TestClosedFormEigenvalues:
+    """2 x 2 spectra come from mean +- radius instead of LAPACK."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(matrices=st.lists(_hermitian_2x2(), min_size=1, max_size=6))
+    def test_matches_numpy_eigvalsh(self, matrices):
+        stack = np.stack(matrices)
+        values = _eigvalsh(stack)
+        expected = np.linalg.eigvalsh(stack)[:, ::-1]
+        assert values.shape == expected.shape
+        assert np.all(values[:, 0] >= values[:, 1])
+        scale = 1.0 + np.max(np.abs(stack), axis=(1, 2))
+        for m, pair, s in zip(stack, values, scale.tolist()):
+            assert _within_exact_spectrum(m, pair, Fraction(1e-15) * Fraction(s))
+        # LAPACK's own error reaches some 6.5 eps * max|m| on these matrices
+        # (against 80-digit arithmetic), beyond 1e-15 * max|m|
+        assert np.all(np.abs(values - expected) <= 1e-14 * scale[:, None])
+
+    def test_single_matrix_is_a_stack_of_one(self):
+        m = np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, 0.7]])
+        assert np.array_equal(_eigvalsh(m), _eigvalsh(m[None])[0])
+        assert _eigvalsh(m).shape == (2,)
+
+    def test_non_finite_raises_convergence_error(self):
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            _eigvalsh(np.array([[np.nan, 0.0], [0.0, 1.0]]))
+        # entries near the float maximum: the spectrum itself overflows
+        huge = np.array([[1e308, -1e308], [-1e308, 1e308]], dtype=complex)
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            _eigvalsh(huge[None])
+
+    def test_calls_no_lapack_on_qubits(self, monkeypatch):
+        def forbidden(matrix):
+            raise AssertionError("LAPACK called on a 2 x 2 stack")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
+        assert is_psd(np.eye(2)) and trace_norm(np.diag([0.5, -0.25])) == 0.75
+        assert DensityOperator(np.eye(2) / 2).dim == 2
+
+
 class TestDecompositionCounts:
     """Counts matrices decomposed (the product of the leading dimensions of
     each argument) and LAPACK calls, stage by stage, separately for
@@ -418,13 +494,12 @@ class TestDecompositionCounts:
         if equal_priors:
             doc["priors"] = [1.0 / n] * n
         parse, solve_counts, verify = self._stages(monkeypatch, json.loads(json.dumps(doc)))
-        # per state: its parse, its POVM element's positivity check in the
-        # solve (the complementary states are closed forms of the dual), and
-        # its gap, POVM element and legacy operator condition in verify; the
-        # per-state work is stacked, so the call count does not grow with N
-        assert parse == {"eigh": (n, 1), "eigvalsh": (0, 0)}
-        assert solve_counts == {"eigh": (0, 0), "eigvalsh": (n, 1)}
-        assert verify == {"eigh": (0, 0), "eigvalsh": (3 * n, 3)}
+        # every qubit spectrum has a closed form: the parse reads each state's
+        # Bloch vector, the solve's complementary states come from the dual,
+        # and the POVM check and the certificate's three spectra are 2 x 2
+        # eigenvalues, so a qubit request reaches no LAPACK driver at all
+        nothing = {"eigh": (0, 0), "eigvalsh": (0, 0)}
+        assert parse == solve_counts == verify == nothing
 
 
 class TestStackedTuples:

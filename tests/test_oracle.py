@@ -45,6 +45,23 @@ class TestDualGridOracle:
             assert value >= p - 1e-6
             assert value <= p + math.sqrt(3) * resolution
 
+    def test_sandwiches_solver_value_at_fine_resolution(self):
+        # below 1e-3 the coarse grid stays at 0.05 and only the refinement
+        # windows get finer
+        resolution = 2e-4
+        for seed in range(40):
+            n = 2 + seed % 5
+            e = random_ensemble(2, n, pure=(seed % 2 == 1), seed=2000 + seed)
+            p = solve_qubit(e).p_guess
+            value = dual_grid_oracle(e, resolution)
+            assert p - 1e-6 <= value <= p + math.sqrt(3) * resolution
+
+    @pytest.mark.parametrize("resolution", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+    def test_rejects_resolution_that_is_not_finite_and_positive(self, resolution):
+        e = random_ensemble(2, 3, pure=True, seed=0)
+        with pytest.raises(ValueError, match="finite and positive"):
+            dual_grid_oracle(e, resolution)
+
     def test_input_validation(self):
         e = random_ensemble(2, 2, pure=True, seed=0)
         with pytest.raises(ValueError):
