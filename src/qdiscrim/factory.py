@@ -23,7 +23,13 @@ import numpy as np
 from .bloch import _operators, from_bloch
 from .certify import ANALYTIC_TOL, verify_kkt
 from .errors import InfeasibleDualError
-from .operators import DensityOperator, HermitianOperator, _eigh, _hermitian_operators, purify
+from .operators import (
+    DensityOperator,
+    HermitianOperator,
+    _eigvalsh,
+    _hermitian_operators,
+    purify,
+)
 from .solve import (
     ComplementarySet,
     WeightedEnsemble,
@@ -46,7 +52,7 @@ class SteeringMeasurement:
             if isinstance(first_outcome, HermitianOperator)
             else HermitianOperator(first_outcome)
         )
-        values = _eigh(op.matrix)[0]
+        values = _eigvalsh(op.matrix)
         if values[-1] < -1e-10 or values[0] > 1 + 1e-10:
             raise ValueError("steering outcome must satisfy 0 <= M0 <= I")
         object.__setattr__(self, "first_outcome", op)
@@ -107,7 +113,7 @@ def generate_from_symmetry_operator(
         if isinstance(symmetry_op, HermitianOperator)
         else HermitianOperator(symmetry_op)
     )
-    values = _eigh(sym.matrix)[0]
+    values = _eigvalsh(sym.matrix)
     if values[-1] < -1e-10:
         raise ValueError("symmetry operator must be positive semidefinite")
     total = sym.trace()

@@ -16,7 +16,17 @@ matrices (_eigvalsh) have a closed form that calls no LAPACK, so with the
 closed-form qubit parse (serialize) a qubit request makes no LAPACK call.
 Collections of operators are stored as such stacks (_matrix_stack builds
 one); their wrapper tuples are built from the stack on first access
-(_wrap_hermitian, _wrap_density).
+(_wrap_hermitian, _wrap_density); a tuple of HermitianOperators keeps
+its stack, which _matrix_stack hands back without stacking it again.
+
+Matrices are validated where they enter the package: the public
+constructors (HermitianOperator, DensityOperator and the types built on
+them) and the parse of JSON documents (serialize), which reads ensembles
+and the candidate POVMs of certificates alike. A matrix the package
+builds Hermitian by construction, such as the closed-form qubit
+operators (t I + v . sigma)/2 of the qubit solver, is wrapped unchecked
+(_trusted_hermitian, _wrap_hermitian); the checks that can fail on it
+(completeness, positivity, the prior bound of solve._assemble) still run.
 """
 
 from __future__ import annotations
@@ -44,10 +54,14 @@ def _as_matrix(operator) -> np.ndarray:
 def _matrix_stack(ops, what: str = "matrices") -> np.ndarray:
     """Operators or matrices as one stack (N, d, d); an ndarray passes through unchanged.
 
-    An empty sequence gives (0, 0, 0); differing shapes raise "<what> must share one dimension".
+    So does the stack that a tuple from _wrap_hermitian wraps.
+    An empty sequence gives (0, 0, 0); differing shapes raise "<what> must
+    share one dimension".
     """
     if isinstance(ops, np.ndarray):
         return ops
+    if isinstance(ops, _StackTuple):
+        return ops.stack
     matrices = [_as_matrix(m) for m in ops]
     if len({m.shape for m in matrices}) > 1:
         dims = sorted({n for m in matrices for n in m.shape})
@@ -93,7 +107,7 @@ def _hermitian_stack(matrices, field: str | None = None) -> np.ndarray:
         return ValueError(message if field is None else f"{field.format(index)}: {message}")
 
     flat = m.reshape(-1, d, d)
-    finite = np.isfinite(flat.real).all(axis=(1, 2)) & np.isfinite(flat.imag).all(axis=(1, 2))
+    finite = np.isfinite(flat).all(axis=(1, 2))
     if not finite.all():
         raise reject(int(np.argmin(finite)), "matrix entries must be finite")
     asym = np.max(np.abs(flat - flat.conj().swapaxes(1, 2)), axis=(1, 2))
@@ -198,13 +212,17 @@ def _fix_phases(v: np.ndarray) -> np.ndarray:
     """Make the first non-negligible component of each column real positive.
 
     Works on stacks (..., d, d) of eigenvector columns, matrix by matrix.
+    A column with no component above 1e-8 keeps its phase; a unit column
+    always has one, so eigenvectors take the path with no masked assignment.
     """
     mags = np.abs(v)
     rows = np.argmax(mags > 1e-8, axis=-2)[..., None, :]
     pivots = np.take_along_axis(v, rows, axis=-2)
     sizes = np.take_along_axis(mags, rows, axis=-2)
-    phases = np.ones_like(pivots)
     nonzero = sizes > 0
+    if nonzero.all():
+        return v * (np.conj(pivots) / sizes)
+    phases = np.ones_like(pivots)
     phases[nonzero] = np.conj(pivots[nonzero]) / sizes[nonzero]
     return v * phases
 
@@ -231,13 +249,17 @@ def _eigh(matrix) -> tuple[np.ndarray, np.ndarray]:
     descending and the matching eigenvector columns, per matrix, with a
     deterministic phase convention. Equal eigenvalues keep the order
     LAPACK returns them in (a stable sort, not a reversal of the
-    ascending output). Raises ConvergenceError when LAPACK fails or
-    returns non-finite values, which signals pathological input.
+    ascending output). Without equal eigenvalues that sort is the
+    reversal, taken as reversed views. Raises ConvergenceError when LAPACK
+    fails or returns non-finite values, which signals pathological input.
     """
     values, vectors = _lapack(np.linalg.eigh, matrix)
-    order = np.argsort(-values, axis=-1, kind="stable")
-    values = np.take_along_axis(values, order, axis=-1)
-    vectors = np.take_along_axis(vectors, order[..., None, :], axis=-1)
+    if (values[..., 1:] > values[..., :-1]).all():
+        values, vectors = values[..., ::-1], vectors[..., ::-1]
+    else:
+        order = np.argsort(-values, axis=-1, kind="stable")
+        values = np.take_along_axis(values, order, axis=-1)
+        vectors = np.take_along_axis(vectors, order[..., None, :], axis=-1)
     return values, _fix_phases(vectors)
 
 
@@ -306,14 +328,28 @@ def nonnegative_eigenprojector(operator) -> np.ndarray:
     return _negative_part_and_projector(*_eigh(_as_matrix(operator)))[1]
 
 
+class _StackTuple(tuple):
+    """A tuple of the HermitianOperators of a stack's matrices that keeps the stack.
+
+    It is a tuple in every other respect; concatenation and slicing give
+    plain tuples.
+    """
+
+    stack: np.ndarray
+
+
+def _trusted_hermitian(matrix: np.ndarray) -> HermitianOperator:
+    """Wrap a frozen matrix that is Hermitian by construction, unchecked."""
+    op = object.__new__(HermitianOperator)
+    object.__setattr__(op, "matrix", matrix)
+    return op
+
+
 def _wrap_hermitian(stack: np.ndarray) -> tuple[HermitianOperator, ...]:
-    """Wrap each matrix of a frozen, already symmetrized stack, unchecked."""
-    ops = []
-    for m in stack:
-        op = object.__new__(HermitianOperator)
-        object.__setattr__(op, "matrix", m)
-        ops.append(op)
-    return tuple(ops)
+    """Wrap each matrix of a frozen, already Hermitian stack, unchecked."""
+    ops = _StackTuple(_trusted_hermitian(m) for m in stack)
+    ops.stack = stack
+    return ops
 
 
 def _hermitian_operators(matrices) -> tuple[HermitianOperator, ...]:

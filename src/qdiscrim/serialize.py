@@ -37,7 +37,8 @@ def round_floats(value, digits: int = 9):
     of plain floats, rows wider than two) are gathered by row width and
     rounded as arrays by _round_significant, which gives exactly those
     values; the rows are rebuilt with one tolist per width. Everything
-    else is rounded float by float.
+    else is rounded float by float, a pair of list rows (the 2x2 blocks
+    of qubit documents) in one nested comprehension.
     """
     spec = f".{digits}g"
     gather = type(digits) is int and 1 <= digits <= _EXACT_DIGITS
@@ -47,20 +48,21 @@ def round_floats(value, digits: int = 9):
     def walk(value):
         # lists first: most calls are on matrices and their rows
         if isinstance(value, (list, tuple)):
-            # 2x2 blocks (qubit documents) cost less float by float than the
-            # kernel's fixed cost, so only wider rows are gathered
-            if (
-                value
-                and type(value[0]) is list
-                and len(value[0]) > 2
-                and gather
-                and type(value) is list
-                and _is_matrix(value)
-            ):
-                rows, targets = gathered.setdefault(len(value[0]), ([], []))
-                rows.extend(value)
-                targets.append([None] * len(value))
-                return targets[-1]
+            if value and type(value[0]) is list:
+                # 2x2 blocks (qubit documents) cost less float by float than the
+                # kernel's fixed cost, so only wider rows are gathered
+                if len(value[0]) > 2:
+                    if gather and type(value) is list and _is_matrix(value):
+                        rows, targets = gathered.setdefault(len(value[0]), ([], []))
+                        rows.extend(value)
+                        targets.append([None] * len(value))
+                        return targets[-1]
+                elif len(value) == 2 and type(value[1]) is list:
+                    # two rows, as a 2x2 block: one nested comprehension, no call per row
+                    return [
+                        [float(format(v, spec)) if isinstance(v, float) else walk(v) for v in row]
+                        for row in value
+                    ]
             # a matrix row is a flat list of floats: one comprehension, no recursion
             return [float(format(v, spec)) if isinstance(v, float) else walk(v) for v in value]
         if isinstance(value, float):
@@ -170,8 +172,8 @@ def _matrices_from_json(items: list, field: str, owner: str) -> np.ndarray:
     """The Hermitian stack (N, d, d) of a JSON array of {"dim", "re", "im"} objects.
 
     One np.asarray converts all re and one all im, and _hermitian_stack
-    checks the stack at once, naming a bad matrix field[i]. Other defects,
-    non-finite entries too (1j * inf warns), send the items one by one through
+    checks the stack at once, non-finite entries included, naming a bad
+    matrix field[i]. Other defects send the items one by one through
     matrix_from_json, which names the first; mixed dimensions raise "<owner>:
     <field> must share one dimension". An empty array stays unchecked.
     """
@@ -186,8 +188,9 @@ def _matrices_from_json(items: list, field: str, owner: str) -> np.ndarray:
             im = np.asarray([m["im"] for m in items], dtype=float)
         except (TypeError, ValueError, OverflowError):
             re = im = np.zeros(0)
-        if re.shape == im.shape == (len(items), dim, dim) and np.isfinite([re, im]).all():
-            stack = re + 1j * im
+        if re.shape == im.shape == (len(items), dim, dim):
+            with np.errstate(invalid="ignore"):  # 1j * inf; the stack check rejects it
+                stack = re + 1j * im
     if stack is None:
         parsed = [matrix_from_json(m, field=f"{field}[{i}]") for i, m in enumerate(items)]
         stack = _matrix_stack(parsed, f"{owner}: {field}")

@@ -22,6 +22,15 @@ Ensembles, complementary sets and solutions store their operators as
 read-only stacks (N, d, d), which every layer reads. Their states and
 povm tuples stay: one built from a stack wraps them on first access,
 in one pass over the stack.
+
+The input is validated where it enters (the constructors, the parse);
+the solvers validate what they build only where it is not Hermitian by
+construction. The qubit solver builds K, the complementary states and
+the POVM as closed-form operators (t I + v . sigma)/2, exactly Hermitian,
+and wraps them unchecked; the two-state and trivial solvers build K and
+the POVM with matrix products and pass them through the Hermitian check.
+Every check that can fail on a built solution (completeness, positivity
+of the POVM, the bounds of the value) runs in _assemble on every path.
 """
 
 from __future__ import annotations
@@ -51,6 +60,7 @@ from .operators import (
     _matrix_stack,
     _negative_part_and_projector,
     _state_stack,
+    _trusted_hermitian,
     _wrap_density,
     _wrap_hermitian,
 )
@@ -226,7 +236,7 @@ class DiscriminationSolution:
     def _from_stack(
         cls, p_guess, symmetry_op, complementary, matrices, support
     ) -> DiscriminationSolution:
-        """A solution on a frozen POVM stack already validated as Hermitian."""
+        """A solution on a frozen POVM stack that is Hermitian (checked or by construction)."""
         out = object.__new__(cls)
         out._fill(p_guess, symmetry_op, complementary, matrices, support)
         return out
@@ -334,12 +344,18 @@ def _assemble(
     ensemble: WeightedEnsemble,
     sym: HermitianOperator,
     comp: ComplementarySet,
-    povm: np.ndarray,
+    matrices: np.ndarray,
 ) -> DiscriminationSolution:
-    """Combine solver outputs, the POVM as a stack (N, d, d), into a validated solution."""
+    """Combine solver outputs into a validated solution.
+
+    matrices is the POVM as a frozen Hermitian stack (N, d, d): checked by
+    _hermitian_stack, or Hermitian by construction. The POVM must sum to
+    the identity and be positive semidefinite (the eigenvalue check also
+    raises ConvergenceError on non-finite entries), and trace K must lie
+    in [max q_x, 1].
+    """
     p_guess = sym.trace()
 
-    matrices = _hermitian_stack(povm)
     if float(np.max(np.abs(matrices.sum(axis=0) - np.eye(ensemble.dim)))) > COMPLETENESS_TOL:
         raise InfeasibleDualError("POVM does not sum to the identity")
     if np.any(_eigvalsh(matrices)[:, -1] < -1e-10):
@@ -364,7 +380,8 @@ def _trivial_solution(ensemble: WeightedEnsemble) -> DiscriminationSolution:
     sym = HermitianOperator(ensemble.priors[m] * ensemble.matrices[m])
     povm = np.zeros((ensemble.size, ensemble.dim, ensemble.dim), dtype=complex)
     povm[m] = np.eye(ensemble.dim)
-    return _assemble(ensemble, sym, complementary_states(sym, ensemble), povm)
+    comp = complementary_states(sym, ensemble)
+    return _assemble(ensemble, sym, comp, _hermitian_stack(povm))
 
 
 def helstrom_two_state(ensemble: WeightedEnsemble) -> DiscriminationSolution:
@@ -395,7 +412,7 @@ def helstrom_two_state(ensemble: WeightedEnsemble) -> DiscriminationSolution:
     weights = np.maximum(weights, 0.0)
     weights.setflags(write=False)
     comp = ComplementarySet._from_stack(weights, states, live)
-    return _assemble(ensemble, sym, comp, np.stack([m1, m2]))
+    return _assemble(ensemble, sym, comp, _hermitian_stack(np.stack([m1, m2])))
 
 
 def solve_qubit_equal_priors(ensemble: WeightedEnsemble) -> DiscriminationSolution:
@@ -422,18 +439,35 @@ def solve_qubit(ensemble: WeightedEnsemble) -> DiscriminationSolution:
     Solves the shifted-ball dual min_k max_x (q_x + |k - p_x|), with
     p_x = q_x v_x; its optimum K = (t I + k . sigma)/2 gives the
     complementary states and the POVM in closed form
-    (_qubit_complementary, _basis_povm).
+    (_qubit_complementary, _basis_povm). K is built first, since the
+    complementary weights read its trace; the complementary states and
+    the POVM are then built as one stack of operators (t I + v . sigma)/2
+    from their coefficients. Both are exactly Hermitian, so neither is
+    checked as Hermitian again.
     """
     if ensemble.dim != 2:
         raise UnsupportedInstanceError("qubit solver applies to qubit ensembles only")
     points = ensemble.priors[:, None] * _bloch_vectors(ensemble.matrices)
     result = shifted_ball_dual(points, ensemble.priors)
-    sym = HermitianOperator(_operators(result.value, result.center))
-    comp = _qubit_complementary(sym.trace(), result.center, points, ensemble.priors)
-    return _assemble(ensemble, sym, comp, _basis_povm(result, points, comp.present))
+    k = _operators(result.value, result.center)
+    k.setflags(write=False)
+    sym = _trusted_hermitian(k)
+    weights, live, units = _qubit_complementary(
+        sym.trace(), result.center, points, ensemble.priors
+    )
+    scales, vectors = _basis_povm(result, points, live)
+    n_live = len(units)
+    stack = _operators(
+        np.concatenate([np.ones(n_live), scales]), np.concatenate([units, vectors])
+    )
+    stack.setflags(write=False)
+    comp = ComplementarySet._from_stack(weights, stack[:n_live], live)
+    return _assemble(ensemble, sym, comp, stack[n_live:])
 
 
-def _qubit_complementary(total, center, points, priors) -> ComplementarySet:
+def _qubit_complementary(
+    total, center, points, priors
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Complementary weights and states of K = (t I + k . sigma)/2, in closed form.
 
     With total = trace(K) = t, the gap K - q_x rho_x is
@@ -446,7 +480,8 @@ def _qubit_complementary(total, center, points, priors) -> ComplementarySet:
     DUAL_FEASIBILITY_TOL bound applies, the one verify_kkt checks: the
     relative COMPLEMENTARY_NOISE_TOL bound of complementary_states guards
     against eigensolver noise divided by a small r_x, and a closed form
-    has none.
+    has none. Returns the frozen weights (N,), the mask of present states
+    and the Bloch vectors u_x (L, 3) of the present states.
     """
     weights = total - priors
     offsets = center - points
@@ -460,16 +495,17 @@ def _qubit_complementary(total, center, points, priors) -> ComplementarySet:
         )
     live = weights > DEGENERATE_WEIGHT_TOL
     units = offsets[live] / np.maximum(weights[live], lengths[live])[:, None]
-    matrices = _operators(1.0, units)
     weights = np.maximum(weights, 0.0)
-    for array in (weights, matrices):
-        array.setflags(write=False)
-    return ComplementarySet._from_stack(weights, matrices, live)
+    weights.setflags(write=False)
+    return weights, live, units
 
 
-def _basis_povm(result: ShiftedBallResult, points: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """An optimal qubit POVM stack (N, 2, 2) read off the dual's basis.
+def _basis_povm(
+    result: ShiftedBallResult, points: np.ndarray, present: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """An optimal qubit POVM read off the dual's basis, as its coefficients.
 
+    Returns t (N,) and v (N, 3) with M_x = (t_x I + v_x . sigma)/2.
     A state with no complementary state (r_x = 0) attains trace(K) alone
     and takes the identity. Otherwise only the effective basis counts,
     the members with multiplier lambda_x > 0, and k = sum_x lambda_x p_x
@@ -484,33 +520,36 @@ def _basis_povm(result: ShiftedBallResult, points: np.ndarray, present: np.ndarr
     k - p_x is taken in the dual's edge coordinates, the offset
     sum_j lambda_j e_j minus e_x with e_x = p_x - p_b for the first member
     b, so that near-duplicate points keep their small differences. Every
-    other element is an exact zero.
+    other element has t = 0 and v = 0, an exact zero.
     """
-    povm = np.zeros((len(points), 2, 2), dtype=complex)
+    scales = np.zeros(len(points))
+    vectors = np.zeros((len(points), 3))
     if not present.all():
-        povm[np.argmin(present)] = np.eye(2)
-        return povm
+        scales[np.argmin(present)] = 2.0
+        return scales, vectors
     effective = result.multipliers > 0.0
     basis, lam = np.asarray(result.basis)[effective], result.multipliers[effective]
     if len(basis) == 1:
-        povm[basis[0]] = np.eye(2)
-        return povm
+        scales[basis[0]] = 2.0
+        return scales, vectors
     edges = points[basis] - points[basis[0]]
     if len(basis) == 2:
         length = float(np.linalg.norm(edges[1]))
         if not length > 0.0:
             raise InfeasibleDualError("the dual basis balances no measurement directions")
         unit = edges[1] / length
-        povm[basis] = _operators(1.0, np.stack([-unit, unit]))
-        return povm
+        scales[basis] = 1.0
+        vectors[basis] = np.stack([-unit, unit])
+        return scales, vectors
     offsets = lam @ edges - edges  # k - p_x for each basis member
     weights = lam * np.linalg.norm(offsets, axis=1)
     total = float(weights.sum())
     if not total > 0.0:
         raise InfeasibleDualError("the dual basis balances no measurement directions")
     scale = 2.0 / total
-    povm[basis] = _operators(scale * weights, -scale * lam[:, None] * offsets)
-    return povm
+    scales[basis] = scale * weights
+    vectors[basis] = -scale * lam[:, None] * offsets
+    return scales, vectors
 
 
 def solve(ensemble: WeightedEnsemble) -> DiscriminationSolution:

@@ -158,8 +158,20 @@ class TestSerialization:
             [(0.5, 0.25, 0.125), (0.5, 0.25, 0.125)],
             [[0.5, 0.25, 0.125], [0.5, 0.25]],
             [[]],
+            # pairs of list rows take one nested comprehension, whatever they hold
+            [[1 / 3, -0.0], [5e-324, 2 / 3]],
+            [[1 / 3, 7], [True, None]],
+            [[1 / 3, [0.1, 2 / 3]], [{"r": 1 / 3}, "x"]],
+            [[1 / 3], [0.1, 0.2, 1 / 3]],
+            [[1 / 3, 0.2], (0.1, 1 / 3)],
+            ([1 / 3, 0.2], [0.1, 1 / 3]),
+            [[], []],
         ],
-        ids=["int", "bool", "float64", "tuple-rows", "ragged", "empty-row"],
+        ids=[
+            "int", "bool", "float64", "tuple-rows", "ragged", "empty-row",
+            "pair", "pair-non-floats", "pair-nested", "pair-ragged", "pair-tuple-row",
+            "pair-in-tuple", "pair-empty",
+        ],
     )
     def test_round_floats_leaves_non_matrices_to_the_float_path(self, matrix, monkeypatch):
         gathered = []

@@ -42,6 +42,27 @@ class TestSteeringMeasurement:
         m = SteeringMeasurement(HermitianOperator(np.diag([1.0, 0.25])))
         assert np.allclose(m.second_outcome, np.diag([0.0, 0.75]))
 
+    def test_spectrum_checks_read_eigenvalues_only(self, monkeypatch, rng):
+        # the bounds 0 <= M0 <= I and K >= 0 need eigenvalues only: the two
+        # remaining eigenvector decompositions of a d=8 steering generate are
+        # purify's and complementary_states'
+        calls = {"eigh": 0, "eigvalsh": 0}
+        for name in calls:
+            real = getattr(np.linalg, name)
+
+            def counting(matrix, real=real, name=name):
+                calls[name] += 1
+                return real(matrix)
+
+            monkeypatch.setattr(np.linalg, name, counting)
+        vectors = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        measurements = [SteeringMeasurement(np.outer(v, v.conj())) for v in vectors]
+        assert calls == {"eigh": 0, "eigvalsh": 3}
+        k = np.diag(rng.uniform(0.1, 1.0, 8)).astype(complex)
+        generate_from_symmetry_operator(k / (2 * np.trace(k).real), measurements)
+        assert calls["eigh"] == 2
+
 
 class TestIdentityClassExample:
     def test_qubit_case_is_orthogonal_pair(self):

@@ -1,5 +1,6 @@
 import dataclasses
 import importlib
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -20,12 +21,16 @@ from qdiscrim import (
     purify,
     trace_norm,
 )
-from qdiscrim import operators, random_ensemble, verify_kkt
+from qdiscrim import certify, operators, random_ensemble, verify_kkt
+from qdiscrim.bloch import PAULI_X as BLOCH_X
+from qdiscrim.bloch import PAULI_Y, PAULI_Z, _operators
 from qdiscrim.operators import (
     _eigh,
     _eigvalsh,
     _fix_phases,
     _hermitian_stack,
+    _matrix_stack,
+    _symmetrized,
     negative_part,
     nonnegative_eigenprojector,
 )
@@ -364,6 +369,123 @@ class TestEigensolverContract:
         zero_column[:, 1] = [0.0, 1j, 0.0]
         assert np.array_equal(_fix_phases(zero_column), _fix_phases_by_column(zero_column))
 
+    def test_matches_stable_argsort_reference_bit_for_bit(self, rng):
+        # without equal eigenvalues the stable descending sort is a reversal
+        # and the phases need no mask; with them the sort keeps LAPACK's order
+        u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+        projector = u @ np.diag([1.0, 1.0, 0.0, 0.0]) @ u.conj().T
+        stacks = [
+            np.eye(3)[None],
+            np.diag([1.0, 1.0, 0.0])[None],
+            np.zeros((2, 3, 3)),
+            np.stack([projector, np.eye(4) - projector]),
+            np.stack([random_hermitian(5, rng) for _ in range(7)]),
+            np.stack([random_hermitian(2, rng) for _ in range(9)]),
+            random_hermitian(64, rng)[None],
+            np.array([[[0.5]], [[-2.0]]]),
+            np.stack([random_hermitian(3, rng), np.eye(3), random_hermitian(3, rng)]),
+        ]
+        for stack in stacks:
+            values, vectors = _eigh(stack)
+            expected_values, expected_vectors = _eigh_reference(stack)
+            assert _same_bits(values, expected_values)
+            assert _same_bits(vectors, expected_vectors)
+
+    def test_distinct_eigenvalues_take_no_sort(self, rng, monkeypatch):
+        stack = np.stack([random_hermitian(6, rng) for _ in range(5)])
+        expected = _eigh_reference(stack)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("sorted a spectrum without ties")
+
+        monkeypatch.setattr(np, "argsort", forbidden)
+        values, vectors = _eigh(stack)
+        assert _same_bits(values, expected[0]) and _same_bits(vectors, expected[1])
+
+    def test_unit_columns_take_the_unmasked_phases(self, rng):
+        for dim in (1, 2, 5, 16):
+            m = np.stack([random_hermitian(dim, rng) for _ in range(3)])
+            vectors = np.linalg.eigh(m)[1]
+            vectors[0, 0, 0] = 0.0  # a first pivot below 1e-8 falls through
+            assert _same_bits(_fix_phases(vectors), _masked_phases(vectors))
+        zero_column = np.zeros((3, 3), dtype=complex)
+        zero_column[:, 1] = [0.0, 1j, 0.0]
+        assert _same_bits(_fix_phases(zero_column), _masked_phases(zero_column))
+
+
+def _same_bits(a, b) -> bool:
+    """Equal shapes and equal bits, signed zeros included."""
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _masked_phases(v):
+    """The phase convention with a masked assignment for every stack."""
+    mags = np.abs(v)
+    rows = np.argmax(mags > 1e-8, axis=-2)[..., None, :]
+    pivots = np.take_along_axis(v, rows, axis=-2)
+    sizes = np.take_along_axis(mags, rows, axis=-2)
+    phases = np.ones_like(pivots)
+    nonzero = sizes > 0
+    phases[nonzero] = np.conj(pivots[nonzero]) / sizes[nonzero]
+    return v * phases
+
+
+def _eigh_reference(matrix):
+    """Descending order by a stable argsort and the masked phases, for every stack."""
+    values, vectors = np.linalg.eigh(np.asarray(matrix, dtype=complex))
+    order = np.argsort(-values, axis=-1, kind="stable")
+    values = np.take_along_axis(values, order, axis=-1)
+    vectors = np.take_along_axis(vectors, order[..., None, :], axis=-1)
+    return values, _masked_phases(vectors)
+
+
+def _pauli_sum(t, vectors):
+    """(t I + v . sigma)/2 as the complex Pauli sum that _operators reproduces."""
+    t = np.asarray(t, dtype=float)[..., None, None]
+    x, y, z = np.moveaxis(np.asarray(vectors, dtype=float)[..., None, None], -3, 0)
+    return 0.5 * (t * np.eye(2, dtype=complex) + x * BLOCH_X + y * PAULI_Y + z * PAULI_Z)
+
+
+class TestTrustedQubitOperators:
+    """The qubit solver wraps _operators' stacks unchecked: they must be the
+    Pauli sum bit for bit and exactly Hermitian."""
+
+    COMPONENTS = (0.0, -0.0, 1.0, -1.0, 0.3, -0.3, 1e-300, -1e-300, 5e-324)
+    TRACES = (0.0, -0.0, 0.7, 1.0)
+
+    def _grid(self):
+        return np.array(list(itertools.product(self.COMPONENTS, repeat=3)))
+
+    def test_matches_the_pauli_sum_bit_for_bit(self, rng):
+        grid = self._grid()
+        for t in self.TRACES:
+            assert _same_bits(_operators(t, grid), _pauli_sum(t, grid)), t
+            ts = np.full(len(grid), t)
+            assert _same_bits(_operators(ts, grid), _pauli_sum(ts, grid)), t
+        scale = 10.0 ** rng.integers(-300, 300, (500, 4))
+        t, v = rng.standard_normal(500) * scale[:, 0], rng.standard_normal((500, 3)) * scale[:, 1:]
+        assert _same_bits(_operators(t, v), _pauli_sum(t, v))
+        # one matrix, and broadcasting between t and the vectors
+        assert _same_bits(_operators(0.7, [0.1, -0.0, 0.3]), _pauli_sum(0.7, [0.1, -0.0, 0.3]))
+        t, v = rng.random((2, 3)), rng.standard_normal((2, 1, 3))
+        assert _same_bits(_operators(t, v), _pauli_sum(t, v))
+        assert _operators(t, v).shape == (2, 3, 2, 2)
+
+    def test_exactly_hermitian(self):
+        grid = self._grid()
+        for t in self.TRACES:
+            m = _operators(t, grid)
+            assert np.array_equal(m, m.conj().swapaxes(-1, -2)), t
+        # for t > 0 (K, the complementary states and the POVM elements of the
+        # qubit solver) and for the zero element, the symmetrization of a
+        # Hermitian check would not change one bit; halving a subnormal can
+        # round to zeros of opposite signs, which it would make +0
+        normal = grid[~np.any(np.abs(grid) == 5e-324, axis=1)]
+        for t, v in [(0.7, normal), (1.0, normal), (0.0, np.zeros(3))]:
+            m = _operators(t, v)
+            assert _same_bits(_symmetrized(m), m), t
+
 
 _UNIT = st.floats(-1.0, 1.0, allow_nan=False)
 _SCALE = st.integers(-300, 300).map(lambda k: 10.0**k)
@@ -533,13 +655,13 @@ class TestStackedTuples:
         out = solution_to_json(sol)
         assert len(out["povm"]) == len(out["complementary"]) == n
         assert wrapped == []
-        assert built == ["HermitianOperator"]  # the symmetry operator
+        assert built == []  # K too is built in closed form and wrapped unchecked
 
         # the povm tuple is wrapped from the stack once, on first access
         assert verify_kkt(ensemble, sol.symmetry_op, sol.povm).passed
         assert wrapped == [n]
         assert sol.povm is sol.povm and wrapped == [n]
-        assert built == ["HermitianOperator"]
+        assert built == []
         assert "states" not in vars(ensemble) and "states" not in vars(sol.complementary)
 
     def test_tuples_from_stacks_are_tuples_of_their_matrices(self):
@@ -556,6 +678,18 @@ class TestStackedTuples:
         assert [s is None for s in comp.states] == list(~comp.present)
         live = [s.matrix for s in comp.states if s is not None]
         assert np.array_equal(np.stack(live), comp.matrices)
+
+    def test_wrapped_tuples_keep_their_stack(self):
+        e = random_ensemble(2, 12, pure=False, seed=3)
+        sol = solve(e)
+        assert isinstance(sol.povm, tuple) and len(sol.povm) == 12
+        # verify_kkt reads the POVM stack back instead of stacking 12 wrappers
+        assert certify._povm_stack(e, sol.povm)[0] is sol.povm_matrices
+        assert type(sol.povm + (sol.povm[0],)) is tuple and type(sol.povm[1:]) is tuple
+        # a plain tuple of the same operators is stacked anew, to equal values
+        restacked = _matrix_stack(tuple(sol.povm))
+        assert restacked is not sol.povm_matrices
+        assert np.array_equal(restacked, sol.povm_matrices)
 
     def test_solution_constructor_takes_operators(self):
         sol = solve(random_ensemble(2, 4, pure=True, seed=2))

@@ -6,6 +6,7 @@ import pytest
 
 from qdiscrim import (
     ComplementarySet,
+    ConvergenceError,
     DensityOperator,
     HermitianOperator,
     InfeasibleDualError,
@@ -22,7 +23,7 @@ from qdiscrim import (
     trace_norm,
     verify_kkt,
 )
-from qdiscrim import bloch, factory
+from qdiscrim import bloch, factory, operators
 from qdiscrim.bloch import _bloch_vectors, _operators, convex_weights_for_center
 from qdiscrim.families import (
     REGULAR_TETRAHEDRON,
@@ -339,8 +340,8 @@ class TestComplementaryStates:
             with pytest.raises(InfeasibleDualError, match="has eigenvalue -2.0"):
                 solve_module._qubit_complementary(*args)
         else:
-            comp = solve_module._qubit_complementary(*args)
-            assert np.max(np.linalg.norm(_bloch_vectors(comp.matrices), axis=1)) <= 1 + 1e-15
+            _, _, units = solve_module._qubit_complementary(*args)
+            assert np.max(np.linalg.norm(units, axis=1)) <= 1 + 1e-15
 
     def test_degenerate_weight_marked_absent(self):
         e = WeightedEnsemble([1.0], [ZERO])
@@ -570,6 +571,70 @@ class TestBasisPovm:
         # a K given from outside still goes through the kernel search
         assert factory._certify(e, sol.symmetry_op) == (False, None)
         assert len(calls) == 1
+
+
+class TestTrustedQubitStacks:
+    """The qubit solver wraps the stacks it builds in closed form unchecked;
+    _assemble still rejects a POVM that is not one."""
+
+    def test_solver_checks_no_stack_it_built(self, monkeypatch):
+        ensembles = [
+            random_ensemble(2, 9, pure=False, seed=21),
+            random_ensemble(2, 39, pure=True, seed=22),
+            WeightedEnsemble([0.9, 0.05, 0.05], [ZERO, ONE, PLUS]),  # r_x = 0: the identity
+            WeightedEnsemble([0.4, 0.4, 0.2], [ZERO, ONE, from_bloch([0.1, 0.0, 0.0])]),
+        ]
+        pair = random_ensemble(4, 2, pure=False, seed=23)
+        checked, built = [], []
+        real_check, real_init = operators._hermitian_stack, HermitianOperator.__init__
+
+        def counting_check(matrices, field=None):
+            checked.append(np.shape(matrices))
+            return real_check(matrices, field)
+
+        def counting_init(self, matrix):
+            built.append(np.shape(matrix))
+            real_init(self, matrix)
+
+        for module in (operators, solve_module):
+            monkeypatch.setattr(module, "_hermitian_stack", counting_check)
+        monkeypatch.setattr(HermitianOperator, "__init__", counting_init)
+        for e in ensembles:
+            sol = solve(e)
+            assert sol.symmetry_op.matrix.flags.writeable is False
+            assert sol.povm_matrices.flags.writeable is False
+            assert sol.complementary.matrices.flags.writeable is False
+        assert checked == [] and built == []
+        # the two-state solver builds K and its POVM by products, and checks both
+        helstrom_two_state(pair)
+        assert checked == [(4, 4), (2, 4, 4)] and built == [(4, 4)]
+
+    @pytest.mark.parametrize(
+        "defect, error, message",
+        [
+            ("nan", ConvergenceError, "non-finite"),
+            ("not-psd", InfeasibleDualError, "not positive semidefinite"),
+            ("incomplete", InfeasibleDualError, "does not sum to the identity"),
+        ],
+    )
+    def test_assemble_rejects_a_bad_basis_povm(self, monkeypatch, defect, error, message):
+        e = random_ensemble(2, 5, pure=True, seed=11)
+
+        def bad_povm(result, points, present):
+            scales, vectors = np.zeros(len(points)), np.zeros((len(points), 3))
+            if defect == "nan":
+                scales[:] = 2.0 / len(points)
+                vectors[0, 0] = np.nan
+            elif defect == "not-psd":
+                scales[:2] = 1.0
+                vectors[:2, 2] = [1.5, -1.5]  # (I +- 1.5 Z)/2 sum to I
+            else:
+                scales[0] = 1.0
+            return scales, vectors
+
+        monkeypatch.setattr(solve_module, "_basis_povm", bad_povm)
+        with pytest.raises(error, match=message):
+            solve_qubit(e)
 
 
 def near_duplicate_ensemble(n, eps, seed, dirichlet=False):
