@@ -16,9 +16,13 @@ most four balls with the most violated ball in closed form. The final
 basis and its barycentric multipliers witness the optimum, and they
 give the qubit POVM in closed form (solve.solve_qubit).
 Where no basis is known, convex weights come from Wolfe's minimum-norm
-point, which works in any dimension: it finds the weights of the POVM
-search for a given K, for every d, in the real coordinates of d x d
-operators.
+point (_min_norm_point), which works in any dimension and on any atom
+set given by a linear-minimization oracle. convex_weights_for_center runs
+it on a finite point set, with an argmin as the oracle; the POVM search
+for a given K (solve.reconstruct_povm) runs it on the infinite set of
+rank-one projectors on the kernels, in the real coordinates of d x d
+operators, with a smallest eigenvector as the oracle. It stops on a
+separating hyperplane, and after a fixed number of major cycles.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 BLOCH_NORM_TOL = 1e-10
 _WOLFE_RTOL = 1e-14  # Wolfe's stop: target reached, or no point measurably beyond
+_WOLFE_MAX_CYCLES = 10_000  # oracle calls; Caratheodory needs <= d^2 atoms, 4,096 at MAX_DIM
 
 
 def _bloch_vectors(matrices: np.ndarray) -> np.ndarray:
@@ -123,35 +128,47 @@ class ShiftedBallResult:
     multipliers: np.ndarray
 
 
-def convex_weights_for_center(points, center, tol: float = 1e-9) -> np.ndarray:
-    """Convex weights over points reproducing a target inside their hull.
+def _min_norm_point(oracle, start, scale: float, tol: float) -> tuple[list, np.ndarray]:
+    """Wolfe's minimum-norm point (Math. Programming 11, 1976) over atoms given by an oracle.
 
-    Wolfe's minimum-norm-point algorithm (Math. Programming 11, 1976) on
-    the points shifted by the target finds the hull point nearest the
-    target as a convex combination of a corral of at most n+1 affinely
-    independent points in R^n; it is accepted when its residual is below
-    tol. points is an (m, n) array of any n, and the target an n-vector.
-    Raising here signals a point set that does not actually contain the
-    target, e.g. a support set that is not a true enclosing-ball support.
+    Atoms are vectors relative to the target, which is thus the origin.
+    oracle(x) returns (key, atom) for an atom minimizing <atom, x>; start
+    is a first (key, atom), and keys are hashable. Each major cycle adds
+    the oracle's atom to the corral, whose minor cycles keep x, the
+    corral's nearest point to the origin, a convex combination of
+    affinely independent atoms. It stops on the origin (|x| at most
+    _WOLFE_RTOL times scale, the largest atom length), or when no atom
+    lies measurably beyond x. Returns the corral's keys and convex
+    weights, whose point lies within tol of the target.
+
+    Raises ValueError, with the margin, when the target is farther than tol
+    from the convex hull. The search stops as soon as an atom of least
+    <a, x> has <a, x> > tol |x|: the hyperplane normal to x then separates
+    the target from every atom by more than tol. That cannot happen when
+    the target is in the hull, where the least <a, x> is at most zero.
+    Raises ConvergenceError after _WOLFE_MAX_CYCLES major cycles: Wolfe
+    terminates over finitely many atoms, not always over infinitely many.
     """
-    pts = np.asarray(points, dtype=float)
-    target = np.asarray(center, dtype=float)
-    shifted = pts - target
-    lengths = np.linalg.norm(shifted, axis=1)
-    scale = float(np.max(lengths))
-    corral = [int(np.argmin(lengths))]
+    keys, atoms = [start[0]], [start[1]]
     lam = np.ones(1)
-    x = shifted[corral[0]]
-    while True:
-        j = int(np.argmin(shifted @ x))
+    x = start[1]
+    for _ in range(_WOLFE_MAX_CYCLES):
         size = float(np.linalg.norm(x))
-        gain = float(x @ x - shifted[j] @ x)
-        if j in corral or size <= _WOLFE_RTOL * scale or gain <= _WOLFE_RTOL * scale * size:
+        if size <= _WOLFE_RTOL * scale:
             break
-        corral.append(j)
+        key, atom = oracle(x)
+        inner = float(atom @ x)
+        if inner > tol * size:
+            raise ValueError(
+                f"a hyperplane separates the target from the convex hull by {inner / size:.3e}"
+            )
+        if key in keys or float(x @ x) - inner <= _WOLFE_RTOL * scale * size:
+            break
+        keys.append(key)
+        atoms.append(atom)
         lam = np.append(lam, 0.0)
         while True:
-            p = shifted[corral]
+            p = np.array(atoms)
             beta = np.linalg.lstsq((p[1:] - p[0]).T, -p[0], rcond=None)[0]
             alpha = np.concatenate(([1.0 - beta.sum()], beta))
             if np.min(alpha) > 0.0:
@@ -162,20 +179,54 @@ def convex_weights_for_center(points, center, tol: float = 1e-9) -> np.ndarray:
             first = int(np.argmin(ratios))
             lam = lam + ratios[first] * (alpha - lam)
             lam[out[first]] = 0.0
-            corral = [c for c, w in zip(corral, lam) if w > 0.0]
+            keys = [k for k, w in zip(keys, lam) if w > 0.0]
+            atoms = [a for a, w in zip(atoms, lam) if w > 0.0]
             lam = lam[lam > 0.0]
         # The exact minimizer is orthogonal to the edges: drop rounding along them.
-        nearest = lam @ shifted[corral]
-        edges = (shifted[corral[1:]] - shifted[corral[0]]).T
+        p = np.array(atoms)
+        nearest = lam @ p
+        edges = (p[1:] - p[0]).T
         nearest = nearest - edges @ np.linalg.lstsq(edges, nearest, rcond=None)[0]
         if float(nearest @ nearest) >= float(x @ x):
             break
         x = nearest
+    else:
+        raise ConvergenceError(f"no minimum-norm point within {_WOLFE_MAX_CYCLES} major cycles")
 
+    lam = lam / lam.sum()
+    distance = float(np.linalg.norm(lam @ np.array(atoms)))
+    if distance > tol:
+        raise ValueError(f"the target lies {distance:.3e} from the convex hull")
+    return keys, lam
+
+
+def convex_weights_for_center(points, center, tol: float = 1e-9) -> np.ndarray:
+    """Convex weights over points reproducing a target inside their hull.
+
+    Wolfe's minimum-norm point (_min_norm_point) on the points shifted by
+    the target, with the argmin over the points as its oracle, finds the
+    hull point nearest the target as a convex combination of a corral of
+    at most n+1 affinely independent points in R^n; it is accepted when
+    its residual is below tol. points is an (m, n) array of any n, and
+    the target an n-vector. Raising here signals a point set that does
+    not actually contain the target, e.g. a support set that is not a
+    true enclosing-ball support.
+    """
+    pts = np.asarray(points, dtype=float)
+    target = np.asarray(center, dtype=float)
+    shifted = pts - target
+    lengths = np.linalg.norm(shifted, axis=1)
+    first = int(np.argmin(lengths))
+
+    def nearest_atom(x):
+        j = int(np.argmin(shifted @ x))
+        return j, shifted[j]
+
+    corral, lam = _min_norm_point(
+        nearest_atom, (first, shifted[first]), float(np.max(lengths)), tol
+    )
     weights = np.zeros(len(pts))
-    weights[corral] = lam / lam.sum()
-    if np.min(weights) < -1e-9 or float(np.linalg.norm(weights @ pts - target)) > tol:
-        raise ValueError("target point is not in the convex hull of the given points")
+    weights[corral] = lam
     return weights
 
 

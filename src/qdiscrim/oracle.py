@@ -19,6 +19,7 @@ from .solve import WeightedEnsemble
 
 _COARSE_STEP = 0.05
 _MIN_PRIOR = 1e-6
+_PRIOR_DRAWS = 1000
 
 
 @dataclass(frozen=True, eq=False)
@@ -124,18 +125,28 @@ def random_ensemble(dim: int, size: int, pure: bool, seed: int) -> WeightedEnsem
 
     Pure states are normalized complex Gaussian vectors; mixed states come
     from G G† with complex Gaussian G. Priors are the spacings of sorted
-    uniform draws, resampled while any prior is below 1e-6. The output is
-    bit-identical for a fixed seed, which is recorded on the ensemble.
+    uniform draws, resampled while any prior is below 1e-6, at most 1,000
+    times. All spacings clear 1e-6 with probability about
+    exp(-size^2 * 1e-6), so that bound is reached from a few thousand
+    states on; the priors are then the last spacings p mapped to
+    1e-6 + (1 - size * 1e-6) p, which sum to one and are all at least 1e-6.
+    More than 10^6 states cannot all have that prior and raise ValueError.
+    The output is bit-identical for a fixed seed, which is recorded on the
+    ensemble.
     """
     if dim < 2 or size < 1:
         raise ValueError("need dim >= 2 and at least one state")
+    if size * _MIN_PRIOR > 1.0:
+        raise ValueError(f"at most {round(1 / _MIN_PRIOR)} states have priors of at least 1e-6")
     rng = np.random.default_rng(seed)
 
-    while True:
+    for _ in range(_PRIOR_DRAWS):
         cuts = np.sort(rng.uniform(0.0, 1.0, size - 1))
         priors = np.diff(np.concatenate(([0.0], cuts, [1.0])))
         if np.min(priors) >= _MIN_PRIOR:
             break
+    else:
+        priors = _MIN_PRIOR + (1.0 - size * _MIN_PRIOR) * priors
 
     states = []
     for _ in range(size):

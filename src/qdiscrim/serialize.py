@@ -95,15 +95,6 @@ def _is_matrix(value: list) -> bool:
 # exact double for 0 <= s <= 22, and no scaled value nears overflow or underflow.
 _EXACT_DIGITS = 15
 _POWERS_OF_TEN = 10.0 ** np.arange(23)
-_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitting constant
-
-
-def _product_error(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """The exact a * b - p for p = fl(a * b) (Dekker, Numer. Math. 18, 1971)."""
-    ta, tb = _SPLIT * a, _SPLIT * b
-    a_hi, b_hi = ta - (ta - a), tb - (tb - b)
-    a_lo, b_lo = a - a_hi, b - b_hi
-    return ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
 
 
 def _round_significant(x: np.ndarray, digits: int) -> np.ndarray:
@@ -112,11 +103,12 @@ def _round_significant(x: np.ndarray, digits: int) -> np.ndarray:
     With e = floor(log10 |v|) and s = digits - 1 - e, that decimal is
     m / 10**s for m = |v| * 10**s rounded half to even, and dividing m by
     the exact power 10**s rounds correctly, as parsing the decimal does.
-    The product is rounded once, so rint can miss the exact rounding only
-    when the product lands on a half, which Dekker's exact product error
-    settles. A product outside (10**(digits-1), 10**digits) means log10
-    missed the exponent. Such misses, s outside 0..22, |v| < 1e-14,
-    |v| >= 1e9, inf and nan are formatted one by one; zeros stay as they are.
+    The product is rounded once, and rounding is monotone, so rint rounds
+    it to the exact side unless it lands on a half, where the exact
+    product may lie on either side. A product outside
+    (10**(digits-1), 10**digits) means log10 missed the exponent. Such
+    halves and misses, s outside 0..22, |v| < 1e-14, |v| >= 1e9, inf and
+    nan are formatted one by one; zeros stay as they are.
     """
     magnitude = np.abs(x)
     regular = (magnitude >= 1e-14) & (magnitude < 1e9)
@@ -127,12 +119,8 @@ def _round_significant(x: np.ndarray, digits: int) -> np.ndarray:
     del shift
     scaled = magnitude * scale
     regular &= (scaled > 10.0 ** (digits - 1)) & (scaled < 10.0**digits)
+    regular &= scaled - np.floor(scaled) != 0.5
     m = np.rint(scaled)
-    ties = regular & (scaled - np.floor(scaled) == 0.5)
-    if ties.any():
-        half = scaled[ties]
-        error = _product_error(magnitude[ties], scale[ties], half)
-        m[ties] = np.where(error > 0, half + 0.5, np.where(error < 0, half - 0.5, m[ties]))
     del scaled, magnitude
     out = np.where(regular, np.copysign(m / scale, x), x)
     del m, scale

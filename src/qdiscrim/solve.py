@@ -11,9 +11,12 @@ and its basis gives the POVM, so a qubit solve diagonalizes no gap. Two
 states read everything, the complementary states too, off the one
 spectrum of q1 rho1 - q2 rho2, whose negative and positive parts are the
 gaps K - q_x rho_x. Otherwise complementary_states diagonalizes the gaps
-in one stacked call. Given only a symmetry operator, one
+in one stacked call. Given only a symmetry operator, one exact
 search in any dimension finds an optimal POVM on the kernels of the
-complementary states (reconstruct_povm); the generators use it.
+complementary states (reconstruct_povm): Wolfe's minimum-norm point over
+the rank-one projectors on the kernels, whose oracle is a smallest
+eigenvector, either builds the POVM or separates I/d from every
+measurement on the kernels. The generators use it.
 Ensembles of three or more states in dimension three or higher have no
 known solver and are rejected; the certificate module can still check
 externally supplied candidates.
@@ -43,11 +46,11 @@ import numpy as np
 from .bloch import (
     ShiftedBallResult,
     _bloch_vectors,
+    _min_norm_point,
     _operators,
-    convex_weights_for_center,
     shifted_ball_dual,
 )
-from .errors import InfeasibleDualError, UnsupportedInstanceError
+from .errors import ConvergenceError, InfeasibleDualError, UnsupportedInstanceError
 from .operators import (
     DensityOperator,
     HermitianOperator,
@@ -291,22 +294,28 @@ def reconstruct_povm(
     """Optimal POVM for K from the kernels of its complementary states, any d.
 
     Orthogonality r_x tr[M_x sigma_x] = 0 puts each element M_x in the
-    kernel of sigma_x (eigenvalues at most KERNEL_TOL). A state with no
-    complementary state has r_x = 0, so K = q_x rho_x: it attains trace(K)
-    alone and takes the identity. Otherwise the candidates are the
-    rank-one projectors onto each kernel's eigenvectors and, in kernels of
-    dimension two or more, onto the normalized pairwise sums v_i + v_j and
-    v_i + i v_j, which reach the off-diagonal part of the kernel block.
-    Every candidate has trace one, so sum_j w_j m_j = I with w >= 0 says
-    exactly that I/d is the convex combination with weights w_j / d: hull
-    membership, solved by Wolfe's minimum-norm point
-    (convex_weights_for_center) on the rows Re + Im of the candidates and
-    of I/d: that map takes Hermitian matrices isometrically into R^(d*d),
-    since their symmetric and antisymmetric parts are orthogonal. Each
-    element sums the weighted candidates of its state. The kernels come
-    from the spectra the set holds, so nothing is diagonalized here, and
-    the ensemble gives the dimension. Raises InfeasibleDualError when no
-    kernel is non-trivial or the candidates cannot resolve the identity.
+    kernel of sigma_x (eigenvalues at most KERNEL_TOL), spanned by the
+    columns of V_x. A state with no complementary state has r_x = 0, so
+    K = q_x rho_x: it attains trace(K) alone and takes the identity.
+    Otherwise the POVMs on the kernels are exactly d times the convex hull
+    of the rank-one projectors V_x a a† V_x† (unit a), all of trace one,
+    so one exists iff I/d lies in that hull. Wolfe's minimum-norm point
+    (bloch._min_norm_point) decides it, in the real coordinates Re + Im of
+    d x d operators: that map takes Hermitian matrices isometrically into
+    R^(d*d), since their symmetric and antisymmetric parts are orthogonal.
+    Its oracle at the current point G returns the projector minimizing
+    tr[P G]: the smallest eigenvector of V_x† G V_x over all x (Jaggi, ICML
+    2013), found by one stacked eigensolver call per kernel dimension
+    above one; a one-dimensional kernel's vector is its only atom. Each
+    element sums d times the weighted atoms of its state. The kernels come
+    from the spectra the set holds, and the ensemble gives the dimension.
+
+    Raises InfeasibleDualError when no kernel is non-trivial, or when the
+    projectors do not resolve the identity. The search stops as soon as a
+    hyperplane separates I/d from every atom by more than 1e-9, so from
+    1/d times the sum of every measurement on the kernels, and the message
+    gives that margin. It gives up with the same error, naming the cap,
+    after bloch._WOLFE_MAX_CYCLES major cycles.
     """
     n, d = ensemble.size, ensemble.dim
     povm = np.zeros((n, d, d), dtype=complex)
@@ -314,29 +323,51 @@ def reconstruct_povm(
         povm[np.argmin(complementary.present)] = np.eye(d)
         return list(_hermitian_operators(povm))
 
-    rows = complementary.spectra.eigenvectors.swapaxes(1, 2)  # row j: eigenvector j
-    kernel = complementary.spectra.eigenvalues <= KERNEL_TOL
-    single_owner, single = np.nonzero(kernel)
-    index = np.arange(d)
-    pair_owner, first, second = np.nonzero(
-        kernel[:, :, None] & kernel[:, None, :] & (index[:, None] < index)
-    )
-    a, b = rows[pair_owner, first], rows[pair_owner, second]
-    sums = np.stack([a + b, a + 1j * b], axis=1).reshape(-1, d)
-    owners = np.concatenate([single_owner, np.repeat(pair_owner, 2)])
-    if owners.size == 0:
+    values, vectors = complementary.spectra.eigenvalues, complementary.spectra.eigenvectors
+    dims = np.count_nonzero(values <= KERNEL_TOL, axis=1)  # kernels trail the descending spectra
+    if not dims.any():
         raise InfeasibleDualError("no complementary state has a kernel: K cannot be optimal")
-    vectors = np.concatenate(
-        [rows[single_owner, single], sums / np.linalg.norm(sums, axis=1, keepdims=True)]
-    )
-    projectors = np.einsum("ni,nj->nij", vectors, vectors.conj())
+    groups = []  # the states of each kernel dimension k, and their kernel bases (m, d, k)
+    for k in sorted(set(dims.tolist()) - {0}):
+        owners = np.flatnonzero(dims == k)
+        groups.append((owners, vectors[owners, :, d - k :]))
+    target = np.eye(d).reshape(-1) / d
+    found = []  # (state, projector) of each atom the oracle returned
 
-    flat = (projectors.real + projectors.imag).reshape(owners.size, -1)
+    def atom(owner, vector):
+        projector = np.outer(vector, vector.conj())
+        found.append((owner, projector))
+        return len(found) - 1, (projector.real + projector.imag).reshape(-1) - target
+
+    def smallest_eigenvector(x):
+        g = x.reshape(d, d)
+        g = 0.5 * ((g + g.T) + 1j * (g - g.T))  # the Hermitian matrix with coordinates x
+        best = None
+        for owners, bases in groups:
+            blocks = bases.conj().swapaxes(1, 2) @ g @ bases
+            if blocks.shape[-1] == 1:
+                lowest, units = blocks[:, 0, 0].real, bases[:, :, 0]
+            else:
+                block_values, block_vectors = _eigh(blocks)
+                lowest, units = block_values[:, -1], (bases @ block_vectors[:, :, -1:])[:, :, 0]
+            i = int(np.argmin(lowest))
+            if best is None or lowest[i] < best[0]:
+                best = (lowest[i], owners[i], units[i])
+        return atom(best[1], best[2])
+
+    first = int(np.argmax(dims > 0))
     try:
-        weights = d * convex_weights_for_center(flat, np.eye(d).reshape(-1) / d)
-    except ValueError as exc:
-        raise InfeasibleDualError("kernel projectors do not resolve the identity") from exc
-    np.add.at(povm, owners, weights[:, None, None] * projectors)
+        corral, lam = _min_norm_point(
+            smallest_eigenvector,
+            atom(first, vectors[first, :, -1]),
+            (1.0 - 1.0 / d) ** 0.5,  # |P - I/d| for every rank-one projector P
+            1e-9,
+        )
+    except (ValueError, ConvergenceError) as exc:
+        raise InfeasibleDualError(f"kernel projectors do not resolve the identity: {exc}") from exc
+    for key, weight in zip(corral, lam):
+        owner, projector = found[key]
+        povm[owner] += (d * weight) * projector
     return list(_hermitian_operators(povm))
 
 

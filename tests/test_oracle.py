@@ -99,6 +99,18 @@ class TestRandomEnsemble:
         with pytest.raises(ValueError):
             random_ensemble(2, 0, pure=True, seed=0)
 
+    def test_large_sizes_return(self):
+        # all 9,999 spacings clear 1e-6 with probability about e^-100: after
+        # its redraw cap the generator maps the last spacings above 1e-6
+        e = random_ensemble(2, 10_000, pure=False, seed=1)
+        assert e.size == 10_000 and e.seed == 1
+        assert np.min(e.priors) >= 1e-6
+        assert abs(float(np.sum(e.priors)) - 1.0) <= 1e-10
+
+    def test_rejects_more_states_than_the_prior_floor_allows(self):
+        with pytest.raises(ValueError, match="at most 1000000 states"):
+            random_ensemble(2, 1_000_001, pure=True, seed=0)
+
 
 class TestDistanceFromUniform:
     def test_uniform_is_zero(self):

@@ -1,5 +1,7 @@
 import importlib
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from qdiscrim import (
 )
 from qdiscrim import bloch, factory, operators
 from qdiscrim.bloch import _bloch_vectors, _operators, convex_weights_for_center
+from qdiscrim.certify import ANALYTIC_TOL
 from qdiscrim.families import (
     REGULAR_TETRAHEDRON,
     inscribed_tetrahedron,
@@ -439,8 +442,8 @@ class TestReconstructPovm:
     def test_pairwise_candidates_reach_off_diagonal_elements(self, phase):
         # sigma_0 = |2><2| has kernel span(|0>, |1>), found as that basis; the
         # kernels |2> +- u of sigma_1 and sigma_2 force M_0 = |v><v| with
-        # v = (|0> + phase |1>)/sqrt2 orthogonal to u, which only a pairwise
-        # candidate of the first kernel can supply
+        # v = (|0> + phase |1>)/sqrt2 orthogonal to u, which no eigenvector of
+        # the first kernel's basis is: the eigenvector oracle must reach it
         eye = np.eye(3, dtype=complex)
         v = (eye[0] + phase * eye[1]) / math.sqrt(2)
         u = (eye[0] - phase * eye[1]) / math.sqrt(2)
@@ -478,6 +481,76 @@ class TestReconstructPovm:
         assert np.count_nonzero(comp.spectra.eigenvalues <= 1e-9) == 1
         with pytest.raises(InfeasibleDualError, match="do not resolve the identity"):
             reconstruct_povm(e, comp)
+
+    @pytest.mark.parametrize("d", [3, 4, 8])
+    def test_certifies_pure_pairs(self, d):
+        # both kernels hold the (d - 2)-dimensional null space of
+        # q1 rho1 - q2 rho2, each in the basis LAPACK returns for it; the
+        # eigenvector oracle reaches every vector of a kernel, not only a basis
+        for seed in range(10):
+            e = random_ensemble(d, 2, pure=True, seed=seed)
+            sol = helstrom_two_state(e)
+            rebuilt = reconstruct_povm(e, sol.complementary)
+            cert = verify_kkt(e, sol.symmetry_op, rebuilt, tol=ANALYTIC_TOL)
+            assert cert.passed, (d, seed, cert.residuals())
+
+    def test_full_rank_pair_at_d64_keeps_only_its_corral(self):
+        # about d atoms of d * d real coordinates, not a stack of candidates
+        e = random_ensemble(64, 2, pure=False, seed=75)
+        sol = helstrom_two_state(e)
+        tracemalloc.start()
+        try:
+            rebuilt = reconstruct_povm(e, sol.complementary)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 50e6
+        assert verify_kkt(e, sol.symmetry_op, rebuilt, tol=ANALYTIC_TOL).passed
+
+    @pytest.mark.parametrize("d", [4, 8, 16])
+    def test_kernels_in_a_common_hyperplane_are_separated(self, d, monkeypatch):
+        # every kernel is a d/2-dimensional subspace of the complement of |d-1>,
+        # so every sum of kernel projectors misses <d-1|I|d-1> = 1: the search
+        # must stop on a separating hyperplane, long before its cycle cap
+        rng = np.random.default_rng(d)
+        states = []
+        for _ in range(3):
+            g = rng.standard_normal((d - 1, d - 1)) + 1j * rng.standard_normal((d - 1, d - 1))
+            support = np.linalg.qr(g)[0][:, : d // 2 - 1]
+            m = np.zeros((d, d), dtype=complex)
+            m[:-1, :-1] = support @ support.conj().T
+            m[-1, -1] = 1.0
+            states.append(DensityOperator(HermitianOperator(m / np.trace(m).real)))
+        comp = ComplementarySet(np.full(3, 0.5), states)
+        assert np.array_equal(
+            np.count_nonzero(comp.spectra.eigenvalues <= 1e-9, axis=1), [d // 2] * 3
+        )
+        mixed = DensityOperator(HermitianOperator(np.eye(d) / d))
+        e = WeightedEnsemble([1 / 3] * 3, [mixed] * 3)
+
+        cycles = []
+        real_search = solve_module._min_norm_point
+
+        def counted(oracle, *args):
+            def counting(x):
+                cycles.append(x)
+                return oracle(x)
+
+            return real_search(counting, *args)
+
+        monkeypatch.setattr(solve_module, "_min_norm_point", counted)
+        with pytest.raises(InfeasibleDualError, match="do not resolve the identity") as info:
+            reconstruct_povm(e, comp)
+        margin = re.search(r"separates the target from the convex hull by (\S+)$", str(info.value))
+        assert margin is not None and float(margin.group(1)) > 0.0
+        assert len(cycles) < d * d < bloch._WOLFE_MAX_CYCLES
+
+    def test_cycle_cap_is_named(self, monkeypatch):
+        # a pure pair in d = 8 needs seven major cycles
+        monkeypatch.setattr(bloch, "_WOLFE_MAX_CYCLES", 3)
+        e = random_ensemble(8, 2, pure=True, seed=0)
+        with pytest.raises(InfeasibleDualError, match="within 3 major cycles"):
+            reconstruct_povm(e, helstrom_two_state(e).complementary)
 
     def test_kernels_come_from_the_gap_spectra(self):
         # the handed-over spectra match a fresh decomposition of each state
@@ -559,10 +632,10 @@ class TestBasisPovm:
 
         def refuse(*args, **kwargs):
             calls.append(args)
-            raise ValueError("target point is not in the convex hull of the given points")
+            raise ValueError("a hyperplane separates the target from the convex hull by 1")
 
         for module in (bloch, solve_module):
-            monkeypatch.setattr(module, "convex_weights_for_center", refuse)
+            monkeypatch.setattr(module, "_min_norm_point", refuse)
         for seed in range(10):
             e = random_ensemble(2, 3 + seed, pure=(seed % 2 == 0), seed=6100 + seed)
             sol = solve(e)
@@ -571,6 +644,81 @@ class TestBasisPovm:
         # a K given from outside still goes through the kernel search
         assert factory._certify(e, sol.symmetry_op) == (False, None)
         assert len(calls) == 1
+
+
+def moved_ensembles(ensemble, solution, rng, draws):
+    """Ensembles sharing the solution's K: priors moved, states rebuilt from K.
+
+    Each draw moves the priors by a zero-sum step whose largest entry is
+    0.2 of the smallest prior times 10^-u, u uniform in [0, 6], and sets
+    rho'_x = (K - (t - q'_x) sigma_x) / q'_x with t = trace K, so that
+    K = q'_x rho'_x + r'_x sigma_x again. Only draws with every rho'_x
+    positive semidefinite are yielded; the small steps keep some of them
+    for full-rank states whose smallest eigenvalue is small.
+    """
+    k = solution.symmetry_op.matrix
+    t = solution.symmetry_op.trace()
+    sigmas = solution.complementary.matrices
+    q = ensemble.priors
+    for _ in range(draws):
+        step = rng.standard_normal(len(q))
+        step -= step.mean()
+        step *= 0.2 * q.min() * 10.0 ** -rng.uniform(0.0, 6.0) / np.max(np.abs(step))
+        moved = q + step
+        rhos = (k - (t - moved)[:, None, None] * sigmas) / moved[:, None, None]
+        if np.linalg.eigvalsh(rhos).min() >= 0.0:
+            yield WeightedEnsemble(moved, rhos)
+
+
+class TestEquivalenceClasses:
+    """Ensembles of one symmetry operator K share their optimum, on each exact path.
+
+    The paper's classes: K determines P_guess = trace K, and an optimal POVM
+    of one member is optimal for all. Moving the priors of a solved ensemble
+    with every complementary state present, and rebuilding its states from
+    K, must give the same K and P_guess from solve, keep the old POVM
+    certified, and let the kernel search certify on the moved ensemble.
+    """
+
+    @staticmethod
+    def _assert_class(ensemble, rng, draws, searches):
+        sol = solve(ensemble)
+        if not sol.complementary.present.all():
+            return 0
+        kept = 0
+        for moved in moved_ensembles(ensemble, sol, rng, draws):
+            again = solve(moved)
+            assert np.max(np.abs(again.symmetry_op.matrix - sol.symmetry_op.matrix)) <= 1e-12
+            assert abs(again.p_guess - sol.p_guess) <= 1e-12
+            assert verify_kkt(moved, sol.symmetry_op, sol.povm, ANALYTIC_TOL).passed
+            if kept < searches:
+                rebuilt = reconstruct_povm(moved, again.complementary)
+                assert verify_kkt(moved, again.symmetry_op, rebuilt, ANALYTIC_TOL).passed
+            kept += 1
+        return kept
+
+    def test_qubit_ensembles(self):
+        # pure states have no room to move: rho'_x subtracts sigma_x whenever q'_x < q_x
+        rng = np.random.default_rng(16)
+        kept = [
+            self._assert_class(random_ensemble(2, n, pure=False, seed=1600 + 10 * n + s), rng, 12, 12)
+            for n in range(3, 9)
+            for s in range(4)
+        ]
+        assert sum(kept) >= 50, kept
+
+    def test_helstrom_pairs(self):
+        rng = np.random.default_rng(17)
+        kept = [
+            self._assert_class(random_ensemble(d, 2, pure=False, seed=1700 + 10 * d + s), rng, 12, 12)
+            for d in range(3, 9)
+            for s in range(3)
+        ]
+        assert sum(kept) >= 30, kept
+
+    def test_helstrom_pair_at_d64(self):
+        rng = np.random.default_rng(18)
+        assert self._assert_class(random_ensemble(64, 2, pure=False, seed=1864), rng, 8, 1) >= 1
 
 
 class TestTrustedQubitStacks:
