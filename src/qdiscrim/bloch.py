@@ -12,9 +12,13 @@ The problem is LP-type of combinatorial dimension four (Matousek, Sharir
 and Welzl, Algorithmica 16, 1996; Fischer and Gaertner, IJCGA 14, 2004),
 the ball of points being its equal-radius case. One exact algorithm
 solves it for every prior: basis improvement, re-solving a basis of at
-most four balls with the most violated ball in closed form. The final
-basis and its barycentric multipliers witness the optimum, and they
-give the qubit POVM in closed form (solve.solve_qubit).
+most four balls with the most violated ball in closed form. Each step
+stops at the first subset optimum, largest subsets first, that certifies
+itself: its members' levels agree within a relative 1e-13 and no other
+member's level exceeds them by more, so no center is lower by more than
+that (_improve_basis); only if none does, the least of all subset optima
+wins. The final basis and its barycentric multipliers witness the
+optimum, and they give the qubit POVM in closed form (solve.solve_qubit).
 Where no basis is known, convex weights come from Wolfe's minimum-norm
 point (_min_norm_point), which works in any dimension and on any atom
 set given by a linear-minimization oracle. convex_weights_for_center runs
@@ -42,6 +46,7 @@ PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 BLOCH_NORM_TOL = 1e-10
 _WOLFE_RTOL = 1e-14  # Wolfe's stop: target reached, or no point measurably beyond
+_LEVEL_RTOL = 1e-13  # shifted-ball levels this close to the optimum count as attaining it
 _WOLFE_MAX_CYCLES = 10_000  # oracle calls; Caratheodory needs <= d^2 atoms, 4,096 at MAX_DIM
 
 
@@ -342,23 +347,36 @@ def _improve_basis(pts, shifts, basis: tuple[int, ...], violator: int):
     """Optimum over basis plus violator: (basis, multipliers, center, value).
 
     The violator raises the optimum, so only subsets holding it (at most
-    15) can be bases. A subset optimum feasible for all members is their
-    optimum: the candidate of least value over the members wins, with its
-    multipliers over the new basis. Only the members become rows of
-    Python floats.
+    15) can be bases. They are solved from largest to smallest, each size
+    in combinations order, which drops the oldest members first (a basis
+    lists its last violator first). The first candidate that certifies
+    itself is returned: each subset member's level s_x + |k - p_x| lies
+    within a relative _LEVEL_RTOL of the violator's level t, and no
+    member's level exceeds t (1 + _LEVEL_RTOL). Its non-negative
+    multipliers then put 0 in the convex hull of the active gradients
+    (k - p_x)/|k - p_x|, so by convexity every center k' has
+    max over the members of s_x + |k' - p_x| >= t (1 - _LEVEL_RTOL), up to
+    rounding: the candidate is the members' optimum. Only when no
+    candidate certifies itself does the candidate of least value over the
+    members win, ties going to the smaller subset, then to the earlier
+    one. Only the members become rows of Python floats.
     """
     members = list(basis) + [violator]
     rows = dict(zip(members, pts[members].tolist()))
     member_shifts = dict(zip(members, shifts[members].tolist()))
-    best = None
-    for size in range(min(len(basis), 3) + 1):
-        for rest in combinations(basis, size):
+    solved = []  # (value, size, order, root, candidate) of those that did not certify themselves
+    for size in range(min(len(basis), 3), -1, -1):
+        for order, rest in enumerate(combinations(basis, size)):
             subset = (violator,) + rest
-            for k, lam in _basis_candidates(rows, member_shifts, subset):
-                value = max(member_shifts[m] + math.dist(rows[m], k) for m in members)
-                if best is None or value < best[3]:
-                    best = (subset, lam, k, value)
-    return best
+            for root, (k, lam) in enumerate(_basis_candidates(rows, member_shifts, subset)):
+                levels = {m: member_shifts[m] + math.dist(rows[m], k) for m in members}
+                t, value = levels[violator], max(levels.values())
+                if value <= t * (1.0 + _LEVEL_RTOL) and all(
+                    abs(levels[m] - t) <= _LEVEL_RTOL * t for m in subset
+                ):
+                    return subset, lam, k, value
+                solved.append((value, size, order, root, (subset, lam, k, value)))
+    return min(solved, key=lambda c: c[:4])[4]  # the one-ball subset always has a candidate
 
 
 def shifted_ball_dual(points, shifts, max_iter: int = 100_000) -> ShiftedBallResult:
@@ -387,7 +405,7 @@ def shifted_ball_dual(points, shifts, max_iter: int = 100_000) -> ShiftedBallRes
     while True:
         gaps = s + np.linalg.norm(pts - k, axis=1)
         violator = int(np.argmax(gaps))
-        if gaps[violator] <= t * (1.0 + 1e-13):
+        if gaps[violator] <= t * (1.0 + _LEVEL_RTOL):
             break
         if steps == max_iter:
             raise ConvergenceError(f"basis improvement did not settle in {max_iter} steps")

@@ -33,8 +33,10 @@ def round_floats(value, digits: int = 9):
     """Recursively round floats to a fixed number of significant digits.
 
     Every float v becomes float(format(v, f".{digits}g")), tuples become
-    lists. At 1..15 digits the matrices (lists of equal-length list rows
-    of plain floats, rows wider than two) are gathered by row width and
+    lists. An exact zero is its own rounding, sign included, so it skips
+    format: most entries of a qubit POVM off its support are zeros. At
+    1..15 digits the matrices (lists of equal-length list rows of plain
+    floats, rows wider than two) are gathered by row width and
     rounded as arrays by _round_significant, which gives exactly those
     values; the rows are rebuilt with one tolist per width. Everything
     else is rounded float by float, a pair of list rows (the 2x2 blocks
@@ -60,13 +62,19 @@ def round_floats(value, digits: int = 9):
                 elif len(value) == 2 and type(value[1]) is list:
                     # two rows, as a 2x2 block: one nested comprehension, no call per row
                     return [
-                        [float(format(v, spec)) if isinstance(v, float) else walk(v) for v in row]
+                        [
+                            (float(format(v, spec)) if v else v) if isinstance(v, float) else walk(v)
+                            for v in row
+                        ]
                         for row in value
                     ]
             # a matrix row is a flat list of floats: one comprehension, no recursion
-            return [float(format(v, spec)) if isinstance(v, float) else walk(v) for v in value]
+            return [
+                (float(format(v, spec)) if v else v) if isinstance(v, float) else walk(v)
+                for v in value
+            ]
         if isinstance(value, float):
-            return float(format(value, spec))
+            return float(format(value, spec)) if value else value
         if isinstance(value, dict):
             return {k: walk(v) for k, v in value.items()}
         return value

@@ -82,6 +82,9 @@ def equal_shift_ball(points):
     return result.center, result.value - 1.0 / n, result.active
 
 
+BALL_KINDS = ["random", "coplanar", "collinear", "on-sphere", "cocircular", "near-duplicate", "family"]
+
+
 def ball_instance(kind, rng):
     """Points inside the unit ball of the given geometry."""
     n = int(rng.integers(1, 61))
@@ -148,6 +151,27 @@ def reference_convex_weights(points, center, tol=1e-9):
             weights[list(subset)] = np.clip(sol, 0.0, None)
             return weights / weights.sum()
     raise ValueError("target point is not in the convex hull of the given points")
+
+
+def least_value_improve_basis(pts, shifts, basis, violator):
+    """Reference step: every subset holding the violator is solved, smallest
+    first, and the candidate of least value over the members wins.
+
+    This is the rule _improve_basis ran before it stopped at the first
+    candidate that certifies itself, and the one it falls back on.
+    """
+    members = list(basis) + [violator]
+    rows = dict(zip(members, pts[members].tolist()))
+    member_shifts = dict(zip(members, shifts[members].tolist()))
+    best = None
+    for size in range(min(len(basis), 3) + 1):
+        for rest in combinations(basis, size):
+            subset = (violator,) + rest
+            for k, lam in bloch._basis_candidates(rows, member_shifts, subset):
+                value = max(member_shifts[m] + math.dist(rows[m], k) for m in members)
+                if best is None or value < best[3]:
+                    best = (subset, lam, k, value)
+    return best
 
 
 def shifted_instance(n, pure, seed):
@@ -302,10 +326,7 @@ class TestMinEnclosingBall:
         assert radius == pytest.approx(0.3, abs=1e-12)
         assert active == (0, 1, 2, 3)
 
-    @pytest.mark.parametrize(
-        "kind",
-        ["random", "coplanar", "collinear", "on-sphere", "cocircular", "near-duplicate", "family"],
-    )
+    @pytest.mark.parametrize("kind", BALL_KINDS)
     def test_matches_reference_recursion(self, kind):
         # near-duplicate balls can be about 1e-12 across, below the rounding
         # of value - 1/n relative to the radius: their radius is held absolutely
@@ -500,6 +521,7 @@ class TestBasisImprovement:
 
         monkeypatch.setattr(bloch, "_basis_candidates", counted_candidates)
         monkeypatch.setattr(bloch, "_improve_basis", counted_improve)
+        solved = steps = 0
         for seed in range(3):
             for pure in (True, False):
                 calls.update(candidates=0, steps=0)
@@ -509,6 +531,65 @@ class TestBasisImprovement:
                 reported += shifted_ball_dual(uniform, np.full(n, 1.0 / n)).steps
                 assert calls["steps"] == reported
                 assert 0 < calls["steps"] and calls["candidates"] <= 15 * calls["steps"]
+                solved, steps = solved + calls["candidates"], steps + calls["steps"]
+        # a step stops at the first subset that certifies itself, largest
+        # first: the optimum is most often the first subset tried
+        assert solved <= 2 * steps, (solved, steps)
+
+    @pytest.mark.parametrize("kind", BALL_KINDS)
+    def test_first_certified_subset_is_the_least_value_one(self, kind, monkeypatch):
+        rng = np.random.default_rng([59, BALL_KINDS.index(kind)])
+        for _ in range(60):
+            vectors = ball_instance(kind, rng)
+            priors = rng.dirichlet(np.ones(len(vectors)))
+            pts = priors[:, None] * vectors
+            got = shifted_ball_dual(pts, priors)
+            with monkeypatch.context() as patch:
+                patch.setattr(bloch, "_improve_basis", least_value_improve_basis)
+                want = shifted_ball_dual(pts, priors)
+            assert abs(got.value - want.value) <= 1e-15 * want.value
+            assert got.basis == want.basis
+            assert_basis_witnesses_center(got, pts)
+
+    def test_falls_back_to_least_value_when_no_candidate_certifies_itself(self, monkeypatch):
+        # Nudge the first candidate of the third step by 1e-9: it no longer
+        # certifies itself, and neither does any other subset, whose optima
+        # some member exceeds. The fallback then takes the nudged candidate,
+        # of least value; later steps start from it and still reach the optimum.
+        n = 40
+        pts, shifts = shifted_instance(n, False, seed=0)
+        pts, shifts = [p / (n * s) for p, s in zip(pts, shifts)], np.full(n, 1.0 / n)
+        want = shifted_ball_dual(pts, shifts)
+        candidates, improve = bloch._basis_candidates, bloch._improve_basis
+        seen = {"step": 0, "solved": 0, "nudged": None, "sizes": [], "returned": None}
+
+        def nudged_candidates(rows, member_shifts, subset):
+            found = candidates(rows, member_shifts, subset)
+            if seen["step"] == 3:
+                seen["solved"] += 1
+                if seen["nudged"] is None and found:
+                    (x, y, z), lam = found[0]
+                    seen["nudged"] = (x + 1e-9, y, z)
+                    found = [(seen["nudged"], lam)] + found[1:]
+            return found
+
+        def recorded_improve(pts, shifts, basis, violator):
+            seen["step"] += 1
+            seen["sizes"].append(len(basis))
+            step = improve(pts, shifts, basis, violator)
+            if seen["step"] == 3:
+                seen["returned"] = step[2]
+            return step
+
+        monkeypatch.setattr(bloch, "_basis_candidates", nudged_candidates)
+        monkeypatch.setattr(bloch, "_improve_basis", recorded_improve)
+        got = shifted_ball_dual(pts, shifts)
+        # all eight subsets of a three-ball basis plus the violator were solved
+        assert seen["sizes"][2] == 3 and seen["solved"] == 8
+        assert seen["returned"] == seen["nudged"]
+        assert got.steps >= 4
+        assert abs(got.value - want.value) <= 1e-15 * want.value and got.basis == want.basis
+        assert_basis_witnesses_center(got, pts)
 
     def test_grid_oracle_bounds_value(self):
         resolution = 1e-3

@@ -15,6 +15,7 @@ from qdiscrim import (
     UnsupportedInstanceError,
     WeightedEnsemble,
     complementary_states,
+    equivalence_check,
     from_bloch,
     helstrom_two_state,
     random_ensemble,
@@ -42,6 +43,8 @@ from conftest import (
     compose_rotations_unitary,
     reference_min_enclosing_ball,
 )
+from test_qubit_geometry import KINDS as HARD_KINDS
+from test_qubit_geometry import hard_instance
 
 solve_module = importlib.import_module("qdiscrim.solve")  # the package exports solve()
 
@@ -653,8 +656,11 @@ def moved_ensembles(ensemble, solution, rng, draws):
     0.2 of the smallest prior times 10^-u, u uniform in [0, 6], and sets
     rho'_x = (K - (t - q'_x) sigma_x) / q'_x with t = trace K, so that
     K = q'_x rho'_x + r'_x sigma_x again. Only draws with every rho'_x
-    positive semidefinite are yielded; the small steps keep some of them
-    for full-rank states whose smallest eigenvalue is small.
+    positive semidefinite and every r'_x = t - q'_x non-negative are
+    yielded; the small steps keep some of them for full-rank states whose
+    smallest eigenvalue is small. The division is by the numerator's
+    trace, which is q'_x up to rounding that a small q'_x would magnify
+    past the trace check of a density operator.
     """
     k = solution.symmetry_op.matrix
     t = solution.symmetry_op.trace()
@@ -665,8 +671,9 @@ def moved_ensembles(ensemble, solution, rng, draws):
         step -= step.mean()
         step *= 0.2 * q.min() * 10.0 ** -rng.uniform(0.0, 6.0) / np.max(np.abs(step))
         moved = q + step
-        rhos = (k - (t - moved)[:, None, None] * sigmas) / moved[:, None, None]
-        if np.linalg.eigvalsh(rhos).min() >= 0.0:
+        rhos = k - (t - moved)[:, None, None] * sigmas
+        rhos /= np.trace(rhos, axis1=1, axis2=2).real[:, None, None]
+        if np.all(moved <= t) and np.linalg.eigvalsh(rhos).min() >= 0.0:
             yield WeightedEnsemble(moved, rhos)
 
 
@@ -719,6 +726,45 @@ class TestEquivalenceClasses:
     def test_helstrom_pair_at_d64(self):
         rng = np.random.default_rng(18)
         assert self._assert_class(random_ensemble(64, 2, pure=False, seed=1864), rng, 8, 1) >= 1
+
+    @staticmethod
+    def _assert_rotated_class(ensemble, rng, draws):
+        """The ensemble and its moved ensembles, each in a random basis, share
+        the spectrum of K and P_guess. Returns the number of moves kept."""
+        sol = solve(ensemble)
+        if not sol.complementary.present.all():
+            return 0
+        moves = list(moved_ensembles(ensemble, sol, rng, draws))
+        for moved in [ensemble, *moves]:
+            u = compose_rotations_unitary(ensemble.dim, rng)
+            again = solve(WeightedEnsemble(moved.priors, u @ moved.matrices @ u.conj().T))
+            assert equivalence_check(again.symmetry_op, sol.symmetry_op, tol=1e-12)
+            assert abs(again.p_guess - sol.p_guess) <= 1e-12
+        return len(moves)
+
+    def test_moves_across_a_unitary_change_of_basis(self):
+        rng = np.random.default_rng(19)
+        kept = [
+            self._assert_rotated_class(random_ensemble(d, n, pure=False, seed=seed), rng, 8)
+            for d, n in [(2, 3), (2, 4), (2, 6), (2, 8), (3, 2), (4, 2), (8, 2)]
+            for seed in (1900 + 10 * d + n, 2000 + 10 * d + n)
+        ]
+        assert sum(kept) >= 50, kept
+
+    @pytest.mark.parametrize("kind", HARD_KINDS)
+    def test_hard_qubit_geometries_across_a_unitary_change_of_basis(self, kind):
+        # odd trials replace the drawn priors by uniform ones: near-duplicate,
+        # coplanar and the rest then start on the equal-prior ball. Pure
+        # states on the sphere have no room to move, only to be rotated.
+        rng = np.random.default_rng([20, HARD_KINDS.index(kind)])
+        kept = []
+        for trial in range(12):
+            vectors, priors = hard_instance(kind, int(rng.integers(3, 9)), rng)
+            if trial % 2:
+                priors = np.full(len(vectors), 1.0 / len(vectors))
+            ensemble = WeightedEnsemble(priors, [from_bloch(v) for v in vectors])
+            kept.append(self._assert_rotated_class(ensemble, rng, 6))
+        assert sum(kept) >= (0 if kind == "sphere" else 12), kept
 
 
 class TestTrustedQubitStacks:
