@@ -8,7 +8,6 @@ generators that construct ensembles from a prescribed symmetry operator.
 
 from .bloch import (
     ShiftedBallResult,
-    convex_weights_for_center,
     from_bloch,
     shifted_ball_dual,
     to_bloch,
@@ -62,7 +61,6 @@ from .solve import (
     reconstruct_povm,
     solve,
     solve_qubit,
-    solve_qubit_equal_priors,
 )
 
 __all__ = [
@@ -85,7 +83,6 @@ __all__ = [
     "WeightedEnsemble",
     "complementary_states",
     "conditional_table_from_povm",
-    "convex_weights_for_center",
     "distance_from_uniform",
     "dual_grid_oracle",
     "equivalence_check",
@@ -105,7 +102,6 @@ __all__ = [
     "shifted_ball_dual",
     "solve",
     "solve_qubit",
-    "solve_qubit_equal_priors",
     "to_bloch",
     "trace_norm",
     "verify_kkt",

@@ -21,12 +21,12 @@ wins. The final basis and its barycentric multipliers witness the
 optimum, and they give the qubit POVM in closed form (solve.solve_qubit).
 Where no basis is known, convex weights come from Wolfe's minimum-norm
 point (_min_norm_point), which works in any dimension and on any atom
-set given by a linear-minimization oracle. convex_weights_for_center runs
-it on a finite point set, with an argmin as the oracle; the POVM search
-for a given K (solve.reconstruct_povm) runs it on the infinite set of
-rank-one projectors on the kernels, in the real coordinates of d x d
-operators, with a smallest eigenvector as the oracle. It stops on a
-separating hyperplane, and after a fixed number of major cycles.
+set given by a linear-minimization oracle. It is private and has one
+caller: the POVM search for a given K (solve.reconstruct_povm) runs it
+on the infinite set of rank-one projectors on the kernels, in the real
+coordinates of d x d operators, with a smallest eigenvector as the
+oracle. It stops on a separating hyperplane, and after a fixed number of
+major cycles.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ BLOCH_NORM_TOL = 1e-10
 _WOLFE_RTOL = 1e-14  # Wolfe's stop: target reached, or no point measurably beyond
 _LEVEL_RTOL = 1e-13  # shifted-ball levels this close to the optimum count as attaining it
 _WOLFE_MAX_CYCLES = 10_000  # oracle calls; Caratheodory needs <= d^2 atoms, 4,096 at MAX_DIM
+_MAX_STEPS = 100_000  # basis-improvement steps of shifted_ball_dual
 
 
 def _bloch_vectors(matrices: np.ndarray) -> np.ndarray:
@@ -205,36 +206,6 @@ def _min_norm_point(oracle, start, scale: float, tol: float) -> tuple[list, np.n
     return keys, lam
 
 
-def convex_weights_for_center(points, center, tol: float = 1e-9) -> np.ndarray:
-    """Convex weights over points reproducing a target inside their hull.
-
-    Wolfe's minimum-norm point (_min_norm_point) on the points shifted by
-    the target, with the argmin over the points as its oracle, finds the
-    hull point nearest the target as a convex combination of a corral of
-    at most n+1 affinely independent points in R^n; it is accepted when
-    its residual is below tol. points is an (m, n) array of any n, and
-    the target an n-vector. Raising here signals a point set that does
-    not actually contain the target, e.g. a support set that is not a
-    true enclosing-ball support.
-    """
-    pts = np.asarray(points, dtype=float)
-    target = np.asarray(center, dtype=float)
-    shifted = pts - target
-    lengths = np.linalg.norm(shifted, axis=1)
-    first = int(np.argmin(lengths))
-
-    def nearest_atom(x):
-        j = int(np.argmin(shifted @ x))
-        return j, shifted[j]
-
-    corral, lam = _min_norm_point(
-        nearest_atom, (first, shifted[first]), float(np.max(lengths)), tol
-    )
-    weights = np.zeros(len(pts))
-    weights[corral] = lam
-    return weights
-
-
 def _solve_quadratic(a: float, b: float, c: float) -> list[float]:
     if abs(a) < 1e-14:
         return [] if abs(b) < 1e-14 else [-c / b]
@@ -379,13 +350,13 @@ def _improve_basis(pts, shifts, basis: tuple[int, ...], violator: int):
     return min(solved, key=lambda c: c[:4])[4]  # the one-ball subset always has a candidate
 
 
-def shifted_ball_dual(points, shifts, max_iter: int = 100_000) -> ShiftedBallResult:
+def shifted_ball_dual(points, shifts) -> ShiftedBallResult:
     """Minimize max_x (shift_x + |k - point_x|) exactly, by basis improvement.
 
     Starting from the ball with the largest shift, each step re-solves the
     basis with the most violated ball; the value rises strictly, so no
     basis repeats. With no violation beyond a relative 1e-13 the basis
-    optimum is global. max_iter caps the improvement steps. With every
+    optimum is global. _MAX_STEPS caps the improvement steps. With every
     shift 1/N this is the smallest ball enclosing the points: its center
     is center and its radius value - 1/N.
     """
@@ -407,8 +378,8 @@ def shifted_ball_dual(points, shifts, max_iter: int = 100_000) -> ShiftedBallRes
         violator = int(np.argmax(gaps))
         if gaps[violator] <= t * (1.0 + _LEVEL_RTOL):
             break
-        if steps == max_iter:
-            raise ConvergenceError(f"basis improvement did not settle in {max_iter} steps")
+        if steps == _MAX_STEPS:
+            raise ConvergenceError(f"basis improvement did not settle in {_MAX_STEPS} steps")
         steps += 1
         basis, multipliers, k, value = _improve_basis(pts, s, basis, violator)
         if value <= t:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConvergenceError
 from .operators import _as_matrix, _eigvalsh, _matrix_stack
 from .solve import (
     DEGENERATE_WEIGHT_TOL,
@@ -108,9 +109,9 @@ class ProbabilityForms:
 def _povm_stack(ensemble: WeightedEnsemble, povm) -> tuple[np.ndarray, np.ndarray]:
     """The POVM as one (N, d, d) stack, checked against the ensemble, and its eigenvalues.
 
-    A stack (N, d, d) is taken as is and a sequence stacked once. The stack
-    is diagonalized before any product over it is formed, so entries that
-    overflow raise ConvergenceError there instead of first warning in a product.
+    A stack (N, d, d) is taken as is and a sequence stacked once. Entries
+    whose spectrum overflows raise ConvergenceError here, before any product;
+    _certificate_from raises it for finite spectra whose products overflow.
     """
     d = ensemble.dim
     stack = _matrix_stack(povm, "POVM elements")
@@ -126,6 +127,7 @@ def _peak(values: np.ndarray) -> float:
     return float(np.max(np.abs(values), initial=0.0))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _certificate_from(
     ensemble: WeightedEnsemble,
     k: np.ndarray,
@@ -181,6 +183,9 @@ def _certificate_from(
         legacy_pairwise,
         legacy_operator,
     ]
+    # huge finite entries can overflow in the products, which run without warnings
+    if not np.isfinite(residual_values).all():
+        raise ConvergenceError("certificate residuals overflow: candidate entries too large")
     return KktCertificate(
         symmetry=symmetry,
         dual_feasibility=dual_feasibility,
@@ -211,6 +216,7 @@ def verify_kkt(
     return _certificate_from(ensemble, k, *_povm_stack(ensemble, povm), tol)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def verify_legacy_conditions(
     ensemble: WeightedEnsemble, povm, tol: float = ANALYTIC_TOL
 ) -> KktCertificate:

@@ -39,7 +39,7 @@ from .serialize import (
     round_floats,
     solution_to_json,
 )
-from .solve import solve, solve_qubit_equal_priors
+from .solve import solve
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -187,7 +187,7 @@ def _cmd_sweep(args) -> int:
     rows = []
     for i in range(args.steps):
         parameter = start + (stop - start) * i / (args.steps - 1)
-        solution = solve_qubit_equal_priors(family(parameter))
+        solution = solve(family(parameter))
         rows.append((parameter, solution.p_guess, len(solution.support)))
 
     if args.format == "json":

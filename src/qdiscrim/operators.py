@@ -211,20 +211,15 @@ class PureBipartiteState:
 def _fix_phases(v: np.ndarray) -> np.ndarray:
     """Make the first non-negligible component of each column real positive.
 
-    Works on stacks (..., d, d) of eigenvector columns, matrix by matrix.
-    A column with no component above 1e-8 keeps its phase; a unit column
-    always has one, so eigenvectors take the path with no masked assignment.
+    Works on stacks (..., d, d) of unit eigenvector columns, matrix by
+    matrix. A unit column in d <= MAX_DIM has a component of at least
+    1/8, far above the 1e-8 threshold, so every column has a pivot.
     """
     mags = np.abs(v)
     rows = np.argmax(mags > 1e-8, axis=-2)[..., None, :]
     pivots = np.take_along_axis(v, rows, axis=-2)
     sizes = np.take_along_axis(mags, rows, axis=-2)
-    nonzero = sizes > 0
-    if nonzero.all():
-        return v * (np.conj(pivots) / sizes)
-    phases = np.ones_like(pivots)
-    phases[nonzero] = np.conj(pivots[nonzero]) / sizes[nonzero]
-    return v * phases
+    return v * (np.conj(pivots) / sizes)
 
 
 def _lapack(driver, matrix) -> tuple[np.ndarray, ...]:
@@ -316,16 +311,6 @@ def _negative_part_and_projector(values, vectors) -> tuple[np.ndarray, np.ndarra
     neg = np.minimum(values, 0.0)
     keep = vectors[:, values >= 0.0]
     return (vectors * (-neg)) @ vectors.conj().T, keep @ keep.conj().T
-
-
-def negative_part(operator) -> np.ndarray:
-    """PSD matrix built from the negative eigenspace: sum of -lambda v v†."""
-    return _negative_part_and_projector(*_eigh(_as_matrix(operator)))[0]
-
-
-def nonnegative_eigenprojector(operator) -> np.ndarray:
-    """Orthogonal projector onto the span of eigenvectors with lambda >= 0."""
-    return _negative_part_and_projector(*_eigh(_as_matrix(operator)))[1]
 
 
 class _StackTuple(tuple):

@@ -1,12 +1,12 @@
 """JSON schemas shared by the CLI, files on disk, and tests.
 
 Matrices travel as {"dim": n, "re": [[...]], "im": [[...]]}, row-major
-with decimal floating point entries. Bloch vectors are plain [x, y, z]
-triples. Parsing errors carry the offending field in their message so the
-CLI can emit a usable diagnostic. Every array of matrices (an ensemble's
-states, a candidate solution's POVM) is parsed as one stack (N, d, d) by
-one parser (_matrices_from_json) and written from a stack by one writer
-(_stack_to_json); a single matrix is a stack of one.
+with decimal floating point entries. Parsing errors carry the offending
+field in their message so the CLI can emit a usable diagnostic. Every
+array of matrices (an ensemble's states, a candidate solution's POVM) is
+parsed as one stack (N, d, d) by one parser (_matrices_from_json) and
+written from a stack by one writer (_stack_to_json); a single matrix is
+a stack of one.
 """
 
 from __future__ import annotations
@@ -200,10 +200,6 @@ def _stack_to_json(stack: np.ndarray) -> list[dict]:
         {"dim": dim, "re": re, "im": im}
         for re, im in zip(stack.real.tolist(), stack.imag.tolist())
     ]
-
-
-def bloch_to_json(v) -> list[float]:
-    return [float(x) for x in np.asarray(v, dtype=float).reshape(3)]
 
 
 def ensemble_to_json(ensemble: WeightedEnsemble) -> dict:

@@ -4,8 +4,8 @@ Produces complete solutions: guessing probability, the unique symmetry
 operator of the dual problem, complementary states, an optimal POVM and
 its support. Closed forms cover a single state or dimension one, two
 states in any dimension and arbitrary qubit ensembles, through one exact
-shifted-ball dual for every prior (equal priors are equal shifts, and
-the dual is then the paper's minimum enclosing ball). On qubits the
+shifted-ball dual for every prior in solve_qubit (equal priors are equal
+shifts, and the dual is the paper's minimum enclosing ball). On qubits the
 dual's center and value give the complementary states in closed form
 and its basis gives the POVM, so a qubit solve diagonalizes no gap. Two
 states read everything, the complementary states too, off the one
@@ -72,7 +72,6 @@ DEGENERATE_WEIGHT_TOL = 1e-12
 KERNEL_TOL = 1e-9
 DUAL_FEASIBILITY_TOL = 1e-8
 COMPLETENESS_TOL = 1e-9
-UNIFORM_PRIOR_TOL = 1e-10
 COMPLEMENTARY_NOISE_TOL = 1e-6
 
 
@@ -446,24 +445,6 @@ def helstrom_two_state(ensemble: WeightedEnsemble) -> DiscriminationSolution:
     return _assemble(ensemble, sym, comp, _hermitian_stack(np.stack([m1, m2])))
 
 
-def solve_qubit_equal_priors(ensemble: WeightedEnsemble) -> DiscriminationSolution:
-    """solve_qubit for uniform priors, kept as a documented alias.
-
-    Dual feasibility of K = (t I + k . sigma)/2 says t - 1/N must bound
-    the distance from k to every scaled Bloch point v_x / N, so the
-    optimum is the minimum enclosing ball of those points: t is 1/N plus
-    its radius and k is its center. That ball is the shifted-ball dual
-    with every shift 1/N, which solve_qubit solves. Raises ValueError
-    unless the priors are uniform.
-    """
-    if ensemble.dim != 2:
-        raise UnsupportedInstanceError("geometric solver applies to qubit ensembles only")
-    n = ensemble.size
-    if float(np.max(np.abs(ensemble.priors - 1.0 / n))) > UNIFORM_PRIOR_TOL:
-        raise ValueError("geometric solver requires uniform priors")
-    return solve_qubit(ensemble)
-
-
 def solve_qubit(ensemble: WeightedEnsemble) -> DiscriminationSolution:
     """Exact solution for any qubit ensemble with arbitrary priors, with no eigensolver.
 
@@ -474,7 +455,9 @@ def solve_qubit(ensemble: WeightedEnsemble) -> DiscriminationSolution:
     complementary weights read its trace; the complementary states and
     the POVM are then built as one stack of operators (t I + v . sigma)/2
     from their coefficients. Both are exactly Hermitian, so neither is
-    checked as Hermitian again.
+    checked as Hermitian again. With uniform priors every shift is 1/N,
+    and the dual is the minimum enclosing ball of the points v_x / N: t is
+    1/N plus its radius and k is its center.
     """
     if ensemble.dim != 2:
         raise UnsupportedInstanceError("qubit solver applies to qubit ensembles only")

@@ -9,14 +9,31 @@ from qdiscrim import (
     HermitianOperator,
     SteeringMeasurement,
     complementary_states,
-    convex_weights_for_center,
     reconstruct_povm,
     shifted_ball_dual,
     solve_qubit,
     verify_kkt,
 )
-from qdiscrim.bloch import _bloch_vectors, _operators
+from qdiscrim.bloch import _bloch_vectors, _min_norm_point, _operators
 from qdiscrim.operators import hermitian_eigen
+
+
+def convex_weights_for_center(points, center, tol: float = 1e-9) -> np.ndarray:
+    """Weights over points whose combination is center: Wolfe with an argmin oracle."""
+    shifted = np.asarray(points, dtype=float) - np.asarray(center, dtype=float)
+    lengths = np.linalg.norm(shifted, axis=1)
+    first = int(np.argmin(lengths))
+
+    def nearest_atom(x):
+        j = int(np.argmin(shifted @ x))
+        return j, shifted[j]
+
+    corral, lam = _min_norm_point(
+        nearest_atom, (first, shifted[first]), float(np.max(lengths)), tol
+    )
+    weights = np.zeros(len(shifted))
+    weights[corral] = lam
+    return weights
 
 
 def compose_rotations_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -14,7 +14,6 @@ import numpy as np
 from qdiscrim import (
     WeightedEnsemble,
     conditional_table_from_povm,
-    convex_weights_for_center,
     dual_grid_oracle,
     equivalence_check,
     from_bloch,
@@ -25,15 +24,16 @@ from qdiscrim import (
     probability_forms,
     random_ensemble,
     solve_qubit,
-    solve_qubit_equal_priors,
     to_bloch,
     verify_kkt,
     verify_legacy_conditions,
 )
+from qdiscrim.bloch import _operators
 from qdiscrim.families import isosceles_triple, orthogonal_pairs, trine
 from qdiscrim.operators import HermitianOperator
 
 from conftest import (
+    convex_weights_for_center,
     random_class_element_params,
     random_rotation_3d,
     reference_min_enclosing_ball,
@@ -70,11 +70,11 @@ def test_criterion_2_isosceles_family():
         started = time.perf_counter()
         thetas = [(i + 1) * (math.pi / 2) / 101 for i in range(100)]
         for theta in thetas:
-            sol = solve_qubit_equal_priors(isosceles_triple(theta, base_angle=0.3))
+            sol = solve_qubit(isosceles_triple(theta, base_angle=0.3))
             assert abs(sol.p_guess - (1 + math.sin(theta)) / 3) <= 1e-9
             assert np.max(np.abs(sol.povm[1].matrix)) == 0.0
         for theta in np.linspace(math.pi / 2, math.pi, 21):
-            sol = solve_qubit_equal_priors(isosceles_triple(float(theta), base_angle=0.3))
+            sol = solve_qubit(isosceles_triple(float(theta), base_angle=0.3))
             assert abs(sol.p_guess - 2 / 3) <= 1e-9
         elapsed = time.perf_counter() - started
         assert elapsed < 1.0, f"took {elapsed:.2f}s"
@@ -82,7 +82,7 @@ def test_criterion_2_isosceles_family():
 
 def test_criterion_3_trine_and_planar_triples():
     with criterion(3, "trine reaches 2/3 and origin-covering planar triples reach (1+f)/3"):
-        assert abs(solve_qubit_equal_priors(trine()).p_guess - 2 / 3) <= 1e-10
+        assert abs(solve_qubit(trine()).p_guess - 2 / 3) <= 1e-10
 
         rng = np.random.default_rng(33)
         generated = 0
@@ -98,7 +98,7 @@ def test_criterion_3_trine_and_planar_triples():
                 from_bloch(rotation @ (purity * np.array([math.sin(a), 0, math.cos(a)])))
                 for a in angles
             ]
-            sol = solve_qubit_equal_priors(WeightedEnsemble([1 / 3] * 3, states))
+            sol = solve_qubit(WeightedEnsemble([1 / 3] * 3, states))
             assert abs(sol.p_guess - (1 + purity) / 3) <= 1e-9
 
 
@@ -109,7 +109,7 @@ def test_criterion_4_four_state_families():
         for _ in range(50):
             theta = float(rng.uniform(1e-3, math.pi / 2 - 1e-3))
             base = float(rng.uniform(0, 2 * math.pi))
-            sol = solve_qubit_equal_priors(orthogonal_pairs(theta, base_angle=base))
+            sol = solve_qubit(orthogonal_pairs(theta, base_angle=base))
             assert abs(sol.p_guess - 0.5) <= 1e-9
             normalized = sol.symmetry_op.matrix / sol.symmetry_op.trace()
             assert np.max(np.abs(normalized - np.eye(2) / 2)) <= 1e-9
@@ -129,7 +129,7 @@ def test_criterion_4_four_state_families():
             produced += 1
             purity = float(rng.uniform(0.1, 1.0))
             states = [from_bloch(purity * d) for d in directions]
-            sol = solve_qubit_equal_priors(WeightedEnsemble([0.25] * 4, states))
+            sol = solve_qubit(WeightedEnsemble([0.25] * 4, states))
             assert abs(sol.p_guess - (0.25 + purity / 4)) <= 1e-8
 
 
@@ -141,7 +141,7 @@ def test_criterion_5_kkt_soundness_and_equivalence():
             if uniform_path:
                 e = random_ensemble(2, n, pure=(seed % 4 == 0), seed=seed)
                 e = WeightedEnsemble([1.0 / n] * n, e.states)
-                sol = solve_qubit_equal_priors(e)
+                sol = solve_qubit(e)
                 tol = 1e-8
             else:
                 e = random_ensemble(2, n, pure=(seed % 4 == 1), seed=seed)
@@ -159,15 +159,15 @@ def test_criterion_5_kkt_soundness_and_equivalence():
 
 
 def test_criterion_6_dual_optimum_uniqueness():
-    with criterion(6, "both qubit solvers agree on K; trace K is 1/N plus the ball radius"):
+    with criterion(6, "K is (t I + k . sigma)/2 of the ball: t = 1/N + radius, k its center"):
         for seed in range(100):
             n = 2 + seed % 5
             e = random_ensemble(2, n, pure=(seed % 2 == 0), seed=7000 + seed)
             uniform = WeightedEnsemble([1.0 / n] * n, e.states)
-            a = solve_qubit_equal_priors(uniform)
-            b = solve_qubit(uniform)
-            assert np.max(np.abs(a.symmetry_op.matrix - b.symmetry_op.matrix)) <= 1e-6
-            _, radius, _ = reference_min_enclosing_ball([to_bloch(s) / n for s in e.states])
+            a = solve_qubit(uniform)
+            center, radius, _ = reference_min_enclosing_ball([to_bloch(s) / n for s in e.states])
+            ball = _operators(1.0 / n + radius, center)
+            assert np.max(np.abs(a.symmetry_op.matrix - ball)) <= 1e-6
             assert abs(a.symmetry_op.trace() - (1.0 / n + radius)) <= 1e-12
 
 
@@ -212,7 +212,7 @@ def test_criterion_8_probability_forms_and_table_identity():
                 [1 / 3] * 3,
                 [from_bloch(purity * rotation @ np.asarray(to_bloch(s))) for s in e.states],
             )
-            instances.append((scaled, solve_qubit_equal_priors(scaled)))
+            instances.append((scaled, solve_qubit(scaled)))
         for _ in range(20):
             rotation = random_rotation_3d(rng)
             purity = float(rng.uniform(0.2, 1.0))
@@ -220,7 +220,7 @@ def test_criterion_8_probability_forms_and_table_identity():
                 [0.25] * 4,
                 [from_bloch(purity * rotation @ d) for d in REGULAR_TETRAHEDRON],
             )
-            instances.append((e, solve_qubit_equal_priors(e)))
+            instances.append((e, solve_qubit(e)))
         for seed in range(20):
             e = random_ensemble(2, 2, pure=True, seed=8500 + seed)
             pair = WeightedEnsemble([0.5, 0.5], e.states)

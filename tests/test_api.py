@@ -26,15 +26,12 @@ PUBLIC = {
         "SpectralDecomposition",
         "hermitian_eigen",
         "is_psd",
-        "negative_part",
-        "nonnegative_eigenprojector",
         "partial_trace",
         "purify",
         "trace_norm",
     },
     "bloch": {
         "ShiftedBallResult",
-        "convex_weights_for_center",
         "from_bloch",
         "shifted_ball_dual",
         "to_bloch",
@@ -48,7 +45,6 @@ PUBLIC = {
         "reconstruct_povm",
         "solve",
         "solve_qubit",
-        "solve_qubit_equal_priors",
     },
     "certify": {
         "KktCertificate",
@@ -59,7 +55,6 @@ PUBLIC = {
         "verify_legacy_conditions",
     },
     "serialize": {
-        "bloch_to_json",
         "certificate_to_json",
         "ensemble_from_json",
         "ensemble_to_json",

@@ -10,7 +10,6 @@ from qdiscrim import (
     ConvergenceError,
     DensityOperator,
     HermitianOperator,
-    convex_weights_for_center,
     dual_grid_oracle,
     from_bloch,
     random_ensemble,
@@ -27,7 +26,11 @@ from qdiscrim.families import (
     orthogonal_pairs,
 )
 
-from conftest import random_rotation_3d, reference_min_enclosing_ball
+from conftest import (
+    convex_weights_for_center,
+    random_rotation_3d,
+    reference_min_enclosing_ball,
+)
 
 
 def brute_force_meb_radius(points, resolution=2e-3):
@@ -602,13 +605,15 @@ class TestBasisImprovement:
                 assert value - 1e-12 <= oracle <= value + math.sqrt(3) * resolution
                 assert solve_qubit(e).p_guess == pytest.approx(value, abs=1e-12)
 
-    def test_max_iter_caps_improvement_steps(self):
+    def test_max_iter_caps_improvement_steps(self, monkeypatch):
         e = random_ensemble(2, 40, pure=False, seed=3)
         pts, shifts = [to_bloch(s) / 40 for s in e.states], np.full(40, 1 / 40)
         needed = 0
         while True:
             try:
-                shifted_ball_dual(pts, shifts, max_iter=needed)
+                with monkeypatch.context() as patch:
+                    patch.setattr(bloch, "_MAX_STEPS", needed)
+                    shifted_ball_dual(pts, shifts)
                 break
             except ConvergenceError as exc:
                 assert f"{needed} steps" in str(exc)

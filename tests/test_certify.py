@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from qdiscrim import (
+    ConvergenceError,
     DensityOperator,
     HermitianOperator,
     WeightedEnsemble,
@@ -15,7 +16,6 @@ from qdiscrim import (
     random_ensemble,
     solve,
     solve_qubit,
-    solve_qubit_equal_priors,
     verify_kkt,
     verify_legacy_conditions,
 )
@@ -39,7 +39,7 @@ class TestVerifyKkt:
             n = 2 + seed % 5
             e = random_ensemble(2, n, pure=(seed % 3 == 0), seed=seed)
             uniform = WeightedEnsemble([1.0 / n] * n, e.states)
-            sol = solve_qubit_equal_priors(uniform)
+            sol = solve_qubit(uniform)
             cert = verify_kkt(uniform, sol.symmetry_op, sol.povm, tol=1e-8)
             assert cert.passed, cert.residuals()
 
@@ -52,7 +52,7 @@ class TestVerifyKkt:
 
     def test_uninformative_povm_fails_orthogonality(self):
         e = trine()
-        sol = solve_qubit_equal_priors(e)
+        sol = solve_qubit(e)
         lazy = [HermitianOperator(IDENTITY2 / 3)] * 3
         cert = verify_kkt(e, sol.symmetry_op, lazy, tol=1e-8)
         assert not cert.passed
@@ -62,6 +62,20 @@ class TestVerifyKkt:
             for x in range(3)
         )
         assert primal == pytest.approx(1 / 3, abs=1e-12)
+
+    def test_overflowing_products_raise_without_warning(self):
+        # finite entries with the finite spectrum +-1e308, whose products overflow:
+        # under the suite's error::RuntimeWarning filter a numpy warning would raise
+        e = trine()
+        huge = np.stack([np.diag([1e308, -1e308])] * 3).astype(complex)
+        with pytest.raises(ConvergenceError, match="overflow"):
+            verify_kkt(e, solve_qubit(e).symmetry_op, huge)
+        with pytest.raises(ConvergenceError, match="overflow"):
+            verify_legacy_conditions(e, huge)
+        # the legacy form's own K, sum_x q_x rho_x M_x symmetrized, overflows
+        same = WeightedEnsemble([0.5, 0.5], [from_bloch([0, 0, 1])] * 2)
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            verify_legacy_conditions(same, 1.5 * huge[:2])
 
     def test_dimension_mismatch_rejected(self):
         e = random_ensemble(2, 2, pure=True, seed=1)
@@ -138,7 +152,7 @@ class TestProbabilityForms:
 
     def test_uniform_prior_weights_collapse_to_one_parameter(self):
         e = trine()
-        sol = solve_qubit_equal_priors(e)
+        sol = solve_qubit(e)
         weights = sol.p_guess - e.priors
         assert np.max(np.abs(weights - weights[0])) <= 1e-12
         forms = probability_forms(e, sol)
@@ -241,8 +255,8 @@ class TestStackedCertificate:
 
 class TestEquivalenceCheck:
     def test_orthogonal_pair_families_share_a_class(self):
-        a = solve_qubit_equal_priors(orthogonal_pairs(0.4, base_angle=0.1))
-        b = solve_qubit_equal_priors(orthogonal_pairs(1.2, base_angle=2.0))
+        a = solve_qubit(orthogonal_pairs(0.4, base_angle=0.1))
+        b = solve_qubit(orthogonal_pairs(1.2, base_angle=2.0))
         assert equivalence_check(a.symmetry_op, b.symmetry_op, tol=1e-9)
 
     def test_rotated_ensemble_is_equivalent(self, rng):
@@ -256,7 +270,7 @@ class TestEquivalenceCheck:
         assert equivalence_check(sol.symmetry_op, sol_rot.symmetry_op, tol=1e-8)
 
     def test_distinct_spectra_are_inequivalent(self):
-        trine_sol = solve_qubit_equal_priors(trine())
+        trine_sol = solve_qubit(trine())
         pair = WeightedEnsemble(
             [0.5, 0.5], [from_bloch([0, 0, 1]), from_bloch([0, 0, -1])]
         )

@@ -227,11 +227,6 @@ class TestSerialization:
         with pytest.raises(ValueError, match="K.dim"):
             matrix_from_json({"dim": True, "re": [[1.0]], "im": [[0.0]]}, field="K")
 
-    def test_bloch_vector_schema(self):
-        from qdiscrim.serialize import bloch_to_json
-
-        assert bloch_to_json(np.array([0.1, -0.2, 0.3])) == [0.1, -0.2, 0.3]
-
 
 @pytest.fixture
 def trine_file(tmp_path):
@@ -565,6 +560,8 @@ _FUZZ = {
 
 
 _HUGE = [[1e308, -1e308], [-1e308, 1e308]]
+# finite entries with a finite spectrum, +-1e308, whose products overflow
+_HUGE_DIAGONAL = [[1e308, 0.0], [0.0, -1e308]]
 
 
 def _trine_candidate(defect: str) -> dict:
@@ -573,7 +570,10 @@ def _trine_candidate(defect: str) -> dict:
     if defect.startswith("huge-povm"):
         for element in doc["povm"]:
             element["re"] = _HUGE
-    if defect == "huge-povm-without-K":
+    if defect.startswith("huge-diagonal-povm"):
+        for element in doc["povm"]:
+            element["re"] = _HUGE_DIAGONAL
+    if defect.endswith("-without-K"):
         del doc["K"]
     elif defect == "nan-povm-entry":
         doc["povm"][0]["re"][0][0] = math.nan
@@ -590,6 +590,8 @@ def _trine_candidate(defect: str) -> dict:
 _VERIFY_FUZZ = {
     "huge-povm-with-K": 4,
     "huge-povm-without-K": 4,
+    "huge-diagonal-povm-with-K": 4,
+    "huge-diagonal-povm-without-K": 4,
     "nan-povm-entry": 2,
     "wrong-povm-count": 2,
     "missing-povm": 2,
@@ -846,7 +848,11 @@ class TestCliProcess:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error:")
 
-    @pytest.mark.parametrize("case", ["huge-povm-with-K", "huge-povm-without-K"])
+    @pytest.mark.parametrize(
+        "case",
+        ["huge-povm-with-K", "huge-povm-without-K",
+         "huge-diagonal-povm-with-K", "huge-diagonal-povm-without-K"],
+    )
     def test_huge_candidate_exits_4_without_traceback(self, case, trine_file, tmp_path):
         path = tmp_path / "candidate.json"
         path.write_text(json.dumps(_trine_candidate(case)))
@@ -893,6 +899,8 @@ class TestCliProcess:
         code, loaded = proc.stdout.split()
         assert int(code) in codes, proc.stderr
         assert loaded == "False"
+        # pytest's warning filters do not reach a child process
+        assert not [line for line in proc.stderr.splitlines() if "Warning" in line], proc.stderr
 
 
 class TestCliSweep:

@@ -14,7 +14,6 @@ from qdiscrim import (
     guessing_from_table,
     random_ensemble,
     solve_qubit,
-    solve_qubit_equal_priors,
     trace_norm,
 )
 from qdiscrim.families import isosceles_triple, trine
@@ -156,7 +155,7 @@ class TestGuessingFromTable:
 
     def test_trine_born_table(self):
         e = trine()
-        sol = solve_qubit_equal_priors(e)
+        sol = solve_qubit(e)
         table = conditional_table_from_povm(e, sol.povm)
         result = guessing_from_table(e.priors, table)
         assert result.premise_ok
@@ -181,7 +180,7 @@ class TestGuessingFromTable:
         # the middle state of a narrow isosceles triple is never reported,
         # so its diagonal probability drops below 1/N
         e = isosceles_triple(0.8)
-        sol = solve_qubit_equal_priors(e)
+        sol = solve_qubit(e)
         table = conditional_table_from_povm(e, sol.povm)
         result = guessing_from_table(e.priors, table)
         assert not result.premise_ok

@@ -26,7 +26,6 @@ from qdiscrim import (
     shifted_ball_dual,
     solve,
     solve_qubit,
-    solve_qubit_equal_priors,
     verify_kkt,
 )
 
@@ -103,9 +102,7 @@ def test_hard_geometry_certifies_agrees_and_is_invariant(kind, data):
     assert p - 1e-12 <= oracle <= p + math.sqrt(3) * ORACLE_RESOLUTION, kind
 
     uniform = WeightedEnsemble(np.full(n, 1.0 / n), states)
-    ball = solve_qubit_equal_priors(uniform).symmetry_op.matrix
-    shifted = solve_qubit(uniform).symmetry_op.matrix
-    assert np.max(np.abs(ball - shifted)) <= 1e-10, kind
+    ball = solve_qubit(uniform).symmetry_op.matrix
     _, radius, _ = reference_min_enclosing_ball(vectors / n)
     assert abs(np.trace(ball).real - (1.0 / n + radius)) <= 1e-12, kind
 

@@ -22,12 +22,11 @@ from qdiscrim import (
     reconstruct_povm,
     solve,
     solve_qubit,
-    solve_qubit_equal_priors,
     trace_norm,
     verify_kkt,
 )
 from qdiscrim import bloch, factory, operators
-from qdiscrim.bloch import _bloch_vectors, _operators, convex_weights_for_center
+from qdiscrim.bloch import _bloch_vectors, _operators
 from qdiscrim.certify import ANALYTIC_TOL
 from qdiscrim.families import (
     REGULAR_TETRAHEDRON,
@@ -41,6 +40,7 @@ from qdiscrim.operators import _hermitian_operators
 from conftest import (
     assert_basis_povm_matches_kernel_search,
     compose_rotations_unitary,
+    convex_weights_for_center,
     reference_min_enclosing_ball,
 )
 from test_qubit_geometry import KINDS as HARD_KINDS
@@ -150,7 +150,7 @@ class TestSolveQubitEqualPriors:
         theta0 = 0.3
         for theta in (0.2, 0.7, math.pi / 3, 1.4):
             e = isosceles_triple(theta, base_angle=theta0)
-            sol = solve_qubit_equal_priors(e)
+            sol = solve_qubit(e)
             assert sol.p_guess == pytest.approx((1 + math.sin(theta)) / 3, abs=1e-12)
             assert np.max(np.abs(sol.povm[1].matrix)) == 0.0
             assert sol.support == (0, 2)
@@ -163,26 +163,26 @@ class TestSolveQubitEqualPriors:
 
     def test_isosceles_saturates_past_right_angle(self):
         for theta in (math.pi / 2, 2.0, 2.8, math.pi):
-            sol = solve_qubit_equal_priors(isosceles_triple(theta, base_angle=0.9))
+            sol = solve_qubit(isosceles_triple(theta, base_angle=0.9))
             assert sol.p_guess == pytest.approx(2 / 3, abs=1e-12)
 
     def test_trine(self):
         e = trine(base_angle=0.4)
-        sol = solve_qubit_equal_priors(e)
+        sol = solve_qubit(e)
         assert sol.p_guess == pytest.approx(2 / 3, abs=1e-12)
         assert_solution_contract(e, sol)
 
     def test_orthogonal_pairs_share_symmetry_operator(self, rng):
         for theta in rng.uniform(0.05, math.pi / 2 - 0.05, 10):
             e = orthogonal_pairs(theta, base_angle=float(rng.uniform(0, math.pi)))
-            sol = solve_qubit_equal_priors(e)
+            sol = solve_qubit(e)
             assert sol.p_guess == pytest.approx(0.5, abs=1e-12)
             assert np.max(np.abs(sol.symmetry_op.matrix - np.eye(2) / 4)) <= 1e-9
 
     def test_tetrahedron_purity_scaling(self):
         for purity in (0.3, 0.6, 1.0):
             e = inscribed_tetrahedron(purity)
-            sol = solve_qubit_equal_priors(e)
+            sol = solve_qubit(e)
             assert sol.p_guess == pytest.approx(0.25 + purity / 4, abs=1e-12)
             assert_solution_contract(e, sol)
 
@@ -193,31 +193,25 @@ class TestSolveQubitEqualPriors:
             dirs = rng.standard_normal((n, 3))
             dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
             try:
-                from qdiscrim import convex_weights_for_center
-
                 convex_weights_for_center(list(dirs), np.zeros(3))
                 break
             except ValueError:
                 continue
         e = WeightedEnsemble([1 / n] * n, [from_bloch(purity * d) for d in dirs])
-        sol = solve_qubit_equal_priors(e)
+        sol = solve_qubit(e)
         assert sol.p_guess == pytest.approx(1 / n + purity / n, abs=1e-9)
 
     def test_identical_states_fall_back_to_single_outcome(self):
         e = WeightedEnsemble([1 / 3] * 3, [PLUS, PLUS, PLUS])
-        sol = solve_qubit_equal_priors(e)
+        sol = solve_qubit(e)
         assert sol.p_guess == pytest.approx(1 / 3, abs=1e-12)
         assert len(sol.support) == 1
         assert_solution_contract(e, sol)
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError, match="uniform"):
-            solve_qubit_equal_priors(
-                WeightedEnsemble([0.6, 0.2, 0.2], [ZERO, ONE, PLUS])
-            )
         e3 = random_ensemble(3, 3, pure=True, seed=5)
         with pytest.raises(UnsupportedInstanceError):
-            solve_qubit_equal_priors(e3)
+            solve_qubit(e3)
 
 
 class TestSolveQubit:
@@ -233,13 +227,10 @@ class TestSolveQubit:
             n = 2 + seed % 5
             e = random_ensemble(2, n, pure=(seed % 2 == 0), seed=1000 + seed)
             uniform = WeightedEnsemble([1.0 / n] * n, e.states)
-            a = solve_qubit_equal_priors(uniform)
-            b = solve_qubit(uniform)
-            assert abs(a.p_guess - b.p_guess) <= 1e-7
-            assert np.max(np.abs(a.symmetry_op.matrix - b.symmetry_op.matrix)) <= 1e-6
+            sol = solve_qubit(uniform)
             points = _bloch_vectors(uniform.matrices) / n
             _, radius, _ = reference_min_enclosing_ball(points)
-            assert a.p_guess == pytest.approx(1.0 / n + radius, abs=1e-12)
+            assert sol.p_guess == pytest.approx(1.0 / n + radius, abs=1e-12)
 
     def test_extreme_priors_approach_certainty(self, rng):
         eps = 1e-3
