@@ -38,11 +38,12 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConvergenceError
-from .operators import DensityOperator, HermitianOperator, _as_matrix
+from .operators import DensityOperator, _as_matrix
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
+_IDENTITY = np.eye(2, dtype=complex)
 
 BLOCH_NORM_TOL = 1e-10
 _WOLFE_RTOL = 1e-14  # Wolfe's stop: target reached, or no point measurably beyond
@@ -79,26 +80,13 @@ def to_bloch(rho) -> np.ndarray:
 def _operators(t, vectors) -> np.ndarray:
     """Stack of (t I + v . sigma)/2 for t (...) and vectors (..., 3); inverts _bloch_vectors.
 
-    The sums [[t + z, x - iy], [x + iy, t - z]] are written into one stack,
-    which is halved as a whole. The result is bit for bit the Pauli sum
-    0.5 * (t I + x X + y Y + z Z), signed zeros included: each product
-    with an entry of a Pauli matrix is exact, so each complex sum reduces
-    to a real one, kept here with the signed zeros (t*0, x*0, y*0, z*0)
-    that decide the sign of a zero sum. It is exactly Hermitian for finite
-    input, so callers wrap it unchecked.
+    The Pauli sum 0.5 * (t I + x X + y Y + z Z), broadcast over t and v.
+    Each product with an entry of a Pauli matrix is exact, so the result
+    is exactly Hermitian for finite input, and callers wrap it unchecked.
     """
-    t = np.asarray(t, dtype=float)
-    v = np.asarray(vectors, dtype=float)
-    x, y, z = v[..., 0], v[..., 1], v[..., 2]
-    zeros = v * 0.0
-    w = t + (zeros[..., 0] + zeros[..., 1])
-    sums = np.zeros(w.shape + (8,))  # re and im of the entries 00, 01, 10, 11
-    np.add(w, z, out=sums[..., 0])
-    np.add(v[..., :2], 0.0, out=sums[..., 2:6:3])  # re 01 from x, im 10 from y
-    np.subtract(0.0, y, out=sums[..., 3])
-    np.add(x, (t * 0.0 + zeros[..., 1]) + zeros[..., 2], out=sums[..., 4])
-    np.subtract(w, z, out=sums[..., 6])
-    return 0.5 * sums.view(complex).reshape(w.shape + (2, 2))
+    t = np.asarray(t, dtype=float)[..., None, None]
+    x, y, z = np.moveaxis(np.asarray(vectors, dtype=float)[..., None, None], -3, 0)
+    return 0.5 * (t * _IDENTITY + x * PAULI_X + y * PAULI_Y + z * PAULI_Z)
 
 
 def from_bloch(v) -> DensityOperator:
@@ -109,7 +97,7 @@ def from_bloch(v) -> DensityOperator:
     norm = float(np.linalg.norm(v))
     if norm > 1 + BLOCH_NORM_TOL:
         raise ValueError(f"Bloch vector norm {norm} exceeds 1")
-    return DensityOperator(HermitianOperator(_operators(1.0, v)))
+    return DensityOperator(_operators(1.0, v))
 
 
 @dataclass(frozen=True, eq=False)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError
-from .operators import _as_matrix, _eigvalsh, _matrix_stack
+from .operators import _as_matrix, _check_tolerance, _eigvalsh, _matrix_stack
 from .solve import (
     DEGENERATE_WEIGHT_TOL,
     DiscriminationSolution,
@@ -136,6 +136,7 @@ def _certificate_from(
     tol: float,
 ) -> KktCertificate:
     """Residuals from three stacked spectra: the gaps, the POVM (passed in), the legacy operators."""
+    _check_tolerance(tol)
     q = ensemble.priors
     rhos = ensemble.matrices
     weighted = q[:, None, None] * rhos
@@ -270,6 +271,7 @@ def equivalence_check(op_a, op_b, tol: float = 1e-9) -> bool:
     Two ensembles are equivalent when their symmetry operators share a
     spectrum, i.e. agree up to a unitary change of basis.
     """
+    _check_tolerance(tol)
     a = _as_matrix(op_a)
     b = _as_matrix(op_b)
     if a.shape != b.shape:

@@ -28,7 +28,7 @@ from .factory import (
     identity_class_example,
 )
 from .families import inscribed_tetrahedron, isosceles_triple, orthogonal_pairs
-from .operators import HermitianOperator, _hermitian_stack
+from .operators import HermitianOperator, _check_tolerance, _hermitian_stack, _trusted
 from .oracle import dual_grid_oracle
 from .serialize import (
     _matrices_from_json,
@@ -82,7 +82,7 @@ def _load_operator(path: str, field: str) -> HermitianOperator:
     """The Hermitian operator of a matrix document; any defect of it is a file error."""
     with _reading(path):
         matrix = _hermitian_stack(matrix_from_json(_load_json(path), field=field), field=field)
-    return HermitianOperator(matrix)
+    return _trusted(matrix)
 
 
 def _certificate(ensemble, doc, tol: float, legacy: bool = False) -> dict:
@@ -121,6 +121,7 @@ def _emit_json(doc, out: str | None) -> None:
 
 
 def _cmd_solve(args) -> int:
+    _check_tolerance(args.tol)
     ensemble = _load_ensemble(args.ensemble)
     doc = round_floats(solution_to_json(solve(ensemble)))
     if args.verify:
@@ -130,6 +131,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_tolerance(args.tol)
     ensemble = _load_ensemble(args.ensemble)
     candidate = _load_json(args.solution)
     with _reading(args.solution):

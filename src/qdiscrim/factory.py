@@ -27,7 +27,8 @@ from .operators import (
     DensityOperator,
     HermitianOperator,
     _eigvalsh,
-    _hermitian_operators,
+    _hermitian_stack,
+    _wrap,
     purify,
 )
 from .solve import (
@@ -93,7 +94,7 @@ def _certify(ensemble: WeightedEnsemble, symmetry_op: HermitianOperator):
     except (ValueError, InfeasibleDualError):
         return False, None
     cert = verify_kkt(ensemble, symmetry_op, povm, ANALYTIC_TOL)
-    return cert.passed, tuple(povm) if cert.passed else None
+    return cert.passed, povm if cert.passed else None
 
 
 def generate_from_symmetry_operator(
@@ -122,7 +123,7 @@ def generate_from_symmetry_operator(
     if not measurements:
         raise ValueError("at least one steering measurement is required")
 
-    normalized = DensityOperator(HermitianOperator(sym.matrix / total))
+    normalized = DensityOperator(sym.matrix / total)
     psi = purify(normalized).amplitudes.reshape(sym.dim, sym.dim)
 
     fire_probs = []
@@ -136,12 +137,12 @@ def generate_from_symmetry_operator(
         if p <= _FIRES_TOL:
             raise ValueError("steering measurement never fires; state undefined")
         fire_probs.append(p)
-        states.append(DensityOperator(HermitianOperator(steered / p)))
+        states.append(DensityOperator(steered / p))
         if 1 - p <= _FIRES_TOL:
             complements.append(None)
         else:
             rest = _steered_operator(psi, m.second_outcome)
-            complements.append(DensityOperator(HermitianOperator(rest / (1 - p))))
+            complements.append(DensityOperator(rest / (1 - p)))
 
     fire_probs = np.asarray(fire_probs)
     priors = fire_probs / float(np.sum(fire_probs))
@@ -209,7 +210,7 @@ def generate_qubit_class_element(
         states.append(from_bloch(bloch))
 
     symmetry = HermitianOperator(_operators(value, center))
-    povm = _hermitian_operators(a[:, None, None] * _operators(1.0, -np.array(units)))
+    povm = _wrap(_hermitian_stack(a[:, None, None] * _operators(1.0, -np.array(units))))
     ensemble = WeightedEnsemble(q, states)
     complementary = ComplementarySet(
         weights=weights, states=tuple(from_bloch(u) for u in units)

@@ -1,8 +1,8 @@
 """Complex Hermitian linear algebra for small dense matrices.
 
 Everything downstream (Bloch geometry, solvers, certificates, generators)
-is built on the types and operations here: validated Hermitian and density
-operators, a LAPACK eigensolver with a deterministic order and phase
+is built on the types and operations here: validated Hermitian operators
+(a state is one), a LAPACK eigensolver with a deterministic order and phase
 convention, trace norm, positivity tests, purification and partial trace.
 
 Matrices are stored as immutable ``numpy`` arrays of ``complex128``.
@@ -15,9 +15,9 @@ layer; a single matrix is a stack of one. The eigenvalues of 2 x 2
 matrices (_eigvalsh) have a closed form that calls no LAPACK, so with the
 closed-form qubit parse (serialize) a qubit request makes no LAPACK call.
 Collections of operators are stored as such stacks (_matrix_stack builds
-one); their wrapper tuples are built from the stack on first access
-(_wrap_hermitian, _wrap_density); a tuple of HermitianOperators keeps
-its stack, which _matrix_stack hands back without stacking it again.
+one); their tuples of operators or states are built from the stack on
+first access (_wrap), and every such tuple keeps its stack, which
+_matrix_stack hands back without stacking it again.
 
 Matrices are validated where they enter the package: the public
 constructors (HermitianOperator, DensityOperator and the types built on
@@ -25,7 +25,7 @@ them) and the parse of JSON documents (serialize), which reads ensembles
 and the candidate POVMs of certificates alike. A matrix the package
 builds Hermitian by construction, such as the closed-form qubit
 operators (t I + v . sigma)/2 of the qubit solver, is wrapped unchecked
-(_trusted_hermitian, _wrap_hermitian); the checks that can fail on it
+(_trusted, _wrap); the checks that can fail on it
 (completeness, positivity, the prior bound of solve._assemble) still run.
 """
 
@@ -46,7 +46,7 @@ MAX_DIM = 64
 
 def _as_matrix(operator) -> np.ndarray:
     """Raw complex matrix of an operator, accepting wrappers or arrays."""
-    if isinstance(operator, (HermitianOperator, DensityOperator)):
+    if isinstance(operator, HermitianOperator):
         return operator.matrix
     return np.asarray(operator, dtype=complex)
 
@@ -54,7 +54,7 @@ def _as_matrix(operator) -> np.ndarray:
 def _matrix_stack(ops, what: str = "matrices") -> np.ndarray:
     """Operators or matrices as one stack (N, d, d); an ndarray passes through unchanged.
 
-    So does the stack that a tuple from _wrap_hermitian wraps.
+    So does the stack that a tuple from _wrap wraps.
     An empty sequence gives (0, 0, 0); differing shapes raise "<what> must
     share one dimension".
     """
@@ -144,29 +144,23 @@ class HermitianOperator:
 
 
 @dataclass(frozen=True, eq=False)
-class DensityOperator:
-    """A quantum state: Hermitian, positive semidefinite, unit trace."""
+class DensityOperator(HermitianOperator):
+    """A quantum state: a Hermitian operator that is positive semidefinite with unit trace.
 
-    op: HermitianOperator
+    A HermitianOperator argument is taken as already validated Hermitian.
+    """
 
-    def __init__(self, op) -> None:
-        if not isinstance(op, HermitianOperator):
-            op = HermitianOperator(op)
-        tr = op.trace()
+    def __init__(self, matrix) -> None:
+        if isinstance(matrix, HermitianOperator):
+            object.__setattr__(self, "matrix", matrix.matrix)
+        else:
+            super().__init__(matrix)
+        tr = self.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density operator must have trace 1, got {tr!r}")
-        smallest = float(_eigvalsh(op.matrix)[-1])
+        smallest = float(_eigvalsh(self.matrix)[-1])
         if smallest < -PSD_TOL:
             raise ValueError(f"density operator has negative eigenvalue {smallest:.3e}")
-        object.__setattr__(self, "op", op)
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return self.op.matrix
-
-    @property
-    def dim(self) -> int:
-        return self.op.dim
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,10 +293,14 @@ def trace_norm(operator) -> float:
     return float(np.sum(np.abs(_eigvalsh(_as_matrix(operator)))))
 
 
+def _check_tolerance(tol) -> None:
+    if not (tol >= 0 and np.isfinite(tol)):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
+
+
 def is_psd(operator, tol: float = PSD_TOL) -> bool:
     """True when the smallest eigenvalue is at least -tol."""
-    if tol < 0:
-        raise ValueError("tolerance must be non-negative")
+    _check_tolerance(tol)
     return float(_eigvalsh(_as_matrix(operator))[-1]) >= -tol
 
 
@@ -314,7 +312,7 @@ def _negative_part_and_projector(values, vectors) -> tuple[np.ndarray, np.ndarra
 
 
 class _StackTuple(tuple):
-    """A tuple of the HermitianOperators of a stack's matrices that keeps the stack.
+    """A tuple of the operators (or states) of a stack's matrices that keeps the stack.
 
     It is a tuple in every other respect; concatenation and slicing give
     plain tuples.
@@ -323,33 +321,18 @@ class _StackTuple(tuple):
     stack: np.ndarray
 
 
-def _trusted_hermitian(matrix: np.ndarray) -> HermitianOperator:
-    """Wrap a frozen matrix that is Hermitian by construction, unchecked."""
-    op = object.__new__(HermitianOperator)
+def _trusted(matrix: np.ndarray, cls=HermitianOperator) -> HermitianOperator:
+    """Wrap a frozen matrix that is already a valid cls (Hermitian, or a state), unchecked."""
+    op = object.__new__(cls)
     object.__setattr__(op, "matrix", matrix)
     return op
 
 
-def _wrap_hermitian(stack: np.ndarray) -> tuple[HermitianOperator, ...]:
-    """Wrap each matrix of a frozen, already Hermitian stack, unchecked."""
-    ops = _StackTuple(_trusted_hermitian(m) for m in stack)
+def _wrap(stack: np.ndarray, cls=HermitianOperator) -> tuple[HermitianOperator, ...]:
+    """Wrap each matrix of a frozen stack of valid cls matrices, unchecked, keeping the stack."""
+    ops = _StackTuple(_trusted(m, cls) for m in stack)
     ops.stack = stack
     return ops
-
-
-def _hermitian_operators(matrices) -> tuple[HermitianOperator, ...]:
-    """HermitianOperators for a stack (N, d, d), validated in one pass."""
-    return _wrap_hermitian(_hermitian_stack(matrices))
-
-
-def _wrap_density(stack: np.ndarray) -> tuple[DensityOperator, ...]:
-    """Wrap each matrix of a frozen stack already built as states, unchecked."""
-    states = []
-    for op in _wrap_hermitian(stack):
-        rho = object.__new__(DensityOperator)
-        object.__setattr__(rho, "op", op)
-        states.append(rho)
-    return tuple(states)
 
 
 def _state_stack(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -359,7 +342,7 @@ def _state_stack(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     rest of the negative noise is clipped to zero and each rebuilt matrix
     normalized to unit trace. That makes every state Hermitian, unit
     trace and PSD by construction, so the stack is wrapped as states
-    (_wrap_density) without being validated or diagonalized again.
+    (_wrap with DensityOperator) without being validated or diagonalized again.
     """
     clipped = np.maximum(values, 0.0)
     rebuilt = (vectors * clipped[..., None, :]) @ vectors.conj().swapaxes(-1, -2)
@@ -374,14 +357,9 @@ def purify(rho: DensityOperator) -> PureBipartiteState:
     phases: psi = sum_i sqrt(lambda_i) |i>_A |v_i>_B.
     """
     values, vectors = _eigh(rho.matrix)
-    d = rho.dim
-    weights = np.sqrt(np.maximum(values, 0.0))
-    amp = np.zeros((d, d), dtype=complex)
-    for i in range(d):
-        amp[i, :] = weights[i] * vectors[:, i]
-    amp = amp.reshape(-1)
+    amp = (vectors * np.sqrt(np.maximum(values, 0.0))).T.reshape(-1)
     amp = amp / np.linalg.norm(amp)
-    return PureBipartiteState(d, d, amp)
+    return PureBipartiteState(rho.dim, rho.dim, amp)
 
 
 def partial_trace(state: PureBipartiteState, subsystem: str) -> HermitianOperator:

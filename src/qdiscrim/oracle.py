@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import _bloch_vectors
-from .operators import DensityOperator, HermitianOperator, _matrix_stack
+from .operators import DensityOperator, _matrix_stack
 from .solve import WeightedEnsemble
 
 _COARSE_STEP = 0.05
@@ -158,7 +158,7 @@ def random_ensemble(dim: int, size: int, pure: bool, seed: int) -> WeightedEnsem
             g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             rho = g @ g.conj().T
             rho /= np.trace(rho).real
-        states.append(DensityOperator(HermitianOperator((rho + rho.conj().T) / 2)))
+        states.append(DensityOperator((rho + rho.conj().T) / 2))
     return WeightedEnsemble(priors, states, seed=seed)
 
 

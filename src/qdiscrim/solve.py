@@ -23,8 +23,8 @@ externally supplied candidates.
 
 Ensembles, complementary sets and solutions store their operators as
 read-only stacks (N, d, d), which every layer reads. Their states and
-povm tuples stay: one built from a stack wraps them on first access,
-in one pass over the stack.
+povm tuples stay: one built from a stack wraps them on first access, in
+one pass, into a tuple that keeps the stack. A state is a HermitianOperator.
 
 The input is validated where it enters (the constructors, the parse);
 the solvers validate what they build only where it is not Hermitian by
@@ -58,14 +58,12 @@ from .operators import (
     _as_matrix,
     _eigh,
     _eigvalsh,
-    _hermitian_operators,
     _hermitian_stack,
     _matrix_stack,
     _negative_part_and_projector,
     _state_stack,
-    _trusted_hermitian,
-    _wrap_density,
-    _wrap_hermitian,
+    _trusted,
+    _wrap,
 )
 
 DEGENERATE_WEIGHT_TOL = 1e-12
@@ -127,7 +125,7 @@ class WeightedEnsemble:
     def __getattr__(self, name: str):
         if name != "states":
             raise _missing(self, name)
-        states = _wrap_density(self.matrices)
+        states = _wrap(self.matrices, DensityOperator)
         object.__setattr__(self, "states", states)
         return states
 
@@ -187,7 +185,7 @@ class ComplementarySet:
     def __getattr__(self, name: str):
         if name != "states":
             raise _missing(self, name)
-        wrapped = iter(_wrap_density(self.matrices))
+        wrapped = iter(_wrap(self.matrices, DensityOperator))
         states = tuple(next(wrapped) if keep else None for keep in self.present)
         object.__setattr__(self, "states", states)
         return states
@@ -246,7 +244,7 @@ class DiscriminationSolution:
     def __getattr__(self, name: str):
         if name != "povm":
             raise _missing(self, name)
-        povm = _wrap_hermitian(self.povm_matrices)
+        povm = _wrap(self.povm_matrices)
         object.__setattr__(self, "povm", povm)
         return povm
 
@@ -289,7 +287,7 @@ def complementary_states(symmetry_op, ensemble: WeightedEnsemble) -> Complementa
 
 def reconstruct_povm(
     ensemble: WeightedEnsemble, complementary: ComplementarySet
-) -> list[HermitianOperator]:
+) -> tuple[HermitianOperator, ...]:
     """Optimal POVM for K from the kernels of its complementary states, any d.
 
     Orthogonality r_x tr[M_x sigma_x] = 0 puts each element M_x in the
@@ -308,6 +306,7 @@ def reconstruct_povm(
     above one; a one-dimensional kernel's vector is its only atom. Each
     element sums d times the weighted atoms of its state. The kernels come
     from the spectra the set holds, and the ensemble gives the dimension.
+    The elements come back as a tuple that keeps their checked stack.
 
     Raises InfeasibleDualError when no kernel is non-trivial, or when the
     projectors do not resolve the identity. The search stops as soon as a
@@ -320,7 +319,7 @@ def reconstruct_povm(
     povm = np.zeros((n, d, d), dtype=complex)
     if not complementary.present.all():
         povm[np.argmin(complementary.present)] = np.eye(d)
-        return list(_hermitian_operators(povm))
+        return _wrap(_hermitian_stack(povm))
 
     values, vectors = complementary.spectra.eigenvalues, complementary.spectra.eigenvectors
     dims = np.count_nonzero(values <= KERNEL_TOL, axis=1)  # kernels trail the descending spectra
@@ -367,7 +366,7 @@ def reconstruct_povm(
     for key, weight in zip(corral, lam):
         owner, projector = found[key]
         povm[owner] += (d * weight) * projector
-    return list(_hermitian_operators(povm))
+    return _wrap(_hermitian_stack(povm))
 
 
 def _assemble(
@@ -465,7 +464,7 @@ def solve_qubit(ensemble: WeightedEnsemble) -> DiscriminationSolution:
     result = shifted_ball_dual(points, ensemble.priors)
     k = _operators(result.value, result.center)
     k.setflags(write=False)
-    sym = _trusted_hermitian(k)
+    sym = _trusted(k)
     weights, live, units = _qubit_complementary(
         sym.trace(), result.center, points, ensemble.priors
     )

@@ -228,7 +228,7 @@ class TestBlochConversion:
         direction = rng.standard_normal(3)
         direction /= np.linalg.norm(direction)
         pure = from_bloch(direction)
-        assert trace_norm(pure.op) == pytest.approx(1.0, abs=1e-12)
+        assert trace_norm(pure) == pytest.approx(1.0, abs=1e-12)
         eigs = np.linalg.eigvalsh(pure.matrix)
         assert eigs[0] == pytest.approx(0.0, abs=1e-12)
 

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -84,6 +85,13 @@ class TestVerifyKkt:
         sol = helstrom_two_state(e)
         with pytest.raises(ValueError, match="POVM"):
             verify_kkt(e, sol.symmetry_op, [sol.povm[0]])
+
+    def test_povm_of_another_dimension_rejected(self):
+        e = trine()
+        sol = solve(e)
+        with pytest.raises(ValueError) as info:
+            verify_kkt(e, sol.symmetry_op, [np.eye(3) / 3] * 3)
+        assert str(info.value) == "POVM element shape (3, 3) does not match dimension 2"
 
     def test_verdict_monotone_in_tolerance(self):
         e, sol = random_solved(7)
@@ -280,3 +288,28 @@ class TestEquivalenceCheck:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError):
             equivalence_check(HermitianOperator(np.eye(2)), HermitianOperator(np.eye(3)))
+
+
+class TestToleranceRule:
+    """A tolerance must be finite and non-negative, or the checker raises ValueError."""
+
+    MESSAGE = "tolerance must be finite and non-negative"
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -math.inf, -1.0, -1e-300])
+    def test_checkers_reject_bad_tolerances(self, tol):
+        e = trine()
+        sol = solve(e)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            verify_kkt(e, sol.symmetry_op, sol.povm, tol)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            verify_legacy_conditions(e, sol.povm, tol)
+        with pytest.raises(ValueError, match=self.MESSAGE):
+            equivalence_check(sol.symmetry_op, sol.symmetry_op, tol)
+
+    def test_zero_is_a_tolerance(self):
+        e = trine()
+        sol = solve(e)
+        cert = verify_kkt(e, sol.symmetry_op, sol.povm, 0.0)
+        assert cert.tolerance == 0.0 and cert.passed == (cert.max_residual() == 0.0)
+        assert verify_legacy_conditions(e, sol.povm, 0.0).tolerance == 0.0
+        assert equivalence_check(sol.symmetry_op, sol.symmetry_op, 0.0)

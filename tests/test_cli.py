@@ -215,6 +215,7 @@ class TestSerialization:
             ([True, 0.0], "priors: entries must be numbers (priors[0] is True)"),
             ([0.5, math.nan], "priors: entries must be finite (priors[1] is nan)"),
             ([10**400, 0.5], "priors: entries must be numbers (int too large to convert to float)"),
+            (0.5, "ensemble: priors and states must be arrays"),
         ],
     )
     def test_priors_diagnostics(self, priors, message):
@@ -404,6 +405,10 @@ _DEFECTS = {
         {"dim": 2, "re": [[0.5, -1e308], [-1e308, 0.5]], "im": _ZERO},
         "state has negative eigenvalue -1.000e+308",
     ),
+    "re-not-2x2": (
+        {"dim": 2, "re": [0.5, 0.5], "im": _ZERO},
+        "re/im must be 2x2, got (2,) and (2, 2)",
+    ),
     # the largest float over a trace just below 1 overflows, silently
     "max-float-over-trace": (
         {"dim": 2, "re": [[0.5, sys.float_info.max], [sys.float_info.max, 0.5 - 1e-9]],
@@ -555,6 +560,8 @@ _FUZZ = {
     ),
     "state-not-object": ({"priors": [0.5, 0.5], "states": [_STATE, 3]}, "states[1]"),
     "top-level-array": ([_STATE], "ensemble"),
+    "priors-not-array": ({"priors": 1.0, "states": [_STATE]}, "priors and states must be arrays"),
+    "states-not-array": ({"priors": [1.0], "states": _STATE}, "priors and states must be arrays"),
     "invalid-json": ("{not json", "invalid JSON"),
 }
 
@@ -647,6 +654,43 @@ class TestCliFuzz:
         assert err.startswith(f"error: {path}: ") and field in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "1e400"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["solve", "{ensemble}", "--verify"], ["verify", "{ensemble}", "{solution}"]],
+        ids=["solve", "verify"],
+    )
+    def test_bad_tolerance_exits_3_before_reading_any_file(
+        self, argv, tol, trine_file, tmp_path, capsys
+    ):
+        solution = str(tmp_path / "solution.json")
+        assert main(["solve", trine_file, "--out", solution]) == 0
+        missing = str(tmp_path / "missing.json")
+        message = f"error: tolerance must be finite and non-negative, got {float(tol)!r}\n"
+        for ensemble, candidate in ((trine_file, solution), (missing, missing)):
+            args = [a.format(ensemble=ensemble, solution=candidate) for a in argv]
+            assert main([*args, "--tol", tol]) == 3
+            out, err = capsys.readouterr()
+            assert out == "" and err == message
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "{missing}", "--verify"],
+            ["verify", "{missing}", "{trine}"],
+            ["verify", "{trine}", "{missing}"],
+            ["generate", "{missing}"],
+            ["oracle", "{missing}"],
+        ],
+        ids=["solve", "verify-ensemble", "verify-candidate", "generate", "oracle"],
+    )
+    def test_missing_input_file_exits_2_naming_it(self, argv, trine_file, tmp_path, capsys):
+        missing = str(tmp_path / "missing.json")
+        assert main([a.format(missing=missing, trine=trine_file) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and _one_error_line(err) and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {missing}: [Errno 2] ")
+
     def test_unwritable_out_exits_2_naming_the_file(self, trine_file, tmp_path, capsys):
         out = tmp_path / "missing-directory" / "solution.json"
         assert main(["solve", trine_file, "--out", str(out)]) == 2
@@ -708,6 +752,10 @@ _POVM_DEFECTS = {
     ),
     "not-an-object": (3, "povm[1]: expected an object with dim/re/im"),
     "missing-im": ({"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]]}, "povm[1]: missing key 'im'"),
+    "im-not-2x2": (
+        {"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]], "im": [[0.0], [0.0]]},
+        "povm[1]: re/im must be 2x2, got (2, 2) and (2, 1)",
+    ),
     "boolean-dim": (
         {"dim": True, "re": [[1.0]], "im": [[0.0]]},
         "povm[1].dim: expected an integer in 1..64, got True",
@@ -944,6 +992,11 @@ class TestCliSweep:
         assert main(["sweep", "rectangle", "--steps", "5", "--start", "0.2", "--stop", "2.0"]) == 3
         assert main(["sweep", "isosceles", "--steps", "1"]) == 3
         assert main(["sweep", "tetrahedron", "--steps", "5", "--start", "0.0", "--stop", "1.0"]) == 3
+
+    def test_start_above_stop_exits_3(self, capsys):
+        assert main(["sweep", "isosceles", "--start", "1.0", "--stop", "0.5"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: start must not exceed stop\n"
 
     def test_json_format(self, capsys):
         assert main(["sweep", "isosceles", "--steps", "3", "--start", "0.3", "--stop", "0.9",

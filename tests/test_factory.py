@@ -202,6 +202,21 @@ class TestGenerateFromSymmetryOperator:
                 [SteeringMeasurement(HermitianOperator(np.zeros((2, 2))))],
             )
 
+    @pytest.mark.parametrize(
+        "measurements, message",
+        [
+            ([], "at least one steering measurement is required"),
+            (
+                [SteeringMeasurement(np.eye(2) / 2), SteeringMeasurement(np.eye(3) / 2)],
+                "steering measurement dimension does not match the operator",
+            ),
+        ],
+    )
+    def test_rejects_invalid_measurements(self, measurements, message):
+        with pytest.raises(ValueError) as info:
+            generate_from_symmetry_operator(np.eye(2) / 2, measurements)
+        assert str(info.value) == message
+
 
 class TestGenerateQubitClassElement:
     def test_recovers_trine(self):
@@ -275,6 +290,22 @@ class TestGenerateQubitClassElement:
             generate_qubit_class_element(
                 0.52, np.array([0.6, 0.0, 0.0]), u_pair, [1.0, 1.0], [0.5, 0.5]
             )
+
+    @pytest.mark.parametrize(
+        "weights, priors, message",
+        [
+            ([2.0], [0.5, 0.5], "directions, weights and priors must have equal length"),
+            ([1.0, 1.0], [1.0], "directions, weights and priors must have equal length"),
+            ([2.5, -0.5], [0.5, 0.5], "POVM weights must be non-negative"),
+            ([1.0, 1.0], [0.5, 0.4], "priors must be positive and sum to 1"),
+            ([1.0, 1.0], [1.5, -0.5], "priors must be positive and sum to 1"),
+        ],
+    )
+    def test_rejects_malformed_lists(self, weights, priors, message):
+        u_pair = [np.array([0, 0, 1.0]), np.array([0, 0, -1.0])]
+        with pytest.raises(ValueError) as info:
+            generate_qubit_class_element(1.0, np.zeros(3), u_pair, weights, priors)
+        assert str(info.value) == message
 
 
 def reference_kernel_rank_ones(sigma, dim):

@@ -84,6 +84,27 @@ class TestDensityOperator:
         rho = DensityOperator(HermitianOperator(np.eye(2) / 2))
         assert rho.dim == 2
 
+    def test_a_state_is_a_hermitian_operator(self):
+        assert issubclass(DensityOperator, HermitianOperator)
+        rho = DensityOperator(np.diag([0.75, 0.25]))
+        assert isinstance(rho, HermitianOperator)
+        assert rho.dim == 2 and rho.trace() == 1.0
+        assert np.array_equal(rho.matrix, np.diag([0.75, 0.25]))
+        assert not hasattr(rho, "op")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            rho.matrix = np.eye(2) / 2
+
+    def test_hermitian_argument_is_taken_as_validated(self, rng):
+        g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        m = g @ g.conj().T
+        m = m / np.trace(m).real
+        op = HermitianOperator(m)
+        assert DensityOperator(op).matrix is op.matrix
+        # an array runs the Hermitian check itself, to the same bits
+        assert np.array_equal(DensityOperator(m).matrix, op.matrix)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            DensityOperator(np.array([[0.5, 0.1], [0.0, 0.5]]))
+
 
 class TestHermitianEigen:
     def test_identity_spectrum(self):
@@ -194,6 +215,11 @@ class TestIsPsd:
         with pytest.raises(ValueError):
             is_psd(HermitianOperator(np.eye(2)), -1.0)
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -math.inf])
+    def test_tolerance_must_be_finite_and_non_negative(self, tol):
+        with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+            is_psd(np.eye(2), tol)
+
 
 class TestEigenParts:
     def test_negative_part_and_projector(self, rng):
@@ -262,6 +288,21 @@ class TestPartialTrace:
     def test_unit_norm_enforced(self):
         with pytest.raises(ValueError, match="unit norm"):
             PureBipartiteState(2, 2, np.array([1, 0, 0, 1]))
+
+    @pytest.mark.parametrize(
+        "dims, amplitudes, message",
+        [
+            ((0, 2), [], "subsystem dimensions must be positive"),
+            ((2, 0), [], "subsystem dimensions must be positive"),
+            ((2, 2), [1.0, 0.0, 0.0], "expected 4 amplitudes, got 3"),
+            ((2, 1), [math.nan, 1.0], "amplitudes must be finite"),
+            ((1, 2), [1.0, complex(0.0, math.inf)], "amplitudes must be finite"),
+        ],
+    )
+    def test_rejects_malformed_input(self, dims, amplitudes, message):
+        with pytest.raises(ValueError) as info:
+            PureBipartiteState(*dims, amplitudes)
+        assert str(info.value) == message
 
 
 class TestConvergenceGuard:
@@ -625,11 +666,12 @@ class TestStackedTuples:
         n = 1000
         doc = json.loads(json.dumps(ensemble_to_json(random_ensemble(2, n, pure=False, seed=5))))
         wrapped, built = [], []
-        real_wrap = operators._wrap_hermitian
+        real_wrap = operators._wrap
 
-        def counting_wrap(stack):
-            wrapped.append(len(stack))
-            return real_wrap(stack)
+        def counting_wrap(stack, cls=HermitianOperator):
+            if cls is HermitianOperator:
+                wrapped.append(len(stack))
+            return real_wrap(stack, cls)
 
         def counting_init(cls):
             real_init = cls.__init__
@@ -641,7 +683,7 @@ class TestStackedTuples:
             monkeypatch.setattr(cls, "__init__", init)
 
         for module in (operators, solve_module):
-            monkeypatch.setattr(module, "_wrap_hermitian", counting_wrap)
+            monkeypatch.setattr(module, "_wrap", counting_wrap)
         counting_init(HermitianOperator)
         counting_init(DensityOperator)
         ensemble = ensemble_from_json(doc)
@@ -684,6 +726,26 @@ class TestStackedTuples:
         restacked = _matrix_stack(tuple(sol.povm))
         assert restacked is not sol.povm_matrices
         assert np.array_equal(restacked, sol.povm_matrices)
+
+    def test_parsed_states_hand_back_the_ensemble_stack(self):
+        e = random_ensemble(3, 4, pure=False, seed=4)
+        for doc in (ensemble_to_json(e), ensemble_to_json(random_ensemble(2, 5, True, seed=4))):
+            parsed = ensemble_from_json(json.loads(json.dumps(doc)))
+            assert all(isinstance(s, DensityOperator) for s in parsed.states)
+            assert _matrix_stack(parsed.states) is parsed.matrices
+            assert all(np.shares_memory(s.matrix, parsed.matrices) for s in parsed.states)
+
+    def test_reconstructed_povm_is_a_tuple_that_keeps_its_stack(self):
+        e = random_ensemble(3, 2, pure=False, seed=6)
+        sol = solve(e)
+        povm = solve_module.reconstruct_povm(e, sol.complementary)
+        assert isinstance(povm, tuple) and len(povm) == 2
+        assert all(type(m) is HermitianOperator for m in povm)
+        # the stack is handed back, not stacked anew from the operators
+        stack = _matrix_stack(povm)
+        assert _matrix_stack(povm) is stack and not stack.flags.writeable
+        assert np.array_equal(stack, np.stack([m.matrix for m in povm]))
+        assert verify_kkt(e, sol.symmetry_op, povm).passed
 
     def test_solution_constructor_takes_operators(self):
         sol = solve(random_ensemble(2, 4, pure=True, seed=2))

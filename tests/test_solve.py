@@ -35,7 +35,7 @@ from qdiscrim.families import (
     orthogonal_pairs,
     trine,
 )
-from qdiscrim.operators import _hermitian_operators
+from qdiscrim.operators import _hermitian_stack, _wrap
 
 from conftest import (
     assert_basis_povm_matches_kernel_search,
@@ -340,6 +340,21 @@ class TestComplementaryStates:
             _, _, units = solve_module._qubit_complementary(*args)
             assert np.max(np.linalg.norm(units, axis=1)) <= 1 + 1e-15
 
+    def test_operator_of_another_dimension_rejected(self):
+        with pytest.raises(ValueError) as info:
+            complementary_states(np.eye(3) / 3, trine())
+        assert str(info.value) == "operator dimension does not match the ensemble"
+
+    def test_gap_noise_scaled_by_a_small_weight_rejected(self):
+        # the gap's smallest eigenvalue -5e-9 passes DUAL_FEASIBILITY_TOL (1e-8),
+        # but sigma = gap / r with r = 1e-3 has eigenvalue -5e-6, beyond
+        # COMPLEMENTARY_NOISE_TOL (1e-6)
+        e = WeightedEnsemble([1.0], [ZERO])
+        k = np.diag([1.0 - 5e-9, 1e-3 + 5e-9])
+        with pytest.raises(InfeasibleDualError) as info:
+            complementary_states(k, e)
+        assert str(info.value) == "operator has negative eigenvalue -5.000e-06"
+
     def test_degenerate_weight_marked_absent(self):
         e = WeightedEnsemble([1.0], [ZERO])
         comp = complementary_states(HermitianOperator(ZERO.matrix), e)
@@ -368,14 +383,14 @@ def reference_bloch_povm(ensemble, complementary):
     degenerate = [x for x in range(ensemble.size) if complementary.states[x] is None]
     if degenerate:
         povm[degenerate[0]] = identity
-        return list(_hermitian_operators(povm))
+        return list(_wrap(_hermitian_stack(povm)))
     directions = _bloch_vectors(np.stack([sigma.matrix for sigma in complementary.states]))
     lengths = _lengths(directions)
     support = np.flatnonzero(lengths >= 1.0 - 1e-7)
     units = directions[support] / lengths[support, None]
     weights = convex_weights_for_center(units, np.zeros(3))
     povm[support] = (2.0 * weights)[:, None, None] * _operators(1.0, -units)
-    return list(_hermitian_operators(povm))
+    return list(_wrap(_hermitian_stack(povm)))
 
 
 def primal_value(ensemble, povm):
