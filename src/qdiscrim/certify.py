@@ -205,10 +205,10 @@ def verify_kkt(
 ) -> KktCertificate:
     """Certify a candidate (symmetry operator, POVM) pair.
 
-    Complementary weights and states are always recomputed from the
-    operator as r_x = trace(K) - q_x and sigma_x = (K - q_x rho_x) / r_x,
-    never trusted from the caller. The POVM is a sequence of operators or
-    matrices, or a stack (N, d, d), which is taken as is.
+    Complementary weights and states are always recomputed from K as
+    r_x = trace(K) - q_x and sigma_x = (K - q_x rho_x) / r_x; a raw K is
+    validated as HermitianOperator validates it. The POVM (operators,
+    matrices or a stack (N, d, d)) is stacked unchecked: residuals judge it.
     """
     k = _as_matrix(symmetry_op)
     d = ensemble.dim
@@ -224,8 +224,8 @@ def verify_legacy_conditions(
     """Certify a POVM alone, deriving the operator from the measurement.
 
     Uses K = sum_x q_x rho_x M_x (Hermitian part; the product is only
-    Hermitian at the optimum) and evaluates the same residual set, so a
-    verdict here agrees with verify_kkt on optimal candidates.
+    Hermitian at the optimum; the POVM is stacked unchecked) and the same
+    residuals, so a verdict here agrees with verify_kkt on optimal candidates.
     """
     povm, povm_eigenvalues = _povm_stack(ensemble, povm)
     k = (ensemble.priors[:, None, None] * ensemble.matrices @ povm).sum(axis=0)
@@ -248,6 +248,8 @@ def probability_forms(
     trace_k = float(np.trace(k).real)
 
     povm = solution.povm_matrices
+    if len(povm) != n:
+        raise ValueError(f"expected {n} POVM elements, got {len(povm)}")
     primal = float(q @ np.einsum("xij,xji->x", povm, rhos).real)
     weights = trace_k - q
     average_weight = 1.0 / n + float(np.sum(weights)) / n

@@ -82,7 +82,7 @@ def _load_operator(path: str, field: str) -> HermitianOperator:
     """The Hermitian operator of a matrix document; any defect of it is a file error."""
     with _reading(path):
         matrix = _hermitian_stack(matrix_from_json(_load_json(path), field=field), field=field)
-    return _trusted(matrix)
+    return _trusted(HermitianOperator, matrix=matrix)
 
 
 def _certificate(ensemble, doc, tol: float, legacy: bool = False) -> dict:
@@ -101,7 +101,7 @@ def _certificate(ensemble, doc, tol: float, legacy: bool = False) -> dict:
         cert = verify_legacy_conditions(ensemble, povm, tol=tol)
     else:
         sym = _hermitian_stack(matrix_from_json(doc["K"], field="K"), field="K")
-        cert = verify_kkt(ensemble, sym, povm, tol=tol)
+        cert = verify_kkt(ensemble, _trusted(HermitianOperator, matrix=sym), povm, tol=tol)
     return certificate_to_json(cert)
 
 

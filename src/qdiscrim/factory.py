@@ -48,11 +48,7 @@ class SteeringMeasurement:
     first_outcome: HermitianOperator
 
     def __init__(self, first_outcome) -> None:
-        op = (
-            first_outcome
-            if isinstance(first_outcome, HermitianOperator)
-            else HermitianOperator(first_outcome)
-        )
+        op = HermitianOperator(first_outcome)
         values = _eigvalsh(op.matrix)
         if values[-1] < -1e-10 or values[0] > 1 + 1e-10:
             raise ValueError("steering outcome must satisfy 0 <= M0 <= I")
@@ -109,11 +105,7 @@ def generate_from_symmetry_operator(
     holds by construction. The certified flag records whether an optimal
     POVM for this decomposition was actually found.
     """
-    sym = (
-        symmetry_op
-        if isinstance(symmetry_op, HermitianOperator)
-        else HermitianOperator(symmetry_op)
-    )
+    sym = HermitianOperator(symmetry_op)
     values = _eigvalsh(sym.matrix)
     if values[-1] < -1e-10:
         raise ValueError("symmetry operator must be positive semidefinite")
@@ -150,7 +142,6 @@ def generate_from_symmetry_operator(
 
     certified, povm = _certify(ensemble, sym)
     comp_weights = (1.0 - fire_probs) * total
-    comp_weights.setflags(write=False)
     return FactoryOutput(
         ensemble=ensemble,
         complementary=ComplementarySet(weights=comp_weights, states=tuple(complements)),

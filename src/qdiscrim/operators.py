@@ -20,13 +20,13 @@ first access (_wrap), and every such tuple keeps its stack, which
 _matrix_stack hands back without stacking it again.
 
 Matrices are validated where they enter the package: the public
-constructors (HermitianOperator, DensityOperator and the types built on
-them) and the parse of JSON documents (serialize), which reads ensembles
-and the candidate POVMs of certificates alike. A matrix the package
-builds Hermitian by construction, such as the closed-form qubit
-operators (t I + v . sigma)/2 of the qubit solver, is wrapped unchecked
-(_trusted, _wrap); the checks that can fail on it
-(completeness, positivity, the prior bound of solve._assemble) still run.
+constructors and functions that take an operator (_as_matrix), and the
+JSON parse (serialize). A raw matrix is validated as HermitianOperator
+validates it, an instance of the class being built is taken as it is,
+and lists and stacks of POVM elements are taken as they are, for the
+certificate's residuals to judge. What the package builds from data it
+knows is valid is built unchecked by _trusted (a stack's tuple by
+_wrap); the checks that can fail on it still run (solve._assemble).
 """
 
 from __future__ import annotations
@@ -45,24 +45,25 @@ MAX_DIM = 64
 
 
 def _as_matrix(operator) -> np.ndarray:
-    """Raw complex matrix of an operator, accepting wrappers or arrays."""
+    """The matrix of an operator; a raw matrix is validated as HermitianOperator validates it."""
     if isinstance(operator, HermitianOperator):
         return operator.matrix
-    return np.asarray(operator, dtype=complex)
+    return HermitianOperator(operator).matrix
 
 
 def _matrix_stack(ops, what: str = "matrices") -> np.ndarray:
     """Operators or matrices as one stack (N, d, d); an ndarray passes through unchanged.
 
-    So does the stack that a tuple from _wrap wraps.
-    An empty sequence gives (0, 0, 0); differing shapes raise "<what> must
-    share one dimension".
+    So does the stack that a tuple from _wrap wraps. Raw matrices are read
+    unchecked. An empty sequence gives (0, 0, 0); differing shapes raise
+    "<what> must share one dimension".
     """
     if isinstance(ops, np.ndarray):
         return ops
     if isinstance(ops, _StackTuple):
         return ops.stack
-    matrices = [_as_matrix(m) for m in ops]
+    raw = [m.matrix if isinstance(m, HermitianOperator) else m for m in ops]
+    matrices = [np.asarray(m, dtype=complex) for m in raw]
     if len({m.shape for m in matrices}) > 1:
         dims = sorted({n for m in matrices for n in m.shape})
         raise ValueError(f"{what} must share one dimension, got {dims}")
@@ -124,12 +125,16 @@ class HermitianOperator:
     The constructor symmetrizes H/2 + H†/2 when the asymmetry is below
     1e-12 in max norm and rejects anything worse, so silent drift away
     from Hermiticity cannot accumulate. Halving before the sum keeps
-    entries near the float maximum finite.
+    entries near the float maximum finite. A HermitianOperator argument
+    is taken as validated: the new operator shares its matrix.
     """
 
     matrix: np.ndarray
 
     def __init__(self, matrix) -> None:
+        if isinstance(matrix, HermitianOperator):
+            object.__setattr__(self, "matrix", matrix.matrix)
+            return
         m = np.asarray(matrix, dtype=complex)
         if m.ndim != 2:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -147,14 +152,14 @@ class HermitianOperator:
 class DensityOperator(HermitianOperator):
     """A quantum state: a Hermitian operator that is positive semidefinite with unit trace.
 
-    A HermitianOperator argument is taken as already validated Hermitian.
+    A HermitianOperator argument is taken as validated Hermitian and a
+    DensityOperator argument as a validated state, which runs no check.
     """
 
     def __init__(self, matrix) -> None:
-        if isinstance(matrix, HermitianOperator):
-            object.__setattr__(self, "matrix", matrix.matrix)
-        else:
-            super().__init__(matrix)
+        super().__init__(matrix)
+        if isinstance(matrix, DensityOperator):
+            return
         tr = self.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density operator must have trace 1, got {tr!r}")
@@ -321,16 +326,22 @@ class _StackTuple(tuple):
     stack: np.ndarray
 
 
-def _trusted(matrix: np.ndarray, cls=HermitianOperator) -> HermitianOperator:
-    """Wrap a frozen matrix that is already a valid cls (Hermitian, or a state), unchecked."""
-    op = object.__new__(cls)
-    object.__setattr__(op, "matrix", matrix)
-    return op
+def _trusted(cls, **fields):
+    """The one builder of what the package knows is valid: cls with these fields, unchecked."""
+    out = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(out, name, value)
+    return out
 
 
 def _wrap(stack: np.ndarray, cls=HermitianOperator) -> tuple[HermitianOperator, ...]:
     """Wrap each matrix of a frozen stack of valid cls matrices, unchecked, keeping the stack."""
-    ops = _StackTuple(_trusted(m, cls) for m in stack)
+    ops = []
+    for m in stack:  # _trusted inlined: its keyword form costs more per element
+        op = object.__new__(cls)
+        object.__setattr__(op, "matrix", m)
+        ops.append(op)
+    ops = _StackTuple(ops)
     ops.stack = stack
     return ops
 

@@ -32,7 +32,7 @@ class ConditionalTable:
         p = np.asarray(probabilities, dtype=float)
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError(f"expected a square table, got shape {p.shape}")
-        if np.any(p < -1e-12) or np.any(p > 1 + 1e-12):
+        if not np.all((p >= -1e-12) & (p <= 1 + 1e-12)):  # NaN too
             raise ValueError("table entries must lie in [0, 1]")
         sums = np.sum(p, axis=0)
         if np.any(np.abs(sums - 1.0) > 1e-10):
@@ -63,7 +63,7 @@ class TableGuessing:
 
 
 def conditional_table_from_povm(ensemble: WeightedEnsemble, povm) -> ConditionalTable:
-    """Born-rule table P(x|y) = tr[M_x rho_y] for a measurement."""
+    """Born-rule table P(x|y) = tr[M_x rho_y] for a measurement; the POVM is stacked unchecked."""
     table = np.einsum("xij,yji->xy", _matrix_stack(povm), ensemble.matrices).real
     return ConditionalTable(np.clip(table, 0.0, 1.0))
 
@@ -95,11 +95,15 @@ def dual_grid_oracle(ensemble: WeightedEnsemble, resolution: float) -> float:
     resolution; so no level is larger than the coarse grid, however fine
     the resolution. Every evaluation is the true objective, so the result
     upper-bounds the optimum; the objective is 1-Lipschitz in the grid
-    point, bounding the overshoot by sqrt(3) times the resolution. The
-    resolution must be finite and positive.
+    point, so the coarse grid bounds the overshoot by sqrt(3) * 0.05. The
+    windows can miss the minimizer: they lower the value, with no bound of
+    their own. The resolution must be finite and at least 1e-15, below
+    which a window's points are no longer distinct floats.
     """
     if not (math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
+    if resolution < 1e-15:
+        raise ValueError(f"resolution {resolution!r} is below the floor 1e-15")
     if ensemble.dim != 2:
         raise ValueError("the grid oracle covers qubit ensembles only")
     q = ensemble.priors
@@ -165,7 +169,7 @@ def random_ensemble(dim: int, size: int, pure: bool, seed: int) -> WeightedEnsem
 def distance_from_uniform(distribution) -> float:
     """Half the total variation between a distribution and the uniform one."""
     p = np.asarray(distribution, dtype=float).reshape(-1)
-    if np.any(p < -1e-12):
+    if not np.all(p >= -1e-12):  # NaN too
         raise ValueError("probabilities must be non-negative")
     if abs(float(np.sum(p)) - 1.0) > 1e-9:
         raise ValueError("probabilities must sum to 1")
@@ -185,6 +189,8 @@ def guessing_from_table(priors, table: ConditionalTable) -> TableGuessing:
     n = table.size
     if len(q) != n:
         raise ValueError("priors length does not match the table")
+    if not np.isfinite(q).all():
+        raise ValueError("priors must be finite")
 
     diag = float(np.sum(q * np.diag(p)))
     column_distances = 0.5 * np.sum(np.abs(p - 1.0 / n), axis=0)

@@ -20,13 +20,14 @@ from .certify import KktCertificate
 from .factory import FactoryOutput
 from .operators import (
     MAX_DIM,
-    _as_matrix,
+    HermitianOperator,
     _eigh,
     _hermitian_stack,
     _matrix_stack,
     _state_stack,
+    _trusted,
 )
-from .solve import DiscriminationSolution, WeightedEnsemble
+from .solve import DiscriminationSolution, WeightedEnsemble, _priors
 
 
 def round_floats(value, digits: int = 9):
@@ -140,7 +141,9 @@ def _round_significant(x: np.ndarray, digits: int) -> np.ndarray:
 
 
 def matrix_to_json(matrix) -> dict:
-    return _stack_to_json(_as_matrix(matrix)[None])[0]
+    """The {"dim", "re", "im"} object of an operator or a raw matrix, read unchecked."""
+    raw = matrix.matrix if isinstance(matrix, HermitianOperator) else matrix
+    return _stack_to_json(np.asarray(raw, dtype=complex)[None])[0]
 
 
 def matrix_from_json(obj, field: str = "matrix") -> np.ndarray:
@@ -245,9 +248,10 @@ def ensemble_from_json(obj) -> WeightedEnsemble:
     matrices = _matrices_from_json(states_json, "states", "ensemble")
     states = _states_from_rounded(matrices) if len(matrices) else matrices
     try:
-        return WeightedEnsemble._from_matrices(q, states)
+        q = _priors(q, len(states))
     except ValueError as exc:
         raise ValueError(f"ensemble: {exc}") from exc
+    return _trusted(WeightedEnsemble, priors=q, seed=None, matrices=states)
 
 
 def _states_from_rounded(h: np.ndarray) -> np.ndarray:

@@ -26,14 +26,15 @@ read-only stacks (N, d, d), which every layer reads. Their states and
 povm tuples stay: one built from a stack wraps them on first access, in
 one pass, into a tuple that keeps the stack. A state is a HermitianOperator.
 
-The input is validated where it enters (the constructors, the parse);
-the solvers validate what they build only where it is not Hermitian by
-construction. The qubit solver builds K, the complementary states and
-the POVM as closed-form operators (t I + v . sigma)/2, exactly Hermitian,
-and wraps them unchecked; the two-state and trivial solvers build K and
-the POVM with matrix products and pass them through the Hermitian check.
-Every check that can fail on a built solution (completeness, positivity
-of the POVM, the bounds of the value) runs in _assemble on every path.
+The input is validated where it enters (the constructors, the functions
+that take an operator, the parse; one priors rule, _priors). The qubit
+solver builds K, the complementary states and the POVM as closed-form
+operators (t I + v . sigma)/2, exactly Hermitian; the two-state and
+trivial solvers pass K and the POVM, matrix products, through the
+Hermitian check. operators._trusted builds their sets and solutions, and
+the parsed ensemble. Every check that can fail on a built solution
+(completeness, positivity of the POVM, the bounds of the value) runs in
+_assemble on every path.
 """
 
 from __future__ import annotations
@@ -77,6 +78,19 @@ def _missing(obj, name: str) -> AttributeError:
     return AttributeError(f"{type(obj).__name__!r} object has no attribute {name!r}")
 
 
+def _priors(priors, size: int) -> np.ndarray:
+    """Priors for size states as a frozen float array: non-empty, positive, summing to 1."""
+    q = np.array(priors, dtype=float).reshape(-1)
+    if len(q) != size or size == 0:
+        raise ValueError("priors and states must be non-empty and of equal length")
+    if not np.all(q > 0):  # NaN too
+        raise ValueError("priors must be strictly positive")
+    if abs(float(np.sum(q)) - 1.0) > 1e-10:
+        raise ValueError(f"priors must sum to 1, got {float(np.sum(q))!r}")
+    q.setflags(write=False)
+    return q
+
+
 @dataclass(frozen=True, eq=False)
 class WeightedEnsemble:
     """Prior probabilities q_x and density operators rho_x of common dimension.
@@ -96,31 +110,13 @@ class WeightedEnsemble:
         states = tuple(
             s if isinstance(s, DensityOperator) else DensityOperator(s) for s in states
         )
-        self._fill(priors, states, seed)
-        object.__setattr__(self, "states", states)
-
-    def _fill(self, priors, states, seed) -> None:
-        q = np.asarray(priors, dtype=float).reshape(-1)
-        if len(q) != len(states) or len(states) == 0:
-            raise ValueError("priors and states must be non-empty and of equal length")
-        if np.any(q <= 0):
-            raise ValueError("priors must be strictly positive")
-        if abs(float(np.sum(q)) - 1.0) > 1e-10:
-            raise ValueError(f"priors must sum to 1, got {float(np.sum(q))!r}")
+        q = _priors(priors, len(states))
         matrices = _matrix_stack(states, "states")
         matrices.setflags(write=False)
-        q = q.copy()
-        q.setflags(write=False)
         object.__setattr__(self, "priors", q)
+        object.__setattr__(self, "states", states)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "matrices", matrices)
-
-    @classmethod
-    def _from_matrices(cls, priors, matrices: np.ndarray) -> WeightedEnsemble:
-        """An ensemble on a frozen stack of matrices already validated as states."""
-        out = object.__new__(cls)
-        out._fill(priors, matrices, None)
-        return out
 
     def __getattr__(self, name: str):
         if name != "states":
@@ -151,7 +147,8 @@ class ComplementarySet:
     descending, and eigenvector columns (L, d, d) of the present states,
     for the POVM search: complementary_states hands over the spectra of
     the gaps it diagonalized, and any other set decomposes its states in
-    one stacked call on first access.
+    one stacked call on first access. Its constructor validates as
+    WeightedEnsemble does (DensityOperator states, finite float weights).
     """
 
     weights: np.ndarray
@@ -160,27 +157,20 @@ class ComplementarySet:
     matrices: np.ndarray = field(init=False, repr=False)
 
     def __init__(self, weights, states) -> None:
-        states = tuple(states)
+        states = tuple(None if s is None else DensityOperator(s) for s in states)
+        w = np.array(weights, dtype=float).reshape(-1)
+        if len(w) != len(states):
+            raise ValueError(f"expected {len(states)} weights, got {len(w)}")
+        if not np.isfinite(w).all():
+            raise ValueError("weights must be finite")
         present = np.array([s is not None for s in states], dtype=bool)
-        matrices = _matrix_stack([s for s in states if s is not None])
-        matrices.setflags(write=False)
-        self._fill(weights, matrices, present)
+        matrices = _matrix_stack([s for s in states if s is not None], "states")
+        for array in (w, present, matrices):
+            array.setflags(write=False)
+        object.__setattr__(self, "weights", w)
         object.__setattr__(self, "states", states)
-
-    def _fill(self, weights, matrices, present) -> None:
-        present.setflags(write=False)
-        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "present", present)
         object.__setattr__(self, "matrices", matrices)
-
-    @classmethod
-    def _from_stack(cls, weights, matrices, present, spectra=None) -> ComplementarySet:
-        """A set on a frozen stack of the present states, with their spectra if known."""
-        out = object.__new__(cls)
-        out._fill(weights, matrices, present)
-        if spectra is not None:
-            object.__setattr__(out, "spectra", spectra)
-        return out
 
     def __getattr__(self, name: str):
         if name != "states":
@@ -206,7 +196,8 @@ class DiscriminationSolution:
     """A solved instance: value, dual optimum, complementary states, POVM.
 
     povm_matrices is the read-only POVM stack (N, d, d). A solution built
-    from a stack (the solvers) wraps its povm tuple on first access.
+    from a stack (the solvers) wraps its povm tuple on first access. The
+    constructor makes symmetry_op and each POVM element an operator.
     """
 
     p_guess: float
@@ -222,24 +213,12 @@ class DiscriminationSolution:
         )
         matrices = _matrix_stack(povm)
         matrices.setflags(write=False)
-        self._fill(p_guess, symmetry_op, complementary, matrices, support)
-        object.__setattr__(self, "povm", povm)
-
-    def _fill(self, p_guess, symmetry_op, complementary, matrices, support) -> None:
         object.__setattr__(self, "p_guess", p_guess)
-        object.__setattr__(self, "symmetry_op", symmetry_op)
+        object.__setattr__(self, "symmetry_op", HermitianOperator(symmetry_op))
         object.__setattr__(self, "complementary", complementary)
+        object.__setattr__(self, "povm", povm)
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "povm_matrices", matrices)
-
-    @classmethod
-    def _from_stack(
-        cls, p_guess, symmetry_op, complementary, matrices, support
-    ) -> DiscriminationSolution:
-        """A solution on a frozen POVM stack that is Hermitian (checked or by construction)."""
-        out = object.__new__(cls)
-        out._fill(p_guess, symmetry_op, complementary, matrices, support)
-        return out
 
     def __getattr__(self, name: str):
         if name != "povm":
@@ -279,10 +258,11 @@ def complementary_states(symmetry_op, ensemble: WeightedEnsemble) -> Complementa
         raise InfeasibleDualError(f"operator has negative eigenvalue {smallest:.3e}")
     vectors = vectors[live]
     weights = np.maximum(weights, 0.0)
-    for array in (weights, scaled, vectors):
+    for array in (weights, live, scaled, vectors):
         array.setflags(write=False)
-    spectra = SpectralDecomposition(scaled, vectors)
-    return ComplementarySet._from_stack(weights, _state_stack(scaled, vectors), live, spectra)
+    return _trusted(ComplementarySet, weights=weights, present=live,
+                    matrices=_state_stack(scaled, vectors),
+                    spectra=SpectralDecomposition(scaled, vectors))
 
 
 def reconstruct_povm(
@@ -308,6 +288,7 @@ def reconstruct_povm(
     from the spectra the set holds, and the ensemble gives the dimension.
     The elements come back as a tuple that keeps their checked stack.
 
+    A set with a state count other than the ensemble's raises ValueError.
     Raises InfeasibleDualError when no kernel is non-trivial, or when the
     projectors do not resolve the identity. The search stops as soon as a
     hyperplane separates I/d from every atom by more than 1e-9, so from
@@ -316,6 +297,8 @@ def reconstruct_povm(
     after bloch._WOLFE_MAX_CYCLES major cycles.
     """
     n, d = ensemble.size, ensemble.dim
+    if len(complementary.present) != n:
+        raise ValueError(f"expected {n} complementary states, got {len(complementary.present)}")
     povm = np.zeros((n, d, d), dtype=complex)
     if not complementary.present.all():
         povm[np.argmin(complementary.present)] = np.eye(d)
@@ -395,7 +378,8 @@ def _assemble(
 
     peaks = np.max(np.abs(matrices), axis=(1, 2))
     support = tuple(int(x) for x in np.flatnonzero(peaks > DEGENERATE_WEIGHT_TOL))
-    return DiscriminationSolution._from_stack(p_guess, sym, comp, matrices, support)
+    return _trusted(DiscriminationSolution, p_guess=p_guess, symmetry_op=sym,
+                    complementary=comp, support=support, povm_matrices=matrices)
 
 
 def _trivial_solution(ensemble: WeightedEnsemble) -> DiscriminationSolution:
@@ -440,7 +424,8 @@ def helstrom_two_state(ensemble: WeightedEnsemble) -> DiscriminationSolution:
     states = _state_stack(gaps, np.broadcast_to(vectors, (2, *vectors.shape))[live])
     weights = np.maximum(weights, 0.0)
     weights.setflags(write=False)
-    comp = ComplementarySet._from_stack(weights, states, live)
+    live.setflags(write=False)
+    comp = _trusted(ComplementarySet, weights=weights, present=live, matrices=states)
     return _assemble(ensemble, sym, comp, _hermitian_stack(np.stack([m1, m2])))
 
 
@@ -464,7 +449,7 @@ def solve_qubit(ensemble: WeightedEnsemble) -> DiscriminationSolution:
     result = shifted_ball_dual(points, ensemble.priors)
     k = _operators(result.value, result.center)
     k.setflags(write=False)
-    sym = _trusted(k)
+    sym = _trusted(HermitianOperator, matrix=k)
     weights, live, units = _qubit_complementary(
         sym.trace(), result.center, points, ensemble.priors
     )
@@ -474,7 +459,7 @@ def solve_qubit(ensemble: WeightedEnsemble) -> DiscriminationSolution:
         np.concatenate([np.ones(n_live), scales]), np.concatenate([units, vectors])
     )
     stack.setflags(write=False)
-    comp = ComplementarySet._from_stack(weights, stack[:n_live], live)
+    comp = _trusted(ComplementarySet, weights=weights, present=live, matrices=stack[:n_live])
     return _assemble(ensemble, sym, comp, stack[n_live:])
 
 
@@ -493,7 +478,7 @@ def _qubit_complementary(
     DUAL_FEASIBILITY_TOL bound applies, the one verify_kkt checks: the
     relative COMPLEMENTARY_NOISE_TOL bound of complementary_states guards
     against eigensolver noise divided by a small r_x, and a closed form
-    has none. Returns the frozen weights (N,), the mask of present states
+    has none. Returns the frozen weights (N,) and present-state mask,
     and the Bloch vectors u_x (L, 3) of the present states.
     """
     weights = total - priors
@@ -510,6 +495,7 @@ def _qubit_complementary(
     units = offsets[live] / np.maximum(weights[live], lengths[live])[:, None]
     weights = np.maximum(weights, 0.0)
     weights.setflags(write=False)
+    live.setflags(write=False)
     return weights, live, units
 
 

@@ -20,8 +20,10 @@ from qdiscrim import (
     verify_kkt,
     verify_legacy_conditions,
 )
+from qdiscrim.factory import identity_class_example
 from qdiscrim.families import orthogonal_pairs, trine
 from qdiscrim.operators import trace_norm
+from qdiscrim.solve import complementary_states
 
 from conftest import compose_rotations_unitary
 
@@ -171,6 +173,53 @@ class TestProbabilityForms:
         forms = probability_forms(e, sol)
         assert np.max(np.abs(forms.steering_probs * forms.dual - e.priors)) <= 1e-9
         assert forms.steering == pytest.approx(forms.dual, abs=1e-12)
+
+    def test_rejects_a_solution_of_another_size(self):
+        five = solve(random_ensemble(2, 5, pure=False, seed=1))
+        with pytest.raises(ValueError, match="expected 3 POVM elements, got 5"):
+            probability_forms(trine(), five)
+
+
+def _identity_class_ensemble():
+    out = identity_class_example(4)
+    return out.ensemble, out.povm
+
+
+def _orthogonal_qubits():
+    povm = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+    return WeightedEnsemble([0.5, 0.5], [from_bloch([0, 0, 1]), from_bloch([0, 0, -1])]), povm
+
+
+class TestNonHermitianSymmetryOperator:
+    """A raw K that is not Hermitian certifies nothing: every reader of K rejects it."""
+
+    @staticmethod
+    def _skewed(dim, entry, shift):
+        k = np.eye(dim) / dim
+        k[entry] += shift
+        return k
+
+    @pytest.mark.parametrize(
+        "case, entry, shift",
+        [(_identity_class_ensemble, (0, 3), 0.5), (_orthogonal_qubits, (0, 1), 0.3)],
+    )
+    def test_verify_kkt_rejects_it(self, case, entry, shift):
+        ensemble, povm = case()
+        k = self._skewed(ensemble.dim, entry, shift)
+        # the Hermitian operator of the same lower triangle certifies
+        assert verify_kkt(ensemble, np.tril(k) + np.tril(k, -1).T, povm).passed
+        with pytest.raises(ValueError, match="not Hermitian"):
+            verify_kkt(ensemble, k, povm)
+
+    def test_equivalence_check_and_complementary_states_reject_it(self):
+        ensemble, _ = _identity_class_ensemble()
+        k = self._skewed(4, (0, 3), 0.5)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            equivalence_check(k, np.eye(4) / 4)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            equivalence_check(np.eye(4) / 4, k)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            complementary_states(k, ensemble)
 
 
 def reference_legacy_pairwise(ensemble, povm):

@@ -1058,6 +1058,12 @@ class TestCliOracle:
         value = json.loads(out)["value"]
         assert 2 / 3 - 1e-9 <= value <= 2 / 3 + math.sqrt(3) * 1e-6
 
+    def test_resolution_below_the_floor_exits_3(self, trine_file, capsys):
+        assert main(["oracle", trine_file, "--resolution", "1e-300"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert _one_error_line(err) and "resolution 1e-300 is below the floor 1e-15" in err
+
     @pytest.mark.parametrize("resolution", ["nan", "inf", "0", "-1"])
     def test_invalid_resolution_exits_3(self, resolution, trine_file, capsys):
         # an invalid parameter, like a sweep range, exits 3

@@ -23,6 +23,7 @@ from qdiscrim import (
 )
 from qdiscrim import certify, operators, random_ensemble, verify_kkt
 from qdiscrim.bloch import PAULI_X as BLOCH_X
+from qdiscrim.bloch import to_bloch
 from qdiscrim.bloch import PAULI_Y, PAULI_Z, _operators
 from qdiscrim.operators import (
     _eigh,
@@ -70,8 +71,27 @@ class TestHermitianOperator:
         with pytest.raises(ValueError):
             op.matrix[0, 0] = 5.0
 
+    def test_operator_argument_shares_its_matrix(self, monkeypatch):
+        x = HermitianOperator(np.array([[1.0, 0.5j], [-0.5j, 2.0]]))
+        rho = DensityOperator(np.eye(2) / 2)
+        monkeypatch.setattr(operators, "_hermitian_stack", _no_check)
+        assert HermitianOperator(x).matrix is x.matrix
+        # a state is an operator: the Hermitian operator of it shares it too
+        assert type(HermitianOperator(rho)) is HermitianOperator
+        assert HermitianOperator(rho).matrix is rho.matrix
+
+
+def _no_check(*args, **kwargs):
+    raise AssertionError("an operator argument ran a check")
+
 
 class TestDensityOperator:
+    def test_state_argument_runs_no_check(self, monkeypatch):
+        rho = DensityOperator(np.diag([0.75, 0.25]))
+        for name in ("_hermitian_stack", "_eigvalsh"):
+            monkeypatch.setattr(operators, name, _no_check)
+        assert DensityOperator(rho).matrix is rho.matrix
+
     def test_rejects_wrong_trace(self):
         with pytest.raises(ValueError, match="trace"):
             DensityOperator(HermitianOperator(np.eye(2)))
@@ -104,6 +124,23 @@ class TestDensityOperator:
         assert np.array_equal(DensityOperator(m).matrix, op.matrix)
         with pytest.raises(ValueError, match="not Hermitian"):
             DensityOperator(np.array([[0.5, 0.1], [0.0, 0.5]]))
+
+
+class TestRawMatrixIntake:
+    """Functions that take one operator validate a raw matrix as HermitianOperator does."""
+
+    DEFECTS = [
+        (np.array([[np.nan, 0.0], [0.0, 1.0]]), "finite"),
+        (np.ones((2, 3)), "square"),
+        (np.ones(2), "square"),
+        (np.array([[0.5, 0.3], [0.0, 0.5]]), "not Hermitian"),
+    ]
+
+    @pytest.mark.parametrize("function", [is_psd, trace_norm, hermitian_eigen, to_bloch])
+    @pytest.mark.parametrize("matrix, message", DEFECTS)
+    def test_rejects_a_defective_raw_matrix(self, function, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            function(matrix)
 
 
 class TestHermitianEigen:

@@ -61,6 +61,21 @@ class TestDualGridOracle:
         with pytest.raises(ValueError, match="finite and positive"):
             dual_grid_oracle(e, resolution)
 
+    def test_rejects_resolution_below_the_floor(self):
+        # below 1e-15 a refinement window near |k| = 1 has no distinct points
+        e = random_ensemble(2, 5, pure=False, seed=1)
+        with pytest.raises(ValueError, match="resolution 1e-18 is below the floor 1e-15"):
+            dual_grid_oracle(e, 1e-18)
+        assert dual_grid_oracle(e, 1e-15) >= solve_qubit(e).p_guess - 1e-12
+
+    def test_fine_resolution_keeps_the_coarse_bound(self):
+        # the windows can miss the minimizer, so below the coarse step the
+        # stated overshoot bound is the coarse grid's, sqrt(3) * 0.05
+        for seed in range(8):
+            e = random_ensemble(2, 3 + seed % 4, pure=(seed % 2 == 0), seed=seed)
+            p = solve_qubit(e).p_guess
+            assert p - 1e-9 <= dual_grid_oracle(e, 1e-6) <= p + math.sqrt(3) * 0.05
+
     def test_input_validation(self):
         e = random_ensemble(2, 2, pure=True, seed=0)
         with pytest.raises(ValueError):
@@ -136,6 +151,11 @@ class TestDistanceFromUniform:
         with pytest.raises(ValueError):
             distance_from_uniform([1.2, -0.2])
 
+    @pytest.mark.parametrize("p", [[math.nan, 1.0], [0.5, math.nan, 0.5]])
+    def test_rejects_non_finite_entries(self, p):
+        with pytest.raises(ValueError):
+            distance_from_uniform(p)
+
 
 class TestGuessingFromTable:
     def test_identity_table(self):
@@ -195,3 +215,10 @@ class TestGuessingFromTable:
             ConditionalTable(np.array([[1.5, 0.0], [-0.5, 1.0]]))
         with pytest.raises(ValueError, match="length"):
             guessing_from_table([1.0], ConditionalTable(np.eye(2)))
+
+    @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries_and_priors(self, entry):
+        with pytest.raises(ValueError, match="entries"):
+            ConditionalTable([[entry, 1.0], [1.0, 0.0]])
+        with pytest.raises(ValueError, match="priors must be finite"):
+            guessing_from_table([entry, 0.5, 0.5], ConditionalTable(np.eye(3)))

@@ -83,6 +83,63 @@ class TestWeightedEnsemble:
         with pytest.raises(ValueError, match="non-empty"):
             WeightedEnsemble([], [])
 
+    @pytest.mark.parametrize("priors", [[math.nan, 1.0], [0.5, math.nan]])
+    def test_rejects_nan_priors(self, priors):
+        with pytest.raises(ValueError, match="strictly positive"):
+            WeightedEnsemble(priors, [ZERO, PLUS])
+
+
+class TestComplementarySetConstructor:
+    """ComplementarySet validates its arguments as WeightedEnsemble does."""
+
+    @pytest.mark.parametrize(
+        "weights, states, message",
+        [
+            ([0.5, "x"], [PLUS, None], "could not convert"),
+            ([0.5, math.nan], [PLUS, None], "finite"),
+            ([0.5, 0.5, 0.5], [PLUS, None], "expected 2 weights, got 3"),
+            ([0.5, 0.5], [3 * np.eye(2), None], "trace 1"),
+            ([0.5], [np.array([[0.5, 0.2], [0.0, 0.5]])], "not Hermitian"),
+            ([0.5, 0.5], [PLUS, np.eye(3) / 3], "states must share one dimension"),
+        ],
+    )
+    def test_rejects_defective_arguments(self, weights, states, message):
+        with pytest.raises(ValueError, match=message):
+            ComplementarySet(weights, states)
+
+    def test_weights_are_a_read_only_float_copy(self):
+        weights = [1, 0.25]
+        comp = ComplementarySet(weights, [np.eye(2) / 2, None])
+        assert comp.weights.dtype == float and not comp.weights.flags.writeable
+        assert comp.weights.tolist() == [1.0, 0.25]
+        weights[0] = 7
+        assert comp.weights[0] == 1.0
+        assert isinstance(comp.states[0], DensityOperator) and comp.states[1] is None
+        assert comp.present.tolist() == [True, False] and not comp.present.flags.writeable
+
+    def test_states_are_taken_as_validated(self):
+        comp = ComplementarySet([0.5, 0.5], [PLUS, ZERO])
+        assert [s.matrix is t.matrix for s, t in zip(comp.states, (PLUS, ZERO))] == [True, True]
+
+
+class TestSolutionConstructor:
+    def test_holds_a_raw_symmetry_operator_as_an_operator(self):
+        sol = solve(trine())
+        built = solve_module.DiscriminationSolution(
+            sol.p_guess, sol.symmetry_op.matrix.copy(), sol.complementary, sol.povm, sol.support
+        )
+        assert type(built.symmetry_op) is HermitianOperator
+        assert np.array_equal(built.symmetry_op.matrix, sol.symmetry_op.matrix)
+        assert not built.symmetry_op.matrix.flags.writeable
+
+    def test_rejects_a_non_hermitian_symmetry_operator(self):
+        sol = solve(trine())
+        with pytest.raises(ValueError, match="not Hermitian"):
+            solve_module.DiscriminationSolution(
+                sol.p_guess, np.array([[1.0, 0.3], [0.0, 1.0]]), sol.complementary, sol.povm,
+                sol.support,
+            )
+
 
 class TestHelstromTwoState:
     def test_orthogonal_pure_states_are_distinguishable(self):
@@ -401,6 +458,11 @@ def primal_value(ensemble, povm):
 
 
 class TestReconstructPovm:
+    def test_rejects_a_set_of_another_size(self):
+        five = solve(random_ensemble(2, 5, pure=False, seed=1))
+        with pytest.raises(ValueError, match="expected 3 complementary states, got 5"):
+            reconstruct_povm(trine(), five.complementary)
+
     def test_two_state_matches_helstrom_projectors(self):
         e = WeightedEnsemble([0.35, 0.65], [ZERO, PLUS])
         sol = helstrom_two_state(e)
