@@ -91,7 +91,9 @@ def _operators(t, vectors) -> np.ndarray:
 
 def from_bloch(v) -> DensityOperator:
     """Density operator (I + v . sigma)/2 for a Bloch vector with |v| <= 1."""
-    v = np.asarray(v, dtype=float).reshape(3)
+    v = np.asarray(v, dtype=float).reshape(-1)
+    if len(v) != 3:
+        raise ValueError(f"Bloch vector must have 3 components, got {len(v)}")
     if not np.all(np.isfinite(v)):
         raise ValueError("Bloch vector must be finite")
     norm = float(np.linalg.norm(v))
@@ -348,7 +350,10 @@ def shifted_ball_dual(points, shifts) -> ShiftedBallResult:
     shift 1/N this is the smallest ball enclosing the points: its center
     is center and its radius value - 1/N.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
+    pts = np.asarray(points, dtype=float)
+    if pts.shape[-1:] != (3,):
+        raise ValueError(f"points must have 3 coordinates each, got shape {pts.shape}")
+    pts = pts.reshape(-1, 3)
     s = np.asarray(shifts, dtype=float).reshape(-1)
     if len(pts) != len(s):
         raise ValueError("points and shifts must have equal length")

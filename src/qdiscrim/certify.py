@@ -13,16 +13,17 @@ are dimension-stable and directly assertable in tests.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .operators import _as_matrix, _check_tolerance, _eigvalsh, _matrix_stack
+from .operators import _as_matrix, _check_tolerance, _eigvalsh
 from .solve import (
     DEGENERATE_WEIGHT_TOL,
     DiscriminationSolution,
     WeightedEnsemble,
+    _povm_stack,
 )
 
 ANALYTIC_TOL = 1e-8
@@ -56,15 +57,9 @@ class KktCertificate:
         return "pass" if self.passed else "fail"
 
     def residuals(self) -> dict[str, float]:
-        return {
-            "symmetry": self.symmetry,
-            "dual_feasibility": self.dual_feasibility,
-            "orthogonality": self.orthogonality,
-            "completeness": self.completeness,
-            "povm_positivity": self.povm_positivity,
-            "legacy_pairwise": self.legacy_pairwise,
-            "legacy_operator": self.legacy_operator,
-        }
+        """The residuals by name: the fields before tolerance, in order."""
+        names = [f.name for f in fields(self)]
+        return {name: getattr(self, name) for name in names[: names.index("tolerance")]}
 
     def max_residual(self) -> float:
         return max(self.residuals().values())
@@ -106,22 +101,6 @@ class ProbabilityForms:
         return max(vals) - min(vals)
 
 
-def _povm_stack(ensemble: WeightedEnsemble, povm) -> tuple[np.ndarray, np.ndarray]:
-    """The POVM as one (N, d, d) stack, checked against the ensemble, and its eigenvalues.
-
-    A stack (N, d, d) is taken as is and a sequence stacked once. Entries
-    whose spectrum overflows raise ConvergenceError here, before any product;
-    _certificate_from raises it for finite spectra whose products overflow.
-    """
-    d = ensemble.dim
-    stack = _matrix_stack(povm, "POVM elements")
-    if len(stack) != ensemble.size:
-        raise ValueError(f"expected {ensemble.size} POVM elements, got {len(stack)}")
-    if stack.shape[1:] != (d, d):
-        raise ValueError(f"POVM element shape {stack.shape[1:]} does not match dimension {d}")
-    return stack, _eigvalsh(stack)
-
-
 def _peak(values: np.ndarray) -> float:
     """Largest absolute entry, 0 for an empty array."""
     return float(np.max(np.abs(values), initial=0.0))
@@ -129,75 +108,57 @@ def _peak(values: np.ndarray) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _certificate_from(
-    ensemble: WeightedEnsemble,
-    k: np.ndarray,
-    povm: np.ndarray,
-    povm_eigenvalues: np.ndarray,
-    tol: float,
+    ensemble: WeightedEnsemble, k: np.ndarray, povm: np.ndarray, tol: float
 ) -> KktCertificate:
-    """Residuals from three stacked spectra: the gaps, the POVM (passed in), the legacy operators."""
+    """Residuals of a candidate, with every spectrum from one stacked _eigvalsh call.
+
+    The call stacks the POVM elements, the gaps K - q_x rho_x and the legacy
+    operators sum_y q_y rho_y M_y - q_x rho_x, (3N, d, d); each matrix is
+    decomposed on its own, so the residuals are those of three calls.
+    """
     _check_tolerance(tol)
     q = ensemble.priors
-    rhos = ensemble.matrices
-    weighted = q[:, None, None] * rhos
+    weighted = q[:, None, None] * ensemble.matrices
     trace_k = float(np.trace(k).real)
-
     gaps = k - weighted
     weights = trace_k - q
-    dual_feasibility = float(np.max(-_eigvalsh(gaps)[:, -1]))
+    averaged = (weighted @ povm).sum(axis=0)
+    averaged = (averaged + averaged.conj().T) / 2.0
+    stack = np.concatenate([povm, gaps, averaged - weighted])
+    povm_low, gap_low, legacy_low = _eigvalsh(stack)[:, -1].reshape(3, -1)
+
     live = weights > DEGENERATE_WEIGHT_TOL
     sigma = gaps[live] / weights[live, None, None]
-    # recomputed sigma reproduces the decomposition by construction,
-    # so this residual only picks up arithmetic noise
-    symmetry = max(
-        _peak(gaps[live] - weights[live, None, None] * sigma), _peak(gaps[~live])
-    )
     overlaps = np.trace(povm[live] @ sigma, axis1=1, axis2=2).real
-    orthogonality = _peak(weights[live] * overlaps)
-
-    completeness = float(np.max(np.abs(povm.sum(axis=0) - np.eye(ensemble.dim))))
-    povm_positivity = max(0.0, float(np.max(-povm_eigenvalues[:, -1])))
 
     # one batched product over y > x per x, never an (N, N, d, d) tensor; a
     # pair with an all-zero element is exactly zero, so only nonzero ones enter
     nonzero = np.any(povm != 0, axis=(1, 2))
     elements, states = povm[nonzero], weighted[nonzero]
-    legacy_pairwise = max(
-        (
-            _peak(elements[x] @ (states[x] - states[x + 1 :]) @ elements[x + 1 :])
-            for x in range(len(elements))
+    residuals = {
+        # recomputed sigma reproduces the decomposition by construction,
+        # so this residual only picks up arithmetic noise
+        "symmetry": max(
+            _peak(gaps[live] - weights[live, None, None] * sigma), _peak(gaps[~live])
         ),
-        default=0.0,
-    )
-
-    averaged = (weighted @ povm).sum(axis=0)
-    averaged = (averaged + averaged.conj().T) / 2.0
-    legacy_operator = max(0.0, float(np.max(-_eigvalsh(averaged - weighted)[:, -1])))
-
-    dual_feasibility = max(0.0, dual_feasibility)
-    residual_values = [
-        symmetry,
-        dual_feasibility,
-        orthogonality,
-        completeness,
-        povm_positivity,
-        legacy_pairwise,
-        legacy_operator,
-    ]
+        "dual_feasibility": max(0.0, float(np.max(-gap_low))),
+        "orthogonality": _peak(weights[live] * overlaps),
+        "completeness": float(np.max(np.abs(povm.sum(axis=0) - np.eye(ensemble.dim)))),
+        "povm_positivity": max(0.0, float(np.max(-povm_low))),
+        "legacy_pairwise": max(
+            (
+                _peak(elements[x] @ (states[x] - states[x + 1 :]) @ elements[x + 1 :])
+                for x in range(len(elements))
+            ),
+            default=0.0,
+        ),
+        "legacy_operator": max(0.0, float(np.max(-legacy_low))),
+    }
     # huge finite entries can overflow in the products, which run without warnings
-    if not np.isfinite(residual_values).all():
+    if not np.isfinite(list(residuals.values())).all():
         raise ConvergenceError("certificate residuals overflow: candidate entries too large")
-    return KktCertificate(
-        symmetry=symmetry,
-        dual_feasibility=dual_feasibility,
-        orthogonality=orthogonality,
-        completeness=completeness,
-        povm_positivity=povm_positivity,
-        legacy_pairwise=legacy_pairwise,
-        legacy_operator=legacy_operator,
-        tolerance=tol,
-        passed=all(r <= tol for r in residual_values),
-    )
+    passed = all(r <= tol for r in residuals.values())
+    return KktCertificate(**residuals, tolerance=tol, passed=passed)
 
 
 def verify_kkt(
@@ -208,13 +169,14 @@ def verify_kkt(
     Complementary weights and states are always recomputed from K as
     r_x = trace(K) - q_x and sigma_x = (K - q_x rho_x) / r_x; a raw K is
     validated as HermitianOperator validates it. The POVM (operators,
-    matrices or a stack (N, d, d)) is stacked unchecked: residuals judge it.
+    matrices or a stack (N, d, d)) passes solve._povm_stack, with no
+    Hermitian check: the residuals judge it.
     """
     k = _as_matrix(symmetry_op)
     d = ensemble.dim
     if k.shape != (d, d):
         raise ValueError(f"operator shape {k.shape} does not match dimension {d}")
-    return _certificate_from(ensemble, k, *_povm_stack(ensemble, povm), tol)
+    return _certificate_from(ensemble, k, _povm_stack(ensemble, povm), tol)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -224,13 +186,13 @@ def verify_legacy_conditions(
     """Certify a POVM alone, deriving the operator from the measurement.
 
     Uses K = sum_x q_x rho_x M_x (Hermitian part; the product is only
-    Hermitian at the optimum; the POVM is stacked unchecked) and the same
-    residuals, so a verdict here agrees with verify_kkt on optimal candidates.
+    Hermitian at the optimum; the POVM is read as verify_kkt reads it) and the
+    same residuals, so a verdict here agrees with verify_kkt on optimal candidates.
     """
-    povm, povm_eigenvalues = _povm_stack(ensemble, povm)
+    povm = _povm_stack(ensemble, povm)
     k = (ensemble.priors[:, None, None] * ensemble.matrices @ povm).sum(axis=0)
     k = (k + k.conj().T) / 2.0
-    return _certificate_from(ensemble, k, povm, povm_eigenvalues, tol)
+    return _certificate_from(ensemble, k, povm, tol)
 
 
 def probability_forms(
@@ -240,16 +202,15 @@ def probability_forms(
 
     Meaningful when the solution certificate passes; on a failing
     candidate the spread between the forms is the interesting output.
+    Its POVM passes the intake rule of every measurement (solve._povm_stack):
+    a solution of another size or dimension than the ensemble raises ValueError.
     """
     q = ensemble.priors
     rhos = ensemble.matrices
     n = ensemble.size
+    povm = _povm_stack(ensemble, solution.povm_matrices)
     k = solution.symmetry_op.matrix
     trace_k = float(np.trace(k).real)
-
-    povm = solution.povm_matrices
-    if len(povm) != n:
-        raise ValueError(f"expected {n} POVM elements, got {len(povm)}")
     primal = float(q @ np.einsum("xij,xji->x", povm, rhos).real)
     weights = trace_k - q
     average_weight = 1.0 / n + float(np.sum(weights)) / n

@@ -22,11 +22,13 @@ _matrix_stack hands back without stacking it again.
 Matrices are validated where they enter the package: the public
 constructors and functions that take an operator (_as_matrix), and the
 JSON parse (serialize). A raw matrix is validated as HermitianOperator
-validates it, an instance of the class being built is taken as it is,
-and lists and stacks of POVM elements are taken as they are, for the
-certificate's residuals to judge. What the package builds from data it
-knows is valid is built unchecked by _trusted (a stack's tuple by
-_wrap); the checks that can fail on it still run (solve._assemble).
+validates it, and an instance of the class being built is taken as it
+is. Lists and stacks of POVM elements pass one intake rule
+(solve._povm_stack: count, dimension, finite entries), with no
+Hermitian check: the certificate's residuals judge them. What the
+package builds from data it knows is valid is built unchecked by
+_trusted (a stack's tuple by _wrap); the checks that can fail on it
+still run (solve._assemble).
 """
 
 from __future__ import annotations

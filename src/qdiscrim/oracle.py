@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import _bloch_vectors
-from .operators import DensityOperator, _matrix_stack
-from .solve import WeightedEnsemble
+from .operators import DensityOperator
+from .solve import WeightedEnsemble, _povm_stack
 
 _COARSE_STEP = 0.05
 _MIN_PRIOR = 1e-6
@@ -63,8 +63,8 @@ class TableGuessing:
 
 
 def conditional_table_from_povm(ensemble: WeightedEnsemble, povm) -> ConditionalTable:
-    """Born-rule table P(x|y) = tr[M_x rho_y] for a measurement; the POVM is stacked unchecked."""
-    table = np.einsum("xij,yji->xy", _matrix_stack(povm), ensemble.matrices).real
+    """Born-rule table P(x|y) = tr[M_x rho_y] of a measurement that passes solve._povm_stack."""
+    table = np.einsum("xij,yji->xy", _povm_stack(ensemble, povm), ensemble.matrices).real
     return ConditionalTable(np.clip(table, 0.0, 1.0))
 
 

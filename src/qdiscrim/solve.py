@@ -27,7 +27,8 @@ povm tuples stay: one built from a stack wraps them on first access, in
 one pass, into a tuple that keeps the stack. A state is a HermitianOperator.
 
 The input is validated where it enters (the constructors, the functions
-that take an operator, the parse; one priors rule, _priors). The qubit
+that take an operator, the parse; one priors rule, _priors, and one rule
+for every measurement the package reads, _povm_stack). The qubit
 solver builds K, the complementary states and the POVM as closed-form
 operators (t I + v . sigma)/2, exactly Hermitian; the two-state and
 trivial solvers pass K and the POVM, matrix products, through the
@@ -134,6 +135,24 @@ class WeightedEnsemble:
         return self.matrices.shape[-1]
 
 
+def _povm_stack(ensemble: WeightedEnsemble, povm) -> np.ndarray:
+    """The one intake rule of a measurement: its elements as one stack (N, d, d) for the ensemble.
+
+    A stack is taken as is and a sequence stacked once (_matrix_stack). A
+    count or a shape other than the ensemble's, or a non-finite entry,
+    raises ValueError before any product; the readers judge the rest.
+    """
+    n, d = ensemble.size, ensemble.dim
+    stack = _matrix_stack(povm, "POVM elements")
+    if len(stack) != n:
+        raise ValueError(f"expected {n} POVM elements, got {len(stack)}")
+    if stack.shape[1:] != (d, d):
+        raise ValueError(f"POVM element shape {stack.shape[1:]} does not match dimension {d}")
+    if not np.isfinite(stack).all():
+        raise ValueError("POVM element entries must be finite")
+    return stack
+
+
 @dataclass(frozen=True, eq=False)
 class ComplementarySet:
     """Weights r_x and states sigma_x with K = q_x rho_x + r_x sigma_x.
@@ -197,7 +216,9 @@ class DiscriminationSolution:
 
     povm_matrices is the read-only POVM stack (N, d, d). A solution built
     from a stack (the solvers) wraps its povm tuple on first access. The
-    constructor makes symmetry_op and each POVM element an operator.
+    constructor makes symmetry_op and each POVM element an operator, and
+    rejects POVM elements or complementary states of another dimension
+    than K, and a complementary set of another size than the POVM.
     """
 
     p_guess: float
@@ -211,10 +232,17 @@ class DiscriminationSolution:
         povm = tuple(
             m if isinstance(m, HermitianOperator) else HermitianOperator(m) for m in povm
         )
-        matrices = _matrix_stack(povm)
+        matrices = _matrix_stack(povm, "POVM elements")
         matrices.setflags(write=False)
+        sym = HermitianOperator(symmetry_op)
+        d, n, comp = sym.dim, len(matrices), complementary
+        for what, stack in (("POVM element", matrices), ("complementary state", comp.matrices)):
+            if len(stack) and stack.shape[1:] != (d, d):
+                raise ValueError(f"{what} shape {stack.shape[1:]} does not match dimension {d}")
+        if len(comp.present) != n:
+            raise ValueError(f"expected {n} complementary states, got {len(comp.present)}")
         object.__setattr__(self, "p_guess", p_guess)
-        object.__setattr__(self, "symmetry_op", HermitianOperator(symmetry_op))
+        object.__setattr__(self, "symmetry_op", sym)
         object.__setattr__(self, "complementary", complementary)
         object.__setattr__(self, "povm", povm)
         object.__setattr__(self, "support", support)
@@ -288,7 +316,8 @@ def reconstruct_povm(
     from the spectra the set holds, and the ensemble gives the dimension.
     The elements come back as a tuple that keeps their checked stack.
 
-    A set with a state count other than the ensemble's raises ValueError.
+    A set with a state count or dimension other than the ensemble's raises
+    ValueError before the search.
     Raises InfeasibleDualError when no kernel is non-trivial, or when the
     projectors do not resolve the identity. The search stops as soon as a
     hyperplane separates I/d from every atom by more than 1e-9, so from
@@ -299,6 +328,8 @@ def reconstruct_povm(
     n, d = ensemble.size, ensemble.dim
     if len(complementary.present) != n:
         raise ValueError(f"expected {n} complementary states, got {len(complementary.present)}")
+    if len(complementary.matrices) and complementary.matrices.shape[1:] != (d, d):
+        raise ValueError("operator dimension does not match the ensemble")
     povm = np.zeros((n, d, d), dtype=complex)
     if not complementary.present.all():
         povm[np.argmin(complementary.present)] = np.eye(d)

@@ -236,6 +236,12 @@ class TestBlochConversion:
         with pytest.raises(ValueError, match="norm"):
             from_bloch([1.1, 0, 0])
 
+    @pytest.mark.parametrize("v", [[0, 0, 0, 0], [0, 0], []])
+    def test_from_bloch_names_a_vector_of_another_length(self, v):
+        with pytest.raises(ValueError) as info:
+            from_bloch(v)
+        assert str(info.value) == f"Bloch vector must have 3 components, got {len(v)}"
+
     def test_to_bloch_rejects_other_dimensions(self):
         rho = DensityOperator(HermitianOperator(np.eye(3) / 3))
         with pytest.raises(ValueError, match="qubit"):
@@ -422,6 +428,13 @@ class TestConvexWeights:
 
 @pytest.mark.usefixtures("basis_checked")
 class TestShiftedBallDual:
+    @pytest.mark.parametrize("points", [[[0, 0]], [0, 0, 0, 0, 0, 0], 0.0])
+    def test_names_points_without_three_coordinates(self, points):
+        with pytest.raises(ValueError) as info:
+            shifted_ball_dual(points, [1.0])
+        shape = np.shape(points)
+        assert str(info.value) == f"points must have 3 coordinates each, got shape {shape}"
+
     def test_single_point_is_certain(self):
         v = np.array([0.3, -0.2, 0.4])
         result = shifted_ball_dual([v], [1.0])

@@ -3,27 +3,35 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdiscrim import (
+    ComplementarySet,
     ConvergenceError,
     DensityOperator,
+    DiscriminationError,
+    DiscriminationSolution,
     HermitianOperator,
     WeightedEnsemble,
+    conditional_table_from_povm,
     dual_grid_oracle,
     equivalence_check,
     from_bloch,
     helstrom_two_state,
     probability_forms,
     random_ensemble,
+    reconstruct_povm,
     solve,
     solve_qubit,
     verify_kkt,
     verify_legacy_conditions,
 )
+from qdiscrim.certify import _certificate_from
 from qdiscrim.factory import identity_class_example
 from qdiscrim.families import orthogonal_pairs, trine
-from qdiscrim.operators import trace_norm
-from qdiscrim.solve import complementary_states
+from qdiscrim.operators import _eigvalsh, trace_norm
+from qdiscrim.solve import DEGENERATE_WEIGHT_TOL, complementary_states
 
 from conftest import compose_rotations_unitary
 
@@ -308,6 +316,155 @@ class TestStackedCertificate:
             ) / e.size
             assert abs(forms.primal - primal) <= 1e-15
             assert abs(forms.average_distance - distance) <= 1e-15
+
+
+def reference_residuals(ensemble, k, povm):
+    """The certificate's residuals, each spectrum from its own _eigvalsh call."""
+    q = ensemble.priors
+    weighted = q[:, None, None] * ensemble.matrices
+    gaps = k - weighted
+    weights = float(np.trace(k).real) - q
+    live = weights > DEGENERATE_WEIGHT_TOL
+    sigma = gaps[live] / weights[live, None, None]
+    averaged = (weighted @ povm).sum(axis=0)
+    averaged = (averaged + averaged.conj().T) / 2.0
+    nonzero = np.any(povm != 0, axis=(1, 2))
+    elements, states = povm[nonzero], weighted[nonzero]
+
+    def peak(values):
+        return float(np.max(np.abs(values), initial=0.0))
+
+    def negativity(stack):
+        return max(0.0, float(np.max(-_eigvalsh(stack)[:, -1])))
+
+    overlaps = np.trace(povm[live] @ sigma, axis1=1, axis2=2).real
+    pairs = (
+        peak(elements[x] @ (states[x] - states[x + 1 :]) @ elements[x + 1 :])
+        for x in range(len(elements))
+    )
+    return {
+        "symmetry": max(peak(gaps[live] - weights[live, None, None] * sigma), peak(gaps[~live])),
+        "dual_feasibility": negativity(gaps),
+        "orthogonality": peak(weights[live] * overlaps),
+        "completeness": peak(povm.sum(axis=0) - np.eye(ensemble.dim)),
+        "povm_positivity": negativity(povm),
+        "legacy_pairwise": max(pairs, default=0.0),
+        "legacy_operator": negativity(averaged - weighted),
+    }
+
+
+class TestOneStackedSpectrum:
+    """The certificate takes its three spectra from one stacked call, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "ensemble",
+        [random_ensemble(2, n, pure=False, seed=n) for n in (3, 12, 39)]
+        + [random_ensemble(d, 2, pure=d % 2 == 0, seed=d) for d in (3, 8, 16)],
+        ids=lambda e: f"d{e.dim}-n{e.size}",
+    )
+    def test_residuals_match_three_separate_calls(self, ensemble, rng):
+        sol = solve(ensemble)
+        k, povm = sol.symmetry_op.matrix, sol.povm_matrices
+        legacy = (ensemble.priors[:, None, None] * ensemble.matrices @ povm).sum(axis=0)
+        bump = rng.standard_normal((ensemble.dim, ensemble.dim))
+        # the optimum, the legacy form's own K, and a failing candidate with
+        # nonzero residuals everywhere
+        candidates = [
+            (k, povm),
+            ((legacy + legacy.conj().T) / 2.0, povm),
+            (k - 1e-3 * (bump + bump.T), np.roll(povm, 1, axis=0)),
+        ]
+        for k, povm in candidates:
+            residuals = _certificate_from(ensemble, k, povm, 1e-8).residuals()
+            reference = reference_residuals(ensemble, k, povm)
+            assert {name: v.hex() for name, v in residuals.items()} == {
+                name: v.hex() for name, v in reference.items()
+            }
+
+
+# (dimension, count) of the ensembles the solvers cover
+_SOLVABLE = [(2, n) for n in range(1, 6)] + [(d, n) for d in (3, 4) for n in (1, 2)]
+_NUMPY_WORDS = ("broadcast", "remapped shapes", "cannot reshape")
+
+
+def _solved(shape, seed):
+    ensemble = random_ensemble(*shape, pure=seed % 2 == 0, seed=seed)
+    return ensemble, solve(ensemble)
+
+
+def _misfit_readers(data):
+    """Calls of every public reader of a measurement or a solution on a misfit of the ensemble.
+
+    The misfit is a solution of an ensemble of another count or dimension,
+    or the ensemble's own solution with one NaN or infinite entry.
+    """
+    shape = data.draw(st.sampled_from([s for s in _SOLVABLE if s[1] > 1]), label="shape")
+    seed = data.draw(st.integers(0, 10**4), label="seed")
+    e, sol = _solved(shape, seed)
+    defect = data.draw(st.sampled_from(["other", "nan", "inf", "-inf"]), label="defect")
+    if defect == "other":
+        other_shape = data.draw(st.sampled_from([s for s in _SOLVABLE if s != shape]))
+        _, other = _solved(other_shape, seed + 1)
+        povm = other.povm_matrices
+        # K has no count: it is a misfit only in another dimension
+        sym = other.symmetry_op if other.symmetry_op.dim != e.dim else None
+
+        def complementary():
+            return other.complementary
+
+        def solution():
+            return other
+    else:
+        bad = float(defect)
+        povm = np.array(sol.povm_matrices)
+        povm[tuple(data.draw(st.integers(0, n - 1)) for n in povm.shape)] = bad
+        sym = sol.symmetry_op.matrix.copy()
+        sym[tuple(data.draw(st.integers(0, n - 1)) for n in sym.shape)] = bad
+        states = [None if s is None else s.matrix.copy() for s in sol.complementary.states]
+        present = [x for x, s in enumerate(states) if s is not None]
+        weights = np.array(sol.complementary.weights)
+        if present:
+            states[present[0]][0, 0] = bad
+        else:
+            weights[0] = bad
+
+        def complementary():
+            return ComplementarySet(weights, states)
+
+        def solution():
+            return DiscriminationSolution(sol.p_guess, sol.symmetry_op, sol.complementary, povm,
+                                          sol.support)
+
+    comp = sol.complementary
+    readers = {
+        "verify_kkt": lambda: verify_kkt(e, sol.symmetry_op, povm),
+        "verify_legacy_conditions": lambda: verify_legacy_conditions(e, povm),
+        "conditional_table_from_povm": lambda: conditional_table_from_povm(e, povm),
+        "probability_forms": lambda: probability_forms(e, solution()),
+        "reconstruct_povm": lambda: reconstruct_povm(e, complementary()),
+        "DiscriminationSolution(povm)": lambda: DiscriminationSolution(
+            sol.p_guess, sol.symmetry_op, comp, povm, sol.support),
+        "DiscriminationSolution(complementary)": lambda: DiscriminationSolution(
+            sol.p_guess, sol.symmetry_op, complementary(), sol.povm_matrices, sol.support),
+    }
+    if sym is not None:
+        readers["DiscriminationSolution(K)"] = lambda: DiscriminationSolution(
+            sol.p_guess, sym, comp, sol.povm_matrices, sol.support)
+    return readers
+
+
+class TestMeasurementIntake:
+    """One intake rule: every reader of a measurement or a solution rejects one
+    that does not fit the ensemble, in the package's own words."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_misfits_raise_package_errors(self, data):
+        for name, call in _misfit_readers(data).items():
+            with pytest.raises((ValueError, DiscriminationError)) as info:
+                call()
+            message = str(info.value)
+            assert not any(word in message for word in _NUMPY_WORDS), (name, message)
 
 
 class TestEquivalenceCheck:

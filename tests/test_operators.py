@@ -678,8 +678,9 @@ class TestDecompositionCounts:
         # two POVM elements' eigenvalues
         assert solve_counts == {"eigh": (1, 1), "eigvalsh": (2, 1)}
         # verify_kkt recomputes every spectrum it checks, independently of the
-        # solver: two gaps, two POVM elements, two legacy operator conditions
-        assert verify == {"eigh": (0, 0), "eigvalsh": (6, 3)}
+        # solver, in one stacked call: two POVM elements, two gaps, two legacy
+        # operator conditions
+        assert verify == {"eigh": (0, 0), "eigvalsh": (6, 1)}
 
     @pytest.mark.parametrize("equal_priors", [False, True])
     def test_qubit_stacks_one_lapack_call_per_layer(self, monkeypatch, equal_priors):
@@ -690,8 +691,8 @@ class TestDecompositionCounts:
         parse, solve_counts, verify = self._stages(monkeypatch, json.loads(json.dumps(doc)))
         # every qubit spectrum has a closed form: the parse reads each state's
         # Bloch vector, the solve's complementary states come from the dual,
-        # and the POVM check and the certificate's three spectra are 2 x 2
-        # eigenvalues, so a qubit request reaches no LAPACK driver at all
+        # and the POVM check and the certificate's one stacked spectrum are
+        # 2 x 2 eigenvalues, so a qubit request reaches no LAPACK driver at all
         nothing = {"eigh": (0, 0), "eigvalsh": (0, 0)}
         assert parse == solve_counts == verify == nothing
 
@@ -757,7 +758,7 @@ class TestStackedTuples:
         sol = solve(e)
         assert isinstance(sol.povm, tuple) and len(sol.povm) == 12
         # verify_kkt reads the POVM stack back instead of stacking 12 wrappers
-        assert certify._povm_stack(e, sol.povm)[0] is sol.povm_matrices
+        assert certify._povm_stack(e, sol.povm) is sol.povm_matrices
         assert type(sol.povm + (sol.povm[0],)) is tuple and type(sol.povm[1:]) is tuple
         # a plain tuple of the same operators is stacked anew, to equal values
         restacked = _matrix_stack(tuple(sol.povm))

@@ -132,6 +132,20 @@ class TestSolutionConstructor:
         assert np.array_equal(built.symmetry_op.matrix, sol.symmetry_op.matrix)
         assert not built.symmetry_op.matrix.flags.writeable
 
+    def test_rejects_parts_of_another_dimension_or_size(self):
+        qutrit_pair = solve(random_ensemble(3, 2, pure=False, seed=1))
+        qubit_pair = solve(random_ensemble(2, 2, pure=False, seed=1))
+        build = solve_module.DiscriminationSolution
+        with pytest.raises(ValueError) as info:
+            build(0.5, np.eye(2) / 2, qutrit_pair.complementary, [np.eye(3)], (0,))
+        assert str(info.value) == "POVM element shape (3, 3) does not match dimension 2"
+        with pytest.raises(ValueError) as info:
+            build(0.5, np.eye(2) / 2, qutrit_pair.complementary, qubit_pair.povm, (0,))
+        assert str(info.value) == "complementary state shape (3, 3) does not match dimension 2"
+        with pytest.raises(ValueError) as info:
+            build(0.5, np.eye(3) / 2, qutrit_pair.complementary, [np.eye(3)], (0,))
+        assert str(info.value) == "expected 1 complementary states, got 2"
+
     def test_rejects_a_non_hermitian_symmetry_operator(self):
         sol = solve(trine())
         with pytest.raises(ValueError, match="not Hermitian"):
@@ -462,6 +476,12 @@ class TestReconstructPovm:
         five = solve(random_ensemble(2, 5, pure=False, seed=1))
         with pytest.raises(ValueError, match="expected 3 complementary states, got 5"):
             reconstruct_povm(trine(), five.complementary)
+
+    def test_rejects_a_set_of_another_dimension_before_the_search(self):
+        qutrits = factory.identity_class_example(3).complementary
+        with pytest.raises(ValueError) as info:
+            reconstruct_povm(trine(), qutrits)
+        assert str(info.value) == "operator dimension does not match the ensemble"
 
     def test_two_state_matches_helstrom_projectors(self):
         e = WeightedEnsemble([0.35, 0.65], [ZERO, PLUS])
