@@ -9,9 +9,13 @@ attains trace(K) as its guessing probability depends on an optimal POVM
 existing for that decomposition, so every output carries a certification
 flag backed by an explicit POVM search (solve.reconstruct_povm on
 the kernels of the complementary states) instead of an unchecked claim.
+K is decomposed twice, for its positivity and by purify, and every
+measurement (a raw matrix is validated as a SteeringMeasurement) is
+steered by one product over the stacked outcomes.
 
 The direct qubit constructor chooses the POVM data first and builds the
-ensemble around it, so its outputs are optimal by construction.
+ensemble around it, so its outputs are optimal by construction: closed-form
+stacks (t I + v . sigma)/2, built unchecked as the qubit solver builds its own.
 """
 
 from __future__ import annotations
@@ -20,14 +24,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _operators, from_bloch
+from .bloch import _operators
 from .certify import ANALYTIC_TOL, verify_kkt
 from .errors import InfeasibleDualError
 from .operators import (
+    PSD_TOL,
     DensityOperator,
     HermitianOperator,
     _eigvalsh,
-    _hermitian_stack,
+    _frozen_real,
+    _symmetrized,
+    _trusted,
     _wrap,
     purify,
 )
@@ -71,11 +78,6 @@ class FactoryOutput:
     povm: tuple[HermitianOperator, ...] | None
 
 
-def _steered_operator(psi: np.ndarray, measurement: np.ndarray) -> np.ndarray:
-    """Unnormalized B-side operator tr_A[(M (x) I) |psi><psi|]."""
-    return psi.T @ measurement.T @ psi.conj()
-
-
 def _certify(ensemble: WeightedEnsemble, symmetry_op: HermitianOperator):
     """Search for an optimal POVM; return (certified, povm or None).
 
@@ -99,122 +101,102 @@ def generate_from_symmetry_operator(
     """Steer an ensemble out of a PSD operator with 0 < trace <= 1.
 
     Each measurement contributes one ensemble member: rho_x is the B-side
-    state conditioned on the first outcome firing (probability p_x) and
-    sigma_x the complement. Priors are the normalized firing
-    probabilities, so p_x = q_x / trace(K) and the decomposition identity
-    holds by construction. The certified flag records whether an optimal
-    POVM for this decomposition was actually found.
+    state tr_A[(M0 (x) I) |psi><psi|] / p_x conditioned on the first
+    outcome firing (probability p_x) and sigma_x the complement. Priors
+    are the normalized firing probabilities, so p_x = q_x / trace(K) and
+    the decomposition identity holds by construction. The certified flag
+    records whether an optimal POVM for this decomposition was actually
+    found. K / trace(K) must be PSD to PSD_TOL, as a state is.
     """
     sym = HermitianOperator(symmetry_op)
-    values = _eigvalsh(sym.matrix)
-    if values[-1] < -1e-10:
-        raise ValueError("symmetry operator must be positive semidefinite")
+    smallest = _eigvalsh(sym.matrix)[-1]
     total = sym.trace()
     if not (_FIRES_TOL < total <= 1 + 1e-10):
         raise ValueError(f"symmetry operator trace must be in (0, 1], got {total!r}")
-    if not measurements:
+    if smallest / total < -PSD_TOL:
+        raise ValueError("symmetry operator must be positive semidefinite")
+    steering = [m if isinstance(m, SteeringMeasurement) else SteeringMeasurement(m)
+                for m in measurements]
+    if not steering:
         raise ValueError("at least one steering measurement is required")
+    if any(m.first_outcome.dim != sym.dim for m in steering):
+        raise ValueError("steering measurement dimension does not match the operator")
 
-    normalized = DensityOperator(sym.matrix / total)
+    normalized = _trusted(DensityOperator, matrix=_symmetrized(sym.matrix / total))
     psi = purify(normalized).amplitudes.reshape(sym.dim, sym.dim)
+    first = np.stack([m.first_outcome.matrix for m in steering])
+    steered = psi.T @ first.swapaxes(1, 2) @ psi.conj()
+    fires = np.trace(steered, axis1=1, axis2=2).real
+    if np.any(fires <= _FIRES_TOL):
+        raise ValueError("steering measurement never fires; state undefined")
+    live = 1 - fires > _FIRES_TOL
+    second = np.eye(sym.dim, dtype=complex) - first[live]
+    rest = iter(psi.T @ second.swapaxes(1, 2) @ psi.conj() / (1 - fires[live])[:, None, None])
 
-    fire_probs = []
-    states = []
-    complements: list[DensityOperator | None] = []
-    for m in measurements:
-        if m.first_outcome.dim != sym.dim:
-            raise ValueError("steering measurement dimension does not match the operator")
-        steered = _steered_operator(psi, m.first_outcome.matrix)
-        p = float(np.trace(steered).real)
-        if p <= _FIRES_TOL:
-            raise ValueError("steering measurement never fires; state undefined")
-        fire_probs.append(p)
-        states.append(DensityOperator(steered / p))
-        if 1 - p <= _FIRES_TOL:
-            complements.append(None)
-        else:
-            rest = _steered_operator(psi, m.second_outcome)
-            complements.append(DensityOperator(rest / (1 - p)))
-
-    fire_probs = np.asarray(fire_probs)
-    priors = fire_probs / float(np.sum(fire_probs))
-    ensemble = WeightedEnsemble(priors, states)
-
+    ensemble = WeightedEnsemble(fires / float(np.sum(fires)), steered / fires[:, None, None])
     certified, povm = _certify(ensemble, sym)
-    comp_weights = (1.0 - fire_probs) * total
-    return FactoryOutput(
-        ensemble=ensemble,
-        complementary=ComplementarySet(weights=comp_weights, states=tuple(complements)),
-        steering_probs=fire_probs,
-        certified=certified,
-        symmetry_op=sym,
-        povm=povm,
-    )
+    comp = ComplementarySet((1.0 - fires) * total, [next(rest) if keep else None for keep in live])
+    return FactoryOutput(ensemble=ensemble, complementary=comp, steering_probs=fires,
+                         certified=certified, symmetry_op=sym, povm=povm)
 
 
 def generate_qubit_class_element(
-    value: float,
-    center,
-    directions,
-    povm_weights,
-    priors,
+    value: float, center, directions, povm_weights, priors
 ) -> FactoryOutput:
     """Build a qubit ensemble whose optimum is fixed in advance.
 
     The caller picks the target value t, the ball center k, unit
-    directions u_x of the pure complementary states, POVM weights a_x with
-    sum a_x = 2 and sum a_x u_x = 0, and priors q_x. The states are then
-    forced by rho_x = (K - r_x sigma_x) / q_x with r_x = t - q_x, and the
-    POVM a_x (I - u_x . sigma)/2 satisfies every optimality condition by
-    construction, so the output certifies at 1e-9.
+    directions u_x (an (n, 3) array) of the pure complementary states,
+    POVM weights a_x with sum a_x = 2 and sum a_x u_x = 0, and priors q_x.
+    The states are then forced by rho_x = (K - r_x sigma_x) / q_x with
+    r_x = t - q_x, and the POVM a_x (I - u_x . sigma)/2 satisfies every
+    optimality condition by construction, so the output certifies at
+    1e-9. Every check rejects NaN too, so each output stack is a finite
+    closed form, exactly Hermitian, and its states pass by the norm checks.
     """
-    center = np.asarray(center, dtype=float).reshape(3)
-    units = [np.asarray(u, dtype=float).reshape(3) for u in directions]
+    center = np.asarray(center, dtype=float).reshape(-1)
+    if len(center) != 3:
+        raise ValueError(f"center must have 3 components, got {len(center)}")
+    units = np.asarray(directions, dtype=float)
+    if units.shape[1:] != (3,):
+        raise ValueError(f"directions must be an (n, 3) array, got shape {units.shape}")
     a = np.asarray(povm_weights, dtype=float).reshape(-1)
     q = np.asarray(priors, dtype=float).reshape(-1)
-    n = len(units)
-    if len(a) != n or len(q) != n:
+    if not len(units) == len(a) == len(q):
         raise ValueError("directions, weights and priors must have equal length")
-    for u in units:
-        if abs(float(np.linalg.norm(u)) - 1.0) > 1e-9:
-            raise ValueError("directions must be unit vectors")
-    if np.any(a < -1e-12):
+    if not np.all(np.abs(np.linalg.norm(units, axis=1) - 1.0) <= 1e-9):
+        raise ValueError("directions must be unit vectors")
+    if not np.all(a >= -1e-12):
         raise ValueError("POVM weights must be non-negative")
-    if abs(float(np.sum(a)) - 2.0) > 1e-9:
+    if not abs(float(np.sum(a)) - 2.0) <= 1e-9:
         raise ValueError("POVM weights must sum to 2")
-    if float(np.linalg.norm(sum(w * u for w, u in zip(a, units)))) > 1e-9:
+    if not float(np.linalg.norm(a @ units)) <= 1e-9:
         raise ValueError("weighted directions must sum to zero")
-    if np.any(q <= 0) or abs(float(np.sum(q)) - 1.0) > 1e-10:
+    if not (np.all(q > 0) and abs(float(np.sum(q)) - 1.0) <= 1e-10):
         raise ValueError("priors must be positive and sum to 1")
-    if float(np.linalg.norm(center)) > value + 1e-12:
+    if not float(np.linalg.norm(center)) <= value + 1e-12:
         raise ValueError("center norm exceeds the target value; operator not PSD")
-
     weights = value - q
     if np.any(weights <= 0):
         raise ValueError("target value must exceed every prior")
+    blochs = (center - weights[:, None] * units) / q[:, None]
+    outside = ~(np.linalg.norm(blochs, axis=1) <= 1 + 1e-10)
+    if outside.any():
+        raise ValueError(f"state {int(np.argmax(outside))} would not be positive semidefinite")
 
-    states = []
-    for x in range(n):
-        bloch = (center - weights[x] * units[x]) / q[x]
-        if float(np.linalg.norm(bloch)) > 1 + 1e-10:
-            raise ValueError(f"state {x} would not be positive semidefinite")
-        states.append(from_bloch(bloch))
-
-    symmetry = HermitianOperator(_operators(value, center))
-    povm = _wrap(_hermitian_stack(a[:, None, None] * _operators(1.0, -np.array(units))))
-    ensemble = WeightedEnsemble(q, states)
-    complementary = ComplementarySet(
-        weights=weights, states=tuple(from_bloch(u) for u in units)
-    )
+    present = np.ones(len(q), dtype=bool)
+    k, states, sigmas, povm = (_operators(value, center), _operators(1.0, blochs),
+                               _operators(1.0, units), a[:, None, None] * _operators(1.0, -units))
+    for array in (weights, present, k, states, sigmas, povm):
+        array.setflags(write=False)
+    symmetry = _trusted(HermitianOperator, matrix=k)
+    ensemble = _trusted(WeightedEnsemble, priors=_frozen_real(q), seed=None, matrices=states)
+    povm = _wrap(povm)
+    comp = _trusted(ComplementarySet, weights=weights, present=present, matrices=sigmas)
     certified = verify_kkt(ensemble, symmetry, povm, tol=1e-9).passed
-    return FactoryOutput(
-        ensemble=ensemble,
-        complementary=complementary,
-        steering_probs=q / value,
-        certified=certified,
-        symmetry_op=symmetry,
-        povm=povm if certified else None,
-    )
+    return FactoryOutput(ensemble=ensemble, complementary=comp, steering_probs=q / value,
+                         certified=certified, symmetry_op=symmetry,
+                         povm=povm if certified else None)
 
 
 def identity_class_example(dim: int) -> FactoryOutput:
@@ -227,5 +209,4 @@ def identity_class_example(dim: int) -> FactoryOutput:
     if dim < 2:
         raise ValueError("dimension must be at least 2")
     eye = np.eye(dim, dtype=complex)
-    measurements = [SteeringMeasurement(np.outer(eye[:, x], eye[:, x].conj())) for x in range(dim)]
-    return generate_from_symmetry_operator(HermitianOperator(eye / dim), measurements)
+    return generate_from_symmetry_operator(eye / dim, [np.diag(e) for e in eye])

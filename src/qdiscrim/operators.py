@@ -33,6 +33,7 @@ still run (solve._assemble).
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,19 +54,34 @@ def _as_matrix(operator) -> np.ndarray:
     return HermitianOperator(operator).matrix
 
 
+def _complex_array(value, what: str = "matrix") -> np.ndarray:
+    """value as a complex array; ragged rows or an entry that is not a number raise ValueError."""
+    try:
+        return np.asarray(value, dtype=complex)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} is not a rectangular array of numbers") from None
+
+
+def _count(value, name: str) -> int:
+    """An integer argument as an int; a bool or any other type raises ValueError naming it."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _matrix_stack(ops, what: str = "matrices") -> np.ndarray:
     """Operators or matrices as one stack (N, d, d); an ndarray passes through unchanged.
 
     So does the stack that a tuple from _wrap wraps. Raw matrices are read
-    unchecked. An empty sequence gives (0, 0, 0); differing shapes raise
-    "<what> must share one dimension".
+    unchecked but for _complex_array. An empty sequence gives (0, 0, 0);
+    differing shapes raise "<what> must share one dimension".
     """
     if isinstance(ops, np.ndarray):
         return ops
     if isinstance(ops, _StackTuple):
         return ops.stack
     raw = [m.matrix if isinstance(m, HermitianOperator) else m for m in ops]
-    matrices = [np.asarray(m, dtype=complex) for m in raw]
+    matrices = [_complex_array(m, f"{what}[{i}]") for i, m in enumerate(raw)]
     if len({m.shape for m in matrices}) > 1:
         dims = sorted({n for m in matrices for n in m.shape})
         raise ValueError(f"{what} must share one dimension, got {dims}")
@@ -137,7 +153,7 @@ class HermitianOperator:
         if isinstance(matrix, HermitianOperator):
             object.__setattr__(self, "matrix", matrix.matrix)
             return
-        m = np.asarray(matrix, dtype=complex)
+        m = _complex_array(matrix)
         if m.ndim != 2:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
         object.__setattr__(self, "matrix", _hermitian_stack(m))
@@ -194,6 +210,7 @@ class PureBipartiteState:
     amplitudes: np.ndarray
 
     def __init__(self, dim_a: int, dim_b: int, amplitudes) -> None:
+        dim_a, dim_b = _count(dim_a, "dim_a"), _count(dim_b, "dim_b")
         if dim_a < 1 or dim_b < 1:
             raise ValueError("subsystem dimensions must be positive")
         amp = np.asarray(amplitudes, dtype=complex).reshape(-1)
@@ -204,8 +221,8 @@ class PureBipartiteState:
         norm = float(np.linalg.norm(amp))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"amplitudes must have unit norm, got {norm!r}")
-        object.__setattr__(self, "dim_a", int(dim_a))
-        object.__setattr__(self, "dim_b", int(dim_b))
+        object.__setattr__(self, "dim_a", dim_a)
+        object.__setattr__(self, "dim_b", dim_b)
         object.__setattr__(self, "amplitudes", _frozen(amp))
 
 

@@ -9,13 +9,14 @@ guessing identities live here as well.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bloch import _bloch_vectors
-from .operators import DensityOperator
-from .solve import WeightedEnsemble, _povm_stack
+from .operators import DensityOperator, _count
+from .solve import WeightedEnsemble, _povm_stack, _priors
 
 _COARSE_STEP = 0.05
 _MIN_PRIOR = 1e-6
@@ -100,7 +101,7 @@ def dual_grid_oracle(ensemble: WeightedEnsemble, resolution: float) -> float:
     their own. The resolution must be finite and at least 1e-15, below
     which a window's points are no longer distinct floats.
     """
-    if not (math.isfinite(resolution) and resolution > 0):
+    if not (isinstance(resolution, numbers.Real) and math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
     if resolution < 1e-15:
         raise ValueError(f"resolution {resolution!r} is below the floor 1e-15")
@@ -138,6 +139,7 @@ def random_ensemble(dim: int, size: int, pure: bool, seed: int) -> WeightedEnsem
     The output is bit-identical for a fixed seed, which is recorded on the
     ensemble.
     """
+    dim, size = _count(dim, "dim"), _count(size, "size")
     if dim < 2 or size < 1:
         raise ValueError("need dim >= 2 and at least one state")
     if size * _MIN_PRIOR > 1.0:
@@ -177,7 +179,7 @@ def distance_from_uniform(distribution) -> float:
 
 
 def guessing_from_table(priors, table: ConditionalTable) -> TableGuessing:
-    """Guessing probability of a conditional table, two ways.
+    """Guessing probability of a conditional table, two ways, for finite priors that pass _priors.
 
     The diagonal form averages q_y P(y|y). The distance form evaluates
     1/N plus the prior-weighted distances of the columns from uniform,
@@ -185,12 +187,11 @@ def guessing_from_table(priors, table: ConditionalTable) -> TableGuessing:
     premise holds; premise violations are flagged, not raised.
     """
     q = np.asarray(priors, dtype=float).reshape(-1)
-    p = table.probabilities
-    n = table.size
-    if len(q) != n:
-        raise ValueError("priors length does not match the table")
     if not np.isfinite(q).all():
         raise ValueError("priors must be finite")
+    q = _priors(q, table.size)
+    p = table.probabilities
+    n = table.size
 
     diag = float(np.sum(q * np.diag(p)))
     column_distances = 0.5 * np.sum(np.abs(p - 1.0 / n), axis=0)

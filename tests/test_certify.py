@@ -384,7 +384,10 @@ class TestOneStackedSpectrum:
 
 # (dimension, count) of the ensembles the solvers cover
 _SOLVABLE = [(2, n) for n in range(1, 6)] + [(d, n) for d in (3, 4) for n in (1, 2)]
-_NUMPY_WORDS = ("broadcast", "remapped shapes", "cannot reshape")
+_NUMPY_WORDS = (
+    "broadcast", "remapped shapes", "cannot reshape", "setting an array element",
+    "malformed string",
+)
 
 
 def _solved(shape, seed):
@@ -396,12 +399,15 @@ def _misfit_readers(data):
     """Calls of every public reader of a measurement or a solution on a misfit of the ensemble.
 
     The misfit is a solution of an ensemble of another count or dimension,
-    or the ensemble's own solution with one NaN or infinite entry.
+    or the ensemble's own solution with one NaN or infinite entry, one
+    entry that is a string, or one matrix whose last row is cut short.
     """
     shape = data.draw(st.sampled_from([s for s in _SOLVABLE if s[1] > 1]), label="shape")
     seed = data.draw(st.integers(0, 10**4), label="seed")
     e, sol = _solved(shape, seed)
-    defect = data.draw(st.sampled_from(["other", "nan", "inf", "-inf"]), label="defect")
+    defect = data.draw(
+        st.sampled_from(["other", "nan", "inf", "-inf", "string", "ragged"]), label="defect"
+    )
     if defect == "other":
         other_shape = data.draw(st.sampled_from([s for s in _SOLVABLE if s != shape]))
         _, other = _solved(other_shape, seed + 1)
@@ -415,18 +421,31 @@ def _misfit_readers(data):
         def solution():
             return other
     else:
-        bad = float(defect)
-        povm = np.array(sol.povm_matrices)
-        povm[tuple(data.draw(st.integers(0, n - 1)) for n in povm.shape)] = bad
-        sym = sol.symmetry_op.matrix.copy()
-        sym[tuple(data.draw(st.integers(0, n - 1)) for n in sym.shape)] = bad
-        states = [None if s is None else s.matrix.copy() for s in sol.complementary.states]
+
+        def spoiled(matrix, index):
+            """A copy of matrix with the defect at one entry, or its last row cut short."""
+            rows = matrix.tolist()
+            if defect == "ragged":
+                rows[-1].pop()
+                return rows
+            i, j = index
+            rows[i][j] = "x" if defect == "string" else float(defect)
+            return rows if defect == "string" else np.array(rows)
+
+        def entry(matrix):
+            return tuple(data.draw(st.integers(0, n - 1)) for n in matrix.shape)
+
+        povm = list(sol.povm_matrices)
+        element = data.draw(st.integers(0, len(povm) - 1))
+        povm[element] = spoiled(povm[element], entry(povm[element]))
+        sym = spoiled(sol.symmetry_op.matrix, entry(sol.symmetry_op.matrix))
+        states = [None if s is None else s.matrix for s in sol.complementary.states]
         present = [x for x, s in enumerate(states) if s is not None]
         weights = np.array(sol.complementary.weights)
         if present:
-            states[present[0]][0, 0] = bad
+            states[present[0]] = spoiled(states[present[0]], (0, 0))
         else:
-            weights[0] = bad
+            weights[0] = math.nan
 
         def complementary():
             return ComplementarySet(weights, states)

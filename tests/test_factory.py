@@ -13,13 +13,14 @@ from qdiscrim import (
     generate_from_symmetry_operator,
     generate_qubit_class_element,
     identity_class_example,
+    random_ensemble,
     reconstruct_povm,
     solve_qubit,
     to_bloch,
     verify_kkt,
 )
-from qdiscrim.operators import _eigh
-from qdiscrim.solve import complementary_states
+from qdiscrim.operators import _eigh, purify
+from qdiscrim.solve import ComplementarySet, WeightedEnsemble, complementary_states
 
 from conftest import (
     compose_rotations_unitary,
@@ -210,12 +211,102 @@ class TestGenerateFromSymmetryOperator:
                 [SteeringMeasurement(np.eye(2) / 2), SteeringMeasurement(np.eye(3) / 2)],
                 "steering measurement dimension does not match the operator",
             ),
+            # a raw matrix is validated as a SteeringMeasurement
+            ([np.diag([1.5, 0.0])], "steering outcome must satisfy 0 <= M0 <= I"),
+            ([np.eye(3) / 2], "steering measurement dimension does not match the operator"),
+            ([[[1.0, 0.0], [0.0]]], "matrix is not a rectangular array of numbers"),
         ],
     )
     def test_rejects_invalid_measurements(self, measurements, message):
         with pytest.raises(ValueError) as info:
             generate_from_symmetry_operator(np.eye(2) / 2, measurements)
         assert str(info.value) == message
+
+    def test_raw_matrices_steer_as_measurements(self, rng):
+        k = np.diag([0.5, 0.3, 0.2]).astype(complex)
+        vectors = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        raw = [np.outer(v, v.conj()) for v in vectors] + [np.eye(3)]
+        got = generate_from_symmetry_operator(k, raw)
+        expected = generate_from_symmetry_operator(k, [SteeringMeasurement(m) for m in raw])
+        assert _output_bytes(got) == _output_bytes(expected)
+        assert got.complementary.states[-1] is None  # the identity always fires
+
+    def test_positivity_is_checked_on_the_normalized_operator(self):
+        # -0.8e-10 in K is -1.6e-10 in K / trace(K), beyond the 1e-10 a state allows
+        with pytest.raises(ValueError) as info:
+            generate_from_symmetry_operator(np.diag([0.3, 0.2, -0.8e-10]), [np.eye(3) / 2])
+        assert str(info.value) == "symmetry operator must be positive semidefinite"
+
+
+def _steering_bytes(ensemble, comp, steering_probs):
+    """The bytes of a steered ensemble, its complementary set and its firing probabilities."""
+    return {
+        "priors": ensemble.priors.tobytes(),
+        "states": ensemble.matrices.tobytes(),
+        "complementary weights": comp.weights.tobytes(),
+        "complementary states": [None if s is None else s.matrix.tobytes() for s in comp.states],
+        "steering_probs": np.asarray(steering_probs).tobytes(),
+    }
+
+
+def _output_bytes(out):
+    """The bytes of every array a FactoryOutput holds, field by field."""
+    povm = None if out.povm is None else np.stack([m.matrix for m in out.povm]).tobytes()
+    return _steering_bytes(out.ensemble, out.complementary, out.steering_probs) | {
+        "K": out.symmetry_op.matrix.tobytes(), "povm": povm, "certified": out.certified,
+    }
+
+
+def reference_steering(symmetry_op, measurements):
+    """The former generator, one measurement at a time: each steered operator
+    tr_A[(M (x) I) |psi><psi|] and its state built and checked on its own."""
+    sym = HermitianOperator(symmetry_op)
+    total = sym.trace()
+    psi = purify(DensityOperator(sym.matrix / total)).amplitudes.reshape(sym.dim, sym.dim)
+    fire_probs, states, complements = [], [], []
+    for m in measurements:
+        steered = psi.T @ m.first_outcome.matrix.T @ psi.conj()
+        p = float(np.trace(steered).real)
+        fire_probs.append(p)
+        states.append(DensityOperator(steered / p))
+        if 1 - p <= 1e-12:
+            complements.append(None)
+        else:
+            rest = psi.T @ m.second_outcome.T @ psi.conj()
+            complements.append(DensityOperator(rest / (1 - p)))
+    fire_probs = np.asarray(fire_probs)
+    ensemble = WeightedEnsemble(fire_probs / float(np.sum(fire_probs)), states)
+    return ensemble, ComplementarySet((1.0 - fire_probs) * total, complements), fire_probs
+
+
+class TestStackedSteering:
+    """One product over the stacked measurements reproduces the per-measurement
+    loop bit for bit."""
+
+    @pytest.mark.parametrize("d, count", [(2, 1), (2, 3), (3, 2), (8, 3), (16, 5)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_the_per_measurement_loop(self, d, count, seed):
+        rng = np.random.default_rng([d, count, seed])
+        k = random_ensemble(d, 1, pure=False, seed=seed).matrices[0] * rng.uniform(0.5, 1.0)
+        vectors = rng.standard_normal((count, d)) + 1j * rng.standard_normal((count, d))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        outcomes = [np.outer(v, v.conj()) * rng.uniform(0.2, 1.0) for v in vectors]
+        outcomes[0] = np.eye(d)  # always fires: its complementary state is absent
+        measurements = [SteeringMeasurement(m) for m in outcomes]
+        out = generate_from_symmetry_operator(k, measurements)
+        assert _steering_bytes(out.ensemble, out.complementary, out.steering_probs) == (
+            _steering_bytes(*reference_steering(k, measurements))
+        )
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16])
+    def test_identity_class_matches_the_per_measurement_loop(self, d):
+        out = identity_class_example(d)
+        eye = np.eye(d, dtype=complex)
+        measurements = [SteeringMeasurement(np.outer(e, e.conj())) for e in eye]
+        assert _steering_bytes(out.ensemble, out.complementary, out.steering_probs) == (
+            _steering_bytes(*reference_steering(eye / d, measurements))
+        )
 
 
 class TestGenerateQubitClassElement:
@@ -299,12 +390,31 @@ class TestGenerateQubitClassElement:
             ([2.5, -0.5], [0.5, 0.5], "POVM weights must be non-negative"),
             ([1.0, 1.0], [0.5, 0.4], "priors must be positive and sum to 1"),
             ([1.0, 1.0], [1.5, -0.5], "priors must be positive and sum to 1"),
+            # every check rejects NaN, so no NaN reaches the unchecked closed forms
+            ([1.0, 1.0], [math.nan, 0.5], "priors must be positive and sum to 1"),
+            ([math.nan, 1.0], [0.5, 0.5], "POVM weights must be non-negative"),
         ],
     )
     def test_rejects_malformed_lists(self, weights, priors, message):
         u_pair = [np.array([0, 0, 1.0]), np.array([0, 0, -1.0])]
         with pytest.raises(ValueError) as info:
             generate_qubit_class_element(1.0, np.zeros(3), u_pair, weights, priors)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "center, directions, message",
+        [
+            (np.zeros(4), [[0, 0, 1.0], [0, 0, -1.0]], "center must have 3 components, got 4"),
+            (np.zeros(3), [[0, 0, 1.0, 0], [0, 0, -1.0, 0]],
+             "directions must be an (n, 3) array, got shape (2, 4)"),
+            (np.zeros(3), [[0, 0, math.nan], [0, 0, -1.0]], "directions must be unit vectors"),
+            ([math.nan, 0, 0], [[0, 0, 1.0], [0, 0, -1.0]],
+             "center norm exceeds the target value; operator not PSD"),
+        ],
+    )
+    def test_names_malformed_vectors(self, center, directions, message):
+        with pytest.raises(ValueError) as info:
+            generate_qubit_class_element(1.0, center, directions, [1.0, 1.0], [0.5, 0.5])
         assert str(info.value) == message
 
 

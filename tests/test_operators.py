@@ -15,6 +15,8 @@ from qdiscrim import (
     DensityOperator,
     HermitianOperator,
     PureBipartiteState,
+    SteeringMeasurement,
+    generate_from_symmetry_operator,
     hermitian_eigen,
     is_psd,
     partial_trace,
@@ -334,6 +336,9 @@ class TestPartialTrace:
             ((2, 2), [1.0, 0.0, 0.0], "expected 4 amplitudes, got 3"),
             ((2, 1), [math.nan, 1.0], "amplitudes must be finite"),
             ((1, 2), [1.0, complex(0.0, math.inf)], "amplitudes must be finite"),
+            # int() would truncate 1.5 to a 1 x 2 state holding 3 amplitudes
+            ((1.5, 2), [1.0, 0.0, 0.0], "dim_a must be an integer, got 1.5"),
+            ((2, True), [1.0, 0.0], "dim_b must be an integer, got True"),
         ],
     )
     def test_rejects_malformed_input(self, dims, amplitudes, message):
@@ -640,30 +645,37 @@ class TestDecompositionCounts:
     numpy.linalg.eigh and the values-only numpy.linalg.eigvalsh."""
 
     @staticmethod
-    def _stages(monkeypatch, doc):
-        shapes = {"eigh": [], "eigvalsh": []}
+    def _counter(monkeypatch):
+        """Count both drivers: returns stage(fn, *args) -> (result, counts), and
+        the matrices each driver was given in the last stage, by driver name."""
+        seen = {"eigh": [], "eigvalsh": []}
 
         def counting(name):
             real = getattr(np.linalg, name)
 
             def driver(matrix):
-                shapes[name].append(np.shape(matrix))
+                seen[name].append(np.array(matrix))
                 return real(matrix)
 
             monkeypatch.setattr(np.linalg, name, driver)
 
         def stage(fn, *args):
-            for seen in shapes.values():
-                seen.clear()
+            for recorded in seen.values():
+                recorded.clear()
             result = fn(*args)
             counts = {
-                name: (sum(math.prod(s[:-2]) for s in seen), len(seen))
-                for name, seen in shapes.items()
+                name: (sum(math.prod(m.shape[:-2]) for m in recorded), len(recorded))
+                for name, recorded in seen.items()
             }
             return result, counts
 
         counting("eigh")
         counting("eigvalsh")
+        return stage, seen
+
+    @classmethod
+    def _stages(cls, monkeypatch, doc):
+        stage, _ = cls._counter(monkeypatch)
         ensemble, parse = stage(ensemble_from_json, doc)
         solution, solve_counts = stage(solve, ensemble)
         cert, verify = stage(verify_kkt, ensemble, solution.symmetry_op, solution.povm)
@@ -695,6 +707,23 @@ class TestDecompositionCounts:
         # 2 x 2 eigenvalues, so a qubit request reaches no LAPACK driver at all
         nothing = {"eigh": (0, 0), "eigvalsh": (0, 0)}
         assert parse == solve_counts == verify == nothing
+
+    def test_steering_generate_decomposes_k_twice(self, monkeypatch):
+        # one spectrum checks K's positivity and purify takes the other; the
+        # normalized K is built from data already checked, not checked again
+        rng = np.random.default_rng(8)
+        k = random_ensemble(8, 1, pure=False, seed=8).matrices[0] * 0.7
+        vectors = rng.standard_normal((3, 8)) + 1j * rng.standard_normal((3, 8))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        measurements = [SteeringMeasurement(np.outer(v, v.conj())) for v in vectors]
+        stage, seen = self._counter(monkeypatch)
+        stage(generate_from_symmetry_operator, k, measurements)
+        normalized = k / np.trace(k).real
+        of_k = [
+            name for name, recorded in seen.items() for m in recorded
+            if m.shape == k.shape and (np.allclose(m, k) or np.allclose(m, normalized))
+        ]
+        assert sorted(of_k) == ["eigh", "eigvalsh"]
 
 
 class TestStackedTuples:

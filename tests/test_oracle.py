@@ -55,7 +55,7 @@ class TestDualGridOracle:
             value = dual_grid_oracle(e, resolution)
             assert p - 1e-6 <= value <= p + math.sqrt(3) * resolution
 
-    @pytest.mark.parametrize("resolution", [math.nan, math.inf, -math.inf, -1.0, 0.0])
+    @pytest.mark.parametrize("resolution", [math.nan, math.inf, -math.inf, -1.0, 0.0, "a"])
     def test_rejects_resolution_that_is_not_finite_and_positive(self, resolution):
         e = random_ensemble(2, 3, pure=True, seed=0)
         with pytest.raises(ValueError, match="finite and positive"):
@@ -112,6 +112,18 @@ class TestRandomEnsemble:
             random_ensemble(1, 2, pure=True, seed=0)
         with pytest.raises(ValueError):
             random_ensemble(2, 0, pure=True, seed=0)
+
+    @pytest.mark.parametrize(
+        "dim, size, message",
+        [
+            (2.5, 3, "dim must be an integer, got 2.5"),
+            (2, 3.0, "size must be an integer, got 3.0"),
+        ],
+    )
+    def test_names_a_count_that_is_not_an_integer(self, dim, size, message):
+        with pytest.raises(ValueError) as info:
+            random_ensemble(dim, size, pure=True, seed=0)
+        assert str(info.value) == message
 
     def test_large_sizes_return(self):
         # all 9,999 spacings clear 1e-6 with probability about e^-100: after
@@ -215,6 +227,19 @@ class TestGuessingFromTable:
             ConditionalTable(np.array([[1.5, 0.0], [-0.5, 1.0]]))
         with pytest.raises(ValueError, match="length"):
             guessing_from_table([1.0], ConditionalTable(np.eye(2)))
+
+    @pytest.mark.parametrize(
+        "priors, table, message",
+        [
+            ([0.9, 0.9], np.eye(2), "priors must sum to 1, got 1.8"),
+            ([-1.0, 2.0], np.eye(2), "priors must be strictly positive"),
+            ([], np.zeros((0, 0)), "priors and states must be non-empty and of equal length"),
+        ],
+    )
+    def test_rejects_priors_that_are_not_a_distribution(self, priors, table, message):
+        with pytest.raises(ValueError) as info:
+            guessing_from_table(priors, ConditionalTable(table))
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("entry", [math.nan, math.inf, -math.inf])
     def test_rejects_non_finite_entries_and_priors(self, entry):
