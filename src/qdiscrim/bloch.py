@@ -38,7 +38,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConvergenceError
-from .operators import DensityOperator, _as_matrix
+from .operators import DensityOperator, _as_matrix, _real_array, _trusted
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -91,7 +91,7 @@ def _operators(t, vectors) -> np.ndarray:
 
 def from_bloch(v) -> DensityOperator:
     """Density operator (I + v . sigma)/2 for a Bloch vector with |v| <= 1."""
-    v = np.asarray(v, dtype=float).reshape(-1)
+    v = _real_array(v, "Bloch vector").reshape(-1)
     if len(v) != 3:
         raise ValueError(f"Bloch vector must have 3 components, got {len(v)}")
     if not np.all(np.isfinite(v)):
@@ -350,11 +350,11 @@ def shifted_ball_dual(points, shifts) -> ShiftedBallResult:
     shift 1/N this is the smallest ball enclosing the points: its center
     is center and its radius value - 1/N.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = _real_array(points, "points")
     if pts.shape[-1:] != (3,):
         raise ValueError(f"points must have 3 coordinates each, got shape {pts.shape}")
     pts = pts.reshape(-1, 3)
-    s = np.asarray(shifts, dtype=float).reshape(-1)
+    s = _real_array(shifts, "shifts").reshape(-1)
     if len(pts) != len(s):
         raise ValueError("points and shifts must have equal length")
     if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(s))):
@@ -382,15 +382,5 @@ def shifted_ball_dual(points, shifts) -> ShiftedBallResult:
     gaps = s + np.linalg.norm(pts - k, axis=1)
     t = float(np.max(gaps))
     active = tuple(int(i) for i in np.flatnonzero(gaps >= t - 1e-7 * (1.0 + t)))
-    k = np.array(k, dtype=float)
-    multipliers = np.array(multipliers, dtype=float)
-    for array in (k, multipliers):
-        array.setflags(write=False)
-    return ShiftedBallResult(
-        center=k,
-        value=t,
-        active=active,
-        steps=steps,
-        basis=basis,
-        multipliers=multipliers,
-    )
+    return _trusted(ShiftedBallResult, center=np.array(k, dtype=float), value=t, active=active,
+                    steps=steps, basis=basis, multipliers=np.array(multipliers, dtype=float))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConvergenceError
-from .operators import _as_matrix, _check_tolerance, _eigvalsh
+from .operators import _as_matrix, _check_tolerance, _eigvalsh, _trusted
 from .solve import (
     DEGENERATE_WEIGHT_TOL,
     DiscriminationSolution,
@@ -27,6 +27,12 @@ from .solve import (
 )
 
 ANALYTIC_TOL = 1e-8
+
+
+def _fields_before(obj, name: str) -> dict:
+    """The fields of a dataclass instance before the field name, by name, in order."""
+    names = [f.name for f in fields(obj)]
+    return {n: getattr(obj, n) for n in names[: names.index(name)]}
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,8 +64,7 @@ class KktCertificate:
 
     def residuals(self) -> dict[str, float]:
         """The residuals by name: the fields before tolerance, in order."""
-        names = [f.name for f in fields(self)]
-        return {name: getattr(self, name) for name in names[: names.index("tolerance")]}
+        return _fields_before(self, "tolerance")
 
     def max_residual(self) -> float:
         return max(self.residuals().values())
@@ -88,13 +93,8 @@ class ProbabilityForms:
     steering_probs: np.ndarray
 
     def values(self) -> dict[str, float]:
-        return {
-            "primal": self.primal,
-            "dual": self.dual,
-            "average_weight": self.average_weight,
-            "average_distance": self.average_distance,
-            "steering": self.steering,
-        }
+        """The five forms by name: the fields before steering_probs, in order."""
+        return _fields_before(self, "steering_probs")
 
     def spread(self) -> float:
         vals = list(self.values().values())
@@ -108,22 +108,24 @@ def _peak(values: np.ndarray) -> float:
 
 @np.errstate(over="ignore", invalid="ignore")
 def _certificate_from(
-    ensemble: WeightedEnsemble, k: np.ndarray, povm: np.ndarray, tol: float
+    ensemble: WeightedEnsemble, k: np.ndarray | None, povm: np.ndarray, tol: float
 ) -> KktCertificate:
     """Residuals of a candidate, with every spectrum from one stacked _eigvalsh call.
 
     The call stacks the POVM elements, the gaps K - q_x rho_x and the legacy
     operators sum_y q_y rho_y M_y - q_x rho_x, (3N, d, d); each matrix is
-    decomposed on its own, so the residuals are those of three calls.
+    decomposed on its own, so the residuals are those of three calls. With
+    k None, K is the Hermitian part of sum_y q_y rho_y M_y.
     """
     _check_tolerance(tol)
     q = ensemble.priors
     weighted = q[:, None, None] * ensemble.matrices
+    averaged = (weighted @ povm).sum(axis=0)
+    averaged = (averaged + averaged.conj().T) / 2.0
+    k = averaged if k is None else k
     trace_k = float(np.trace(k).real)
     gaps = k - weighted
     weights = trace_k - q
-    averaged = (weighted @ povm).sum(axis=0)
-    averaged = (averaged + averaged.conj().T) / 2.0
     stack = np.concatenate([povm, gaps, averaged - weighted])
     povm_low, gap_low, legacy_low = _eigvalsh(stack)[:, -1].reshape(3, -1)
 
@@ -179,7 +181,6 @@ def verify_kkt(
     return _certificate_from(ensemble, k, _povm_stack(ensemble, povm), tol)
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def verify_legacy_conditions(
     ensemble: WeightedEnsemble, povm, tol: float = ANALYTIC_TOL
 ) -> KktCertificate:
@@ -189,10 +190,7 @@ def verify_legacy_conditions(
     Hermitian at the optimum; the POVM is read as verify_kkt reads it) and the
     same residuals, so a verdict here agrees with verify_kkt on optimal candidates.
     """
-    povm = _povm_stack(ensemble, povm)
-    k = (ensemble.priors[:, None, None] * ensemble.matrices @ povm).sum(axis=0)
-    k = (k + k.conj().T) / 2.0
-    return _certificate_from(ensemble, k, povm, tol)
+    return _certificate_from(ensemble, None, _povm_stack(ensemble, povm), tol)
 
 
 def probability_forms(
@@ -218,14 +216,9 @@ def probability_forms(
     average_distance = 1.0 / n + float(np.sum(np.abs(_eigvalsh(gaps)))) / n
     steering_probs = q / trace_k
     steering = 1.0 / float(np.sum(steering_probs))
-    return ProbabilityForms(
-        primal=primal,
-        dual=trace_k,
-        average_weight=average_weight,
-        average_distance=average_distance,
-        steering=steering,
-        steering_probs=steering_probs,
-    )
+    return _trusted(ProbabilityForms, primal=primal, dual=trace_k, average_weight=average_weight,
+                    average_distance=average_distance, steering=steering,
+                    steering_probs=steering_probs)
 
 
 def equivalence_check(op_a, op_b, tol: float = 1e-9) -> bool:

@@ -31,8 +31,10 @@ from .operators import (
     PSD_TOL,
     DensityOperator,
     HermitianOperator,
+    _count,
     _eigvalsh,
-    _frozen_real,
+    _real_array,
+    _store,
     _symmetrized,
     _trusted,
     _wrap,
@@ -59,7 +61,7 @@ class SteeringMeasurement:
         values = _eigvalsh(op.matrix)
         if values[-1] < -1e-10 or values[0] > 1 + 1e-10:
             raise ValueError("steering outcome must satisfy 0 <= M0 <= I")
-        object.__setattr__(self, "first_outcome", op)
+        _store(self, first_outcome=op)
 
     @property
     def second_outcome(self) -> np.ndarray:
@@ -136,8 +138,8 @@ def generate_from_symmetry_operator(
     ensemble = WeightedEnsemble(fires / float(np.sum(fires)), steered / fires[:, None, None])
     certified, povm = _certify(ensemble, sym)
     comp = ComplementarySet((1.0 - fires) * total, [next(rest) if keep else None for keep in live])
-    return FactoryOutput(ensemble=ensemble, complementary=comp, steering_probs=fires,
-                         certified=certified, symmetry_op=sym, povm=povm)
+    return _trusted(FactoryOutput, ensemble=ensemble, complementary=comp, steering_probs=fires,
+                    certified=certified, symmetry_op=sym, povm=povm)
 
 
 def generate_qubit_class_element(
@@ -154,14 +156,16 @@ def generate_qubit_class_element(
     1e-9. Every check rejects NaN too, so each output stack is a finite
     closed form, exactly Hermitian, and its states pass by the norm checks.
     """
-    center = np.asarray(center, dtype=float).reshape(-1)
+    if not np.isfinite(value):
+        raise ValueError(f"target value must be finite, got {value!r}")
+    center = _real_array(center, "center").reshape(-1)
     if len(center) != 3:
         raise ValueError(f"center must have 3 components, got {len(center)}")
-    units = np.asarray(directions, dtype=float)
+    units = _real_array(directions, "directions")
     if units.shape[1:] != (3,):
         raise ValueError(f"directions must be an (n, 3) array, got shape {units.shape}")
-    a = np.asarray(povm_weights, dtype=float).reshape(-1)
-    q = np.asarray(priors, dtype=float).reshape(-1)
+    a = _real_array(povm_weights, "POVM weights").reshape(-1)
+    q = _real_array(priors, "priors").reshape(-1)
     if not len(units) == len(a) == len(q):
         raise ValueError("directions, weights and priors must have equal length")
     if not np.all(np.abs(np.linalg.norm(units, axis=1) - 1.0) <= 1e-9):
@@ -184,19 +188,15 @@ def generate_qubit_class_element(
     if outside.any():
         raise ValueError(f"state {int(np.argmax(outside))} would not be positive semidefinite")
 
-    present = np.ones(len(q), dtype=bool)
-    k, states, sigmas, povm = (_operators(value, center), _operators(1.0, blochs),
-                               _operators(1.0, units), a[:, None, None] * _operators(1.0, -units))
-    for array in (weights, present, k, states, sigmas, povm):
-        array.setflags(write=False)
-    symmetry = _trusted(HermitianOperator, matrix=k)
-    ensemble = _trusted(WeightedEnsemble, priors=_frozen_real(q), seed=None, matrices=states)
-    povm = _wrap(povm)
-    comp = _trusted(ComplementarySet, weights=weights, present=present, matrices=sigmas)
+    symmetry = _trusted(HermitianOperator, matrix=_operators(value, center))
+    ensemble = _trusted(WeightedEnsemble, priors=q, seed=None, matrices=_operators(1.0, blochs))
+    povm = _wrap(a[:, None, None] * _operators(1.0, -units))
+    comp = _trusted(ComplementarySet, weights=weights, present=np.ones(len(q), dtype=bool),
+                    matrices=_operators(1.0, units))
     certified = verify_kkt(ensemble, symmetry, povm, tol=1e-9).passed
-    return FactoryOutput(ensemble=ensemble, complementary=comp, steering_probs=q / value,
-                         certified=certified, symmetry_op=symmetry,
-                         povm=povm if certified else None)
+    return _trusted(FactoryOutput, ensemble=ensemble, complementary=comp,
+                    steering_probs=q / value, certified=certified, symmetry_op=symmetry,
+                    povm=povm if certified else None)
 
 
 def identity_class_example(dim: int) -> FactoryOutput:
@@ -206,7 +206,7 @@ def identity_class_example(dim: int) -> FactoryOutput:
     equal priors, complementary states uniform over the other basis
     vectors, and perfect discrimination by the basis measurement.
     """
-    if dim < 2:
+    if _count(dim, "dim") < 2:
         raise ValueError("dimension must be at least 2")
     eye = np.eye(dim, dtype=complex)
     return generate_from_symmetry_operator(eye / dim, [np.diag(e) for e in eye])

@@ -11,6 +11,7 @@ import math
 import numpy as np
 
 from .bloch import from_bloch
+from .operators import _real_array
 from .solve import WeightedEnsemble
 
 REGULAR_TETRAHEDRON = np.array(
@@ -57,6 +58,6 @@ def inscribed_tetrahedron(purity: float, directions=None) -> WeightedEnsemble:
     With the origin inside the tetrahedron the optimum is (1 + purity)/4.
     Defaults to the regular tetrahedron directions.
     """
-    dirs = REGULAR_TETRAHEDRON if directions is None else np.asarray(directions, dtype=float)
+    dirs = REGULAR_TETRAHEDRON if directions is None else _real_array(directions, "directions")
     states = [from_bloch(purity * d) for d in dirs]
     return WeightedEnsemble([1 / 4] * 4, states)

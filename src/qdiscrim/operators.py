@@ -5,7 +5,8 @@ is built on the types and operations here: validated Hermitian operators
 (a state is one), a LAPACK eigensolver with a deterministic order and phase
 convention, trace norm, positivity tests, purification and partial trace.
 
-Matrices are stored as immutable ``numpy`` arrays of ``complex128``.
+Matrices are stored as read-only ``numpy`` arrays of ``complex128``: one
+setter, _store, sets every stored field and freezes its arrays in place.
 Dimensions in scope are small (<= 64). Each operator should be
 diagonalized once: the helpers that need several spectral quantities of
 one matrix take them from a single decomposition. Validation, the
@@ -16,7 +17,7 @@ matrices (_eigvalsh) have a closed form that calls no LAPACK, so with the
 closed-form qubit parse (serialize) a qubit request makes no LAPACK call.
 Collections of operators are stored as such stacks (_matrix_stack builds
 one); their tuples of operators or states are built from the stack on
-first access (_wrap), and every such tuple keeps its stack, which
+first access (_wrap, which freezes the stack), and every such tuple keeps its stack, which
 _matrix_stack hands back without stacking it again.
 
 Matrices are validated where they enter the package: the public
@@ -25,10 +26,12 @@ JSON parse (serialize). A raw matrix is validated as HermitianOperator
 validates it, and an instance of the class being built is taken as it
 is. Lists and stacks of POVM elements pass one intake rule
 (solve._povm_stack: count, dimension, finite entries), with no
-Hermitian check: the certificate's residuals judge them. What the
+Hermitian check: the certificate's residuals judge them. Real vectors,
+weights and priors pass _real_array (a new float array). What the
 package builds from data it knows is valid is built unchecked by
 _trusted (a stack's tuple by _wrap); the checks that can fail on it
-still run (solve._assemble).
+still run (solve._assemble). _store and _wrap freeze only arrays that
+the package built or copied, never an array a caller passed in.
 """
 
 from __future__ import annotations
@@ -62,6 +65,17 @@ def _complex_array(value, what: str = "matrix") -> np.ndarray:
         raise ValueError(f"{what} is not a rectangular array of numbers") from None
 
 
+def _real_array(value, what: str) -> np.ndarray:
+    """value as a new float array; ragged rows, strings, None or complex values raise ValueError."""
+    try:
+        out = np.array(value)
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or out.dtype.kind not in "biuf":
+        raise ValueError(f"{what} is not a rectangular array of real numbers")
+    return out.astype(float, copy=False)
+
+
 def _count(value, name: str) -> int:
     """An integer argument as an int; a bool or any other type raises ValueError naming it."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
@@ -88,16 +102,18 @@ def _matrix_stack(ops, what: str = "matrices") -> np.ndarray:
     return np.stack(matrices) if matrices else np.zeros((0, 0, 0), dtype=complex)
 
 
-def _frozen(array: np.ndarray) -> np.ndarray:
-    out = np.array(array, dtype=complex)
-    out.setflags(write=False)
-    return out
+def _store(obj, **fields):
+    """The one setter of obj's fields; it freezes every ndarray in place, so pass only our own."""
+    for name, value in fields.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
 
 
-def _frozen_real(array: np.ndarray) -> np.ndarray:
-    out = np.array(array, dtype=float)
-    out.setflags(write=False)
-    return out
+def _trusted(cls, **fields):
+    """The one builder of what the package knows is valid: cls with these fields, unchecked."""
+    return _store(object.__new__(cls), **fields)
 
 
 def _symmetrized(m: np.ndarray) -> np.ndarray:
@@ -151,12 +167,12 @@ class HermitianOperator:
 
     def __init__(self, matrix) -> None:
         if isinstance(matrix, HermitianOperator):
-            object.__setattr__(self, "matrix", matrix.matrix)
+            _store(self, matrix=matrix.matrix)
             return
         m = _complex_array(matrix)
         if m.ndim != 2:
             raise ValueError(f"expected a square matrix, got shape {m.shape}")
-        object.__setattr__(self, "matrix", _hermitian_stack(m))
+        _store(self, matrix=_hermitian_stack(m))
 
     @property
     def dim(self) -> int:
@@ -213,7 +229,7 @@ class PureBipartiteState:
         dim_a, dim_b = _count(dim_a, "dim_a"), _count(dim_b, "dim_b")
         if dim_a < 1 or dim_b < 1:
             raise ValueError("subsystem dimensions must be positive")
-        amp = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        amp = np.array(_complex_array(amplitudes, "amplitudes")).reshape(-1)
         if amp.size != dim_a * dim_b:
             raise ValueError(f"expected {dim_a * dim_b} amplitudes, got {amp.size}")
         if not np.all(np.isfinite(amp.real)) or not np.all(np.isfinite(amp.imag)):
@@ -221,9 +237,7 @@ class PureBipartiteState:
         norm = float(np.linalg.norm(amp))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"amplitudes must have unit norm, got {norm!r}")
-        object.__setattr__(self, "dim_a", dim_a)
-        object.__setattr__(self, "dim_b", dim_b)
-        object.__setattr__(self, "amplitudes", _frozen(amp))
+        _store(self, dim_a=dim_a, dim_b=dim_b, amplitudes=amp)
 
 
 def _fix_phases(v: np.ndarray) -> np.ndarray:
@@ -309,7 +323,7 @@ def hermitian_eigen(operator) -> SpectralDecomposition:
     each eigenvector's first non-negligible component is real positive.
     """
     values, vectors = _eigh(_as_matrix(operator))
-    return SpectralDecomposition(_frozen_real(values), _frozen(vectors))
+    return _trusted(SpectralDecomposition, eigenvalues=values, eigenvectors=vectors)
 
 
 def trace_norm(operator) -> float:
@@ -345,18 +359,11 @@ class _StackTuple(tuple):
     stack: np.ndarray
 
 
-def _trusted(cls, **fields):
-    """The one builder of what the package knows is valid: cls with these fields, unchecked."""
-    out = object.__new__(cls)
-    for name, value in fields.items():
-        object.__setattr__(out, name, value)
-    return out
-
-
 def _wrap(stack: np.ndarray, cls=HermitianOperator) -> tuple[HermitianOperator, ...]:
-    """Wrap each matrix of a frozen stack of valid cls matrices, unchecked, keeping the stack."""
+    """Freeze a stack of valid cls matrices and wrap each matrix, unchecked, keeping the stack."""
+    stack.setflags(write=False)
     ops = []
-    for m in stack:  # _trusted inlined: its keyword form costs more per element
+    for m in stack:  # _store inlined: its keyword form costs more per element
         op = object.__new__(cls)
         object.__setattr__(op, "matrix", m)
         ops.append(op)

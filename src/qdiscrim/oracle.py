@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import _bloch_vectors
-from .operators import DensityOperator, _count
+from .operators import DensityOperator, _count, _real_array, _store
 from .solve import WeightedEnsemble, _povm_stack, _priors
 
 _COARSE_STEP = 0.05
@@ -30,7 +30,7 @@ class ConditionalTable:
     probabilities: np.ndarray
 
     def __init__(self, probabilities) -> None:
-        p = np.asarray(probabilities, dtype=float)
+        p = _real_array(probabilities, "table")
         if p.ndim != 2 or p.shape[0] != p.shape[1]:
             raise ValueError(f"expected a square table, got shape {p.shape}")
         if not np.all((p >= -1e-12) & (p <= 1 + 1e-12)):  # NaN too
@@ -38,9 +38,7 @@ class ConditionalTable:
         sums = np.sum(p, axis=0)
         if np.any(np.abs(sums - 1.0) > 1e-10):
             raise ValueError("table columns must sum to 1")
-        p = p.copy()
-        p.setflags(write=False)
-        object.__setattr__(self, "probabilities", p)
+        _store(self, probabilities=p)
 
     @property
     def size(self) -> int:
@@ -170,7 +168,7 @@ def random_ensemble(dim: int, size: int, pure: bool, seed: int) -> WeightedEnsem
 
 def distance_from_uniform(distribution) -> float:
     """Half the total variation between a distribution and the uniform one."""
-    p = np.asarray(distribution, dtype=float).reshape(-1)
+    p = _real_array(distribution, "distribution").reshape(-1)
     if not np.all(p >= -1e-12):  # NaN too
         raise ValueError("probabilities must be non-negative")
     if abs(float(np.sum(p)) - 1.0) > 1e-9:
@@ -186,7 +184,7 @@ def guessing_from_table(priors, table: ConditionalTable) -> TableGuessing:
     which reproduces the diagonal form whenever the diagonal-dominance
     premise holds; premise violations are flagged, not raised.
     """
-    q = np.asarray(priors, dtype=float).reshape(-1)
+    q = _real_array(priors, "priors").reshape(-1)
     if not np.isfinite(q).all():
         raise ValueError("priors must be finite")
     q = _priors(q, table.size)

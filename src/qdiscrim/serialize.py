@@ -255,7 +255,7 @@ def ensemble_from_json(obj) -> WeightedEnsemble:
 
 
 def _states_from_rounded(h: np.ndarray) -> np.ndarray:
-    """The frozen state stack of parsed Hermitian matrices, absorbing rounding up to 1e-8.
+    """The state stack of parsed Hermitian matrices, absorbing rounding up to 1e-8.
 
     Each matrix is normalized to unit trace. Qubits are rebuilt from their
     Bloch vectors in closed form (_qubit_states), so parsing a qubit
@@ -279,7 +279,7 @@ def _states_from_rounded(h: np.ndarray) -> np.ndarray:
 
 
 def _qubit_states(rho: np.ndarray) -> np.ndarray:
-    """The frozen states of unit-trace qubit matrices I/2 + h . sigma, with no eigensolver.
+    """The states of unit-trace qubit matrices I/2 + h . sigma, with no eigensolver.
 
     Their eigenvalues are 1/2 +- |h|. The state (I + h/max(|h|, 1/2) . sigma)/2
     is that spectrum clipped at zero and renormalized, as _state_stack
@@ -289,9 +289,7 @@ def _qubit_states(rho: np.ndarray) -> np.ndarray:
     half_bloch = _bloch_vectors(rho / 2.0)
     norms = np.hypot(np.hypot(half_bloch[:, 0], half_bloch[:, 1]), half_bloch[:, 2])
     _reject_negative(0.5 - norms)
-    states = _operators(1.0, half_bloch / np.maximum(norms, 0.5)[:, None])
-    states.setflags(write=False)
-    return states
+    return _operators(1.0, half_bloch / np.maximum(norms, 0.5)[:, None])
 
 
 def _reject_negative(smallest: np.ndarray) -> None:

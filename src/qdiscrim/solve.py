@@ -22,7 +22,8 @@ known solver and are rejected; the certificate module can still check
 externally supplied candidates.
 
 Ensembles, complementary sets and solutions store their operators as
-read-only stacks (N, d, d), which every layer reads. Their states and
+read-only stacks (N, d, d), which every layer reads; operators._store
+sets every field and freezes each array it stores. Their states and
 povm tuples stay: one built from a stack wraps them on first access, in
 one pass, into a tuple that keeps the stack. A state is a HermitianOperator.
 
@@ -63,7 +64,9 @@ from .operators import (
     _hermitian_stack,
     _matrix_stack,
     _negative_part_and_projector,
+    _real_array,
     _state_stack,
+    _store,
     _trusted,
     _wrap,
 )
@@ -80,15 +83,14 @@ def _missing(obj, name: str) -> AttributeError:
 
 
 def _priors(priors, size: int) -> np.ndarray:
-    """Priors for size states as a frozen float array: non-empty, positive, summing to 1."""
-    q = np.array(priors, dtype=float).reshape(-1)
+    """Priors for size states as a new float array: non-empty, positive, summing to 1."""
+    q = _real_array(priors, "priors").reshape(-1)
     if len(q) != size or size == 0:
         raise ValueError("priors and states must be non-empty and of equal length")
     if not np.all(q > 0):  # NaN too
         raise ValueError("priors must be strictly positive")
     if abs(float(np.sum(q)) - 1.0) > 1e-10:
         raise ValueError(f"priors must sum to 1, got {float(np.sum(q))!r}")
-    q.setflags(write=False)
     return q
 
 
@@ -112,18 +114,14 @@ class WeightedEnsemble:
             s if isinstance(s, DensityOperator) else DensityOperator(s) for s in states
         )
         q = _priors(priors, len(states))
-        matrices = _matrix_stack(states, "states")
-        matrices.setflags(write=False)
-        object.__setattr__(self, "priors", q)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "matrices", matrices)
+        _store(self, priors=q, states=states, seed=seed,
+               matrices=_matrix_stack(states, "states"))
 
     def __getattr__(self, name: str):
         if name != "states":
             raise _missing(self, name)
         states = _wrap(self.matrices, DensityOperator)
-        object.__setattr__(self, "states", states)
+        _store(self, states=states)
         return states
 
     @property
@@ -177,26 +175,21 @@ class ComplementarySet:
 
     def __init__(self, weights, states) -> None:
         states = tuple(None if s is None else DensityOperator(s) for s in states)
-        w = np.array(weights, dtype=float).reshape(-1)
+        w = _real_array(weights, "weights").reshape(-1)
         if len(w) != len(states):
             raise ValueError(f"expected {len(states)} weights, got {len(w)}")
         if not np.isfinite(w).all():
             raise ValueError("weights must be finite")
-        present = np.array([s is not None for s in states], dtype=bool)
-        matrices = _matrix_stack([s for s in states if s is not None], "states")
-        for array in (w, present, matrices):
-            array.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "present", present)
-        object.__setattr__(self, "matrices", matrices)
+        _store(self, weights=w, states=states,
+               present=np.array([s is not None for s in states], dtype=bool),
+               matrices=_matrix_stack([s for s in states if s is not None], "states"))
 
     def __getattr__(self, name: str):
         if name != "states":
             raise _missing(self, name)
         wrapped = iter(_wrap(self.matrices, DensityOperator))
         states = tuple(next(wrapped) if keep else None for keep in self.present)
-        object.__setattr__(self, "states", states)
+        _store(self, states=states)
         return states
 
     @cached_property
@@ -205,9 +198,7 @@ class ComplementarySet:
             values, vectors = _eigh(self.matrices)
         else:
             values, vectors = np.zeros((0, 0)), np.zeros((0, 0, 0), dtype=complex)
-        values.setflags(write=False)
-        vectors.setflags(write=False)
-        return SpectralDecomposition(values, vectors)
+        return _trusted(SpectralDecomposition, eigenvalues=values, eigenvectors=vectors)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,9 +207,10 @@ class DiscriminationSolution:
 
     povm_matrices is the read-only POVM stack (N, d, d). A solution built
     from a stack (the solvers) wraps its povm tuple on first access. The
-    constructor makes symmetry_op and each POVM element an operator, and
-    rejects POVM elements or complementary states of another dimension
-    than K, and a complementary set of another size than the POVM.
+    constructor reads p_guess as a float, makes symmetry_op and each POVM
+    element an operator, and rejects POVM elements or complementary states
+    of another dimension than K, and a complementary set of another size
+    than the POVM.
     """
 
     p_guess: float
@@ -233,7 +225,6 @@ class DiscriminationSolution:
             m if isinstance(m, HermitianOperator) else HermitianOperator(m) for m in povm
         )
         matrices = _matrix_stack(povm, "POVM elements")
-        matrices.setflags(write=False)
         sym = HermitianOperator(symmetry_op)
         d, n, comp = sym.dim, len(matrices), complementary
         for what, stack in (("POVM element", matrices), ("complementary state", comp.matrices)):
@@ -241,18 +232,14 @@ class DiscriminationSolution:
                 raise ValueError(f"{what} shape {stack.shape[1:]} does not match dimension {d}")
         if len(comp.present) != n:
             raise ValueError(f"expected {n} complementary states, got {len(comp.present)}")
-        object.__setattr__(self, "p_guess", p_guess)
-        object.__setattr__(self, "symmetry_op", sym)
-        object.__setattr__(self, "complementary", complementary)
-        object.__setattr__(self, "povm", povm)
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "povm_matrices", matrices)
+        _store(self, p_guess=float(p_guess), symmetry_op=sym, complementary=complementary,
+               povm=povm, support=support, povm_matrices=matrices)
 
     def __getattr__(self, name: str):
         if name != "povm":
             raise _missing(self, name)
         povm = _wrap(self.povm_matrices)
-        object.__setattr__(self, "povm", povm)
+        _store(self, povm=povm)
         return povm
 
 
@@ -285,12 +272,10 @@ def complementary_states(symmetry_op, ensemble: WeightedEnsemble) -> Complementa
         smallest = values[x, -1] / weights[x]
         raise InfeasibleDualError(f"operator has negative eigenvalue {smallest:.3e}")
     vectors = vectors[live]
-    weights = np.maximum(weights, 0.0)
-    for array in (weights, live, scaled, vectors):
-        array.setflags(write=False)
-    return _trusted(ComplementarySet, weights=weights, present=live,
+    return _trusted(ComplementarySet, weights=np.maximum(weights, 0.0), present=live,
                     matrices=_state_stack(scaled, vectors),
-                    spectra=SpectralDecomposition(scaled, vectors))
+                    spectra=_trusted(SpectralDecomposition, eigenvalues=scaled,
+                                     eigenvectors=vectors))
 
 
 def reconstruct_povm(
@@ -453,10 +438,8 @@ def helstrom_two_state(ensemble: WeightedEnsemble) -> DiscriminationSolution:
     live = weights > DEGENERATE_WEIGHT_TOL
     gaps = np.stack([-values, values])[live]
     states = _state_stack(gaps, np.broadcast_to(vectors, (2, *vectors.shape))[live])
-    weights = np.maximum(weights, 0.0)
-    weights.setflags(write=False)
-    live.setflags(write=False)
-    comp = _trusted(ComplementarySet, weights=weights, present=live, matrices=states)
+    comp = _trusted(ComplementarySet, weights=np.maximum(weights, 0.0), present=live,
+                    matrices=states)
     return _assemble(ensemble, sym, comp, _hermitian_stack(np.stack([m1, m2])))
 
 
@@ -478,9 +461,7 @@ def solve_qubit(ensemble: WeightedEnsemble) -> DiscriminationSolution:
         raise UnsupportedInstanceError("qubit solver applies to qubit ensembles only")
     points = ensemble.priors[:, None] * _bloch_vectors(ensemble.matrices)
     result = shifted_ball_dual(points, ensemble.priors)
-    k = _operators(result.value, result.center)
-    k.setflags(write=False)
-    sym = _trusted(HermitianOperator, matrix=k)
+    sym = _trusted(HermitianOperator, matrix=_operators(result.value, result.center))
     weights, live, units = _qubit_complementary(
         sym.trace(), result.center, points, ensemble.priors
     )
@@ -509,8 +490,8 @@ def _qubit_complementary(
     DUAL_FEASIBILITY_TOL bound applies, the one verify_kkt checks: the
     relative COMPLEMENTARY_NOISE_TOL bound of complementary_states guards
     against eigensolver noise divided by a small r_x, and a closed form
-    has none. Returns the frozen weights (N,) and present-state mask,
-    and the Bloch vectors u_x (L, 3) of the present states.
+    has none. Returns the weights (N,) and present-state mask, and the
+    Bloch vectors u_x (L, 3) of the present states.
     """
     weights = total - priors
     offsets = center - points
@@ -524,10 +505,7 @@ def _qubit_complementary(
         )
     live = weights > DEGENERATE_WEIGHT_TOL
     units = offsets[live] / np.maximum(weights[live], lengths[live])[:, None]
-    weights = np.maximum(weights, 0.0)
-    weights.setflags(write=False)
-    live.setflags(write=False)
-    return weights, live, units
+    return np.maximum(weights, 0.0), live, units
 
 
 def _basis_povm(

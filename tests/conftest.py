@@ -17,6 +17,8 @@ from qdiscrim import (
 from qdiscrim.bloch import _bloch_vectors, _min_norm_point, _operators
 from qdiscrim.operators import hermitian_eigen
 
+NOT_REAL = "is not a rectangular array of real numbers"  # the tail of operators._real_array's rejection
+
 
 def convex_weights_for_center(points, center, tol: float = 1e-9) -> np.ndarray:
     """Weights over points whose combination is center: Wolfe with an argmin oracle."""

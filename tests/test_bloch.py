@@ -27,6 +27,7 @@ from qdiscrim.families import (
 )
 
 from conftest import (
+    NOT_REAL,
     convex_weights_for_center,
     random_rotation_3d,
     reference_min_enclosing_ball,
@@ -242,6 +243,11 @@ class TestBlochConversion:
             from_bloch(v)
         assert str(info.value) == f"Bloch vector must have 3 components, got {len(v)}"
 
+    @pytest.mark.parametrize("v", [np.array([0.9j, 0, 0]), ["1", 0, 0], [[0, 0], [1]], None])
+    def test_from_bloch_names_a_vector_that_is_not_real(self, v):
+        with pytest.raises(ValueError, match=f"^Bloch vector {NOT_REAL}$"):
+            from_bloch(v)
+
     def test_to_bloch_rejects_other_dimensions(self):
         rho = DensityOperator(HermitianOperator(np.eye(3) / 3))
         with pytest.raises(ValueError, match="qubit"):
@@ -434,6 +440,14 @@ class TestShiftedBallDual:
             shifted_ball_dual(points, [1.0])
         shape = np.shape(points)
         assert str(info.value) == f"points must have 3 coordinates each, got shape {shape}"
+
+    @pytest.mark.parametrize(
+        "points, shifts, what",
+        [([[0, 0, 1.0], [0, 1.0]], [0.5, 0.5], "points"), ([[0, 0, 1.0]], ["1"], "shifts")],
+    )
+    def test_names_arguments_that_are_not_real(self, points, shifts, what):
+        with pytest.raises(ValueError, match=f"^{what} {NOT_REAL}$"):
+            shifted_ball_dual(points, shifts)
 
     def test_single_point_is_certain(self):
         v = np.array([0.3, -0.2, 0.4])

@@ -23,6 +23,7 @@ from qdiscrim.operators import _eigh, purify
 from qdiscrim.solve import ComplementarySet, WeightedEnsemble, complementary_states
 
 from conftest import (
+    NOT_REAL,
     compose_rotations_unitary,
     random_class_element_params,
     steering_measurement_for_state,
@@ -90,6 +91,12 @@ class TestIdentityClassExample:
     def test_rejects_dimension_one(self):
         with pytest.raises(ValueError):
             identity_class_example(1)
+
+    @pytest.mark.parametrize("dim", [2.5, True, "3"])
+    def test_names_a_dimension_that_is_not_an_integer(self, dim):
+        with pytest.raises(ValueError) as info:
+            identity_class_example(dim)
+        assert str(info.value) == f"dim must be an integer, got {dim!r}"
 
 
 class TestGenerateFromSymmetryOperator:
@@ -393,6 +400,8 @@ class TestGenerateQubitClassElement:
             # every check rejects NaN, so no NaN reaches the unchecked closed forms
             ([1.0, 1.0], [math.nan, 0.5], "priors must be positive and sum to 1"),
             ([math.nan, 1.0], [0.5, 0.5], "POVM weights must be non-negative"),
+            ([[1.0], [1.0, 0.0]], [0.5, 0.5], f"POVM weights {NOT_REAL}"),
+            ([1.0, 1.0], ["0.5", "0.5"], f"priors {NOT_REAL}"),
         ],
     )
     def test_rejects_malformed_lists(self, weights, priors, message):
@@ -410,12 +419,21 @@ class TestGenerateQubitClassElement:
             (np.zeros(3), [[0, 0, math.nan], [0, 0, -1.0]], "directions must be unit vectors"),
             ([math.nan, 0, 0], [[0, 0, 1.0], [0, 0, -1.0]],
              "center norm exceeds the target value; operator not PSD"),
+            (np.array([0.9j, 0, 0]), [[0, 0, 1.0], [0, 0, -1.0]], f"center {NOT_REAL}"),
+            (np.zeros(3), [[0, 0, 1.0], [0, 1.0]], f"directions {NOT_REAL}"),
         ],
     )
     def test_names_malformed_vectors(self, center, directions, message):
         with pytest.raises(ValueError) as info:
             generate_qubit_class_element(1.0, center, directions, [1.0, 1.0], [0.5, 0.5])
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_names_a_non_finite_target_value(self, value):
+        u_pair = [[0, 0, 1.0], [0, 0, -1.0]]
+        with pytest.raises(ValueError) as info:
+            generate_qubit_class_element(value, np.zeros(3), u_pair, [1.0, 1.0], [0.5, 0.5])
+        assert str(info.value) == f"target value must be finite, got {value!r}"
 
 
 def reference_kernel_rank_ones(sigma, dim):

@@ -339,6 +339,8 @@ class TestPartialTrace:
             # int() would truncate 1.5 to a 1 x 2 state holding 3 amplitudes
             ((1.5, 2), [1.0, 0.0, 0.0], "dim_a must be an integer, got 1.5"),
             ((2, True), [1.0, 0.0], "dim_b must be an integer, got True"),
+            ((2, 1), [1.0, "x"], "amplitudes is not a rectangular array of numbers"),
+            ((2, 1), [[1.0], [0.0, 0.0]], "amplitudes is not a rectangular array of numbers"),
         ],
     )
     def test_rejects_malformed_input(self, dims, amplitudes, message):

@@ -18,6 +18,8 @@ from qdiscrim import (
 )
 from qdiscrim.families import isosceles_triple, trine
 
+from conftest import NOT_REAL
+
 
 class TestDualGridOracle:
     def test_trine_value(self):
@@ -168,6 +170,11 @@ class TestDistanceFromUniform:
         with pytest.raises(ValueError):
             distance_from_uniform(p)
 
+    @pytest.mark.parametrize("p", [["0.5", "0.5"], [[0.5], [0.25, 0.25]], [0.5, 0.5j]])
+    def test_names_entries_that_are_not_real(self, p):
+        with pytest.raises(ValueError, match=f"^distribution {NOT_REAL}$"):
+            distance_from_uniform(p)
+
 
 class TestGuessingFromTable:
     def test_identity_table(self):
@@ -234,6 +241,8 @@ class TestGuessingFromTable:
             ([0.9, 0.9], np.eye(2), "priors must sum to 1, got 1.8"),
             ([-1.0, 2.0], np.eye(2), "priors must be strictly positive"),
             ([], np.zeros((0, 0)), "priors and states must be non-empty and of equal length"),
+            (["0.5", "0.5"], np.eye(2), f"priors {NOT_REAL}"),
+            ([0.5, 0.5], [[1.0, 0.0], [0.0]], f"table {NOT_REAL}"),
         ],
     )
     def test_rejects_priors_that_are_not_a_distribution(self, priors, table, message):

@@ -38,6 +38,7 @@ from qdiscrim.families import (
 from qdiscrim.operators import _hermitian_stack, _wrap
 
 from conftest import (
+    NOT_REAL,
     assert_basis_povm_matches_kernel_search,
     compose_rotations_unitary,
     convex_weights_for_center,
@@ -88,6 +89,13 @@ class TestWeightedEnsemble:
         with pytest.raises(ValueError, match="strictly positive"):
             WeightedEnsemble(priors, [ZERO, PLUS])
 
+    @pytest.mark.parametrize(
+        "priors", [["0.25", "0.75"], [0.5, 0.5j], [[0.5], [0.25, 0.25]], None]
+    )
+    def test_rejects_priors_that_are_not_real_numbers(self, priors):
+        with pytest.raises(ValueError, match=f"^priors {NOT_REAL}$"):
+            WeightedEnsemble(priors, [ZERO, PLUS])
+
 
 class TestComplementarySetConstructor:
     """ComplementarySet validates its arguments as WeightedEnsemble does."""
@@ -95,12 +103,14 @@ class TestComplementarySetConstructor:
     @pytest.mark.parametrize(
         "weights, states, message",
         [
-            ([0.5, "x"], [PLUS, None], "could not convert"),
+            ([0.5, "x"], [PLUS, None], "weights is not a rectangular array of real numbers"),
             ([0.5, math.nan], [PLUS, None], "finite"),
             ([0.5, 0.5, 0.5], [PLUS, None], "expected 2 weights, got 3"),
             ([0.5, 0.5], [3 * np.eye(2), None], "trace 1"),
             ([0.5], [np.array([[0.5, 0.2], [0.0, 0.5]])], "not Hermitian"),
             ([0.5, 0.5], [PLUS, np.eye(3) / 3], "states must share one dimension"),
+            ([0.5, 0.5j], [PLUS, None], f"weights {NOT_REAL}"),
+            ([[0.5], [0.5, 0.1]], [PLUS, None], f"weights {NOT_REAL}"),
         ],
     )
     def test_rejects_defective_arguments(self, weights, states, message):
@@ -256,6 +266,10 @@ class TestSolveQubitEqualPriors:
             sol = solve_qubit(e)
             assert sol.p_guess == pytest.approx(0.25 + purity / 4, abs=1e-12)
             assert_solution_contract(e, sol)
+
+    def test_tetrahedron_names_directions_that_are_not_real(self):
+        with pytest.raises(ValueError, match=f"^directions {NOT_REAL}$"):
+            inscribed_tetrahedron(0.5, [[0, 0, 1.0], [0, 1.0]])
 
     def test_shrunken_sphere_family(self, rng):
         # equal-purity directions whose hull contains the origin: value 1/N + f/N
