@@ -193,23 +193,19 @@ def verify_legacy_conditions(
     return _certificate_from(ensemble, None, _povm_stack(ensemble, povm), tol)
 
 
-def probability_forms(
-    ensemble: WeightedEnsemble, solution: DiscriminationSolution
-) -> ProbabilityForms:
-    """Evaluate the five guessing-probability expressions on a solution.
+def probability_forms(solution: DiscriminationSolution) -> ProbabilityForms:
+    """Evaluate the five guessing-probability expressions on a solution and its ensemble.
 
     Meaningful when the solution certificate passes; on a failing
     candidate the spread between the forms is the interesting output.
-    Its POVM passes the intake rule of every measurement (solve._povm_stack):
-    a solution of another size or dimension than the ensemble raises ValueError.
     """
+    ensemble = solution.ensemble
     q = ensemble.priors
     rhos = ensemble.matrices
     n = ensemble.size
-    povm = _povm_stack(ensemble, solution.povm_matrices)
     k = solution.symmetry_op.matrix
-    trace_k = float(np.trace(k).real)
-    primal = float(q @ np.einsum("xij,xji->x", povm, rhos).real)
+    trace_k = solution.p_guess
+    primal = float(q @ np.einsum("xij,xji->x", solution.povm_matrices, rhos).real)
     weights = trace_k - q
     average_weight = 1.0 / n + float(np.sum(weights)) / n
     gaps = k - q[:, None, None] * rhos

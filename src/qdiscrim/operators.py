@@ -66,12 +66,12 @@ def _complex_array(value, what: str = "matrix") -> np.ndarray:
 
 
 def _real_array(value, what: str) -> np.ndarray:
-    """value as a new float array; ragged rows, strings, None or complex values raise ValueError."""
+    """value as a new float array; ragged rows or an entry not an int or float raise ValueError."""
     try:
         out = np.array(value)
     except (TypeError, ValueError, OverflowError):
         out = None
-    if out is None or out.dtype.kind not in "biuf":
+    if out is None or out.dtype.kind not in "iuf":
         raise ValueError(f"{what} is not a rectangular array of real numbers")
     return out.astype(float, copy=False)
 
@@ -332,7 +332,7 @@ def trace_norm(operator) -> float:
 
 
 def _check_tolerance(tol) -> None:
-    if not (tol >= 0 and np.isfinite(tol)):
+    if isinstance(tol, (bool, np.bool_)) or not (tol >= 0 and np.isfinite(tol)):
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
 
 
@@ -387,12 +387,13 @@ def _state_stack(values: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     return _symmetrized(rebuilt)
 
 
-def purify(rho: DensityOperator) -> PureBipartiteState:
-    """Pure state on A tensor B whose partial trace over A recovers rho.
+def purify(rho) -> PureBipartiteState:
+    """Pure state on A tensor B whose partial trace over A recovers the state rho.
 
     Built in the eigenbasis with amplitudes sqrt(lambda_i) and zero
     phases: psi = sum_i sqrt(lambda_i) |i>_A |v_i>_B.
     """
+    rho = DensityOperator(rho)
     values, vectors = _eigh(rho.matrix)
     amp = (vectors * np.sqrt(np.maximum(values, 0.0))).T.reshape(-1)
     amp = amp / np.linalg.norm(amp)

@@ -308,11 +308,11 @@ def solution_to_json(solution: DiscriminationSolution) -> dict:
         for r, present in zip(comp.weights.tolist(), comp.present.tolist())
     ]
     return {
-        "p_guess": float(solution.p_guess),
+        "p_guess": solution.p_guess,
         "K": matrix_to_json(solution.symmetry_op),
         "complementary": complementary,
         "povm": _stack_to_json(solution.povm_matrices),
-        "support": [int(x) for x in solution.support],
+        "support": list(solution.support),
     }
 
 

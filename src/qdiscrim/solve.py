@@ -1,25 +1,25 @@
 """Minimum-error discrimination solvers.
 
-Produces complete solutions: guessing probability, the unique symmetry
-operator of the dual problem, complementary states, an optimal POVM and
-its support. Closed forms cover a single state or dimension one, two
-states in any dimension and arbitrary qubit ensembles, through one exact
-shifted-ball dual for every prior in solve_qubit (equal priors are equal
-shifts, and the dual is the paper's minimum enclosing ball). On qubits the
-dual's center and value give the complementary states in closed form
-and its basis gives the POVM, so a qubit solve diagonalizes no gap. Two
-states read everything, the complementary states too, off the one
-spectrum of q1 rho1 - q2 rho2, whose negative and positive parts are the
-gaps K - q_x rho_x. Otherwise complementary_states diagonalizes the gaps
-in one stacked call. Given only a symmetry operator, one exact
-search in any dimension finds an optimal POVM on the kernels of the
-complementary states (reconstruct_povm): Wolfe's minimum-norm point over
-the rank-one projectors on the kernels, whose oracle is a smallest
-eigenvector, either builds the POVM or separates I/d from every
-measurement on the kernels. The generators use it.
-Ensembles of three or more states in dimension three or higher have no
-known solver and are rejected; the certificate module can still check
-externally supplied candidates.
+A solution is its ensemble, the unique symmetry operator K of the dual
+problem and an optimal POVM; its value (trace K), support and
+complementary states are read off them. Closed forms cover a single
+state or dimension one, two states in any dimension and arbitrary qubit
+ensembles, through one exact shifted-ball dual for every prior in
+solve_qubit (equal priors are equal shifts, and the dual is the paper's
+minimum enclosing ball). On qubits the dual's center and value give the
+complementary states in closed form and its basis gives the POVM, so a
+qubit solve diagonalizes no gap. Two states read everything, the
+complementary states too, off the one spectrum of q1 rho1 - q2 rho2,
+whose negative and positive parts are the gaps K - q_x rho_x. Otherwise
+complementary_states diagonalizes the gaps in one stacked call. Given
+only a symmetry operator, one exact search in any dimension finds an
+optimal POVM on the kernels of the complementary states
+(reconstruct_povm): Wolfe's minimum-norm point over the rank-one
+projectors on the kernels, whose oracle is a smallest eigenvector,
+either builds the POVM or separates I/d from every measurement on the
+kernels. The generators use it. Ensembles of three or more states in
+dimension three or higher have no known solver and are rejected; the
+certificate module can still check externally supplied candidates.
 
 Ensembles, complementary sets and solutions store their operators as
 read-only stacks (N, d, d), which every layer reads; operators._store
@@ -203,37 +203,26 @@ class ComplementarySet:
 
 @dataclass(frozen=True, eq=False)
 class DiscriminationSolution:
-    """A solved instance: value, dual optimum, complementary states, POVM.
+    """A solved instance: the ensemble, the dual optimum K and an optimal POVM.
 
-    povm_matrices is the read-only POVM stack (N, d, d). A solution built
-    from a stack (the solvers) wraps its povm tuple on first access. The
-    constructor reads p_guess as a float, makes symmetry_op and each POVM
-    element an operator, and rejects POVM elements or complementary states
-    of another dimension than K, and a complementary set of another size
-    than the POVM.
+    p_guess is trace K; support lists the elements with an entry above
+    DEGENERATE_WEIGHT_TOL; complementary is complementary_states(K, ensemble),
+    handed over by the solvers, and raises on first access for an infeasible K.
+    povm_matrices is the read-only POVM stack (N, d, d), wrapped as povm on
+    first access. K and the POVM enter through _povm_stack and _hermitian_stack.
     """
 
-    p_guess: float
+    ensemble: WeightedEnsemble
     symmetry_op: HermitianOperator
-    complementary: ComplementarySet
     povm: tuple[HermitianOperator, ...]
-    support: tuple[int, ...]
     povm_matrices: np.ndarray = field(init=False, repr=False)
 
-    def __init__(self, p_guess, symmetry_op, complementary, povm, support) -> None:
-        povm = tuple(
-            m if isinstance(m, HermitianOperator) else HermitianOperator(m) for m in povm
-        )
-        matrices = _matrix_stack(povm, "POVM elements")
+    def __init__(self, ensemble, symmetry_op, povm) -> None:
         sym = HermitianOperator(symmetry_op)
-        d, n, comp = sym.dim, len(matrices), complementary
-        for what, stack in (("POVM element", matrices), ("complementary state", comp.matrices)):
-            if len(stack) and stack.shape[1:] != (d, d):
-                raise ValueError(f"{what} shape {stack.shape[1:]} does not match dimension {d}")
-        if len(comp.present) != n:
-            raise ValueError(f"expected {n} complementary states, got {len(comp.present)}")
-        _store(self, p_guess=float(p_guess), symmetry_op=sym, complementary=complementary,
-               povm=povm, support=support, povm_matrices=matrices)
+        if sym.dim != ensemble.dim:
+            raise ValueError("operator dimension does not match the ensemble")
+        matrices = _hermitian_stack(_povm_stack(ensemble, povm), field="povm[{}]")
+        _store(self, ensemble=ensemble, symmetry_op=sym, povm_matrices=matrices)
 
     def __getattr__(self, name: str):
         if name != "povm":
@@ -241,6 +230,19 @@ class DiscriminationSolution:
         povm = _wrap(self.povm_matrices)
         _store(self, povm=povm)
         return povm
+
+    @property
+    def p_guess(self) -> float:
+        return self.symmetry_op.trace()
+
+    @cached_property
+    def support(self) -> tuple[int, ...]:
+        peaks = np.max(np.abs(self.povm_matrices), axis=(1, 2))
+        return tuple(int(x) for x in np.flatnonzero(peaks > DEGENERATE_WEIGHT_TOL))
+
+    @cached_property
+    def complementary(self) -> ComplementarySet:
+        return complementary_states(self.symmetry_op, self.ensemble)
 
 
 def complementary_states(symmetry_op, ensemble: WeightedEnsemble) -> ComplementarySet:
@@ -380,7 +382,7 @@ def _assemble(
     _hermitian_stack, or Hermitian by construction. The POVM must sum to
     the identity and be positive semidefinite (the eigenvalue check also
     raises ConvergenceError on non-finite entries), and trace K must lie
-    in [max q_x, 1].
+    in [max q_x, 1]. comp, which the solver built from sym, is handed over.
     """
     p_guess = sym.trace()
 
@@ -392,10 +394,8 @@ def _assemble(
     if not (q_max - 1e-9 <= p_guess <= 1.0 + 1e-9):
         raise InfeasibleDualError(f"guessing probability {p_guess} outside [max q_x, 1]")
 
-    peaks = np.max(np.abs(matrices), axis=(1, 2))
-    support = tuple(int(x) for x in np.flatnonzero(peaks > DEGENERATE_WEIGHT_TOL))
-    return _trusted(DiscriminationSolution, p_guess=p_guess, symmetry_op=sym,
-                    complementary=comp, support=support, povm_matrices=matrices)
+    return _trusted(DiscriminationSolution, ensemble=ensemble, symmetry_op=sym,
+                    complementary=comp, povm_matrices=matrices)
 
 
 def _trivial_solution(ensemble: WeightedEnsemble) -> DiscriminationSolution:

@@ -228,7 +228,7 @@ def test_criterion_8_probability_forms_and_table_identity():
 
         premise_checked = 0
         for e, sol in instances:
-            forms = probability_forms(e, sol)
+            forms = probability_forms(sol)
             assert forms.spread() <= 1e-8
 
             table = conditional_table_from_povm(e, sol.povm)

@@ -243,7 +243,9 @@ class TestBlochConversion:
             from_bloch(v)
         assert str(info.value) == f"Bloch vector must have 3 components, got {len(v)}"
 
-    @pytest.mark.parametrize("v", [np.array([0.9j, 0, 0]), ["1", 0, 0], [[0, 0], [1]], None])
+    @pytest.mark.parametrize(
+        "v", [np.array([0.9j, 0, 0]), ["1", 0, 0], [[0, 0], [1]], None, [True, False, False]]
+    )
     def test_from_bloch_names_a_vector_that_is_not_real(self, v):
         with pytest.raises(ValueError, match=f"^Bloch vector {NOT_REAL}$"):
             from_bloch(v)

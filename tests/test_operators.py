@@ -254,7 +254,7 @@ class TestIsPsd:
         with pytest.raises(ValueError):
             is_psd(HermitianOperator(np.eye(2)), -1.0)
 
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -math.inf])
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0, -math.inf, True, np.True_])
     def test_tolerance_must_be_finite_and_non_negative(self, tol):
         with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
             is_psd(np.eye(2), tol)
@@ -276,6 +276,10 @@ class TestPurification:
         psi = purify(rho)
         bell = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
         assert np.max(np.abs(psi.amplitudes - bell)) <= 1e-12
+        # a raw state is read as DensityOperator reads it
+        assert np.array_equal(purify(np.eye(2) / 2).amplitudes, psi.amplitudes)
+        with pytest.raises(ValueError, match="trace 1"):
+            purify(np.eye(2))
 
     def test_pure_state_purifies_to_product(self):
         rho = DensityOperator(HermitianOperator(np.diag([1.0, 0.0])))
@@ -818,15 +822,10 @@ class TestStackedTuples:
 
     def test_solution_constructor_takes_operators(self):
         sol = solve(random_ensemble(2, 4, pure=True, seed=2))
-        built = DiscriminationSolution(
-            sol.p_guess, sol.symmetry_op, sol.complementary, list(sol.povm_matrices), sol.support
-        )
+        built = DiscriminationSolution(sol.ensemble, sol.symmetry_op, list(sol.povm))
         assert all(isinstance(m, HermitianOperator) for m in built.povm)
         assert np.array_equal(built.povm_matrices, sol.povm_matrices)
-        lowered = dataclasses.replace(sol, p_guess=0.5)
-        assert lowered.povm == sol.povm
+        lowered = dataclasses.replace(sol, symmetry_op=np.eye(2) / 2)
         assert np.array_equal(lowered.povm_matrices, sol.povm_matrices)
-        with pytest.raises(ValueError, match="not Hermitian"):
-            DiscriminationSolution(
-                sol.p_guess, sol.symmetry_op, sol.complementary, [PAULI_X * 1j] * 4, sol.support
-            )
+        with pytest.raises(ValueError, match=r"^povm\[0\]: matrix is not Hermitian"):
+            DiscriminationSolution(sol.ensemble, sol.symmetry_op, [PAULI_X * 1j] * 4)

@@ -114,8 +114,7 @@ def _shifted_ball_dual():
 
 
 def _probability_forms():
-    ensemble = trine()
-    return probability_forms(ensemble, solve(ensemble)), []
+    return probability_forms(solve(trine())), []
 
 
 def _weighted_ensemble():
@@ -129,11 +128,10 @@ def _complementary_set():
 
 
 def _solution():
-    sol = solve(WeightedEnsemble([0.5, 0.5], _qubit_states()))
-    p_guess, k = np.array(sol.p_guess), sol.symmetry_op.matrix.copy()
-    povm = [m.copy() for m in sol.povm_matrices]
-    built = DiscriminationSolution(p_guess, k, sol.complementary, povm, sol.support)
-    return built, [p_guess, k, *povm]
+    ensemble = WeightedEnsemble([0.5, 0.5], _qubit_states())
+    sol = solve(ensemble)
+    k, povm = sol.symmetry_op.matrix.copy(), [m.copy() for m in sol.povm_matrices]
+    return DiscriminationSolution(ensemble, k, povm), [k, *povm]
 
 
 BUILDERS = {

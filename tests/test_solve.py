@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 import re
@@ -90,7 +91,7 @@ class TestWeightedEnsemble:
             WeightedEnsemble(priors, [ZERO, PLUS])
 
     @pytest.mark.parametrize(
-        "priors", [["0.25", "0.75"], [0.5, 0.5j], [[0.5], [0.25, 0.25]], None]
+        "priors", [["0.25", "0.75"], [0.5, 0.5j], [[0.5], [0.25, 0.25]], None, [True, False]]
     )
     def test_rejects_priors_that_are_not_real_numbers(self, priors):
         with pytest.raises(ValueError, match=f"^priors {NOT_REAL}$"):
@@ -134,35 +135,65 @@ class TestComplementarySetConstructor:
 
 class TestSolutionConstructor:
     def test_holds_a_raw_symmetry_operator_as_an_operator(self):
-        sol = solve(trine())
-        built = solve_module.DiscriminationSolution(
-            sol.p_guess, sol.symmetry_op.matrix.copy(), sol.complementary, sol.povm, sol.support
-        )
+        e = trine()
+        sol = solve(e)
+        built = solve_module.DiscriminationSolution(e, sol.symmetry_op.matrix.copy(), sol.povm)
         assert type(built.symmetry_op) is HermitianOperator
         assert np.array_equal(built.symmetry_op.matrix, sol.symmetry_op.matrix)
         assert not built.symmetry_op.matrix.flags.writeable
 
     def test_rejects_parts_of_another_dimension_or_size(self):
-        qutrit_pair = solve(random_ensemble(3, 2, pure=False, seed=1))
         qubit_pair = solve(random_ensemble(2, 2, pure=False, seed=1))
+        e = qubit_pair.ensemble
         build = solve_module.DiscriminationSolution
         with pytest.raises(ValueError) as info:
-            build(0.5, np.eye(2) / 2, qutrit_pair.complementary, [np.eye(3)], (0,))
+            build(e, np.eye(3) / 2, qubit_pair.povm)
+        assert str(info.value) == "operator dimension does not match the ensemble"
+        with pytest.raises(ValueError) as info:
+            build(e, np.eye(2) / 2, [np.eye(3), np.zeros((3, 3))])
         assert str(info.value) == "POVM element shape (3, 3) does not match dimension 2"
         with pytest.raises(ValueError) as info:
-            build(0.5, np.eye(2) / 2, qutrit_pair.complementary, qubit_pair.povm, (0,))
-        assert str(info.value) == "complementary state shape (3, 3) does not match dimension 2"
-        with pytest.raises(ValueError) as info:
-            build(0.5, np.eye(3) / 2, qutrit_pair.complementary, [np.eye(3)], (0,))
-        assert str(info.value) == "expected 1 complementary states, got 2"
+            build(e, np.eye(2) / 2, [np.eye(2)])
+        assert str(info.value) == "expected 2 POVM elements, got 1"
 
     def test_rejects_a_non_hermitian_symmetry_operator(self):
-        sol = solve(trine())
+        e = trine()
+        sol = solve(e)
         with pytest.raises(ValueError, match="not Hermitian"):
-            solve_module.DiscriminationSolution(
-                sol.p_guess, np.array([[1.0, 0.3], [0.0, 1.0]]), sol.complementary, sol.povm,
-                sol.support,
-            )
+            solve_module.DiscriminationSolution(e, np.array([[1.0, 0.3], [0.0, 1.0]]), sol.povm)
+
+    def test_replacing_the_operator_replaces_the_value(self):
+        sol = solve(trine())
+        lowered = HermitianOperator(sol.symmetry_op.matrix - 0.05 * np.eye(2))
+        replaced = dataclasses.replace(sol, symmetry_op=lowered)
+        assert replaced.p_guess == lowered.trace() == pytest.approx(sol.p_guess - 0.1)
+        assert replaced.support == sol.support
+        # the lowered K is not dual feasible, so it has no complementary states
+        with pytest.raises(InfeasibleDualError):
+            replaced.complementary
+
+    @pytest.mark.parametrize("shape", [(3, 1), (4, 2), (2, 3), (2, 5)])
+    def test_a_hand_built_solution_reads_what_the_solver_stores(self, shape):
+        e = random_ensemble(*shape, pure=False, seed=7)
+        sol = solve(e)
+        built = solve_module.DiscriminationSolution(e, sol.symmetry_op, sol.povm_matrices.copy())
+        assert built.support == sol.support and built.p_guess == sol.p_guess
+        reference = complementary_states(sol.symmetry_op, e)
+        for name in ("weights", "present", "matrices"):
+            assert np.array_equal(getattr(built.complementary, name), getattr(reference, name))
+
+    @pytest.mark.parametrize("shape", [(3, 1), (4, 2), (2, 3)])
+    def test_a_solver_hands_over_the_set_it_built(self, shape, monkeypatch):
+        handed = []
+
+        def spy(ensemble, sym, comp, matrices):
+            handed.append(comp)
+            return assemble(ensemble, sym, comp, matrices)
+
+        assemble = solve_module._assemble
+        monkeypatch.setattr(solve_module, "_assemble", spy)
+        sol = solve(random_ensemble(*shape, pure=False, seed=7))
+        assert sol.complementary is handed[0]
 
 
 class TestHelstromTwoState:
