@@ -38,7 +38,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConvergenceError
-from .operators import DensityOperator, _as_matrix, _real_array, _trusted
+from .operators import DensityOperator, _as_matrix, _Frozen, _real_array, _trusted
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -103,7 +103,7 @@ def from_bloch(v) -> DensityOperator:
 
 
 @dataclass(frozen=True, eq=False)
-class ShiftedBallResult:
+class ShiftedBallResult(_Frozen):
     """Minimizer of max_x (shift_x + |k - point_x|) over k in R^3.
 
     value is the optimal objective; active lists the indices attaining it
@@ -129,10 +129,11 @@ def _min_norm_point(oracle, start, scale: float, tol: float) -> tuple[list, np.n
 
     Atoms are vectors relative to the target, which is thus the origin.
     oracle(x) returns (key, atom) for an atom minimizing <atom, x>; start
-    is a first (key, atom), and keys are hashable. Each major cycle adds
-    the oracle's atom to the corral, whose minor cycles keep x, the
-    corral's nearest point to the origin, a convex combination of
-    affinely independent atoms. It stops on the origin (|x| at most
+    is a first (key, atom), and keys are hashable. The corral is one
+    array, an atom per row, that each major cycle grows by the oracle's
+    atom; its minor cycles keep x, its nearest point to the origin, a
+    convex combination of affinely independent atoms, and drop rows and
+    keys by one mask. It stops on the origin (|x| at most
     _WOLFE_RTOL times scale, the largest atom length), or when no atom
     lies measurably beyond x. Returns the corral's keys and convex
     weights, whose point lies within tol of the target.
@@ -145,7 +146,7 @@ def _min_norm_point(oracle, start, scale: float, tol: float) -> tuple[list, np.n
     Raises ConvergenceError after _WOLFE_MAX_CYCLES major cycles: Wolfe
     terminates over finitely many atoms, not always over infinitely many.
     """
-    keys, atoms = [start[0]], [start[1]]
+    keys, corral = [start[0]], start[1][None, :]
     lam = np.ones(1)
     x = start[1]
     for _ in range(_WOLFE_MAX_CYCLES):
@@ -161,11 +162,10 @@ def _min_norm_point(oracle, start, scale: float, tol: float) -> tuple[list, np.n
         if key in keys or float(x @ x) - inner <= _WOLFE_RTOL * scale * size:
             break
         keys.append(key)
-        atoms.append(atom)
+        corral = np.vstack([corral, atom])
         lam = np.append(lam, 0.0)
         while True:
-            p = np.array(atoms)
-            beta = np.linalg.lstsq((p[1:] - p[0]).T, -p[0], rcond=None)[0]
+            beta = np.linalg.lstsq((corral[1:] - corral[0]).T, -corral[0], rcond=None)[0]
             alpha = np.concatenate(([1.0 - beta.sum()], beta))
             if np.min(alpha) > 0.0:
                 lam = alpha
@@ -175,13 +175,11 @@ def _min_norm_point(oracle, start, scale: float, tol: float) -> tuple[list, np.n
             first = int(np.argmin(ratios))
             lam = lam + ratios[first] * (alpha - lam)
             lam[out[first]] = 0.0
-            keys = [k for k, w in zip(keys, lam) if w > 0.0]
-            atoms = [a for a, w in zip(atoms, lam) if w > 0.0]
-            lam = lam[lam > 0.0]
+            kept = lam > 0.0
+            keys, corral, lam = [k for k, keep in zip(keys, kept) if keep], corral[kept], lam[kept]
         # The exact minimizer is orthogonal to the edges: drop rounding along them.
-        p = np.array(atoms)
-        nearest = lam @ p
-        edges = (p[1:] - p[0]).T
+        nearest = lam @ corral
+        edges = (corral[1:] - corral[0]).T
         nearest = nearest - edges @ np.linalg.lstsq(edges, nearest, rcond=None)[0]
         if float(nearest @ nearest) >= float(x @ x):
             break
@@ -190,7 +188,7 @@ def _min_norm_point(oracle, start, scale: float, tol: float) -> tuple[list, np.n
         raise ConvergenceError(f"no minimum-norm point within {_WOLFE_MAX_CYCLES} major cycles")
 
     lam = lam / lam.sum()
-    distance = float(np.linalg.norm(lam @ np.array(atoms)))
+    distance = float(np.linalg.norm(lam @ corral))
     if distance > tol:
         raise ValueError(f"the target lies {distance:.3e} from the convex hull")
     return keys, lam

@@ -18,7 +18,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import ConvergenceError
-from .operators import _as_matrix, _check_tolerance, _eigvalsh, _trusted
+from .operators import _as_matrix, _check_tolerance, _eigvalsh, _Frozen, _trusted
 from .solve import (
     DEGENERATE_WEIGHT_TOL,
     DiscriminationSolution,
@@ -36,7 +36,7 @@ def _fields_before(obj, name: str) -> dict:
 
 
 @dataclass(frozen=True, eq=False)
-class KktCertificate:
+class KktCertificate(_Frozen):
     """Per-condition residuals for a candidate solution.
 
     symmetry and dual_feasibility check the decomposition
@@ -71,7 +71,7 @@ class KktCertificate:
 
 
 @dataclass(frozen=True, eq=False)
-class ProbabilityForms:
+class ProbabilityForms(_Frozen):
     """Five equivalent expressions for the guessing probability.
 
     primal: sum_x q_x tr[M_x rho_x] with the candidate POVM.

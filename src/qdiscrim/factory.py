@@ -20,6 +20,7 @@ stacks (t I + v . sigma)/2, built unchecked as the qubit solver builds its own.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ from .operators import (
     HermitianOperator,
     _count,
     _eigvalsh,
+    _Frozen,
     _real_array,
     _store,
     _symmetrized,
@@ -51,7 +53,7 @@ _FIRES_TOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
-class SteeringMeasurement:
+class SteeringMeasurement(_Frozen):
     """A two-outcome measurement on the purifying system; M1 = I - M0 is implied."""
 
     first_outcome: HermitianOperator
@@ -69,7 +71,7 @@ class SteeringMeasurement:
 
 
 @dataclass(frozen=True, eq=False)
-class FactoryOutput:
+class FactoryOutput(_Frozen):
     """A generated ensemble with its complementary data and certification."""
 
     ensemble: WeightedEnsemble
@@ -156,6 +158,8 @@ def generate_qubit_class_element(
     1e-9. Every check rejects NaN too, so each output stack is a finite
     closed form, exactly Hermitian, and its states pass by the norm checks.
     """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"target value must be a real number, got {value!r}")
     if not np.isfinite(value):
         raise ValueError(f"target value must be finite, got {value!r}")
     center = _real_array(center, "center").reshape(-1)

@@ -6,7 +6,8 @@ is built on the types and operations here: validated Hermitian operators
 convention, trace norm, positivity tests, purification and partial trace.
 
 Matrices are stored as read-only ``numpy`` arrays of ``complex128``: one
-setter, _store, sets every stored field and freezes its arrays in place.
+setter, _store, sets every stored field and freezes its arrays in place,
+also in a copy or an unpickled instance (_Frozen).
 Dimensions in scope are small (<= 64). Each operator should be
 diagonalized once: the helpers that need several spectral quantities of
 one matrix take them from a single decomposition. Validation, the
@@ -111,6 +112,22 @@ def _store(obj, **fields):
     return obj
 
 
+def _lazy_field(obj, name: str, field: str, build):
+    """The one __getattr__ of a lazy field: build() stored through _store; other names raise."""
+    if name != field:
+        raise AttributeError(f"{type(obj).__name__!r} object has no attribute {name!r}")
+    value = build()
+    _store(obj, **{field: value})
+    return value
+
+
+class _Frozen:
+    """Base of every type that stores arrays: copies and unpickled ones set them by _store."""
+
+    def __setstate__(self, state: dict) -> None:
+        _store(self, **state)
+
+
 def _trusted(cls, **fields):
     """The one builder of what the package knows is valid: cls with these fields, unchecked."""
     return _store(object.__new__(cls), **fields)
@@ -153,7 +170,7 @@ def _hermitian_stack(matrices, field: str | None = None) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class HermitianOperator:
+class HermitianOperator(_Frozen):
     """A dim x dim complex matrix equal to its conjugate transpose.
 
     The constructor symmetrizes H/2 + H†/2 when the asymmetry is below
@@ -203,7 +220,7 @@ class DensityOperator(HermitianOperator):
 
 
 @dataclass(frozen=True, eq=False)
-class SpectralDecomposition:
+class SpectralDecomposition(_Frozen):
     """Eigenvalues (descending) and orthonormal eigenvector columns.
 
     Either of one matrix or, matrix by matrix, of a stack (..., d, d).
@@ -218,7 +235,7 @@ class SpectralDecomposition:
 
 
 @dataclass(frozen=True, eq=False)
-class PureBipartiteState:
+class PureBipartiteState(_Frozen):
     """A unit vector on a dimA x dimB product space, A-major ordering."""
 
     dim_a: int
@@ -349,7 +366,7 @@ def _negative_part_and_projector(values, vectors) -> tuple[np.ndarray, np.ndarra
     return (vectors * (-neg)) @ vectors.conj().T, keep @ keep.conj().T
 
 
-class _StackTuple(tuple):
+class _StackTuple(tuple, _Frozen):
     """A tuple of the operators (or states) of a stack's matrices that keeps the stack.
 
     It is a tuple in every other respect; concatenation and slicing give

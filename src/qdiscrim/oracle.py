@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import _bloch_vectors
-from .operators import DensityOperator, _count, _real_array, _store
+from .operators import DensityOperator, _count, _Frozen, _real_array, _store
 from .solve import WeightedEnsemble, _povm_stack, _priors
 
 _COARSE_STEP = 0.05
@@ -24,7 +24,7 @@ _PRIOR_DRAWS = 1000
 
 
 @dataclass(frozen=True, eq=False)
-class ConditionalTable:
+class ConditionalTable(_Frozen):
     """Table of outcome probabilities P(x|y), columns indexed by the prepared state."""
 
     probabilities: np.ndarray
@@ -46,7 +46,7 @@ class ConditionalTable:
 
 
 @dataclass(frozen=True, eq=False)
-class TableGuessing:
+class TableGuessing(_Frozen):
     """Two evaluations of the guessing probability from a conditional table.
 
     from_diagonal is the direct average of correct-guess probabilities.
@@ -99,7 +99,8 @@ def dual_grid_oracle(ensemble: WeightedEnsemble, resolution: float) -> float:
     their own. The resolution must be finite and at least 1e-15, below
     which a window's points are no longer distinct floats.
     """
-    if not (isinstance(resolution, numbers.Real) and math.isfinite(resolution) and resolution > 0):
+    real = isinstance(resolution, numbers.Real) and not isinstance(resolution, bool)
+    if not (real and math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
     if resolution < 1e-15:
         raise ValueError(f"resolution {resolution!r} is below the floor 1e-15")
@@ -137,7 +138,7 @@ def random_ensemble(dim: int, size: int, pure: bool, seed: int) -> WeightedEnsem
     The output is bit-identical for a fixed seed, which is recorded on the
     ensemble.
     """
-    dim, size = _count(dim, "dim"), _count(size, "size")
+    dim, size, seed = _count(dim, "dim"), _count(size, "size"), _count(seed, "seed")
     if dim < 2 or size < 1:
         raise ValueError("need dim >= 2 and at least one state")
     if size * _MIN_PRIOR > 1.0:

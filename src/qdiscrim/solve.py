@@ -24,8 +24,9 @@ certificate module can still check externally supplied candidates.
 Ensembles, complementary sets and solutions store their operators as
 read-only stacks (N, d, d), which every layer reads; operators._store
 sets every field and freezes each array it stores. Their states and
-povm tuples stay: one built from a stack wraps them on first access, in
-one pass, into a tuple that keeps the stack. A state is a HermitianOperator.
+povm tuples stay: one built from a stack wraps them on first access
+(operators._lazy_field), in one pass, into a tuple that keeps the stack.
+A state is a HermitianOperator.
 
 The input is validated where it enters (the constructors, the functions
 that take an operator, the parse; one priors rule, _priors, and one rule
@@ -61,7 +62,9 @@ from .operators import (
     _as_matrix,
     _eigh,
     _eigvalsh,
+    _Frozen,
     _hermitian_stack,
+    _lazy_field,
     _matrix_stack,
     _negative_part_and_projector,
     _real_array,
@@ -78,10 +81,6 @@ COMPLETENESS_TOL = 1e-9
 COMPLEMENTARY_NOISE_TOL = 1e-6
 
 
-def _missing(obj, name: str) -> AttributeError:
-    return AttributeError(f"{type(obj).__name__!r} object has no attribute {name!r}")
-
-
 def _priors(priors, size: int) -> np.ndarray:
     """Priors for size states as a new float array: non-empty, positive, summing to 1."""
     q = _real_array(priors, "priors").reshape(-1)
@@ -95,7 +94,7 @@ def _priors(priors, size: int) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class WeightedEnsemble:
+class WeightedEnsemble(_Frozen):
     """Prior probabilities q_x and density operators rho_x of common dimension.
 
     matrices is the read-only stack (N, d, d) of the state matrices, which
@@ -118,11 +117,7 @@ class WeightedEnsemble:
                matrices=_matrix_stack(states, "states"))
 
     def __getattr__(self, name: str):
-        if name != "states":
-            raise _missing(self, name)
-        states = _wrap(self.matrices, DensityOperator)
-        _store(self, states=states)
-        return states
+        return _lazy_field(self, name, "states", lambda: _wrap(self.matrices, DensityOperator))
 
     @property
     def size(self) -> int:
@@ -152,7 +147,7 @@ def _povm_stack(ensemble: WeightedEnsemble, povm) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class ComplementarySet:
+class ComplementarySet(_Frozen):
     """Weights r_x and states sigma_x with K = q_x rho_x + r_x sigma_x.
 
     A state is None exactly when its weight is numerically zero, meaning
@@ -185,12 +180,11 @@ class ComplementarySet:
                matrices=_matrix_stack([s for s in states if s is not None], "states"))
 
     def __getattr__(self, name: str):
-        if name != "states":
-            raise _missing(self, name)
+        return _lazy_field(self, name, "states", self._wrap_states)
+
+    def _wrap_states(self) -> tuple[DensityOperator | None, ...]:
         wrapped = iter(_wrap(self.matrices, DensityOperator))
-        states = tuple(next(wrapped) if keep else None for keep in self.present)
-        _store(self, states=states)
-        return states
+        return tuple(next(wrapped) if keep else None for keep in self.present)
 
     @cached_property
     def spectra(self) -> SpectralDecomposition:
@@ -202,7 +196,7 @@ class ComplementarySet:
 
 
 @dataclass(frozen=True, eq=False)
-class DiscriminationSolution:
+class DiscriminationSolution(_Frozen):
     """A solved instance: the ensemble, the dual optimum K and an optimal POVM.
 
     p_guess is trace K; support lists the elements with an entry above
@@ -225,11 +219,7 @@ class DiscriminationSolution:
         _store(self, ensemble=ensemble, symmetry_op=sym, povm_matrices=matrices)
 
     def __getattr__(self, name: str):
-        if name != "povm":
-            raise _missing(self, name)
-        povm = _wrap(self.povm_matrices)
-        _store(self, povm=povm)
-        return povm
+        return _lazy_field(self, name, "povm", lambda: _wrap(self.povm_matrices))
 
     @property
     def p_guess(self) -> float:
@@ -331,11 +321,11 @@ def reconstruct_povm(
         owners = np.flatnonzero(dims == k)
         groups.append((owners, vectors[owners, :, d - k :]))
     target = np.eye(d).reshape(-1) / d
-    found = []  # (state, projector) of each atom the oracle returned
+    found = []  # (state, unit vector) of each atom the oracle returned
 
     def atom(owner, vector):
+        found.append((owner, vector))
         projector = np.outer(vector, vector.conj())
-        found.append((owner, projector))
         return len(found) - 1, (projector.real + projector.imag).reshape(-1) - target
 
     def smallest_eigenvector(x):
@@ -365,8 +355,8 @@ def reconstruct_povm(
     except (ValueError, ConvergenceError) as exc:
         raise InfeasibleDualError(f"kernel projectors do not resolve the identity: {exc}") from exc
     for key, weight in zip(corral, lam):
-        owner, projector = found[key]
-        povm[owner] += (d * weight) * projector
+        owner, vector = found[key]
+        povm[owner] += (d * weight) * np.outer(vector, vector.conj())
     return _wrap(_hermitian_stack(povm))
 
 

@@ -1,9 +1,14 @@
+import contextlib
+import copy
 import inspect
+import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -617,6 +622,46 @@ def _one_error_line(err: str) -> bool:
     return "Traceback" not in err and sum(line.startswith("error:") for line in lines) == 1
 
 
+# The documents the mutation fuzz starts from, and the values it writes into them.
+_MUTATION_SEEDS = {
+    "trine": ensemble_to_json(trine()),
+    "qubit8": ensemble_to_json(random_ensemble(2, 8, pure=False, seed=11)),
+    "pair16": ensemble_to_json(random_ensemble(16, 2, pure=False, seed=12)),
+}
+_MUTATION_VALUES = [math.nan, math.inf, -math.inf, 1e308, -1e308, "x", None, True, [], {}, -1, 0.5]
+
+
+def _mutated(node, rng: random.Random, depth: int):
+    """A copy of node with one mutation depth levels down a random path, or
+    at its last container: a deleted key or entry, an appended entry, or a
+    drawn value in place of an entry."""
+    if not isinstance(node, (dict, list)) or not node:
+        return rng.choice(_MUTATION_VALUES)
+    key = rng.choice(list(node) if isinstance(node, dict) else range(len(node)))
+    node = copy.copy(node)
+    if depth and isinstance(node[key], (dict, list)) and node[key]:
+        node[key] = _mutated(node[key], rng, depth - 1)
+        return node
+    action = rng.choice(["delete", "append", "replace"])
+    if action == "delete":
+        del node[key]
+    elif action == "append" and isinstance(node, list):
+        node.append(copy.deepcopy(node[key]))
+    elif action == "append":
+        node["extra"] = rng.choice(_MUTATION_VALUES)
+    else:
+        node[key] = rng.choice(_MUTATION_VALUES)
+    return node
+
+
+def _main_in_process(argv) -> tuple[int, str]:
+    """main's exit code and standard error for argv, run in this process."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
 class TestCliFuzz:
     """Every malformed document exits 2 or 3 with a diagnostic naming its field."""
 
@@ -690,6 +735,28 @@ class TestCliFuzz:
         out, err = capsys.readouterr()
         assert out == "" and _one_error_line(err) and len(err.splitlines()) == 1
         assert err.startswith(f"error: {missing}: [Errno 2] ")
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        name=st.sampled_from(sorted(_MUTATION_SEEDS)),
+        count=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_mutated_documents_exit_by_the_contract(self, name, count, seed):
+        rng = random.Random(seed)
+        doc = _MUTATION_SEEDS[name]
+        for _ in range(count):
+            doc = _mutated(doc, rng, rng.randrange(5))
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "mutated.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(doc, handle)
+            for argv in (["solve", path, "--verify"], ["oracle", path]):
+                code, err = _main_in_process(argv)
+                assert code in (0, 2, 3, 4, 5), (argv[0], code, err)
+                assert "Traceback" not in err
+                if code:
+                    assert _one_error_line(err), (argv[0], err)
 
     def test_unwritable_out_exits_2_naming_the_file(self, trine_file, tmp_path, capsys):
         out = tmp_path / "missing-directory" / "solution.json"

@@ -1,0 +1,330 @@
+"""The intake contract of the public API, as one table over qdiscrim.__all__.
+
+Every public name has a row. A callable's row names the role of each of
+its arguments and a valid call; each role has its malformed kinds (NaN,
++-inf, wrong rank, non-square, wrong dimension for the other arguments,
+wrong count, non-Hermitian, wrong type, empty, bool). Each malformed
+value, put in place of one argument of the valid call, must raise
+ValueError, TypeError or a DiscriminationError, in the package's words
+rather than numpy's.
+
+What a role admits decides its kinds:
+- a dimension or a count is malformed only relative to the other
+  arguments, or where the callable fixes it (a qubit function, two
+  states), so an argument that fixes nothing for the others has no such
+  kind (hermitian_eigen takes any dimension);
+- a measurement that is judged (verify_kkt, conditional_table_from_povm)
+  may be non-Hermitian: its residuals judge it;
+- vectors are read flattened, so their wrong rank is a scalar;
+- an argument whose role is an object of the package (an ensemble, a
+  complementary set, a table, a solution, a bipartite state) is malformed
+  only as a valid object that disagrees with the others in dimension or
+  count; a flag takes any truth value.
+The errors and the result records (whose constructors the package calls
+with fields it computed) take no input to check: their rows are empty.
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import qdiscrim
+from qdiscrim import (
+    ConditionalTable,
+    DiscriminationError,
+    PureBipartiteState,
+    conditional_table_from_povm,
+    identity_class_example,
+    random_ensemble,
+    solve,
+)
+from qdiscrim.families import trine
+
+NUMPY_WORDS = (
+    "broadcast",
+    "cannot reshape",
+    "argmin of an empty sequence",
+    "must be real number",
+    "setting an array element",
+    "could not convert",
+)
+
+MATRIX = ("nan", "inf", "-inf", "wrong-rank", "non-square", "wrong-dimension",
+          "non-hermitian", "wrong-type", "empty", "bool")
+MATRICES = MATRIX + ("wrong-count",)
+VECTOR = ("nan", "inf", "-inf", "wrong-rank", "wrong-count", "wrong-type", "empty", "bool")
+ROWS_OF_3 = VECTOR + ("wrong-dimension",)
+SCALAR = ("nan", "inf", "-inf", "wrong-rank", "wrong-type", "empty", "bool")
+LABEL = ("wrong-type", "empty", "bool")
+RELATIVE = ("wrong-dimension", "wrong-count")
+
+
+def _without(kinds, *dropped):
+    return tuple(k for k in kinds if k not in dropped)
+
+
+def _context():
+    """Valid arguments, all from the trine (N = 3, d = 2), as new writable arrays."""
+    ensemble = trine()
+    solution = solve(ensemble)
+    comp = solution.complementary
+    points = ensemble.priors[:, None] * np.array([qdiscrim.to_bloch(s) for s in ensemble.states])
+    return {
+        "ensemble": ensemble,
+        "solution": solution,
+        "K": solution.symmetry_op.matrix.copy(),
+        "povm": [m.copy() for m in solution.povm_matrices],
+        "states": [s.matrix.copy() for s in ensemble.states],
+        "priors": ensemble.priors.copy(),
+        "comp": comp,
+        "comp weights": comp.weights.copy(),
+        "comp states": [m.copy() for m in comp.matrices],
+        "points": points,
+        "table": conditional_table_from_povm(ensemble, solution.povm),
+    }
+
+
+# name -> (valid call's keyword arguments from the context, {argument: (role, kinds)})
+ROWS = {
+    "ComplementarySet": (
+        lambda c: dict(weights=c["comp weights"], states=c["comp states"]),
+        {"weights": ("vector", VECTOR), "states": ("matrices", MATRICES)},
+    ),
+    "ConditionalTable": (
+        lambda c: dict(probabilities=c["table"].probabilities.copy()),
+        {"probabilities": ("matrix", _without(MATRIX, "wrong-dimension", "non-hermitian"))},
+    ),
+    "DensityOperator": (
+        lambda c: dict(matrix=c["states"][0]),
+        {"matrix": ("matrix", _without(MATRIX, "wrong-dimension"))},
+    ),
+    "DiscriminationSolution": (
+        lambda c: dict(ensemble=c["ensemble"], symmetry_op=c["K"], povm=c["povm"]),
+        {"ensemble": ("ensemble", RELATIVE), "symmetry_op": ("matrix", MATRIX),
+         "povm": ("matrices", MATRICES)},
+    ),
+    "HermitianOperator": (
+        lambda c: dict(matrix=c["K"]),
+        {"matrix": ("matrix", _without(MATRIX, "wrong-dimension"))},
+    ),
+    "PureBipartiteState": (
+        lambda c: dict(dim_a=2, dim_b=2, amplitudes=np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2)),
+        {"dim_a": ("scalar", SCALAR), "dim_b": ("scalar", SCALAR),
+         "amplitudes": ("vector", VECTOR)},
+    ),
+    "SteeringMeasurement": (
+        lambda c: dict(first_outcome=np.diag([1.0, 0.0])),
+        {"first_outcome": ("matrix", _without(MATRIX, "wrong-dimension"))},
+    ),
+    "WeightedEnsemble": (
+        lambda c: dict(priors=c["priors"], states=c["states"]),
+        {"priors": ("vector", VECTOR), "states": ("matrices", MATRICES)},
+    ),
+    "complementary_states": (
+        lambda c: dict(symmetry_op=c["K"], ensemble=c["ensemble"]),
+        {"symmetry_op": ("matrix", MATRIX), "ensemble": ("ensemble", ("wrong-dimension",))},
+    ),
+    "conditional_table_from_povm": (
+        lambda c: dict(ensemble=c["ensemble"], povm=c["povm"]),
+        {"ensemble": ("ensemble", RELATIVE),
+         "povm": ("matrices", _without(MATRICES, "non-hermitian"))},
+    ),
+    "distance_from_uniform": (
+        lambda c: dict(distribution=np.array([0.5, 0.3, 0.2])),
+        {"distribution": ("vector", _without(VECTOR, "wrong-rank", "wrong-count"))},
+    ),
+    "dual_grid_oracle": (
+        lambda c: dict(ensemble=c["ensemble"], resolution=0.05),
+        {"ensemble": ("ensemble", ("wrong-dimension",)), "resolution": ("scalar", SCALAR)},
+    ),
+    "equivalence_check": (
+        lambda c: dict(op_a=c["K"], op_b=c["K"].copy(), tol=1e-9),
+        {"op_a": ("matrix", MATRIX), "op_b": ("matrix", MATRIX), "tol": ("scalar", SCALAR)},
+    ),
+    "from_bloch": (
+        lambda c: dict(v=np.array([0.0, 0.0, 0.5])),
+        {"v": ("vector", VECTOR)},
+    ),
+    "generate_from_symmetry_operator": (
+        lambda c: dict(symmetry_op=np.eye(2) / 2, measurements=[np.diag([1.0, 0.0])] * 2),
+        {"symmetry_op": ("matrix", MATRIX),
+         "measurements": ("matrices", _without(MATRICES, "wrong-count"))},
+    ),
+    "generate_qubit_class_element": (
+        lambda c: dict(value=1.0, center=np.zeros(3),
+                       directions=np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]),
+                       povm_weights=np.array([1.0, 1.0]), priors=np.array([0.5, 0.5])),
+        {"value": ("scalar", SCALAR), "center": ("vector", VECTOR),
+         "directions": ("rows", ROWS_OF_3), "povm_weights": ("vector", VECTOR),
+         "priors": ("vector", VECTOR)},
+    ),
+    "guessing_from_table": (
+        lambda c: dict(priors=c["priors"], table=c["table"]),
+        {"priors": ("vector", VECTOR), "table": ("table", ("wrong-count",))},
+    ),
+    "helstrom_two_state": (
+        lambda c: dict(ensemble=random_ensemble(2, 2, False, 1)),
+        {"ensemble": ("ensemble", ("wrong-count",))},
+    ),
+    "hermitian_eigen": (
+        lambda c: dict(operator=c["K"]),
+        {"operator": ("matrix", _without(MATRIX, "wrong-dimension"))},
+    ),
+    "identity_class_example": (lambda c: dict(dim=3), {"dim": ("scalar", SCALAR)}),
+    "is_psd": (
+        lambda c: dict(operator=c["K"], tol=1e-10),
+        {"operator": ("matrix", _without(MATRIX, "wrong-dimension")),
+         "tol": ("scalar", SCALAR)},
+    ),
+    "partial_trace": (
+        lambda c: dict(state=PureBipartiteState(2, 2, [1.0, 0.0, 0.0, 0.0]), subsystem="A"),
+        {"state": ("object", ()), "subsystem": ("label", LABEL)},
+    ),
+    "probability_forms": (lambda c: dict(solution=c["solution"]), {"solution": ("object", ())}),
+    "purify": (
+        lambda c: dict(rho=c["states"][0]),
+        {"rho": ("matrix", _without(MATRIX, "wrong-dimension"))},
+    ),
+    "random_ensemble": (
+        lambda c: dict(dim=2, size=3, pure=False, seed=1),
+        {"dim": ("scalar", SCALAR), "size": ("scalar", SCALAR), "pure": ("flag", ()),
+         "seed": ("scalar", SCALAR)},
+    ),
+    "reconstruct_povm": (
+        lambda c: dict(ensemble=c["ensemble"], complementary=c["comp"]),
+        {"ensemble": ("ensemble", RELATIVE), "complementary": ("complementary", RELATIVE)},
+    ),
+    "shifted_ball_dual": (
+        lambda c: dict(points=c["points"], shifts=c["priors"]),
+        {"points": ("rows", ROWS_OF_3), "shifts": ("vector", VECTOR)},
+    ),
+    "solve": (lambda c: dict(ensemble=c["ensemble"]), {"ensemble": ("ensemble", ())}),
+    "solve_qubit": (
+        lambda c: dict(ensemble=c["ensemble"]),
+        {"ensemble": ("ensemble", ("wrong-dimension",))},
+    ),
+    "to_bloch": (lambda c: dict(rho=c["states"][0]), {"rho": ("matrix", MATRIX)}),
+    "trace_norm": (
+        lambda c: dict(operator=c["K"]),
+        {"operator": ("matrix", _without(MATRIX, "wrong-dimension"))},
+    ),
+    "verify_kkt": (
+        lambda c: dict(ensemble=c["ensemble"], symmetry_op=c["K"], povm=c["povm"], tol=1e-8),
+        {"ensemble": ("ensemble", RELATIVE), "symmetry_op": ("matrix", MATRIX),
+         "povm": ("matrices", _without(MATRICES, "non-hermitian")),
+         "tol": ("scalar", SCALAR)},
+    ),
+    "verify_legacy_conditions": (
+        lambda c: dict(ensemble=c["ensemble"], povm=c["povm"], tol=1e-8),
+        {"ensemble": ("ensemble", RELATIVE),
+         "povm": ("matrices", _without(MATRICES, "non-hermitian")),
+         "tol": ("scalar", SCALAR)},
+    ),
+}
+# Errors, and records the package fills with what it computed: no input to check.
+for _name in (
+    "ConvergenceError", "DiscriminationError", "InfeasibleDualError", "UnsupportedInstanceError",
+    "FactoryOutput", "KktCertificate", "ProbabilityForms", "ShiftedBallResult",
+    "SpectralDecomposition",
+):
+    ROWS[_name] = (None, {})
+
+
+def _matrix(valid: np.ndarray, kind: str):
+    """A malformed matrix of kind, from a valid square matrix."""
+    m = np.array(valid, dtype=complex)
+    if kind in ("nan", "inf", "-inf"):
+        m[0, 0] = float(kind)
+        return m
+    if kind == "non-hermitian":
+        m[0, -1] += 0.5
+        return m
+    return {
+        "wrong-rank": m[None],
+        "non-square": m[:-1],
+        "wrong-dimension": np.pad(m, (0, 1)),
+    }[kind]
+
+
+def _vector(valid: np.ndarray, kind: str):
+    """A malformed vector, or array of rows of three, of kind, from a valid one."""
+    v = np.array(valid, dtype=float)
+    if kind in ("nan", "inf", "-inf"):
+        v.reshape(-1)[0] = float(kind)
+        return v
+    if kind == "wrong-rank":
+        return v[0]
+    if kind == "wrong-count":  # the same sum over one entry fewer
+        total = v[:-1].sum()
+        return v[:-1] * (v.sum() / total) if total else v[:-1]
+    return v[:, :2]  # wrong-dimension: rows of two coordinates
+
+
+def _relative(role: str, kind: str):
+    """A valid object of the role whose dimension or count disagrees with the trine's."""
+    if role == "ensemble":
+        dim, size = (3, 3) if kind == "wrong-dimension" else (2, 4)
+        return random_ensemble(dim, size, False, 1)
+    if role == "complementary":
+        if kind == "wrong-dimension":
+            return identity_class_example(3).complementary
+        return solve(random_ensemble(2, 4, False, 1)).complementary
+    return ConditionalTable(np.eye(4))  # table, wrong-count
+
+
+def _malformed(role: str, kind: str, valid):
+    """The malformed value of kind for an argument of role whose valid value is valid."""
+    common = {"wrong-type": "x", "empty": [], "bool": True}
+    if role == "label":
+        return {"wrong-type": 1, "empty": "", "bool": True}[kind]
+    if kind in common:
+        return common[kind]
+    if role == "scalar":
+        return [valid] if kind == "wrong-rank" else float(kind)
+    if role == "matrix":
+        return _matrix(valid, kind)
+    if role == "matrices":
+        if kind == "wrong-rank":
+            return np.array(valid[0])
+        if kind == "wrong-count":
+            return list(valid[:-1])
+        return [_matrix(valid[0], kind), *valid[1:]]
+    if role in ("vector", "rows"):
+        return _vector(valid, kind)
+    return _relative(role, kind)
+
+
+CASES = [
+    pytest.param(name, argument, kind, id=f"{name}-{argument}-{kind}")
+    for name, (_, roles) in sorted(ROWS.items())
+    for argument, (_, kinds) in roles.items()
+    for kind in kinds
+]
+
+
+def test_every_public_name_has_a_row():
+    assert sorted(ROWS) == sorted(qdiscrim.__all__)
+    for name, (call, roles) in ROWS.items():
+        target = getattr(qdiscrim, name)
+        if call is None:
+            assert isinstance(target, type), name
+            continue
+        assert set(call(_context())) == set(roles), name
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (call, _) in ROWS.items() if call is not None))
+def test_the_valid_call_of_each_row_succeeds(name):
+    call, _ = ROWS[name]
+    getattr(qdiscrim, name)(**call(_context()))
+
+
+@pytest.mark.parametrize("name, argument, kind", CASES)
+def test_a_malformed_argument_is_rejected_in_the_package_words(name, argument, kind):
+    call, roles = ROWS[name]
+    kwargs = call(_context())
+    kwargs[argument] = _malformed(roles[argument][0], kind, kwargs[argument])
+    with pytest.raises((ValueError, TypeError, DiscriminationError)) as info:
+        getattr(qdiscrim, name)(**kwargs)
+    message = str(info.value)
+    assert not any(words in message for words in NUMPY_WORDS), message

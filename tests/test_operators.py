@@ -829,3 +829,32 @@ class TestStackedTuples:
         assert np.array_equal(lowered.povm_matrices, sol.povm_matrices)
         with pytest.raises(ValueError, match=r"^povm\[0\]: matrix is not Hermitian"):
             DiscriminationSolution(sol.ensemble, sol.symmetry_op, [PAULI_X * 1j] * 4)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: random_ensemble(2, 3, pure=False, seed=7),
+            lambda: solve(random_ensemble(2, 3, pure=False, seed=7)).complementary,
+            lambda: solve(random_ensemble(2, 3, pure=False, seed=7)),
+        ],
+        ids=["WeightedEnsemble", "ComplementarySet", "DiscriminationSolution"],
+    )
+    def test_a_missing_attribute_names_its_class_and_builds_nothing(self, build):
+        obj = build()
+        before = dict(vars(obj))
+        assert not hasattr(obj, "nope")
+        with pytest.raises(AttributeError) as info:
+            obj.nope
+        name = type(obj).__name__
+        assert str(info.value) == f"'{name}' object has no attribute 'nope'"
+        assert vars(obj).keys() == before.keys()
+
+    def test_spectra_of_a_set_without_present_states_are_empty_stacks(self):
+        comp = solve_module.ComplementarySet([0.0, 0.5], [None, None])
+        spectra = comp.spectra
+        assert comp.matrices.shape == (0, 0, 0)
+        assert spectra.eigenvalues.shape == (0, 0)
+        assert spectra.eigenvectors.shape == (0, 0, 0)
+        assert spectra.eigenvectors.dtype == complex
+        assert not spectra.eigenvalues.flags.writeable
+        assert not spectra.eigenvectors.flags.writeable

@@ -2,12 +2,15 @@
 
 Each builder below returns what a public function or constructor built
 and the arrays its caller passed in. Every ndarray reachable from the
-output (dataclass fields, lazily wrapped tuples, cached spectra) must be
-read-only; every array of the caller must still be writable.
+output (dataclass fields, lazily wrapped tuples and their stacks, cached
+spectra) must be read-only, in the output as built, deep-copied and
+pickled; every array of the caller must still be writable.
 """
 
+import copy
 import dataclasses
 import functools
+import pickle
 
 import numpy as np
 import pytest
@@ -39,6 +42,8 @@ def _stored_arrays(obj, path="output"):
     elif isinstance(obj, tuple):
         for i, item in enumerate(obj):
             yield from _stored_arrays(item, f"{path}[{i}]")
+        if hasattr(obj, "stack"):
+            yield from _stored_arrays(obj.stack, f"{path}.stack")
     elif dataclasses.is_dataclass(obj):
         names = [f.name for f in dataclasses.fields(obj)]
         cached = functools.cached_property
@@ -155,10 +160,24 @@ BUILDERS = {
 }
 
 
-@pytest.mark.parametrize("builder", BUILDERS.values(), ids=BUILDERS.keys())
-def test_stored_arrays_are_read_only_and_caller_arrays_stay_writable(builder):
+COPIES = {
+    "": lambda output: output,
+    "-deep-copied": copy.deepcopy,
+    "-pickled": lambda output: pickle.loads(pickle.dumps(output)),
+}
+
+
+@pytest.mark.parametrize(
+    "builder, copied",
+    [
+        pytest.param(builder, copied, id=name + suffix)
+        for name, builder in BUILDERS.items()
+        for suffix, copied in COPIES.items()
+    ],
+)
+def test_stored_arrays_are_read_only_and_caller_arrays_stay_writable(builder, copied):
     output, inputs = builder()
-    stored = list(_stored_arrays(output))
+    stored = list(_stored_arrays(copied(output)))
     assert stored
     assert [path for path, array in stored if array.flags.writeable] == []
     assert all(array.flags.writeable for array in inputs)
