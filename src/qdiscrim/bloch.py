@@ -38,7 +38,7 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConvergenceError
-from .operators import DensityOperator, _as_matrix, _Frozen, _real_array, _trusted
+from .operators import DensityOperator, _as_matrix, _Frozen, _real_array, _row_norms, _trusted
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -56,17 +56,14 @@ def _bloch_vectors(matrices: np.ndarray) -> np.ndarray:
     """Bloch vectors (..., 3) of a stack of qubit operators (..., 2, 2).
 
     Each tr(M sigma_i) is read off the entries; the sums are the ones the
-    traces of the Pauli products reduce to, bit for bit.
+    traces of the Pauli products reduce to, bit for bit, written in place.
     """
     m01, m10 = matrices[..., 0, 1], matrices[..., 1, 0]
-    return np.stack(
-        [
-            m01.real + m10.real,
-            m10.imag - m01.imag,
-            matrices[..., 0, 0].real - matrices[..., 1, 1].real,
-        ],
-        axis=-1,
-    )
+    out = np.empty(matrices.shape[:-2] + (3,))
+    np.add(m01.real, m10.real, out=out[..., 0])
+    np.subtract(m10.imag, m01.imag, out=out[..., 1])
+    np.subtract(matrices[..., 0, 0].real, matrices[..., 1, 1].real, out=out[..., 2])
+    return out
 
 
 def to_bloch(rho) -> np.ndarray:
@@ -85,7 +82,8 @@ def _operators(t, vectors) -> np.ndarray:
     is exactly Hermitian for finite input, and callers wrap it unchecked.
     """
     t = np.asarray(t, dtype=float)[..., None, None]
-    x, y, z = np.moveaxis(np.asarray(vectors, dtype=float)[..., None, None], -3, 0)
+    v = np.asarray(vectors, dtype=float)
+    x, y, z = v[..., 0, None, None], v[..., 1, None, None], v[..., 2, None, None]
     return 0.5 * (t * _IDENTITY + x * PAULI_X + y * PAULI_Y + z * PAULI_Z)
 
 
@@ -346,7 +344,8 @@ def shifted_ball_dual(points, shifts) -> ShiftedBallResult:
     basis repeats. With no violation beyond a relative 1e-13 the basis
     optimum is global. _MAX_STEPS caps the improvement steps. With every
     shift 1/N this is the smallest ball enclosing the points: its center
-    is center and its radius value - 1/N.
+    is center and its radius value - 1/N. The checked points and shifts go
+    to _shifted_ball, which solve.solve_qubit calls on its ensemble's.
     """
     pts = _real_array(points, "points")
     if pts.shape[-1:] != (3,):
@@ -355,18 +354,22 @@ def shifted_ball_dual(points, shifts) -> ShiftedBallResult:
     s = _real_array(shifts, "shifts").reshape(-1)
     if len(pts) != len(s):
         raise ValueError("points and shifts must have equal length")
-    if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(s))):
+    if not (np.isfinite(pts).all() and np.isfinite(s).all()):
         raise ValueError("points and shifts must be finite")
-    if np.any(s <= 0):
+    if (s <= 0).any():
         raise ValueError("shifts must be positive")
-    if abs(float(np.sum(s)) - 1.0) > 1e-10:
+    if abs(float(s.sum()) - 1.0) > 1e-10:
         raise ValueError("shifts must sum to 1")
+    return _shifted_ball(pts, s)
 
-    basis, multipliers = (int(np.argmax(s)),), [1.0]
+
+def _shifted_ball(pts: np.ndarray, s: np.ndarray) -> ShiftedBallResult:
+    """shifted_ball_dual's basis improvement, on points (N, 3) and shifts (N,) it checked."""
+    basis, multipliers = (int(s.argmax()),), [1.0]
     k, t, steps = pts[basis[0]], float(s[basis[0]]), 0
     while True:
-        gaps = s + np.linalg.norm(pts - k, axis=1)
-        violator = int(np.argmax(gaps))
+        gaps = s + _row_norms(pts - k)
+        violator = int(gaps.argmax())
         if gaps[violator] <= t * (1.0 + _LEVEL_RTOL):
             break
         if steps == _MAX_STEPS:
@@ -377,8 +380,8 @@ def shifted_ball_dual(points, shifts) -> ShiftedBallResult:
             break  # the rise fell below rounding: k is optimal to working precision
         t = value
 
-    gaps = s + np.linalg.norm(pts - k, axis=1)
-    t = float(np.max(gaps))
-    active = tuple(int(i) for i in np.flatnonzero(gaps >= t - 1e-7 * (1.0 + t)))
+    gaps = s + _row_norms(pts - k)
+    t = float(gaps.max())
+    active = tuple(int(i) for i in (gaps >= t - 1e-7 * (1.0 + t)).nonzero()[0])
     return _trusted(ShiftedBallResult, center=np.array(k, dtype=float), value=t, active=active,
                     steps=steps, basis=basis, multipliers=np.array(multipliers, dtype=float))

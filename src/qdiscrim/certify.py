@@ -13,12 +13,13 @@ are dimension-stable and directly assertable in tests.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConvergenceError
-from .operators import _as_matrix, _check_tolerance, _eigvalsh, _Frozen, _trusted
+from .operators import _as_matrix, _check_tolerance, _eigvalsh, _expect, _Frozen, _trusted
 from .solve import (
     DEGENERATE_WEIGHT_TOL,
     DiscriminationSolution,
@@ -103,7 +104,7 @@ class ProbabilityForms(_Frozen):
 
 def _peak(values: np.ndarray) -> float:
     """Largest absolute entry, 0 for an empty array."""
-    return float(np.max(np.abs(values), initial=0.0))
+    return float(abs(values).max(initial=0.0))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -117,13 +118,13 @@ def _certificate_from(
     decomposed on its own, so the residuals are those of three calls. With
     k None, K is the Hermitian part of sum_y q_y rho_y M_y.
     """
-    _check_tolerance(tol)
+    tol = _check_tolerance(tol)
     q = ensemble.priors
     weighted = q[:, None, None] * ensemble.matrices
     averaged = (weighted @ povm).sum(axis=0)
     averaged = (averaged + averaged.conj().T) / 2.0
     k = averaged if k is None else k
-    trace_k = float(np.trace(k).real)
+    trace_k = float(k.trace().real)
     gaps = k - weighted
     weights = trace_k - q
     stack = np.concatenate([povm, gaps, averaged - weighted])
@@ -131,11 +132,11 @@ def _certificate_from(
 
     live = weights > DEGENERATE_WEIGHT_TOL
     sigma = gaps[live] / weights[live, None, None]
-    overlaps = np.trace(povm[live] @ sigma, axis1=1, axis2=2).real
+    overlaps = (povm[live] @ sigma).trace(axis1=1, axis2=2).real
 
     # one batched product over y > x per x, never an (N, N, d, d) tensor; a
     # pair with an all-zero element is exactly zero, so only nonzero ones enter
-    nonzero = np.any(povm != 0, axis=(1, 2))
+    nonzero = (povm != 0).any(axis=(1, 2))
     elements, states = povm[nonzero], weighted[nonzero]
     residuals = {
         # recomputed sigma reproduces the decomposition by construction,
@@ -143,10 +144,10 @@ def _certificate_from(
         "symmetry": max(
             _peak(gaps[live] - weights[live, None, None] * sigma), _peak(gaps[~live])
         ),
-        "dual_feasibility": max(0.0, float(np.max(-gap_low))),
+        "dual_feasibility": max(0.0, float((-gap_low).max())),
         "orthogonality": _peak(weights[live] * overlaps),
-        "completeness": float(np.max(np.abs(povm.sum(axis=0) - np.eye(ensemble.dim)))),
-        "povm_positivity": max(0.0, float(np.max(-povm_low))),
+        "completeness": float(abs(povm.sum(axis=0) - np.eye(ensemble.dim)).max()),
+        "povm_positivity": max(0.0, float((-povm_low).max())),
         "legacy_pairwise": max(
             (
                 _peak(elements[x] @ (states[x] - states[x + 1 :]) @ elements[x + 1 :])
@@ -154,10 +155,10 @@ def _certificate_from(
             ),
             default=0.0,
         ),
-        "legacy_operator": max(0.0, float(np.max(-legacy_low))),
+        "legacy_operator": max(0.0, float((-legacy_low).max())),
     }
     # huge finite entries can overflow in the products, which run without warnings
-    if not np.isfinite(list(residuals.values())).all():
+    if not all(map(math.isfinite, residuals.values())):
         raise ConvergenceError("certificate residuals overflow: candidate entries too large")
     passed = all(r <= tol for r in residuals.values())
     return KktCertificate(**residuals, tolerance=tol, passed=passed)
@@ -174,6 +175,7 @@ def verify_kkt(
     matrices or a stack (N, d, d)) passes solve._povm_stack, with no
     Hermitian check: the residuals judge it.
     """
+    _expect(ensemble, WeightedEnsemble)
     k = _as_matrix(symmetry_op)
     d = ensemble.dim
     if k.shape != (d, d):
@@ -190,6 +192,7 @@ def verify_legacy_conditions(
     Hermitian at the optimum; the POVM is read as verify_kkt reads it) and the
     same residuals, so a verdict here agrees with verify_kkt on optimal candidates.
     """
+    _expect(ensemble, WeightedEnsemble)
     return _certificate_from(ensemble, None, _povm_stack(ensemble, povm), tol)
 
 
@@ -199,6 +202,7 @@ def probability_forms(solution: DiscriminationSolution) -> ProbabilityForms:
     Meaningful when the solution certificate passes; on a failing
     candidate the spread between the forms is the interesting output.
     """
+    _expect(solution, DiscriminationSolution)
     ensemble = solution.ensemble
     q = ensemble.priors
     rhos = ensemble.matrices
@@ -223,7 +227,7 @@ def equivalence_check(op_a, op_b, tol: float = 1e-9) -> bool:
     Two ensembles are equivalent when their symmetry operators share a
     spectrum, i.e. agree up to a unitary change of basis.
     """
-    _check_tolerance(tol)
+    tol = _check_tolerance(tol)
     a = _as_matrix(op_a)
     b = _as_matrix(op_b)
     if a.shape != b.shape:

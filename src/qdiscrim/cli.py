@@ -71,6 +71,8 @@ def _load_json(path: str):
         raise _FileError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:  # json's decoder recurses once per level of nesting
+        raise _FileError(f"{path}: document nested too deeply to parse") from exc
 
 
 def _load_ensemble(path: str):

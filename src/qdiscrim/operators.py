@@ -16,6 +16,13 @@ eigensolver and the rebuild of states from a spectrum take stacks
 layer; a single matrix is a stack of one. The eigenvalues of 2 x 2
 matrices (_eigvalsh) have a closed form that calls no LAPACK, so with the
 closed-form qubit parse (serialize) a qubit request makes no LAPACK call.
+Per-request code calls ufuncs and ndarray methods, not numpy's
+Python-level wrappers (np.linalg.norm, np.stack, np.moveaxis, np.max,
+np.sum, np.trace, np.flatnonzero, ...), which cost more than the
+arithmetic on qubit-sized arrays; each replacement is the call the
+wrapper dispatches to, on the same operands, and computes the same bits
+(_row_norms for np.linalg.norm along an axis, writes with out= into one
+np.empty for np.stack).
 Collections of operators are stored as such stacks (_matrix_stack builds
 one); their tuples of operators or states are built from the stack on
 first access (_wrap, which freezes the stack), and every such tuple keeps its stack, which
@@ -32,11 +39,15 @@ weights and priors pass _real_array (a new float array). What the
 package builds from data it knows is valid is built unchecked by
 _trusted (a stack's tuple by _wrap); the checks that can fail on it
 still run (solve._assemble). _store and _wrap freeze only arrays that
-the package built or copied, never an array a caller passed in.
+the package built or copied, never an array a caller passed in. An
+argument that must be an object of the package (an ensemble, a solution)
+passes _expect, which raises TypeError naming the class; a tolerance
+passes _check_tolerance, which takes only a real number.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 
@@ -82,6 +93,17 @@ def _count(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _expect(value, cls) -> None:
+    """Raise TypeError naming cls unless value is one: the check of a package-object argument."""
+    if not isinstance(value, cls):
+        raise TypeError(f"expected a {cls.__name__}, got {type(value).__name__}")
+
+
+def _row_norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norms along the last axis of a real array, np.linalg.norm's bits."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
 
 
 def _matrix_stack(ops, what: str = "matrices") -> np.ndarray:
@@ -162,8 +184,8 @@ def _hermitian_stack(matrices, field: str | None = None) -> np.ndarray:
     finite = np.isfinite(flat).all(axis=(1, 2))
     if not finite.all():
         raise reject(int(np.argmin(finite)), "matrix entries must be finite")
-    asym = np.max(np.abs(flat - flat.conj().swapaxes(1, 2)), axis=(1, 2))
-    if np.any(asym > HERMITICITY_TOL):
+    asym = abs(flat - flat.conj().swapaxes(1, 2)).max(axis=(1, 2))
+    if (asym > HERMITICITY_TOL).any():
         i = int(np.argmax(asym > HERMITICITY_TOL))
         raise reject(i, f"matrix is not Hermitian: asymmetry {asym[i]:.3e} > {HERMITICITY_TOL}")
     return _symmetrized(m)
@@ -196,7 +218,7 @@ class HermitianOperator(_Frozen):
         return self.matrix.shape[0]
 
     def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+        return float(self.matrix.trace().real)
 
 
 @dataclass(frozen=True, eq=False)
@@ -327,7 +349,9 @@ def _eigvalsh(matrix) -> np.ndarray:
         d = m[..., 1, 1].real / 2.0
         mean = a + d
         radius = np.hypot(a - d, np.abs(m[..., 1, 0]))
-        values = np.stack((mean + radius, mean - radius), axis=-1)
+        values = np.empty(mean.shape + (2,))
+        np.add(mean, radius, out=values[..., 0])
+        np.subtract(mean, radius, out=values[..., 1])
     if not np.isfinite(values).all():
         raise ConvergenceError("eigendecomposition returned non-finite values")
     return values
@@ -348,14 +372,28 @@ def trace_norm(operator) -> float:
     return float(np.sum(np.abs(_eigvalsh(_as_matrix(operator)))))
 
 
-def _check_tolerance(tol) -> None:
-    if isinstance(tol, (bool, np.bool_)) or not (tol >= 0 and np.isfinite(tol)):
+def _check_tolerance(tol) -> float:
+    """A tolerance as a float: a real number, finite and non-negative.
+
+    A bool, an array of any shape or any other value that is not a real
+    number raises ValueError, as a negative or non-finite one does.
+    """
+    if isinstance(tol, (bool, np.bool_)) or not isinstance(tol, numbers.Real):
+        raise ValueError(
+            f"tolerance must be finite and non-negative, got {tol!r}, not a real number"
+        )
+    try:
+        tol = float(tol)
+    except OverflowError:  # an int beyond the float range
+        tol = math.inf
+    if not (tol >= 0 and math.isfinite(tol)):
         raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
+    return tol
 
 
 def is_psd(operator, tol: float = PSD_TOL) -> bool:
     """True when the smallest eigenvalue is at least -tol."""
-    _check_tolerance(tol)
+    tol = _check_tolerance(tol)
     return float(_eigvalsh(_as_matrix(operator))[-1]) >= -tol
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import _bloch_vectors
-from .operators import DensityOperator, _count, _Frozen, _real_array, _store
+from .operators import DensityOperator, _count, _expect, _Frozen, _real_array, _store
 from .solve import WeightedEnsemble, _povm_stack, _priors
 
 _COARSE_STEP = 0.05
@@ -63,6 +63,7 @@ class TableGuessing(_Frozen):
 
 def conditional_table_from_povm(ensemble: WeightedEnsemble, povm) -> ConditionalTable:
     """Born-rule table P(x|y) = tr[M_x rho_y] of a measurement that passes solve._povm_stack."""
+    _expect(ensemble, WeightedEnsemble)
     table = np.einsum("xij,yji->xy", _povm_stack(ensemble, povm), ensemble.matrices).real
     return ConditionalTable(np.clip(table, 0.0, 1.0))
 
@@ -99,6 +100,7 @@ def dual_grid_oracle(ensemble: WeightedEnsemble, resolution: float) -> float:
     their own. The resolution must be finite and at least 1e-15, below
     which a window's points are no longer distinct floats.
     """
+    _expect(ensemble, WeightedEnsemble)
     real = isinstance(resolution, numbers.Real) and not isinstance(resolution, bool)
     if not (real and math.isfinite(resolution) and resolution > 0):
         raise ValueError(f"resolution must be finite and positive, got {resolution!r}")

@@ -22,6 +22,7 @@ from .operators import (
     MAX_DIM,
     HermitianOperator,
     _eigh,
+    _expect,
     _hermitian_stack,
     _matrix_stack,
     _state_stack,
@@ -206,6 +207,7 @@ def _stack_to_json(stack: np.ndarray) -> list[dict]:
 
 
 def ensemble_to_json(ensemble: WeightedEnsemble) -> dict:
+    _expect(ensemble, WeightedEnsemble)
     return {
         "priors": ensemble.priors.tolist(),
         "states": _stack_to_json(ensemble.matrices),
@@ -237,10 +239,11 @@ def ensemble_from_json(obj) -> WeightedEnsemble:
         q = np.asarray(priors, dtype=float)
     except OverflowError as exc:
         raise ValueError(f"priors: entries must be numbers ({exc})") from exc
-    if not np.all(np.isfinite(q)):
-        i = int(np.argmin(np.isfinite(q)))
+    finite = np.isfinite(q)
+    if not finite.all():
+        i = int(finite.argmin())
         raise ValueError(f"priors: entries must be finite (priors[{i}] is {priors[i]!r})")
-    total = float(np.sum(q))
+    total = float(q.sum())
     if abs(total - 1.0) > 1e-8:
         raise ValueError(f"priors: must sum to 1, got {total!r}")
     q = q / total
@@ -263,8 +266,8 @@ def _states_from_rounded(h: np.ndarray) -> np.ndarray:
     and rebuilt from their spectra (_state_stack). An eigenvalue below
     -1e-8 (or a trace off 1 by more than 1e-8) names its state as states[i].
     """
-    traces = np.trace(h, axis1=1, axis2=2).real
-    off = np.flatnonzero(np.abs(traces - 1.0) > 1e-8)
+    traces = h.trace(axis1=1, axis2=2).real
+    off = (abs(traces - 1.0) > 1e-8).nonzero()[0]
     if off.size:
         i = int(off[0])
         raise ValueError(f"states[{i}]: state trace must be 1, got {float(traces[i])!r}")
@@ -294,13 +297,14 @@ def _qubit_states(rho: np.ndarray) -> np.ndarray:
 
 def _reject_negative(smallest: np.ndarray) -> None:
     """Name the first state whose smallest eigenvalue is below -1e-8 (or NaN)."""
-    negative = np.flatnonzero(~(smallest >= -1e-8))
+    negative = (~(smallest >= -1e-8)).nonzero()[0]
     if negative.size:
         i = int(negative[0])
         raise ValueError(f"states[{i}]: state has negative eigenvalue {smallest[i]:.3e}")
 
 
 def solution_to_json(solution: DiscriminationSolution) -> dict:
+    _expect(solution, DiscriminationSolution)
     comp = solution.complementary
     sigmas = iter(_stack_to_json(comp.matrices))
     complementary = [

@@ -6,7 +6,9 @@ complementary states are read off them. Closed forms cover a single
 state or dimension one, two states in any dimension and arbitrary qubit
 ensembles, through one exact shifted-ball dual for every prior in
 solve_qubit (equal priors are equal shifts, and the dual is the paper's
-minimum enclosing ball). On qubits the dual's center and value give the
+minimum enclosing ball); solve_qubit calls the dual's core
+(bloch._shifted_ball), since its ensemble's priors and states were
+checked where they entered. On qubits the dual's center and value give the
 complementary states in closed form and its basis gives the POVM, so a
 qubit solve diagonalizes no gap. Two states read everything, the
 complementary states too, off the one spectrum of q1 rho1 - q2 rho2,
@@ -42,6 +44,7 @@ _assemble on every path.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -52,7 +55,7 @@ from .bloch import (
     _bloch_vectors,
     _min_norm_point,
     _operators,
-    shifted_ball_dual,
+    _shifted_ball,
 )
 from .errors import ConvergenceError, InfeasibleDualError, UnsupportedInstanceError
 from .operators import (
@@ -62,12 +65,14 @@ from .operators import (
     _as_matrix,
     _eigh,
     _eigvalsh,
+    _expect,
     _Frozen,
     _hermitian_stack,
     _lazy_field,
     _matrix_stack,
     _negative_part_and_projector,
     _real_array,
+    _row_norms,
     _state_stack,
     _store,
     _trusted,
@@ -86,10 +91,10 @@ def _priors(priors, size: int) -> np.ndarray:
     q = _real_array(priors, "priors").reshape(-1)
     if len(q) != size or size == 0:
         raise ValueError("priors and states must be non-empty and of equal length")
-    if not np.all(q > 0):  # NaN too
+    if not (q > 0).all():  # NaN too
         raise ValueError("priors must be strictly positive")
-    if abs(float(np.sum(q)) - 1.0) > 1e-10:
-        raise ValueError(f"priors must sum to 1, got {float(np.sum(q))!r}")
+    if abs(float(q.sum()) - 1.0) > 1e-10:
+        raise ValueError(f"priors must sum to 1, got {float(q.sum())!r}")
     return q
 
 
@@ -227,8 +232,8 @@ class DiscriminationSolution(_Frozen):
 
     @cached_property
     def support(self) -> tuple[int, ...]:
-        peaks = np.max(np.abs(self.povm_matrices), axis=(1, 2))
-        return tuple(int(x) for x in np.flatnonzero(peaks > DEGENERATE_WEIGHT_TOL))
+        peaks = abs(self.povm_matrices).max(axis=(1, 2))
+        return tuple(int(x) for x in (peaks > DEGENERATE_WEIGHT_TOL).nonzero()[0])
 
     @cached_property
     def complementary(self) -> ComplementarySet:
@@ -245,10 +250,11 @@ def complementary_states(symmetry_op, ensemble: WeightedEnsemble) -> Complementa
     All gaps are diagonalized in one stacked call: sigma_x shares its
     gap's eigenvectors, with eigenvalues scaled by 1 / r_x.
     """
+    _expect(ensemble, WeightedEnsemble)
     k = _as_matrix(symmetry_op)
     if k.shape[0] != ensemble.dim:
         raise ValueError("operator dimension does not match the ensemble")
-    total = float(np.trace(k).real)
+    total = float(k.trace().real)
     weights = total - ensemble.priors
     values, vectors = _eigh(k - ensemble.priors[:, None, None] * ensemble.matrices)
     live = weights > DEGENERATE_WEIGHT_TOL
@@ -302,6 +308,7 @@ def reconstruct_povm(
     gives that margin. It gives up with the same error, naming the cap,
     after bloch._WOLFE_MAX_CYCLES major cycles.
     """
+    _expect(ensemble, WeightedEnsemble)
     n, d = ensemble.size, ensemble.dim
     if len(complementary.present) != n:
         raise ValueError(f"expected {n} complementary states, got {len(complementary.present)}")
@@ -376,11 +383,11 @@ def _assemble(
     """
     p_guess = sym.trace()
 
-    if float(np.max(np.abs(matrices.sum(axis=0) - np.eye(ensemble.dim)))) > COMPLETENESS_TOL:
+    if float(abs(matrices.sum(axis=0) - np.eye(ensemble.dim)).max()) > COMPLETENESS_TOL:
         raise InfeasibleDualError("POVM does not sum to the identity")
-    if np.any(_eigvalsh(matrices)[:, -1] < -1e-10):
+    if (_eigvalsh(matrices)[:, -1] < -1e-10).any():
         raise InfeasibleDualError("POVM element is not positive semidefinite")
-    q_max = float(np.max(ensemble.priors))
+    q_max = float(ensemble.priors.max())
     if not (q_max - 1e-9 <= p_guess <= 1.0 + 1e-9):
         raise InfeasibleDualError(f"guessing probability {p_guess} outside [max q_x, 1]")
 
@@ -415,6 +422,7 @@ def helstrom_two_state(ensemble: WeightedEnsemble) -> DiscriminationSolution:
     with the weights and absent states of complementary_states on the
     same K: nothing is diagonalized but Delta.
     """
+    _expect(ensemble, WeightedEnsemble)
     if ensemble.size != 2:
         raise ValueError(f"two-state solver got {ensemble.size} states")
     q1, q2 = ensemble.priors
@@ -447,10 +455,11 @@ def solve_qubit(ensemble: WeightedEnsemble) -> DiscriminationSolution:
     and the dual is the minimum enclosing ball of the points v_x / N: t is
     1/N plus its radius and k is its center.
     """
+    _expect(ensemble, WeightedEnsemble)
     if ensemble.dim != 2:
         raise UnsupportedInstanceError("qubit solver applies to qubit ensembles only")
     points = ensemble.priors[:, None] * _bloch_vectors(ensemble.matrices)
-    result = shifted_ball_dual(points, ensemble.priors)
+    result = _shifted_ball(points, ensemble.priors)
     sym = _trusted(HermitianOperator, matrix=_operators(result.value, result.center))
     weights, live, units = _qubit_complementary(
         sym.trace(), result.center, points, ensemble.priors
@@ -485,7 +494,7 @@ def _qubit_complementary(
     """
     weights = total - priors
     offsets = center - points
-    lengths = np.linalg.norm(offsets, axis=1)
+    lengths = _row_norms(offsets)
     smallest = (weights - lengths) / 2.0
     infeasible = smallest < -DUAL_FEASIBILITY_TOL
     if infeasible.any():
@@ -523,7 +532,7 @@ def _basis_povm(
     scales = np.zeros(len(points))
     vectors = np.zeros((len(points), 3))
     if not present.all():
-        scales[np.argmin(present)] = 2.0
+        scales[present.argmin()] = 2.0
         return scales, vectors
     effective = result.multipliers > 0.0
     basis, lam = np.asarray(result.basis)[effective], result.multipliers[effective]
@@ -532,15 +541,15 @@ def _basis_povm(
         return scales, vectors
     edges = points[basis] - points[basis[0]]
     if len(basis) == 2:
-        length = float(np.linalg.norm(edges[1]))
+        length = math.sqrt(edges[1].dot(edges[1]))  # np.linalg.norm's form for a vector
         if not length > 0.0:
             raise InfeasibleDualError("the dual basis balances no measurement directions")
         unit = edges[1] / length
         scales[basis] = 1.0
-        vectors[basis] = np.stack([-unit, unit])
+        vectors[basis[0]], vectors[basis[1]] = -unit, unit
         return scales, vectors
     offsets = lam @ edges - edges  # k - p_x for each basis member
-    weights = lam * np.linalg.norm(offsets, axis=1)
+    weights = lam * _row_norms(offsets)
     total = float(weights.sum())
     if not total > 0.0:
         raise InfeasibleDualError("the dual basis balances no measurement directions")
@@ -557,6 +566,7 @@ def solve(ensemble: WeightedEnsemble) -> DiscriminationSolution:
     dimension use the closed form; qubit ensembles of any priors use the
     shifted-ball dual. Anything else is unsupported.
     """
+    _expect(ensemble, WeightedEnsemble)
     if ensemble.size == 1 or ensemble.dim == 1:
         return _trivial_solution(ensemble)
     if ensemble.size == 2:

@@ -19,6 +19,7 @@ from qdiscrim import (
     equivalence_check,
     from_bloch,
     helstrom_two_state,
+    is_psd,
     probability_forms,
     random_ensemble,
     reconstruct_povm,
@@ -525,3 +526,37 @@ class TestToleranceRule:
         assert cert.tolerance == 0.0 and cert.passed == (cert.max_residual() == 0.0)
         assert verify_legacy_conditions(e, sol.povm, 0.0).tolerance == 0.0
         assert equivalence_check(sol.symmetry_op, sol.symmetry_op, 0.0)
+
+    @pytest.mark.parametrize(
+        "tol",
+        [np.array([1e-8]), np.array(1e-8), np.array([[1e-8]]), np.zeros(0), [1e-8], "1e-8",
+         None, 1e-8j],
+        ids=["array-1", "array-0d", "array-1x1", "array-empty", "list", "str", "none", "complex"],
+    )
+    def test_a_tolerance_that_is_not_a_real_number_raises(self, tol):
+        e = trine()
+        sol = solve(e)
+        checks = [
+            lambda: verify_kkt(e, sol.symmetry_op, sol.povm, tol),
+            lambda: verify_legacy_conditions(e, sol.povm, tol),
+            lambda: is_psd(sol.symmetry_op, tol),
+            lambda: equivalence_check(sol.symmetry_op, sol.symmetry_op, tol),
+        ]
+        for check in checks:
+            with pytest.raises(ValueError, match=f"^{self.MESSAGE}, got .*, not a real number$"):
+                check()
+
+    @pytest.mark.parametrize("tol", [1e-8, np.float64(1e-8), 0], ids=["float", "float64", "int"])
+    def test_a_real_tolerance_is_kept_as_a_float(self, tol):
+        e = trine()
+        sol = solve(e)
+        for cert in (verify_kkt(e, sol.symmetry_op, sol.povm, tol),
+                     verify_legacy_conditions(e, sol.povm, tol)):
+            assert type(cert.tolerance) is float and cert.tolerance == tol
+            assert cert.passed == (cert.max_residual() <= tol)
+        assert is_psd(sol.symmetry_op, tol) is True
+        assert equivalence_check(sol.symmetry_op, sol.symmetry_op, tol) is True
+
+    def test_an_int_beyond_the_float_range_is_an_infinite_tolerance(self):
+        with pytest.raises(ValueError, match=f"^{self.MESSAGE}, got inf$"):
+            is_psd(np.eye(2), 10**400)

@@ -766,6 +766,48 @@ class TestCliFuzz:
         assert not out.exists()
 
 
+def _nested(depth: int) -> str:
+    """A JSON document of depth nested arrays."""
+    return "[" * depth + "]" * depth
+
+
+def _decoder_recurses_out(depth: int) -> bool:
+    """Whether json's decoder, called here, gives up on depth nested arrays."""
+    try:
+        json.loads(_nested(depth))
+    except RecursionError:
+        return True
+    return False
+
+
+class TestDeepNesting:
+    """A document nested deeper than json's decoder recurses is a file error:
+    exit 2 and one error line naming the file, for every file a command reads."""
+
+    @pytest.mark.parametrize("depth", [1_000, 10_000])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", "{deep}", "--verify"],
+            ["verify", "{deep}", "{trine}"],
+            ["verify", "{trine}", "{deep}"],
+            ["generate", "{deep}"],
+        ],
+        ids=["solve", "verify-ensemble", "verify-candidate", "generate"],
+    )
+    def test_exits_2_naming_the_file(self, argv, depth, trine_file, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text(_nested(depth))
+        assert main([a.format(deep=deep, trine=trine_file) for a in argv]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and _one_error_line(err) and len(err.splitlines()) == 1
+        assert err.startswith(f"error: {deep}: ")
+        # an interpreter whose decoder reaches this depth parses it, and the
+        # document is then rejected as the wrong shape
+        if _decoder_recurses_out(depth):
+            assert err == f"error: {deep}: document nested too deeply to parse\n"
+
+
 def reference_certificate(ensemble, doc, tol, legacy=False) -> dict:
     """The element-by-element certificate path that cli._certificate must reproduce."""
     if not isinstance(doc, dict) or "povm" not in doc:
@@ -976,6 +1018,14 @@ class TestCliProcess:
         assert _one_error_line(proc.stderr), proc.stderr
         # no numpy warning precedes the diagnostic: stderr is that one line
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
+
+    def test_deeply_nested_document_exits_2_without_traceback(self, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text(_nested(10_000))
+        proc = _run_python("-m", "qdiscrim.cli", "solve", str(path))
+        assert proc.returncode == 2, proc.stderr
+        assert _one_error_line(proc.stderr) and len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith(f"error: {path}: ")
 
     def test_import_leaves_scipy_unloaded(self):
         proc = _run_python("-c", "import sys, qdiscrim; print('scipy' in sys.modules)")

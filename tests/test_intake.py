@@ -40,6 +40,7 @@ from qdiscrim import (
     solve,
 )
 from qdiscrim.families import trine
+from qdiscrim.serialize import ensemble_to_json, solution_to_json
 
 NUMPY_WORDS = (
     "broadcast",
@@ -328,3 +329,50 @@ def test_a_malformed_argument_is_rejected_in_the_package_words(name, argument, k
         getattr(qdiscrim, name)(**kwargs)
     message = str(info.value)
     assert not any(words in message for words in NUMPY_WORDS), message
+
+
+# The public functions that take an ensemble or a solution, that argument and
+# its class: a value of another type raises TypeError naming the class.
+OBJECT_ARGUMENTS = {
+    "complementary_states": ("ensemble", "WeightedEnsemble"),
+    "conditional_table_from_povm": ("ensemble", "WeightedEnsemble"),
+    "dual_grid_oracle": ("ensemble", "WeightedEnsemble"),
+    "helstrom_two_state": ("ensemble", "WeightedEnsemble"),
+    "probability_forms": ("solution", "DiscriminationSolution"),
+    "reconstruct_povm": ("ensemble", "WeightedEnsemble"),
+    "solve": ("ensemble", "WeightedEnsemble"),
+    "solve_qubit": ("ensemble", "WeightedEnsemble"),
+    "verify_kkt": ("ensemble", "WeightedEnsemble"),
+    "verify_legacy_conditions": ("ensemble", "WeightedEnsemble"),
+}
+
+
+@pytest.mark.parametrize("value", ["x", True, [], None, 0.5, np.eye(2)],
+                         ids=["str", "bool", "list", "none", "float", "ndarray"])
+@pytest.mark.parametrize("name", sorted(OBJECT_ARGUMENTS))
+def test_a_package_object_of_another_type_raises_type_error_naming_its_class(name, value):
+    argument, expected = OBJECT_ARGUMENTS[name]
+    call, _ = ROWS[name]
+    kwargs = call(_context())
+    kwargs[argument] = value
+    with pytest.raises(TypeError) as info:
+        getattr(qdiscrim, name)(**kwargs)
+    assert str(info.value) == f"expected a {expected}, got {type(value).__name__}"
+
+
+def test_the_calls_that_raised_attribute_error_raise_type_error():
+    solution = solve(trine())
+    with pytest.raises(TypeError, match="^expected a WeightedEnsemble, got str$"):
+        solve("x")
+    with pytest.raises(TypeError, match="^expected a WeightedEnsemble, got bool$"):
+        qdiscrim.verify_kkt(True, solution.symmetry_op, solution.povm)
+    with pytest.raises(TypeError, match="^expected a DiscriminationSolution, got list$"):
+        qdiscrim.probability_forms([])
+
+
+def test_the_serializers_check_their_object():
+    with pytest.raises(TypeError, match="^expected a WeightedEnsemble, got str$"):
+        ensemble_to_json("x")
+    with pytest.raises(TypeError) as info:
+        solution_to_json(trine())
+    assert str(info.value) == "expected a DiscriminationSolution, got WeightedEnsemble"

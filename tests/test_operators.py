@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from qdiscrim import (
     ConvergenceError,
@@ -26,7 +27,7 @@ from qdiscrim import (
 from qdiscrim import certify, operators, random_ensemble, verify_kkt
 from qdiscrim.bloch import PAULI_X as BLOCH_X
 from qdiscrim.bloch import to_bloch
-from qdiscrim.bloch import PAULI_Y, PAULI_Z, _operators
+from qdiscrim.bloch import PAULI_Y, PAULI_Z, _bloch_vectors, _operators
 from qdiscrim.operators import (
     _eigh,
     _eigvalsh,
@@ -34,6 +35,7 @@ from qdiscrim.operators import (
     _hermitian_stack,
     _matrix_stack,
     _negative_part_and_projector,
+    _row_norms,
     _symmetrized,
 )
 from qdiscrim.serialize import ensemble_from_json, ensemble_to_json, solution_to_json
@@ -643,6 +645,86 @@ class TestClosedFormEigenvalues:
         monkeypatch.setattr(np.linalg, "eigvalsh", forbidden)
         assert is_psd(np.eye(2)) and trace_norm(np.diag([0.5, -0.25])) == 0.75
         assert DensityOperator(np.eye(2) / 2).dim == 2
+
+
+# Signed zeros, subnormals, values near the float maximum, infinities and NaN.
+_SPECIAL = st.sampled_from(
+    [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-308, 1e300, -1e300, math.inf, -math.inf, math.nan]
+)
+_ENTRY = st.one_of(_SPECIAL, st.floats())
+
+
+def _hex(a) -> tuple:
+    """The shape and the .hex() of every element: bit for bit, signed zeros included."""
+    a = np.asarray(a)
+    return a.shape, [float(v).hex() for v in a.ravel().tolist()]
+
+
+def _bloch_vectors_reference(matrices):
+    """_bloch_vectors in its former np.stack form."""
+    m01, m10 = matrices[..., 0, 1], matrices[..., 1, 0]
+    return np.stack(
+        [
+            m01.real + m10.real,
+            m10.imag - m01.imag,
+            matrices[..., 0, 0].real - matrices[..., 1, 1].real,
+        ],
+        axis=-1,
+    )
+
+
+def _eigvalsh_2x2_reference(matrix):
+    """The 2 x 2 branch of _eigvalsh in its former np.stack form."""
+    m = np.asarray(matrix)
+    a = m[..., 0, 0].real / 2.0
+    d = m[..., 1, 1].real / 2.0
+    mean = a + d
+    radius = np.hypot(a - d, np.abs(m[..., 1, 0]))
+    return np.stack((mean + radius, mean - radius), axis=-1)
+
+
+# a single matrix, a stack of N and an empty stack
+_QUBIT_SHAPES = st.one_of(st.just((2, 2)), st.integers(0, 6).map(lambda n: (n, 2, 2)))
+
+
+class TestReplacedWrappersBitForBit:
+    """The request path calls the ufuncs and ndarray methods that numpy's
+    Python-level wrappers dispatch to; each replacement computes their bits."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(x=arrays(float, array_shapes(min_dims=1, max_dims=3, min_side=0), elements=_ENTRY))
+    def test_row_norms_match_linalg_norm(self, x):
+        with np.errstate(all="ignore"):
+            assert _hex(_row_norms(x)) == _hex(np.linalg.norm(x, axis=-1))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(matrices=_QUBIT_SHAPES.flatmap(
+        lambda shape: arrays(complex, shape, elements=st.builds(complex, _ENTRY, _ENTRY))
+    ))
+    def test_bloch_vectors_match_the_stacked_form(self, matrices):
+        with np.errstate(all="ignore"):
+            assert _hex(_bloch_vectors(matrices)) == _hex(_bloch_vectors_reference(matrices))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(shape=_QUBIT_SHAPES, data=st.data())
+    def test_closed_form_eigenvalues_match_the_stacked_form(self, shape, data):
+        # finite spectra only: a non-finite one raises ConvergenceError
+        entry = st.one_of(_SPECIAL.filter(math.isfinite), st.floats(-1e300, 1e300))
+        if len(shape) == 2:
+            matrices = data.draw(_hermitian_2x2())
+        else:
+            matrices = np.zeros(shape, dtype=complex)
+            for m in matrices:
+                m[0, 0], m[1, 1] = data.draw(entry), data.draw(entry)
+                m[1, 0] = complex(data.draw(entry), data.draw(entry))
+                m[0, 1] = m[1, 0].conjugate()
+        with np.errstate(all="ignore"):
+            expected = _eigvalsh_2x2_reference(matrices)
+        if not np.isfinite(expected).all():
+            with pytest.raises(ConvergenceError):
+                _eigvalsh(matrices)
+            return
+        assert _hex(_eigvalsh(matrices)) == _hex(expected)
 
 
 class TestDecompositionCounts:
