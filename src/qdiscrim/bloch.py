@@ -38,7 +38,9 @@ from itertools import combinations
 import numpy as np
 
 from .errors import ConvergenceError
-from .operators import DensityOperator, _as_matrix, _Frozen, _real_array, _row_norms, _trusted
+from .operators import (
+    DensityOperator, _as_matrix, _Frozen, _priors, _real_array, _row_norms, _trusted
+)
 
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -351,16 +353,9 @@ def shifted_ball_dual(points, shifts) -> ShiftedBallResult:
     if pts.shape[-1:] != (3,):
         raise ValueError(f"points must have 3 coordinates each, got shape {pts.shape}")
     pts = pts.reshape(-1, 3)
-    s = _real_array(shifts, "shifts").reshape(-1)
-    if len(pts) != len(s):
-        raise ValueError("points and shifts must have equal length")
-    if not (np.isfinite(pts).all() and np.isfinite(s).all()):
-        raise ValueError("points and shifts must be finite")
-    if (s <= 0).any():
-        raise ValueError("shifts must be positive")
-    if abs(float(s.sum()) - 1.0) > 1e-10:
-        raise ValueError("shifts must sum to 1")
-    return _shifted_ball(pts, s)
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
+    return _shifted_ball(pts, _priors(shifts, len(pts), "shifts"))
 
 
 def _shifted_ball(pts: np.ndarray, s: np.ndarray) -> ShiftedBallResult:

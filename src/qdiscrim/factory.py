@@ -20,7 +20,6 @@ stacks (t I + v . sigma)/2, built unchecked as the qubit solver builds its own.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,13 +28,16 @@ from .bloch import _operators
 from .certify import ANALYTIC_TOL, verify_kkt
 from .errors import InfeasibleDualError
 from .operators import (
+    MAX_DIM,
     PSD_TOL,
     DensityOperator,
     HermitianOperator,
     _count,
     _eigvalsh,
     _Frozen,
+    _priors,
     _real_array,
+    _real_scalar,
     _store,
     _symmetrized,
     _trusted,
@@ -158,10 +160,7 @@ def generate_qubit_class_element(
     1e-9. Every check rejects NaN too, so each output stack is a finite
     closed form, exactly Hermitian, and its states pass by the norm checks.
     """
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"target value must be a real number, got {value!r}")
-    if not np.isfinite(value):
-        raise ValueError(f"target value must be finite, got {value!r}")
+    value = _real_scalar(value, "target value must be finite")
     center = _real_array(center, "center").reshape(-1)
     if len(center) != 3:
         raise ValueError(f"center must have 3 components, got {len(center)}")
@@ -169,8 +168,7 @@ def generate_qubit_class_element(
     if units.shape[1:] != (3,):
         raise ValueError(f"directions must be an (n, 3) array, got shape {units.shape}")
     a = _real_array(povm_weights, "POVM weights").reshape(-1)
-    q = _real_array(priors, "priors").reshape(-1)
-    if not len(units) == len(a) == len(q):
+    if len(units) != len(a):
         raise ValueError("directions, weights and priors must have equal length")
     if not np.all(np.abs(np.linalg.norm(units, axis=1) - 1.0) <= 1e-9):
         raise ValueError("directions must be unit vectors")
@@ -180,8 +178,7 @@ def generate_qubit_class_element(
         raise ValueError("POVM weights must sum to 2")
     if not float(np.linalg.norm(a @ units)) <= 1e-9:
         raise ValueError("weighted directions must sum to zero")
-    if not (np.all(q > 0) and abs(float(np.sum(q)) - 1.0) <= 1e-10):
-        raise ValueError("priors must be positive and sum to 1")
+    q = _priors(priors, len(units), "priors")
     if not float(np.linalg.norm(center)) <= value + 1e-12:
         raise ValueError("center norm exceeds the target value; operator not PSD")
     weights = value - q
@@ -210,7 +207,7 @@ def identity_class_example(dim: int) -> FactoryOutput:
     equal priors, complementary states uniform over the other basis
     vectors, and perfect discrimination by the basis measurement.
     """
-    if _count(dim, "dim") < 2:
-        raise ValueError("dimension must be at least 2")
+    if not 2 <= _count(dim, "dim") <= MAX_DIM:
+        raise ValueError(f"dimension must be in 2..{MAX_DIM}")
     eye = np.eye(dim, dtype=complex)
     return generate_from_symmetry_operator(eye / dim, [np.diag(e) for e in eye])

@@ -28,21 +28,21 @@ one); their tuples of operators or states are built from the stack on
 first access (_wrap, which freezes the stack), and every such tuple keeps its stack, which
 _matrix_stack hands back without stacking it again.
 
-Matrices are validated where they enter the package: the public
-constructors and functions that take an operator (_as_matrix), and the
-JSON parse (serialize). A raw matrix is validated as HermitianOperator
-validates it, and an instance of the class being built is taken as it
-is. Lists and stacks of POVM elements pass one intake rule
-(solve._povm_stack: count, dimension, finite entries), with no
-Hermitian check: the certificate's residuals judge them. Real vectors,
-weights and priors pass _real_array (a new float array). What the
-package builds from data it knows is valid is built unchecked by
+Input is validated where it enters the package, by one rule per kind:
+- object (_expect): an ensemble, a solution, a table, ...; TypeError;
+- count (_count): a dimension, a size, a seed;
+- real scalar (_real_scalar): a tolerance, a resolution, a target value;
+- real array (_real_array): vectors, weights, a JSON matrix's re and im;
+- probability vector (_priors): priors and shifts, summing to 1;
+- Hermitian stack (_hermitian_stack): an operator in a public constructor
+  or function (_as_matrix) or the JSON parse; an instance of the class
+  being built is taken as it is;
+- measurement (solve._povm_stack): POVM elements, with no Hermitian
+  check: the certificate's residuals judge them.
+What the package builds from data it knows is valid is built unchecked by
 _trusted (a stack's tuple by _wrap); the checks that can fail on it
 still run (solve._assemble). _store and _wrap freeze only arrays that
-the package built or copied, never an array a caller passed in. An
-argument that must be an object of the package (an ensemble, a solution)
-passes _expect, which raises TypeError naming the class; a tolerance
-passes _check_tolerance, which takes only a real number.
+the package built or copied, never an array a caller passed in.
 """
 
 from __future__ import annotations
@@ -86,6 +86,18 @@ def _real_array(value, what: str) -> np.ndarray:
     if out is None or out.dtype.kind not in "iuf":
         raise ValueError(f"{what} is not a rectangular array of real numbers")
     return out.astype(float, copy=False)
+
+
+def _priors(values, size: int, what: str) -> np.ndarray:
+    """size probabilities as a new float array: positive, at most 1, summing to 1 within 1e-10."""
+    q = _real_array(values, what).reshape(-1)
+    if len(q) != size or size == 0:
+        raise ValueError(f"{what} and states must be non-empty and of equal length")
+    if not ((q > 0) & (q <= 1.0 + 1e-10)).all():  # NaN and inf too; so the sum cannot overflow
+        raise ValueError(f"{what} must be strictly positive and at most 1")
+    if abs(float(q.sum()) - 1.0) > 1e-10:
+        raise ValueError(f"{what} must sum to 1, got {float(q.sum())!r}")
+    return q
 
 
 def _count(value, name: str) -> int:
@@ -372,23 +384,25 @@ def trace_norm(operator) -> float:
     return float(np.sum(np.abs(_eigvalsh(_as_matrix(operator)))))
 
 
-def _check_tolerance(tol) -> float:
-    """A tolerance as a float: a real number, finite and non-negative.
+def _real_scalar(value, stem: str, low: float = -math.inf) -> float:
+    """A finite real number, at least low, as a float; else ValueError starting with stem.
 
-    A bool, an array of any shape or any other value that is not a real
-    number raises ValueError, as a negative or non-finite one does.
+    A bool, an array or an int beyond the float range is rejected too.
     """
-    if isinstance(tol, (bool, np.bool_)) or not isinstance(tol, numbers.Real):
-        raise ValueError(
-            f"tolerance must be finite and non-negative, got {tol!r}, not a real number"
-        )
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{stem}, got {value!r}, not a real number")
     try:
-        tol = float(tol)
+        value = float(value)
     except OverflowError:  # an int beyond the float range
-        tol = math.inf
-    if not (tol >= 0 and math.isfinite(tol)):
-        raise ValueError(f"tolerance must be finite and non-negative, got {tol!r}")
-    return tol
+        value = math.inf
+    if not (value >= low and math.isfinite(value)):
+        raise ValueError(f"{stem}, got {value!r}")
+    return value
+
+
+def _check_tolerance(tol) -> float:
+    """A tolerance as a float: a real number (_real_scalar), non-negative."""
+    return _real_scalar(tol, "tolerance must be finite and non-negative", 0.0)
 
 
 def is_psd(operator, tol: float = PSD_TOL) -> bool:
@@ -457,6 +471,7 @@ def purify(rho) -> PureBipartiteState:
 
 def partial_trace(state: PureBipartiteState, subsystem: str) -> HermitianOperator:
     """Reduced operator of a pure bipartite state, tracing out A or B."""
+    _expect(state, PureBipartiteState)
     psi = state.amplitudes.reshape(state.dim_a, state.dim_b)
     if subsystem == "A":
         reduced = psi.T @ psi.conj()

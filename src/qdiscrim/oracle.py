@@ -9,14 +9,15 @@ guessing identities live here as well.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bloch import _bloch_vectors
-from .operators import DensityOperator, _count, _expect, _Frozen, _real_array, _store
-from .solve import WeightedEnsemble, _povm_stack, _priors
+from .operators import (
+    MAX_DIM, DensityOperator, _count, _expect, _Frozen, _priors, _real_array, _real_scalar, _store
+)
+from .solve import WeightedEnsemble, _povm_stack
 
 _COARSE_STEP = 0.05
 _MIN_PRIOR = 1e-6
@@ -101,9 +102,8 @@ def dual_grid_oracle(ensemble: WeightedEnsemble, resolution: float) -> float:
     which a window's points are no longer distinct floats.
     """
     _expect(ensemble, WeightedEnsemble)
-    real = isinstance(resolution, numbers.Real) and not isinstance(resolution, bool)
-    if not (real and math.isfinite(resolution) and resolution > 0):
-        raise ValueError(f"resolution must be finite and positive, got {resolution!r}")
+    # positive: at least the least positive float
+    resolution = _real_scalar(resolution, "resolution must be finite and positive", math.ulp(0.0))
     if resolution < 1e-15:
         raise ValueError(f"resolution {resolution!r} is below the floor 1e-15")
     if ensemble.dim != 2:
@@ -141,9 +141,9 @@ def random_ensemble(dim: int, size: int, pure: bool, seed: int) -> WeightedEnsem
     ensemble.
     """
     dim, size, seed = _count(dim, "dim"), _count(size, "size"), _count(seed, "seed")
-    if dim < 2 or size < 1:
-        raise ValueError("need dim >= 2 and at least one state")
-    if size * _MIN_PRIOR > 1.0:
+    if not 2 <= dim <= MAX_DIM or size < 1:
+        raise ValueError(f"need 2 <= dim <= {MAX_DIM} and at least one state")
+    if size > round(1 / _MIN_PRIOR):
         raise ValueError(f"at most {round(1 / _MIN_PRIOR)} states have priors of at least 1e-6")
     rng = np.random.default_rng(seed)
 
@@ -180,17 +180,15 @@ def distance_from_uniform(distribution) -> float:
 
 
 def guessing_from_table(priors, table: ConditionalTable) -> TableGuessing:
-    """Guessing probability of a conditional table, two ways, for finite priors that pass _priors.
+    """Guessing probability of a conditional table, two ways, for priors that pass _priors.
 
     The diagonal form averages q_y P(y|y). The distance form evaluates
     1/N plus the prior-weighted distances of the columns from uniform,
     which reproduces the diagonal form whenever the diagonal-dominance
     premise holds; premise violations are flagged, not raised.
     """
-    q = _real_array(priors, "priors").reshape(-1)
-    if not np.isfinite(q).all():
-        raise ValueError("priors must be finite")
-    q = _priors(q, table.size)
+    _expect(table, ConditionalTable)
+    q = _priors(priors, table.size, "priors")
     p = table.probabilities
     n = table.size
 

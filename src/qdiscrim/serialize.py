@@ -25,10 +25,12 @@ from .operators import (
     _expect,
     _hermitian_stack,
     _matrix_stack,
+    _priors,
+    _real_array,
     _state_stack,
     _trusted,
 )
-from .solve import DiscriminationSolution, WeightedEnsemble, _priors
+from .solve import DiscriminationSolution, WeightedEnsemble
 
 
 def round_floats(value, digits: int = 9):
@@ -156,11 +158,8 @@ def matrix_from_json(obj, field: str = "matrix") -> np.ndarray:
     dim = obj["dim"]
     if isinstance(dim, bool) or not isinstance(dim, int) or not 1 <= dim <= MAX_DIM:
         raise ValueError(f"{field}.dim: expected an integer in 1..{MAX_DIM}, got {dim!r}")
-    try:
-        re = np.asarray(obj["re"], dtype=float)
-        im = np.asarray(obj["im"], dtype=float)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ValueError(f"{field}: entries must be numbers ({exc})") from exc
+    re = _real_array(obj["re"], f"{field}.re")
+    im = _real_array(obj["im"], f"{field}.im")
     if re.shape != (dim, dim) or im.shape != (dim, dim):
         raise ValueError(f"{field}: re/im must be {dim}x{dim}, got {re.shape} and {im.shape}")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
@@ -171,7 +170,7 @@ def matrix_from_json(obj, field: str = "matrix") -> np.ndarray:
 def _matrices_from_json(items: list, field: str, owner: str) -> np.ndarray:
     """The Hermitian stack (N, d, d) of a JSON array of {"dim", "re", "im"} objects.
 
-    One np.asarray converts all re and one all im, and _hermitian_stack
+    One _real_array reads all re and one all im, and _hermitian_stack
     checks the stack at once, non-finite entries included, naming a bad
     matrix field[i]. Other defects send the items one by one through
     matrix_from_json, which names the first; mixed dimensions raise "<owner>:
@@ -184,9 +183,9 @@ def _matrices_from_json(items: list, field: str, owner: str) -> np.ndarray:
         and m["dim"] == dim for m in items
     ):
         try:
-            re = np.asarray([m["re"] for m in items], dtype=float)
-            im = np.asarray([m["im"] for m in items], dtype=float)
-        except (TypeError, ValueError, OverflowError):
+            re = _real_array([m["re"] for m in items], field)
+            im = _real_array([m["im"] for m in items], field)
+        except ValueError:
             re = im = np.zeros(0)
         if re.shape == im.shape == (len(items), dim, dim):
             with np.errstate(invalid="ignore"):  # 1j * inf; the stack check rejects it
@@ -239,10 +238,11 @@ def ensemble_from_json(obj) -> WeightedEnsemble:
         q = np.asarray(priors, dtype=float)
     except OverflowError as exc:
         raise ValueError(f"priors: entries must be numbers ({exc})") from exc
-    finite = np.isfinite(q)
-    if not finite.all():
-        i = int(finite.argmin())
-        raise ValueError(f"priors: entries must be finite (priors[{i}] is {priors[i]!r})")
+    bounded = abs(q) <= 1.0 + 1e-8  # NaN too; so the sum cannot overflow
+    if not bounded.all():
+        i = int(bounded.argmin())
+        rule = "be finite" if not np.isfinite(q[i]) else "not exceed 1 in magnitude"
+        raise ValueError(f"priors: entries must {rule} (priors[{i}] is {priors[i]!r})")
     total = float(q.sum())
     if abs(total - 1.0) > 1e-8:
         raise ValueError(f"priors: must sum to 1, got {total!r}")
@@ -251,7 +251,7 @@ def ensemble_from_json(obj) -> WeightedEnsemble:
     matrices = _matrices_from_json(states_json, "states", "ensemble")
     states = _states_from_rounded(matrices) if len(matrices) else matrices
     try:
-        q = _priors(q, len(states))
+        q = _priors(q, len(states), "priors")
     except ValueError as exc:
         raise ValueError(f"ensemble: {exc}") from exc
     return _trusted(WeightedEnsemble, priors=q, seed=None, matrices=states)
@@ -321,6 +321,7 @@ def solution_to_json(solution: DiscriminationSolution) -> dict:
 
 
 def certificate_to_json(cert: KktCertificate) -> dict:
+    _expect(cert, KktCertificate)
     return {
         "residuals": {k: float(v) for k, v in cert.residuals().items()},
         "tolerance": float(cert.tolerance),
@@ -329,6 +330,7 @@ def certificate_to_json(cert: KktCertificate) -> dict:
 
 
 def factory_output_to_json(output: FactoryOutput) -> dict:
+    _expect(output, FactoryOutput)
     doc = ensemble_to_json(output.ensemble)
     doc["steering_probs"] = [float(p) for p in output.steering_probs]
     doc["certified"] = bool(output.certified)

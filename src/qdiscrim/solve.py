@@ -31,8 +31,8 @@ povm tuples stay: one built from a stack wraps them on first access
 A state is a HermitianOperator.
 
 The input is validated where it enters (the constructors, the functions
-that take an operator, the parse; one priors rule, _priors, and one rule
-for every measurement the package reads, _povm_stack). The qubit
+that take an operator, the parse), by the intake rules of operators and
+one rule for every measurement the package reads, _povm_stack. The qubit
 solver builds K, the complementary states and the POVM as closed-form
 operators (t I + v . sigma)/2, exactly Hermitian; the two-state and
 trivial solvers pass K and the POVM, matrix products, through the
@@ -71,6 +71,7 @@ from .operators import (
     _lazy_field,
     _matrix_stack,
     _negative_part_and_projector,
+    _priors,
     _real_array,
     _row_norms,
     _state_stack,
@@ -84,18 +85,6 @@ KERNEL_TOL = 1e-9
 DUAL_FEASIBILITY_TOL = 1e-8
 COMPLETENESS_TOL = 1e-9
 COMPLEMENTARY_NOISE_TOL = 1e-6
-
-
-def _priors(priors, size: int) -> np.ndarray:
-    """Priors for size states as a new float array: non-empty, positive, summing to 1."""
-    q = _real_array(priors, "priors").reshape(-1)
-    if len(q) != size or size == 0:
-        raise ValueError("priors and states must be non-empty and of equal length")
-    if not (q > 0).all():  # NaN too
-        raise ValueError("priors must be strictly positive")
-    if abs(float(q.sum()) - 1.0) > 1e-10:
-        raise ValueError(f"priors must sum to 1, got {float(q.sum())!r}")
-    return q
 
 
 @dataclass(frozen=True, eq=False)
@@ -117,7 +106,7 @@ class WeightedEnsemble(_Frozen):
         states = tuple(
             s if isinstance(s, DensityOperator) else DensityOperator(s) for s in states
         )
-        q = _priors(priors, len(states))
+        q = _priors(priors, len(states), "priors")
         _store(self, priors=q, states=states, seed=seed,
                matrices=_matrix_stack(states, "states"))
 
@@ -217,6 +206,7 @@ class DiscriminationSolution(_Frozen):
     povm_matrices: np.ndarray = field(init=False, repr=False)
 
     def __init__(self, ensemble, symmetry_op, povm) -> None:
+        _expect(ensemble, WeightedEnsemble)
         sym = HermitianOperator(symmetry_op)
         if sym.dim != ensemble.dim:
             raise ValueError("operator dimension does not match the ensemble")
@@ -309,6 +299,7 @@ def reconstruct_povm(
     after bloch._WOLFE_MAX_CYCLES major cycles.
     """
     _expect(ensemble, WeightedEnsemble)
+    _expect(complementary, ComplementarySet)
     n, d = ensemble.size, ensemble.dim
     if len(complementary.present) != n:
         raise ValueError(f"expected {n} complementary states, got {len(complementary.present)}")

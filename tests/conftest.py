@@ -18,6 +18,17 @@ from qdiscrim.bloch import _bloch_vectors, _min_norm_point, _operators
 from qdiscrim.operators import hermitian_eigen
 
 NOT_REAL = "is not a rectangular array of real numbers"  # the tail of operators._real_array's rejection
+# phrases of numpy's own messages, which no rejection of the package may carry
+NUMPY_WORDS = (
+    "broadcast",
+    "cannot reshape",
+    "argmin of an empty sequence",
+    "must be real number",
+    "setting an array element",
+    "could not convert",
+    "not supported for the input types",
+    "overflow encountered",
+)
 
 
 def convex_weights_for_center(points, center, tol: float = 1e-9) -> np.ndarray:

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -44,6 +45,8 @@ from qdiscrim.bloch import _bloch_vectors, _operators
 from qdiscrim.families import trine
 from qdiscrim.operators import _eigh, _state_stack
 from qdiscrim.solve import solve
+
+from conftest import NOT_REAL, NUMPY_WORDS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -662,8 +665,45 @@ def _main_in_process(argv) -> tuple[int, str]:
     return code, err.getvalue()
 
 
+def _trine_document(defect: str) -> dict:
+    """The trine's ensemble document with one defect in its priors or a matrix entry."""
+    doc = ensemble_to_json(trine())
+    row = doc["states"][1]["re"][0]
+    if defect == "huge-priors":
+        doc["priors"] = [1e308] * 3
+    elif defect == "string-entry":
+        row[0] = repr(row[0])
+    elif defect == "ragged-entry":
+        row[0] = []
+    else:  # an entry nested 100 lists deep
+        for _ in range(100):
+            row[0] = [row[0]]
+    return doc
+
+
+# Defects of the trine's document and the field their one error line names.
+_TRINE_DEFECTS = {
+    "huge-priors": "priors",
+    "string-entry": "states[1]",
+    "ragged-entry": "states[1]",
+    "nested-entry": "states[1]",
+}
+
+
 class TestCliFuzz:
     """Every malformed document exits 2 or 3 with a diagnostic naming its field."""
+
+    @pytest.mark.parametrize("defect", sorted(_TRINE_DEFECTS))
+    def test_trine_defect_exits_2_with_one_line_in_the_package_words(self, defect, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(_trine_document(defect)))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # a warning would print a line of its own
+            code, err = _main_in_process(["solve", str(path)])
+        assert code == 2 and not caught, [str(w.message) for w in caught]
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: "), err
+        assert _TRINE_DEFECTS[defect] in err
+        assert not any(words in err for words in NUMPY_WORDS), err
 
     @pytest.mark.parametrize("case", sorted(_VERIFY_FUZZ))
     def test_verify_candidate_exits_with_its_code(self, case, trine_file, tmp_path, capsys):
@@ -833,14 +873,6 @@ def _printed(ensemble):
     return parsed, json.loads(json.dumps(doc, indent=2))
 
 
-def _numpy_message(entries) -> str:
-    try:
-        np.asarray(entries, dtype=float)
-    except ValueError as exc:
-        return str(exc)
-    raise AssertionError("entries converted")
-
-
 _RAGGED = [[0.5, 0.0], [0.5]]
 _POVM_DEFECTS = {
     "non-hermitian": (
@@ -857,7 +889,7 @@ _POVM_DEFECTS = {
     ),
     "ragged-re": (
         {"dim": 2, "re": _RAGGED, "im": _ZERO},
-        f"povm[1]: entries must be numbers ({_numpy_message(_RAGGED)})",
+        f"povm[1].re {NOT_REAL}",
     ),
     "not-an-object": (3, "povm[1]: expected an object with dim/re/im"),
     "missing-im": ({"dim": 2, "re": [[0.5, 0.0], [0.0, 0.5]]}, "povm[1]: missing key 'im'"),
@@ -871,7 +903,7 @@ _POVM_DEFECTS = {
     ),
     "string-entry": (
         {"dim": 2, "re": [["a", 0.0], [0.0, 0.5]], "im": _ZERO},
-        "povm[1]: entries must be numbers (could not convert string to float: 'a')",
+        f"povm[1].re {NOT_REAL}",
     ),
     "3x3-element": (
         {"dim": 3, "re": (np.eye(3) / 3).tolist(), "im": np.zeros((3, 3)).tolist()},

@@ -393,12 +393,12 @@ class TestGenerateQubitClassElement:
         "weights, priors, message",
         [
             ([2.0], [0.5, 0.5], "directions, weights and priors must have equal length"),
-            ([1.0, 1.0], [1.0], "directions, weights and priors must have equal length"),
+            ([1.0, 1.0], [1.0], "priors and states must be non-empty and of equal length"),
             ([2.5, -0.5], [0.5, 0.5], "POVM weights must be non-negative"),
-            ([1.0, 1.0], [0.5, 0.4], "priors must be positive and sum to 1"),
-            ([1.0, 1.0], [1.5, -0.5], "priors must be positive and sum to 1"),
+            ([1.0, 1.0], [0.5, 0.4], "priors must sum to 1, got 0.9"),
+            ([1.0, 1.0], [1.5, -0.5], "priors must be strictly positive and at most 1"),
             # every check rejects NaN, so no NaN reaches the unchecked closed forms
-            ([1.0, 1.0], [math.nan, 0.5], "priors must be positive and sum to 1"),
+            ([1.0, 1.0], [math.nan, 0.5], "priors must be strictly positive and at most 1"),
             ([math.nan, 1.0], [0.5, 0.5], "POVM weights must be non-negative"),
             ([[1.0], [1.0, 0.0]], [0.5, 0.5], f"POVM weights {NOT_REAL}"),
             ([1.0, 1.0], ["0.5", "0.5"], f"priors {NOT_REAL}"),

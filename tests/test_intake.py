@@ -3,10 +3,12 @@
 Every public name has a row. A callable's row names the role of each of
 its arguments and a valid call; each role has its malformed kinds (NaN,
 +-inf, wrong rank, non-square, wrong dimension for the other arguments,
-wrong count, non-Hermitian, wrong type, empty, bool). Each malformed
-value, put in place of one argument of the valid call, must raise
-ValueError, TypeError or a DiscriminationError, in the package's words
-rather than numpy's.
+wrong count, non-Hermitian, wrong type, empty, bool, and huge: entries of
+1e308 in a probability vector, whose sum overflows, or an int beyond the
+float range as a scalar). Each malformed value, put in place of one
+argument of the valid call, must raise ValueError, TypeError or a
+DiscriminationError, in the package's words rather than numpy's; a
+warning of numpy's is an error under the suite's filters.
 
 What a role admits decides its kinds:
 - a dimension or a count is malformed only relative to the other
@@ -18,8 +20,9 @@ What a role admits decides its kinds:
 - vectors are read flattened, so their wrong rank is a scalar;
 - an argument whose role is an object of the package (an ensemble, a
   complementary set, a table, a solution, a bipartite state) is malformed
-  only as a valid object that disagrees with the others in dimension or
-  count; a flag takes any truth value.
+  as a value of another type, or as a valid object that disagrees with
+  the others in dimension or count; a flag takes any truth value, and a
+  seed any integer.
 The errors and the result records (whose constructors the package calls
 with fields it computed) take no input to check: their rows are empty.
 """
@@ -40,25 +43,26 @@ from qdiscrim import (
     solve,
 )
 from qdiscrim.families import trine
-from qdiscrim.serialize import ensemble_to_json, solution_to_json
-
-NUMPY_WORDS = (
-    "broadcast",
-    "cannot reshape",
-    "argmin of an empty sequence",
-    "must be real number",
-    "setting an array element",
-    "could not convert",
+from qdiscrim.operators import MAX_DIM
+from qdiscrim.serialize import (
+    certificate_to_json,
+    ensemble_to_json,
+    factory_output_to_json,
+    solution_to_json,
 )
+
+from conftest import NUMPY_WORDS
 
 MATRIX = ("nan", "inf", "-inf", "wrong-rank", "non-square", "wrong-dimension",
           "non-hermitian", "wrong-type", "empty", "bool")
 MATRICES = MATRIX + ("wrong-count",)
 VECTOR = ("nan", "inf", "-inf", "wrong-rank", "wrong-count", "wrong-type", "empty", "bool")
+PROBABILITIES = VECTOR + ("huge",)
 ROWS_OF_3 = VECTOR + ("wrong-dimension",)
-SCALAR = ("nan", "inf", "-inf", "wrong-rank", "wrong-type", "empty", "bool")
+SCALAR = ("nan", "inf", "-inf", "wrong-rank", "wrong-type", "empty", "bool", "huge")
 LABEL = ("wrong-type", "empty", "bool")
-RELATIVE = ("wrong-dimension", "wrong-count")
+OBJECT = ("wrong-type",)
+RELATIVE = OBJECT + ("wrong-dimension", "wrong-count")
 
 
 def _without(kinds, *dropped):
@@ -120,11 +124,12 @@ ROWS = {
     ),
     "WeightedEnsemble": (
         lambda c: dict(priors=c["priors"], states=c["states"]),
-        {"priors": ("vector", VECTOR), "states": ("matrices", MATRICES)},
+        {"priors": ("vector", PROBABILITIES), "states": ("matrices", MATRICES)},
     ),
     "complementary_states": (
         lambda c: dict(symmetry_op=c["K"], ensemble=c["ensemble"]),
-        {"symmetry_op": ("matrix", MATRIX), "ensemble": ("ensemble", ("wrong-dimension",))},
+        {"symmetry_op": ("matrix", MATRIX),
+         "ensemble": ("ensemble", OBJECT + ("wrong-dimension",))},
     ),
     "conditional_table_from_povm": (
         lambda c: dict(ensemble=c["ensemble"], povm=c["povm"]),
@@ -137,7 +142,8 @@ ROWS = {
     ),
     "dual_grid_oracle": (
         lambda c: dict(ensemble=c["ensemble"], resolution=0.05),
-        {"ensemble": ("ensemble", ("wrong-dimension",)), "resolution": ("scalar", SCALAR)},
+        {"ensemble": ("ensemble", OBJECT + ("wrong-dimension",)),
+         "resolution": ("scalar", SCALAR)},
     ),
     "equivalence_check": (
         lambda c: dict(op_a=c["K"], op_b=c["K"].copy(), tol=1e-9),
@@ -158,15 +164,15 @@ ROWS = {
                        povm_weights=np.array([1.0, 1.0]), priors=np.array([0.5, 0.5])),
         {"value": ("scalar", SCALAR), "center": ("vector", VECTOR),
          "directions": ("rows", ROWS_OF_3), "povm_weights": ("vector", VECTOR),
-         "priors": ("vector", VECTOR)},
+         "priors": ("vector", PROBABILITIES)},
     ),
     "guessing_from_table": (
         lambda c: dict(priors=c["priors"], table=c["table"]),
-        {"priors": ("vector", VECTOR), "table": ("table", ("wrong-count",))},
+        {"priors": ("vector", PROBABILITIES), "table": ("table", OBJECT + ("wrong-count",))},
     ),
     "helstrom_two_state": (
         lambda c: dict(ensemble=random_ensemble(2, 2, False, 1)),
-        {"ensemble": ("ensemble", ("wrong-count",))},
+        {"ensemble": ("ensemble", OBJECT + ("wrong-count",))},
     ),
     "hermitian_eigen": (
         lambda c: dict(operator=c["K"]),
@@ -180,9 +186,11 @@ ROWS = {
     ),
     "partial_trace": (
         lambda c: dict(state=PureBipartiteState(2, 2, [1.0, 0.0, 0.0, 0.0]), subsystem="A"),
-        {"state": ("object", ()), "subsystem": ("label", LABEL)},
+        {"state": ("object", OBJECT), "subsystem": ("label", LABEL)},
     ),
-    "probability_forms": (lambda c: dict(solution=c["solution"]), {"solution": ("object", ())}),
+    "probability_forms": (
+        lambda c: dict(solution=c["solution"]), {"solution": ("object", OBJECT)}
+    ),
     "purify": (
         lambda c: dict(rho=c["states"][0]),
         {"rho": ("matrix", _without(MATRIX, "wrong-dimension"))},
@@ -190,7 +198,7 @@ ROWS = {
     "random_ensemble": (
         lambda c: dict(dim=2, size=3, pure=False, seed=1),
         {"dim": ("scalar", SCALAR), "size": ("scalar", SCALAR), "pure": ("flag", ()),
-         "seed": ("scalar", SCALAR)},
+         "seed": ("scalar", _without(SCALAR, "huge"))},
     ),
     "reconstruct_povm": (
         lambda c: dict(ensemble=c["ensemble"], complementary=c["comp"]),
@@ -198,12 +206,12 @@ ROWS = {
     ),
     "shifted_ball_dual": (
         lambda c: dict(points=c["points"], shifts=c["priors"]),
-        {"points": ("rows", ROWS_OF_3), "shifts": ("vector", VECTOR)},
+        {"points": ("rows", ROWS_OF_3), "shifts": ("vector", PROBABILITIES)},
     ),
-    "solve": (lambda c: dict(ensemble=c["ensemble"]), {"ensemble": ("ensemble", ())}),
+    "solve": (lambda c: dict(ensemble=c["ensemble"]), {"ensemble": ("ensemble", OBJECT)}),
     "solve_qubit": (
         lambda c: dict(ensemble=c["ensemble"]),
-        {"ensemble": ("ensemble", ("wrong-dimension",))},
+        {"ensemble": ("ensemble", OBJECT + ("wrong-dimension",))},
     ),
     "to_bloch": (lambda c: dict(rho=c["states"][0]), {"rho": ("matrix", MATRIX)}),
     "trace_norm": (
@@ -251,6 +259,8 @@ def _matrix(valid: np.ndarray, kind: str):
 def _vector(valid: np.ndarray, kind: str):
     """A malformed vector, or array of rows of three, of kind, from a valid one."""
     v = np.array(valid, dtype=float)
+    if kind == "huge":
+        return np.full_like(v, 1e308)
     if kind in ("nan", "inf", "-inf"):
         v.reshape(-1)[0] = float(kind)
         return v
@@ -282,6 +292,8 @@ def _malformed(role: str, kind: str, valid):
     if kind in common:
         return common[kind]
     if role == "scalar":
+        if kind == "huge":
+            return 10**400
         return [valid] if kind == "wrong-rank" else float(kind)
     if role == "matrix":
         return _matrix(valid, kind)
@@ -331,19 +343,22 @@ def test_a_malformed_argument_is_rejected_in_the_package_words(name, argument, k
     assert not any(words in message for words in NUMPY_WORDS), message
 
 
-# The public functions that take an ensemble or a solution, that argument and
-# its class: a value of another type raises TypeError naming the class.
+# The public callables that take an object of the package, each such argument
+# and its class: a value of another type raises TypeError naming the class.
 OBJECT_ARGUMENTS = {
-    "complementary_states": ("ensemble", "WeightedEnsemble"),
-    "conditional_table_from_povm": ("ensemble", "WeightedEnsemble"),
-    "dual_grid_oracle": ("ensemble", "WeightedEnsemble"),
-    "helstrom_two_state": ("ensemble", "WeightedEnsemble"),
-    "probability_forms": ("solution", "DiscriminationSolution"),
-    "reconstruct_povm": ("ensemble", "WeightedEnsemble"),
-    "solve": ("ensemble", "WeightedEnsemble"),
-    "solve_qubit": ("ensemble", "WeightedEnsemble"),
-    "verify_kkt": ("ensemble", "WeightedEnsemble"),
-    "verify_legacy_conditions": ("ensemble", "WeightedEnsemble"),
+    "DiscriminationSolution": {"ensemble": "WeightedEnsemble"},
+    "complementary_states": {"ensemble": "WeightedEnsemble"},
+    "conditional_table_from_povm": {"ensemble": "WeightedEnsemble"},
+    "dual_grid_oracle": {"ensemble": "WeightedEnsemble"},
+    "guessing_from_table": {"table": "ConditionalTable"},
+    "helstrom_two_state": {"ensemble": "WeightedEnsemble"},
+    "partial_trace": {"state": "PureBipartiteState"},
+    "probability_forms": {"solution": "DiscriminationSolution"},
+    "reconstruct_povm": {"ensemble": "WeightedEnsemble", "complementary": "ComplementarySet"},
+    "solve": {"ensemble": "WeightedEnsemble"},
+    "solve_qubit": {"ensemble": "WeightedEnsemble"},
+    "verify_kkt": {"ensemble": "WeightedEnsemble"},
+    "verify_legacy_conditions": {"ensemble": "WeightedEnsemble"},
 }
 
 
@@ -351,13 +366,13 @@ OBJECT_ARGUMENTS = {
                          ids=["str", "bool", "list", "none", "float", "ndarray"])
 @pytest.mark.parametrize("name", sorted(OBJECT_ARGUMENTS))
 def test_a_package_object_of_another_type_raises_type_error_naming_its_class(name, value):
-    argument, expected = OBJECT_ARGUMENTS[name]
     call, _ = ROWS[name]
-    kwargs = call(_context())
-    kwargs[argument] = value
-    with pytest.raises(TypeError) as info:
-        getattr(qdiscrim, name)(**kwargs)
-    assert str(info.value) == f"expected a {expected}, got {type(value).__name__}"
+    for argument, expected in OBJECT_ARGUMENTS[name].items():
+        kwargs = call(_context())
+        kwargs[argument] = value
+        with pytest.raises(TypeError) as info:
+            getattr(qdiscrim, name)(**kwargs)
+        assert str(info.value) == f"expected a {expected}, got {type(value).__name__}"
 
 
 def test_the_calls_that_raised_attribute_error_raise_type_error():
@@ -376,3 +391,21 @@ def test_the_serializers_check_their_object():
     with pytest.raises(TypeError) as info:
         solution_to_json(trine())
     assert str(info.value) == "expected a DiscriminationSolution, got WeightedEnsemble"
+    with pytest.raises(TypeError, match="^expected a KktCertificate, got str$"):
+        certificate_to_json("x")
+    with pytest.raises(TypeError, match="^expected a FactoryOutput, got str$"):
+        factory_output_to_json("x")
+
+
+def test_the_dimension_is_checked_before_anything_is_allocated(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("allocated before the dimension was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np, "eye", refuse)
+    with pytest.raises(ValueError) as info:
+        random_ensemble(MAX_DIM + 1, 2, False, 0)
+    assert str(info.value) == f"need 2 <= dim <= {MAX_DIM} and at least one state"
+    with pytest.raises(ValueError) as info:
+        identity_class_example(MAX_DIM + 1)
+    assert str(info.value) == f"dimension must be in 2..{MAX_DIM}"

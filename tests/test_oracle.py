@@ -239,7 +239,7 @@ class TestGuessingFromTable:
         "priors, table, message",
         [
             ([0.9, 0.9], np.eye(2), "priors must sum to 1, got 1.8"),
-            ([-1.0, 2.0], np.eye(2), "priors must be strictly positive"),
+            ([-1.0, 2.0], np.eye(2), "priors must be strictly positive and at most 1"),
             ([], np.zeros((0, 0)), "priors and states must be non-empty and of equal length"),
             (["0.5", "0.5"], np.eye(2), f"priors {NOT_REAL}"),
             ([0.5, 0.5], [[1.0, 0.0], [0.0]], f"table {NOT_REAL}"),
@@ -254,5 +254,5 @@ class TestGuessingFromTable:
     def test_rejects_non_finite_entries_and_priors(self, entry):
         with pytest.raises(ValueError, match="entries"):
             ConditionalTable([[entry, 1.0], [1.0, 0.0]])
-        with pytest.raises(ValueError, match="priors must be finite"):
+        with pytest.raises(ValueError, match="^priors must be strictly positive and at most 1$"):
             guessing_from_table([entry, 0.5, 0.5], ConditionalTable(np.eye(3)))
