@@ -96,6 +96,8 @@ def from_bloch(v) -> DensityOperator:
         raise ValueError(f"Bloch vector must have 3 components, got {len(v)}")
     if not np.all(np.isfinite(v)):
         raise ValueError("Bloch vector must be finite")
+    if (abs(v) > 1 + BLOCH_NORM_TOL).any():  # so the norm cannot overflow
+        raise ValueError("Bloch vector norm exceeds 1")
     norm = float(np.linalg.norm(v))
     if norm > 1 + BLOCH_NORM_TOL:
         raise ValueError(f"Bloch vector norm {norm} exceeds 1")

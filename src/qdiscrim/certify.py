@@ -57,7 +57,11 @@ class KktCertificate(_Frozen):
     legacy_pairwise: float
     legacy_operator: float
     tolerance: float
-    passed: bool
+
+    @property
+    def passed(self) -> bool:
+        """Every residual within the tolerance; a NaN residual fails."""
+        return all(r <= self.tolerance for r in self.residuals().values())
 
     @property
     def verdict(self) -> str:
@@ -81,7 +85,7 @@ class ProbabilityForms(_Frozen):
     average_distance: 1/N plus the average trace distance of the weighted
         states from the symmetry operator.
     steering: reciprocal of the summed steering probabilities
-        p_x = q_x / trace(K).
+        p_x = q_x / trace(K), read off steering_probs.
 
     On a passing certificate all five coincide within 1e-8.
     """
@@ -90,12 +94,15 @@ class ProbabilityForms(_Frozen):
     dual: float
     average_weight: float
     average_distance: float
-    steering: float
     steering_probs: np.ndarray
 
+    @property
+    def steering(self) -> float:
+        return 1.0 / float(np.sum(self.steering_probs))
+
     def values(self) -> dict[str, float]:
-        """The five forms by name: the fields before steering_probs, in order."""
-        return _fields_before(self, "steering_probs")
+        """The five forms by name: the fields before steering_probs, then steering."""
+        return {**_fields_before(self, "steering_probs"), "steering": self.steering}
 
     def spread(self) -> float:
         vals = list(self.values().values())
@@ -160,8 +167,7 @@ def _certificate_from(
     # huge finite entries can overflow in the products, which run without warnings
     if not all(map(math.isfinite, residuals.values())):
         raise ConvergenceError("certificate residuals overflow: candidate entries too large")
-    passed = all(r <= tol for r in residuals.values())
-    return KktCertificate(**residuals, tolerance=tol, passed=passed)
+    return KktCertificate(**residuals, tolerance=tol)
 
 
 def verify_kkt(
@@ -214,11 +220,8 @@ def probability_forms(solution: DiscriminationSolution) -> ProbabilityForms:
     average_weight = 1.0 / n + float(np.sum(weights)) / n
     gaps = k - q[:, None, None] * rhos
     average_distance = 1.0 / n + float(np.sum(np.abs(_eigvalsh(gaps)))) / n
-    steering_probs = q / trace_k
-    steering = 1.0 / float(np.sum(steering_probs))
     return _trusted(ProbabilityForms, primal=primal, dual=trace_k, average_weight=average_weight,
-                    average_distance=average_distance, steering=steering,
-                    steering_probs=steering_probs)
+                    average_distance=average_distance, steering_probs=q / trace_k)
 
 
 def equivalence_check(op_a, op_b, tol: float = 1e-9) -> bool:

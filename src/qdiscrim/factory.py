@@ -6,9 +6,10 @@ measurement splits the normalized operator as p_x rho_x + (1 - p_x)
 sigma_x, which is exactly the decomposition an optimal discrimination of
 the resulting ensemble must produce. Whether the ensemble actually
 attains trace(K) as its guessing probability depends on an optimal POVM
-existing for that decomposition, so every output carries a certification
-flag backed by an explicit POVM search (solve.reconstruct_povm on
-the kernels of the complementary states) instead of an unchecked claim.
+existing for that decomposition, so every output carries the POVM that an
+explicit search (solve.reconstruct_povm on the kernels of the
+complementary states) found and certified, or None, and its certified
+flag is read off it instead of being an unchecked claim.
 K is decomposed twice, for its positivity and by purify, and every
 measurement (a raw matrix is validated as a SteeringMeasurement) is
 steered by one product over the stacked outcomes.
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _operators
+from .bloch import BLOCH_NORM_TOL, _operators
 from .certify import ANALYTIC_TOL, verify_kkt
 from .errors import InfeasibleDualError
 from .operators import (
@@ -63,7 +64,7 @@ class SteeringMeasurement(_Frozen):
     def __init__(self, first_outcome) -> None:
         op = HermitianOperator(first_outcome)
         values = _eigvalsh(op.matrix)
-        if values[-1] < -1e-10 or values[0] > 1 + 1e-10:
+        if values[-1] < -PSD_TOL or values[0] > 1 + PSD_TOL:
             raise ValueError("steering outcome must satisfy 0 <= M0 <= I")
         _store(self, first_outcome=op)
 
@@ -74,18 +75,21 @@ class SteeringMeasurement(_Frozen):
 
 @dataclass(frozen=True, eq=False)
 class FactoryOutput(_Frozen):
-    """A generated ensemble with its complementary data and certification."""
+    """A generated ensemble with its complementary data and, when certified, its optimal POVM."""
 
     ensemble: WeightedEnsemble
     complementary: ComplementarySet
     steering_probs: np.ndarray
-    certified: bool
     symmetry_op: HermitianOperator
     povm: tuple[HermitianOperator, ...] | None
 
+    @property
+    def certified(self) -> bool:
+        return self.povm is not None
+
 
 def _certify(ensemble: WeightedEnsemble, symmetry_op: HermitianOperator):
-    """Search for an optimal POVM; return (certified, povm or None).
+    """Search for an optimal POVM; return it if it certifies, else None.
 
     Dual infeasibility of the prescribed operator for the generated
     ensemble, or a kernel search that finds no measurement, is a
@@ -96,9 +100,8 @@ def _certify(ensemble: WeightedEnsemble, symmetry_op: HermitianOperator):
         comp = complementary_states(symmetry_op, ensemble)
         povm = reconstruct_povm(ensemble, comp)
     except (ValueError, InfeasibleDualError):
-        return False, None
-    cert = verify_kkt(ensemble, symmetry_op, povm, ANALYTIC_TOL)
-    return cert.passed, povm if cert.passed else None
+        return None
+    return povm if verify_kkt(ensemble, symmetry_op, povm, ANALYTIC_TOL).passed else None
 
 
 def generate_from_symmetry_operator(
@@ -108,11 +111,13 @@ def generate_from_symmetry_operator(
 
     Each measurement contributes one ensemble member: rho_x is the B-side
     state tr_A[(M0 (x) I) |psi><psi|] / p_x conditioned on the first
-    outcome firing (probability p_x) and sigma_x the complement. Priors
-    are the normalized firing probabilities, so p_x = q_x / trace(K) and
-    the decomposition identity holds by construction. The certified flag
-    records whether an optimal POVM for this decomposition was actually
-    found. K / trace(K) must be PSD to PSD_TOL, as a state is.
+    outcome firing (probability p_x) and sigma_x the complement, so
+    K / trace(K) = p_x rho_x + (1 - p_x) sigma_x holds by construction.
+    Priors are the normalized firing probabilities, q_x = p_x / sum_y p_y,
+    which is p_x trace(K) only when sum_y p_y trace(K) = 1. The certificate
+    decides whether trace(K) is the optimum: povm is the optimal POVM found
+    for this decomposition, or None. K / trace(K) must be PSD to PSD_TOL,
+    as a state is.
     """
     sym = HermitianOperator(symmetry_op)
     smallest = _eigvalsh(sym.matrix)[-1]
@@ -140,10 +145,9 @@ def generate_from_symmetry_operator(
     rest = iter(psi.T @ second.swapaxes(1, 2) @ psi.conj() / (1 - fires[live])[:, None, None])
 
     ensemble = WeightedEnsemble(fires / float(np.sum(fires)), steered / fires[:, None, None])
-    certified, povm = _certify(ensemble, sym)
     comp = ComplementarySet((1.0 - fires) * total, [next(rest) if keep else None for keep in live])
     return _trusted(FactoryOutput, ensemble=ensemble, complementary=comp, steering_probs=fires,
-                    certified=certified, symmetry_op=sym, povm=povm)
+                    symmetry_op=sym, povm=_certify(ensemble, sym))
 
 
 def generate_qubit_class_element(
@@ -170,22 +174,23 @@ def generate_qubit_class_element(
     a = _real_array(povm_weights, "POVM weights").reshape(-1)
     if len(units) != len(a):
         raise ValueError("directions, weights and priors must have equal length")
-    if not np.all(np.abs(np.linalg.norm(units, axis=1) - 1.0) <= 1e-9):
+    # an entry beyond its rule's bound is rejected before the norm or sum it would overflow
+    if (abs(units) > 1 + 1e-9).any() or not (abs(np.linalg.norm(units, axis=1) - 1) <= 1e-9).all():
         raise ValueError("directions must be unit vectors")
     if not np.all(a >= -1e-12):
         raise ValueError("POVM weights must be non-negative")
-    if not abs(float(np.sum(a)) - 2.0) <= 1e-9:
+    if (a > 2 + 1e-9).any() or not abs(float(np.sum(a)) - 2.0) <= 1e-9:
         raise ValueError("POVM weights must sum to 2")
     if not float(np.linalg.norm(a @ units)) <= 1e-9:
         raise ValueError("weighted directions must sum to zero")
     q = _priors(priors, len(units), "priors")
-    if not float(np.linalg.norm(center)) <= value + 1e-12:
+    if (abs(center) > abs(value) + 1e-12).any() or not np.linalg.norm(center) <= value + 1e-12:
         raise ValueError("center norm exceeds the target value; operator not PSD")
     weights = value - q
     if np.any(weights <= 0):
         raise ValueError("target value must exceed every prior")
     blochs = (center - weights[:, None] * units) / q[:, None]
-    outside = ~(np.linalg.norm(blochs, axis=1) <= 1 + 1e-10)
+    outside = ~(np.linalg.norm(blochs, axis=1) <= 1 + BLOCH_NORM_TOL)
     if outside.any():
         raise ValueError(f"state {int(np.argmax(outside))} would not be positive semidefinite")
 
@@ -194,10 +199,9 @@ def generate_qubit_class_element(
     povm = _wrap(a[:, None, None] * _operators(1.0, -units))
     comp = _trusted(ComplementarySet, weights=weights, present=np.ones(len(q), dtype=bool),
                     matrices=_operators(1.0, units))
-    certified = verify_kkt(ensemble, symmetry, povm, tol=1e-9).passed
     return _trusted(FactoryOutput, ensemble=ensemble, complementary=comp,
-                    steering_probs=q / value, certified=certified, symmetry_op=symmetry,
-                    povm=povm if certified else None)
+                    steering_probs=q / value, symmetry_op=symmetry,
+                    povm=povm if verify_kkt(ensemble, symmetry, povm, tol=1e-9).passed else None)
 
 
 def identity_class_example(dim: int) -> FactoryOutput:

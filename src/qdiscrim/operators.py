@@ -34,6 +34,9 @@ Input is validated where it enters the package, by one rule per kind:
 - real scalar (_real_scalar): a tolerance, a resolution, a target value;
 - real array (_real_array): vectors, weights, a JSON matrix's re and im;
 - probability vector (_priors): priors and shifts, summing to 1;
+- bounded entries: where a rule bounds every entry (a unit or Bloch
+  vector, amplitudes, POVM weights), an entry beyond it is rejected
+  before the norm or sum, which so cannot overflow;
 - Hermitian stack (_hermitian_stack): an operator in a public constructor
   or function (_as_matrix) or the JSON parse; an instance of the class
   being built is taken as it is;
@@ -280,11 +283,15 @@ class PureBipartiteState(_Frozen):
         dim_a, dim_b = _count(dim_a, "dim_a"), _count(dim_b, "dim_b")
         if dim_a < 1 or dim_b < 1:
             raise ValueError("subsystem dimensions must be positive")
+        if dim_a > MAX_DIM or dim_b > MAX_DIM:  # each partial trace is a HermitianOperator
+            raise ValueError(f"subsystem dimensions must be at most {MAX_DIM}")
         amp = np.array(_complex_array(amplitudes, "amplitudes")).reshape(-1)
         if amp.size != dim_a * dim_b:
             raise ValueError(f"expected {dim_a * dim_b} amplitudes, got {amp.size}")
         if not np.all(np.isfinite(amp.real)) or not np.all(np.isfinite(amp.imag)):
             raise ValueError("amplitudes must be finite")
+        if (abs(amp) > 1 + NORM_TOL).any():  # so the norm cannot overflow
+            raise ValueError("amplitudes must have unit norm")
         norm = float(np.linalg.norm(amp))
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"amplitudes must have unit norm, got {norm!r}")

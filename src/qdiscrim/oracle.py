@@ -174,7 +174,7 @@ def distance_from_uniform(distribution) -> float:
     p = _real_array(distribution, "distribution").reshape(-1)
     if not np.all(p >= -1e-12):  # NaN too
         raise ValueError("probabilities must be non-negative")
-    if abs(float(np.sum(p)) - 1.0) > 1e-9:
+    if (p > 1 + 1e-9).any() or abs(float(np.sum(p)) - 1.0) > 1e-9:  # no sum overflows
         raise ValueError("probabilities must sum to 1")
     return 0.5 * float(np.sum(np.abs(p - 1.0 / len(p))))
 

@@ -213,12 +213,15 @@ def ensemble_to_json(ensemble: WeightedEnsemble) -> dict:
     }
 
 
+_ROUNDING_TOL = 1e-8
+
+
 def ensemble_from_json(obj) -> WeightedEnsemble:
     """Parse an ensemble document into a validated WeightedEnsemble.
 
     Files written at 9 significant digits come back with priors and state
-    traces off by up to ~1e-9, so defects below 1e-8 are renormalized away
-    on parse; anything worse fails with a field diagnostic.
+    traces off by up to ~1e-9, so defects below _ROUNDING_TOL (1e-8) are
+    renormalized away on parse; anything worse fails with a field diagnostic.
     """
     if not isinstance(obj, dict):
         raise ValueError("ensemble: expected an object with priors/states")
@@ -238,13 +241,13 @@ def ensemble_from_json(obj) -> WeightedEnsemble:
         q = np.asarray(priors, dtype=float)
     except OverflowError as exc:
         raise ValueError(f"priors: entries must be numbers ({exc})") from exc
-    bounded = abs(q) <= 1.0 + 1e-8  # NaN too; so the sum cannot overflow
+    bounded = abs(q) <= 1.0 + _ROUNDING_TOL  # NaN too; so the sum cannot overflow
     if not bounded.all():
         i = int(bounded.argmin())
         rule = "be finite" if not np.isfinite(q[i]) else "not exceed 1 in magnitude"
         raise ValueError(f"priors: entries must {rule} (priors[{i}] is {priors[i]!r})")
     total = float(q.sum())
-    if abs(total - 1.0) > 1e-8:
+    if abs(total - 1.0) > _ROUNDING_TOL:
         raise ValueError(f"priors: must sum to 1, got {total!r}")
     q = q / total
 
@@ -267,7 +270,7 @@ def _states_from_rounded(h: np.ndarray) -> np.ndarray:
     -1e-8 (or a trace off 1 by more than 1e-8) names its state as states[i].
     """
     traces = h.trace(axis1=1, axis2=2).real
-    off = (abs(traces - 1.0) > 1e-8).nonzero()[0]
+    off = (abs(traces - 1.0) > _ROUNDING_TOL).nonzero()[0]
     if off.size:
         i = int(off[0])
         raise ValueError(f"states[{i}]: state trace must be 1, got {float(traces[i])!r}")
@@ -297,7 +300,7 @@ def _qubit_states(rho: np.ndarray) -> np.ndarray:
 
 def _reject_negative(smallest: np.ndarray) -> None:
     """Name the first state whose smallest eigenvalue is below -1e-8 (or NaN)."""
-    negative = (~(smallest >= -1e-8)).nonzero()[0]
+    negative = (~(smallest >= -_ROUNDING_TOL)).nonzero()[0]
     if negative.size:
         i = int(negative[0])
         raise ValueError(f"states[{i}]: state has negative eigenvalue {smallest[i]:.3e}")

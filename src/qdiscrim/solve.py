@@ -59,6 +59,7 @@ from .bloch import (
 )
 from .errors import ConvergenceError, InfeasibleDualError, UnsupportedInstanceError
 from .operators import (
+    PSD_TOL,
     DensityOperator,
     HermitianOperator,
     SpectralDecomposition,
@@ -376,7 +377,7 @@ def _assemble(
 
     if float(abs(matrices.sum(axis=0) - np.eye(ensemble.dim)).max()) > COMPLETENESS_TOL:
         raise InfeasibleDualError("POVM does not sum to the identity")
-    if (_eigvalsh(matrices)[:, -1] < -1e-10).any():
+    if (_eigvalsh(matrices)[:, -1] < -PSD_TOL).any():
         raise InfeasibleDualError("POVM element is not positive semidefinite")
     q_max = float(ensemble.priors.max())
     if not (q_max - 1e-9 <= p_guess <= 1.0 + 1e-9):

@@ -10,6 +10,7 @@ from qdiscrim import (
     ComplementarySet,
     ConvergenceError,
     DensityOperator,
+    KktCertificate,
     DiscriminationError,
     DiscriminationSolution,
     HermitianOperator,
@@ -32,6 +33,7 @@ from qdiscrim.certify import _certificate_from
 from qdiscrim.factory import identity_class_example
 from qdiscrim.families import orthogonal_pairs, trine
 from qdiscrim.operators import _eigvalsh, trace_norm
+from qdiscrim.serialize import certificate_to_json
 from qdiscrim.solve import DEGENERATE_WEIGHT_TOL, complementary_states
 
 from conftest import compose_rotations_unitary
@@ -560,3 +562,67 @@ class TestToleranceRule:
     def test_an_int_beyond_the_float_range_is_an_infinite_tolerance(self):
         with pytest.raises(ValueError, match=f"^{self.MESSAGE}, got inf$"):
             is_psd(np.eye(2), 10**400)
+
+
+def _hermitian_nudge(matrices, scale, rng):
+    """matrices plus a Hermitian perturbation whose largest entry is scale."""
+    h = rng.standard_normal(matrices.shape) + 1j * rng.standard_normal(matrices.shape)
+    h = (h + h.conj().swapaxes(-1, -2)) / 2
+    return matrices + scale * h / abs(h).max()
+
+
+class TestReadOffFields:
+    """A certificate's verdict and the steering form are read off the stored numbers."""
+
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_passed_is_every_residual_within_the_tolerance(self, data):
+        shape = data.draw(st.sampled_from(_SOLVABLE), label="shape")
+        seed = data.draw(st.integers(0, 10**4), label="seed")
+        e, sol = _solved(shape, seed)
+        k, povm = sol.symmetry_op.matrix, sol.povm_matrices
+        scale = data.draw(st.sampled_from([0.0, 1e-12, 1e-8, 1e-5, 1e-3]), label="perturbation")
+        if scale:
+            rng = np.random.default_rng(seed)
+            k, povm = _hermitian_nudge(k, scale, rng), _hermitian_nudge(povm, scale, rng)
+        cert = verify_kkt(e, k, povm)
+        name = data.draw(st.sampled_from([f.name for f in dataclasses.fields(cert)]), label="field")
+        value = data.draw(st.sampled_from([math.nan, 0.0, 1e-8]) | st.floats(0.0, 1e-2),
+                          label="value")
+        cert = dataclasses.replace(cert, **{name: value})
+        residuals = list(cert.residuals().values())
+        within = not any(map(math.isnan, residuals + [cert.tolerance])) and (
+            max(residuals) <= cert.tolerance
+        )
+        assert cert.passed is within
+        assert certificate_to_json(cert)["verdict"] == ("pass" if within else "fail")
+
+    def test_a_stored_verdict_cannot_contradict_the_residuals(self):
+        e = trine()
+        sol = solve(e)
+        exact = dataclasses.replace(verify_kkt(e, sol.symmetry_op, sol.povm), tolerance=0.0)
+        assert exact.max_residual() > 0.0
+        zeros = dict.fromkeys(exact.residuals(), 0.0)
+        broken = KktCertificate(**{**zeros, "symmetry": 1.0}, tolerance=1e-8)
+        for cert in (broken, exact):
+            assert cert.passed is False
+            assert certificate_to_json(cert)["verdict"] == "fail"
+
+    @given(p=st.lists(st.floats(1e-3, 1.0), min_size=1, max_size=8))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_steering_is_the_reciprocal_of_the_summed_probabilities(self, p):
+        forms = dataclasses.replace(probability_forms(solve(trine())), steering_probs=np.array(p))
+        assert forms.steering == 1.0 / float(np.sum(np.array(p)))
+        values = forms.values()
+        assert list(values) == ["primal", "dual", "average_weight", "average_distance", "steering"]
+        assert values["steering"] == forms.steering
+
+    def test_derived_fields_are_not_stored(self):
+        forms = probability_forms(solve(trine()))
+        assert "passed" not in {f.name for f in dataclasses.fields(KktCertificate)}
+        assert "steering" not in {f.name for f in dataclasses.fields(forms)}
+        zeros = dict.fromkeys([f.name for f in dataclasses.fields(KktCertificate)], 0.0)
+        with pytest.raises(TypeError, match="passed"):
+            KktCertificate(**zeros, passed=True)
+        with pytest.raises(TypeError, match="steering"):
+            dataclasses.replace(forms, steering=1.0)

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import math
 
@@ -19,7 +20,9 @@ from qdiscrim import (
     to_bloch,
     verify_kkt,
 )
+from qdiscrim.factory import FactoryOutput
 from qdiscrim.operators import _eigh, purify
+from qdiscrim.serialize import factory_output_to_json
 from qdiscrim.solve import ComplementarySet, WeightedEnsemble, complementary_states
 
 from conftest import (
@@ -64,6 +67,38 @@ class TestSteeringMeasurement:
         k = np.diag(rng.uniform(0.1, 1.0, 8)).astype(complex)
         generate_from_symmetry_operator(k / (2 * np.trace(k).real), measurements)
         assert calls["eigh"] == 2
+
+
+def _generated_outputs():
+    """Certified and uncertified outputs of each generator."""
+    rng = np.random.default_rng(7)
+    outputs = [identity_class_example(d) for d in (2, 3, 5)]
+    for _ in range(3):
+        vectors = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        measurements = [np.outer(v, v.conj()) for v in vectors]
+        outputs.append(generate_from_symmetry_operator(np.diag([0.5, 0.3, 0.2]), measurements))
+    outputs.append(
+        generate_qubit_class_element(2 / 3, np.zeros(3), TRINE_DIRECTIONS, [2 / 3] * 3, [1 / 3] * 3)
+    )
+    return outputs
+
+
+class TestCertifiedIsReadOffThePovm:
+    def test_certified_exactly_when_a_povm_was_found(self):
+        outputs = _generated_outputs()
+        assert {out.certified for out in outputs} == {True, False}
+        for out in outputs + [dataclasses.replace(out, povm=None) for out in outputs]:
+            assert out.certified is (out.povm is not None)
+            doc = factory_output_to_json(out)
+            assert doc["certified"] is out.certified
+            assert ("povm" in doc) is out.certified
+
+    def test_certified_is_not_stored(self):
+        out = identity_class_example(3)
+        assert "certified" not in {f.name for f in dataclasses.fields(FactoryOutput)}
+        with pytest.raises(TypeError, match="certified"):
+            dataclasses.replace(out, certified=False)
 
 
 class TestIdentityClassExample:

@@ -4,11 +4,15 @@ Every public name has a row. A callable's row names the role of each of
 its arguments and a valid call; each role has its malformed kinds (NaN,
 +-inf, wrong rank, non-square, wrong dimension for the other arguments,
 wrong count, non-Hermitian, wrong type, empty, bool, and huge: entries of
-1e308 in a probability vector, whose sum overflows, or an int beyond the
-float range as a scalar). Each malformed value, put in place of one
-argument of the valid call, must raise ValueError, TypeError or a
-DiscriminationError, in the package's words rather than numpy's; a
-warning of numpy's is an error under the suite's filters.
+1e308 in a vector whose role bounds its entries (a probability, a
+coordinate of a unit or Bloch vector or of the class element's center,
+an amplitude, a POVM weight), whose sum or norm would overflow, or an int
+beyond the float range as a scalar; a dimension is also malformed as
+MAX_DIM + 1 and as 10**5000, an int too long for Python to print). Each
+malformed value, put in place of one argument of the valid call, must
+raise ValueError, TypeError or a DiscriminationError, in a short message
+in the package's words rather than numpy's or Python's; a warning of
+numpy's is an error under the suite's filters.
 
 What a role admits decides its kinds:
 - a dimension or a count is malformed only relative to the other
@@ -53,13 +57,17 @@ from qdiscrim.serialize import (
 
 from conftest import NUMPY_WORDS
 
+# Python's words when a message would print an int of more than 4,300 digits
+FOREIGN_WORDS = NUMPY_WORDS + ("integer string conversion",)
+
 MATRIX = ("nan", "inf", "-inf", "wrong-rank", "non-square", "wrong-dimension",
           "non-hermitian", "wrong-type", "empty", "bool")
 MATRICES = MATRIX + ("wrong-count",)
 VECTOR = ("nan", "inf", "-inf", "wrong-rank", "wrong-count", "wrong-type", "empty", "bool")
-PROBABILITIES = VECTOR + ("huge",)
+BOUNDED = VECTOR + ("huge",)
 ROWS_OF_3 = VECTOR + ("wrong-dimension",)
 SCALAR = ("nan", "inf", "-inf", "wrong-rank", "wrong-type", "empty", "bool", "huge")
+DIMENSION = SCALAR + ("beyond-max", "vast")
 LABEL = ("wrong-type", "empty", "bool")
 OBJECT = ("wrong-type",)
 RELATIVE = OBJECT + ("wrong-dimension", "wrong-count")
@@ -115,8 +123,8 @@ ROWS = {
     ),
     "PureBipartiteState": (
         lambda c: dict(dim_a=2, dim_b=2, amplitudes=np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2)),
-        {"dim_a": ("scalar", SCALAR), "dim_b": ("scalar", SCALAR),
-         "amplitudes": ("vector", VECTOR)},
+        {"dim_a": ("scalar", DIMENSION), "dim_b": ("scalar", DIMENSION),
+         "amplitudes": ("vector", BOUNDED)},
     ),
     "SteeringMeasurement": (
         lambda c: dict(first_outcome=np.diag([1.0, 0.0])),
@@ -124,7 +132,7 @@ ROWS = {
     ),
     "WeightedEnsemble": (
         lambda c: dict(priors=c["priors"], states=c["states"]),
-        {"priors": ("vector", PROBABILITIES), "states": ("matrices", MATRICES)},
+        {"priors": ("vector", BOUNDED), "states": ("matrices", MATRICES)},
     ),
     "complementary_states": (
         lambda c: dict(symmetry_op=c["K"], ensemble=c["ensemble"]),
@@ -138,7 +146,7 @@ ROWS = {
     ),
     "distance_from_uniform": (
         lambda c: dict(distribution=np.array([0.5, 0.3, 0.2])),
-        {"distribution": ("vector", _without(VECTOR, "wrong-rank", "wrong-count"))},
+        {"distribution": ("vector", _without(BOUNDED, "wrong-rank", "wrong-count"))},
     ),
     "dual_grid_oracle": (
         lambda c: dict(ensemble=c["ensemble"], resolution=0.05),
@@ -151,7 +159,7 @@ ROWS = {
     ),
     "from_bloch": (
         lambda c: dict(v=np.array([0.0, 0.0, 0.5])),
-        {"v": ("vector", VECTOR)},
+        {"v": ("vector", BOUNDED)},
     ),
     "generate_from_symmetry_operator": (
         lambda c: dict(symmetry_op=np.eye(2) / 2, measurements=[np.diag([1.0, 0.0])] * 2),
@@ -162,13 +170,13 @@ ROWS = {
         lambda c: dict(value=1.0, center=np.zeros(3),
                        directions=np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]),
                        povm_weights=np.array([1.0, 1.0]), priors=np.array([0.5, 0.5])),
-        {"value": ("scalar", SCALAR), "center": ("vector", VECTOR),
-         "directions": ("rows", ROWS_OF_3), "povm_weights": ("vector", VECTOR),
-         "priors": ("vector", PROBABILITIES)},
+        {"value": ("scalar", SCALAR), "center": ("vector", BOUNDED),
+         "directions": ("rows", ROWS_OF_3 + ("huge",)), "povm_weights": ("vector", BOUNDED),
+         "priors": ("vector", BOUNDED)},
     ),
     "guessing_from_table": (
         lambda c: dict(priors=c["priors"], table=c["table"]),
-        {"priors": ("vector", PROBABILITIES), "table": ("table", OBJECT + ("wrong-count",))},
+        {"priors": ("vector", BOUNDED), "table": ("table", OBJECT + ("wrong-count",))},
     ),
     "helstrom_two_state": (
         lambda c: dict(ensemble=random_ensemble(2, 2, False, 1)),
@@ -178,7 +186,7 @@ ROWS = {
         lambda c: dict(operator=c["K"]),
         {"operator": ("matrix", _without(MATRIX, "wrong-dimension"))},
     ),
-    "identity_class_example": (lambda c: dict(dim=3), {"dim": ("scalar", SCALAR)}),
+    "identity_class_example": (lambda c: dict(dim=3), {"dim": ("scalar", DIMENSION)}),
     "is_psd": (
         lambda c: dict(operator=c["K"], tol=1e-10),
         {"operator": ("matrix", _without(MATRIX, "wrong-dimension")),
@@ -197,7 +205,7 @@ ROWS = {
     ),
     "random_ensemble": (
         lambda c: dict(dim=2, size=3, pure=False, seed=1),
-        {"dim": ("scalar", SCALAR), "size": ("scalar", SCALAR), "pure": ("flag", ()),
+        {"dim": ("scalar", DIMENSION), "size": ("scalar", SCALAR), "pure": ("flag", ()),
          "seed": ("scalar", _without(SCALAR, "huge"))},
     ),
     "reconstruct_povm": (
@@ -206,7 +214,7 @@ ROWS = {
     ),
     "shifted_ball_dual": (
         lambda c: dict(points=c["points"], shifts=c["priors"]),
-        {"points": ("rows", ROWS_OF_3), "shifts": ("vector", PROBABILITIES)},
+        {"points": ("rows", ROWS_OF_3), "shifts": ("vector", BOUNDED)},
     ),
     "solve": (lambda c: dict(ensemble=c["ensemble"]), {"ensemble": ("ensemble", OBJECT)}),
     "solve_qubit": (
@@ -292,8 +300,8 @@ def _malformed(role: str, kind: str, valid):
     if kind in common:
         return common[kind]
     if role == "scalar":
-        if kind == "huge":
-            return 10**400
+        if kind in ("huge", "beyond-max", "vast"):
+            return {"huge": 10**400, "beyond-max": MAX_DIM + 1, "vast": 10**5000}[kind]
         return [valid] if kind == "wrong-rank" else float(kind)
     if role == "matrix":
         return _matrix(valid, kind)
@@ -340,7 +348,8 @@ def test_a_malformed_argument_is_rejected_in_the_package_words(name, argument, k
     with pytest.raises((ValueError, TypeError, DiscriminationError)) as info:
         getattr(qdiscrim, name)(**kwargs)
     message = str(info.value)
-    assert not any(words in message for words in NUMPY_WORDS), message
+    assert len(message) <= 200, message[:200]
+    assert not any(words in message for words in FOREIGN_WORDS), message
 
 
 # The public callables that take an object of the package, each such argument

@@ -347,6 +347,11 @@ class TestPartialTrace:
             ((2, True), [1.0, 0.0], "dim_b must be an integer, got True"),
             ((2, 1), [1.0, "x"], "amplitudes is not a rectangular array of numbers"),
             ((2, 1), [[1.0], [0.0, 0.0]], "amplitudes is not a rectangular array of numbers"),
+            # each factor is bounded before the product, which is never printed
+            ((65, 1), [1.0] + [0.0] * 64, "subsystem dimensions must be at most 64"),
+            ((2, 10**400), [1.0, 0.0], "subsystem dimensions must be at most 64"),
+            ((10**5000, 2), [1.0, 0.0], "subsystem dimensions must be at most 64"),
+            ((1, 2), [1e308, 1e308], "amplitudes must have unit norm"),
         ],
     )
     def test_rejects_malformed_input(self, dims, amplitudes, message):

@@ -778,7 +778,7 @@ class TestBasisPovm:
             assert verify_kkt(e, sol.symmetry_op, sol.povm, tol=1e-8).passed
         assert calls == []
         # a K given from outside still goes through the kernel search
-        assert factory._certify(e, sol.symmetry_op) == (False, None)
+        assert factory._certify(e, sol.symmetry_op) is None
         assert len(calls) == 1
 
 
