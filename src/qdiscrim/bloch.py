@@ -39,13 +39,13 @@ import numpy as np
 
 from .errors import ConvergenceError
 from .operators import (
-    DensityOperator, _as_matrix, _Frozen, _priors, _real_array, _row_norms, _trusted
+    DensityOperator, _as_matrix, _constant, _Frozen, _priors, _real_array, _row_norms, _trusted
 )
 
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-_IDENTITY = np.eye(2, dtype=complex)
+PAULI_X = _constant(np.array([[0, 1], [1, 0]], dtype=complex))
+PAULI_Y = _constant(np.array([[0, -1j], [1j, 0]], dtype=complex))
+PAULI_Z = _constant(np.array([[1, 0], [0, -1]], dtype=complex))
+_IDENTITY = _constant(np.eye(2, dtype=complex))
 
 BLOCH_NORM_TOL = 1e-10
 _WOLFE_RTOL = 1e-14  # Wolfe's stop: target reached, or no point measurably beyond

@@ -16,7 +16,6 @@ import argparse
 import json
 import math
 import sys
-from contextlib import contextmanager
 
 import numpy as np
 
@@ -28,7 +27,7 @@ from .factory import (
     identity_class_example,
 )
 from .families import inscribed_tetrahedron, isosceles_triple, orthogonal_pairs
-from .operators import HermitianOperator, _check_tolerance, _hermitian_stack, _trusted
+from .operators import HermitianOperator, _check_tolerance, _hermitian_stack, _seed, _trusted
 from .oracle import dual_grid_oracle
 from .serialize import (
     _matrices_from_json,
@@ -52,38 +51,32 @@ class _FileError(Exception):
     """A file that cannot be read or written; its message names the file."""
 
 
-@contextmanager
-def _reading(path: str, errors=(ValueError,)):
-    """Turn the given errors, raised while reading the document at path, into a file error."""
-    try:
-        yield
-    except errors as exc:
-        raise _FileError(f"{path}: {exc}") from exc
+def _read(path: str, parse, errors=()):
+    """parse of the JSON document at path; one handler makes any defect a file error.
 
-
-def _load_json(path: str):
+    An OSError, a ValueError (bytes not UTF-8, invalid JSON, an integer literal too
+    long to convert, parse's own), a RecursionError (json's decoder recurses once
+    per level of nesting) or one of errors becomes a _FileError naming the file.
+    """
     try:
         with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise _FileError(f"{path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise _FileError(
-            f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    except RecursionError as exc:  # json's decoder recurses once per level of nesting
-        raise _FileError(f"{path}: document nested too deeply to parse") from exc
+            return parse(json.load(handle))
+    except (OSError, ValueError, RecursionError, *errors) as exc:
+        message = str(exc)
+        if isinstance(exc, json.JSONDecodeError):
+            message = f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
+        elif isinstance(exc, RecursionError):
+            message = "document nested too deeply to parse"
+        raise _FileError(f"{path}: {message}") from exc
 
 
 def _load_ensemble(path: str):
-    with _reading(path, (ValueError, DiscriminationError)):
-        return ensemble_from_json(_load_json(path))
+    return _read(path, ensemble_from_json, (DiscriminationError,))
 
 
-def _load_operator(path: str, field: str) -> HermitianOperator:
-    """The Hermitian operator of a matrix document; any defect of it is a file error."""
-    with _reading(path):
-        matrix = _hermitian_stack(matrix_from_json(_load_json(path), field=field), field=field)
+def _symmetry_operator(doc) -> HermitianOperator:
+    """K, the Hermitian operator of a matrix document; a defect raises ValueError naming K."""
+    matrix = _hermitian_stack(matrix_from_json(doc, field="K"), field="K")
     return _trusted(HermitianOperator, matrix=matrix)
 
 
@@ -102,8 +95,7 @@ def _certificate(ensemble, doc, tol: float, legacy: bool = False) -> dict:
     if legacy or "K" not in doc:
         cert = verify_legacy_conditions(ensemble, povm, tol=tol)
     else:
-        sym = _hermitian_stack(matrix_from_json(doc["K"], field="K"), field="K")
-        cert = verify_kkt(ensemble, _trusted(HermitianOperator, matrix=sym), povm, tol=tol)
+        cert = verify_kkt(ensemble, _symmetry_operator(doc["K"]), povm, tol=tol)
     return certificate_to_json(cert)
 
 
@@ -135,15 +127,13 @@ def _cmd_solve(args) -> int:
 def _cmd_verify(args) -> int:
     _check_tolerance(args.tol)
     ensemble = _load_ensemble(args.ensemble)
-    candidate = _load_json(args.solution)
-    with _reading(args.solution):
-        cert = _certificate(ensemble, candidate, args.tol, args.legacy)
+    cert = _read(args.solution, lambda doc: _certificate(ensemble, doc, args.tol, args.legacy))
     _emit_json(cert, args.out)
     return EXIT_OK
 
 
 def _random_projective_measurements(dim: int, count: int, seed: int):
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_seed(seed))
     measurements = []
     for _ in range(count):
         vec = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
@@ -153,7 +143,7 @@ def _random_projective_measurements(dim: int, count: int, seed: int):
 
 
 def _cmd_generate(args) -> int:
-    sym = _load_operator(args.operator, field="K")
+    sym = _read(args.operator, _symmetry_operator)
     if args.mode == "identity":
         if float(np.max(np.abs(sym.matrix - np.eye(sym.dim) / sym.dim))) > 1e-9:
             raise ValueError("identity mode expects the operator I/d")

@@ -121,7 +121,8 @@ def generate_from_symmetry_operator(
     """
     sym = HermitianOperator(symmetry_op)
     smallest = _eigvalsh(sym.matrix)[-1]
-    total = sym.trace()
+    with np.errstate(over="ignore"):  # K's entries are at most its trace: inf is rejected below
+        total = sym.trace()
     if not (_FIRES_TOL < total <= 1 + 1e-10):
         raise ValueError(f"symmetry operator trace must be in (0, 1], got {total!r}")
     if smallest / total < -PSD_TOL:

@@ -11,12 +11,12 @@ import math
 import numpy as np
 
 from .bloch import from_bloch
-from .operators import _real_array
+from .operators import _constant, _real_array
 from .solve import WeightedEnsemble
 
-REGULAR_TETRAHEDRON = np.array(
+REGULAR_TETRAHEDRON = _constant(np.array(
     [[1.0, 1.0, 1.0], [1.0, -1.0, -1.0], [-1.0, 1.0, -1.0], [-1.0, -1.0, 1.0]]
-) / math.sqrt(3.0)
+) / math.sqrt(3.0))
 
 
 def _planar_state(angle: float, purity: float = 1.0):

@@ -7,7 +7,8 @@ convention, trace norm, positivity tests, purification and partial trace.
 
 Matrices are stored as read-only ``numpy`` arrays of ``complex128``: one
 setter, _store, sets every stored field and freezes its arrays in place,
-also in a copy or an unpickled instance (_Frozen).
+also in a copy or an unpickled instance (_Frozen); module-level arrays are
+frozen where they are defined (_constant).
 Dimensions in scope are small (<= 64). Each operator should be
 diagonalized once: the helpers that need several spectral quantities of
 one matrix take them from a single decomposition. Validation, the
@@ -30,7 +31,7 @@ _matrix_stack hands back without stacking it again.
 
 Input is validated where it enters the package, by one rule per kind:
 - object (_expect): an ensemble, a solution, a table, ...; TypeError;
-- count (_count): a dimension, a size, a seed;
+- count (_count): a dimension, a size; a seed (_seed) is one that is not negative;
 - real scalar (_real_scalar): a tolerance, a resolution, a target value;
 - real array (_real_array): vectors, weights, a JSON matrix's re and im;
 - probability vector (_priors): priors and shifts, summing to 1;
@@ -110,6 +111,14 @@ def _count(value, name: str) -> int:
     return int(value)
 
 
+def _seed(value) -> int:
+    """A seed of numpy's generator as an int: a count (_count) that is not negative."""
+    seed = _count(value, "seed")
+    if seed < 0:
+        raise ValueError("seed must be a non-negative integer")
+    return seed
+
+
 def _expect(value, cls) -> None:
     """Raise TypeError naming cls unless value is one: the check of a package-object argument."""
     if not isinstance(value, cls):
@@ -147,6 +156,12 @@ def _store(obj, **fields):
             value.setflags(write=False)
         object.__setattr__(obj, name, value)
     return obj
+
+
+def _constant(array: np.ndarray) -> np.ndarray:
+    """A module-level array, frozen where it is defined."""
+    array.setflags(write=False)
+    return array
 
 
 def _lazy_field(obj, name: str, field: str, build):
@@ -248,7 +263,8 @@ class DensityOperator(HermitianOperator):
         super().__init__(matrix)
         if isinstance(matrix, DensityOperator):
             return
-        tr = self.trace()
+        with np.errstate(over="ignore"):  # a state's entries are at most 1: inf is rejected below
+            tr = self.trace()
         if abs(tr - 1.0) > TRACE_TOL:
             raise ValueError(f"density operator must have trace 1, got {tr!r}")
         smallest = float(_eigvalsh(self.matrix)[-1])

@@ -15,7 +15,8 @@ import numpy as np
 
 from .bloch import _bloch_vectors
 from .operators import (
-    MAX_DIM, DensityOperator, _count, _expect, _Frozen, _priors, _real_array, _real_scalar, _store
+    MAX_DIM, DensityOperator, _count, _expect, _Frozen, _priors, _real_array, _real_scalar, _seed,
+    _store,
 )
 from .solve import WeightedEnsemble, _povm_stack
 
@@ -69,12 +70,9 @@ def conditional_table_from_povm(ensemble: WeightedEnsemble, povm) -> Conditional
     return ConditionalTable(np.clip(table, 0.0, 1.0))
 
 
-_COARSE_GRID: np.ndarray | None = None
-
-
 def _grid_points(lows, highs, step) -> np.ndarray:
     axes = [np.arange(lows[i], highs[i] + step / 2, step) for i in range(3)]
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    return np.stack(np.meshgrid(*axes, indexing="ij", copy=False), axis=-1).reshape(-1, 3)
 
 
 def _grid_minimum(pts, shifts, grid):
@@ -90,16 +88,17 @@ def _grid_minimum(pts, shifts, grid):
 def dual_grid_oracle(ensemble: WeightedEnsemble, resolution: float) -> float:
     """Brute-force qubit dual value by grid search over the ball parameter.
 
-    Starts from a coarse 0.05 grid on [-1, 1]^3 (41^3 points) and
-    repeatedly refines a window of 21^3 points around the running argmin,
-    the step shrinking fivefold per level, until it reaches the requested
-    resolution; so no level is larger than the coarse grid, however fine
-    the resolution. Every evaluation is the true objective, so the result
-    upper-bounds the optimum; the objective is 1-Lipschitz in the grid
-    point, so the coarse grid bounds the overshoot by sqrt(3) * 0.05. The
-    windows can miss the minimizer: they lower the value, with no bound of
-    their own. The resolution must be finite and at least 1e-15, below
-    which a window's points are no longer distinct floats.
+    One loop of windows: the first is the cube [-1, 1]^3 at the coarse
+    step 0.05 (41^3 points), each next one 21^3 points around the running
+    argmin, the step shrinking fivefold per window until it reaches the
+    requested resolution; so no window is larger than the cube's, however
+    fine the resolution, and no grid is kept between calls. Every
+    evaluation is the true objective, so the result upper-bounds the
+    optimum; the objective is 1-Lipschitz in the grid point, so the cube's
+    grid bounds the overshoot by sqrt(3) * 0.05. The later windows can miss
+    the minimizer: they lower the value, with no bound of their own. The
+    resolution must be finite and at least 1e-15, below which a window's
+    points are no longer distinct floats.
     """
     _expect(ensemble, WeightedEnsemble)
     # positive: at least the least positive float
@@ -111,19 +110,15 @@ def dual_grid_oracle(ensemble: WeightedEnsemble, resolution: float) -> float:
     q = ensemble.priors
     pts = q[:, None] * _bloch_vectors(ensemble.matrices)
 
-    global _COARSE_GRID
-    if _COARSE_GRID is None:
-        _COARSE_GRID = _grid_points(np.full(3, -1.0), np.full(3, 1.0), _COARSE_STEP)
-    step = _COARSE_STEP
-    best_k, best_f = _grid_minimum(pts, q, _COARSE_GRID)
-    while step > resolution:
-        next_step = max(resolution, step / 5)
-        window = 2 * step
-        k, f = _grid_minimum(pts, q, _grid_points(best_k - window, best_k + window, next_step))
+    best_k, best_f = np.zeros(3), math.inf
+    half_width, step = 1.0, _COARSE_STEP  # the first window is the cube [-1, 1]^3
+    while True:
+        k, f = _grid_minimum(pts, q, _grid_points(best_k - half_width, best_k + half_width, step))
         if f < best_f:
             best_k, best_f = k, f
-        step = next_step
-    return best_f
+        if step <= resolution:
+            return best_f
+        half_width, step = 2 * step, max(resolution, step / 5)
 
 
 def random_ensemble(dim: int, size: int, pure: bool, seed: int) -> WeightedEnsemble:
@@ -140,7 +135,7 @@ def random_ensemble(dim: int, size: int, pure: bool, seed: int) -> WeightedEnsem
     The output is bit-identical for a fixed seed, which is recorded on the
     ensemble.
     """
-    dim, size, seed = _count(dim, "dim"), _count(size, "size"), _count(seed, "seed")
+    dim, size, seed = _count(dim, "dim"), _count(size, "size"), _seed(seed)
     if not 2 <= dim <= MAX_DIM or size < 1:
         raise ValueError(f"need 2 <= dim <= {MAX_DIM} and at least one state")
     if size > round(1 / _MIN_PRIOR):

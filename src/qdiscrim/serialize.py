@@ -21,6 +21,7 @@ from .factory import FactoryOutput
 from .operators import (
     MAX_DIM,
     HermitianOperator,
+    _constant,
     _eigh,
     _expect,
     _hermitian_stack,
@@ -106,7 +107,7 @@ def _is_matrix(value: list) -> bool:
 # The kernel's exact range: m < 10**15 < 2**53 is an exact integer, 10**s an
 # exact double for 0 <= s <= 22, and no scaled value nears overflow or underflow.
 _EXACT_DIGITS = 15
-_POWERS_OF_TEN = 10.0 ** np.arange(23)
+_POWERS_OF_TEN = _constant(10.0 ** np.arange(23))
 
 
 def _round_significant(x: np.ndarray, digits: int) -> np.ndarray:
@@ -269,13 +270,13 @@ def _states_from_rounded(h: np.ndarray) -> np.ndarray:
     and rebuilt from their spectra (_state_stack). An eigenvalue below
     -1e-8 (or a trace off 1 by more than 1e-8) names its state as states[i].
     """
-    traces = h.trace(axis1=1, axis2=2).real
-    off = (abs(traces - 1.0) > _ROUNDING_TOL).nonzero()[0]
-    if off.size:
-        i = int(off[0])
-        raise ValueError(f"states[{i}]: state trace must be 1, got {float(traces[i])!r}")
-    # entries near the float maximum can overflow here; the spectrum rejects them
+    # entries near the float maximum can overflow here; a trace of inf and the spectrum reject them
     with np.errstate(over="ignore", invalid="ignore"):
+        traces = h.trace(axis1=1, axis2=2).real
+        off = (abs(traces - 1.0) > _ROUNDING_TOL).nonzero()[0]
+        if off.size:
+            i = int(off[0])
+            raise ValueError(f"states[{i}]: state trace must be 1, got {float(traces[i])!r}")
         rho = h / traces[:, None, None]
         if rho.shape[-1] == 2:
             return _qubit_states(rho)

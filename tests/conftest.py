@@ -28,6 +28,7 @@ NUMPY_WORDS = (
     "could not convert",
     "not supported for the input types",
     "overflow encountered",
+    "expected non-negative integer",
 )
 
 

@@ -848,6 +848,48 @@ class TestDeepNesting:
             assert err == f"error: {deep}: document nested too deeply to parse\n"
 
 
+# Documents that cannot be read, decoded or parsed as JSON: the bytes of the
+# file, or None for a missing file and "directory" for a directory.
+_UNREADABLE = {
+    "missing": None,
+    "directory": "directory",
+    "non-utf-8": b"\xff\xfe",
+    "invalid-json": b"{not json",
+    "nested-10^4": _nested(10_000).encode(),
+    "5000-digit-integer": b"[1" + b"0" * 4999 + b"]",
+}
+# Each kind of document and the commands that read it, the document at {doc}.
+_READERS = {
+    "ensemble-solve": ["solve", "{doc}"],
+    "ensemble-verify": ["verify", "{doc}", "{solution}"],
+    "ensemble-oracle": ["oracle", "{doc}"],
+    "operator-generate": ["generate", "{doc}"],
+    "candidate-verify": ["verify", "{trine}", "{doc}"],
+}
+
+
+class TestUnreadableDocument:
+    """Every document a command opens is read by one reader: whatever keeps it
+    from being read, decoded or parsed exits 2 with one error line naming it."""
+
+    @pytest.mark.parametrize("defect", list(_UNREADABLE))
+    @pytest.mark.parametrize("reader", list(_READERS))
+    def test_exits_2_naming_the_file(self, reader, defect, trine_file, tmp_path, capsys):
+        doc = tmp_path / "doc.json"
+        content = _UNREADABLE[defect]
+        if content == "directory":
+            doc.mkdir()
+        elif content is not None:
+            doc.write_bytes(content)
+        solution = tmp_path / "solution.json"
+        solution.write_text(json.dumps(solution_to_json(solve(trine()))))
+        paths = {"doc": doc, "solution": solution, "trine": trine_file}
+        assert main([a.format(**paths) for a in _READERS[reader]]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and _one_error_line(err) and len(err.splitlines()) == 1, err
+        assert err.startswith(f"error: {doc}: "), err
+
+
 def reference_certificate(ensemble, doc, tol, legacy=False) -> dict:
     """The element-by-element certificate path that cli._certificate must reproduce."""
     if not isinstance(doc, dict) or "povm" not in doc:
@@ -1051,6 +1093,32 @@ class TestCliProcess:
         # no numpy warning precedes the diagnostic: stderr is that one line
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["solve", "{ensemble}"], 2),
+            (["verify", "{ensemble}", "{trine}"], 2),
+            (["oracle", "{ensemble}"], 2),
+            (["generate", "{operator}"], 3),
+        ],
+        ids=["solve", "verify", "oracle", "generate"],
+    )
+    def test_huge_diagonal_exits_with_one_line_and_no_warning(self, argv, code, trine_file,
+                                                              tmp_path):
+        # a state's entries are at most 1 and K's at most its trace, which the
+        # steering generator bounds by 1: their traces overflow to inf, rejected
+        huge = matrix_to_json(np.diag([1e308, 1e308]))
+        ensemble = tmp_path / "huge-diagonal.json"
+        ensemble.write_text(json.dumps(
+            {"priors": [0.5, 0.5], "states": [huge, matrix_to_json(np.diag([1.0, 0.0]))]}))
+        operator = tmp_path / "huge-K.json"
+        operator.write_text(json.dumps(huge))
+        paths = {"ensemble": ensemble, "operator": operator, "trine": trine_file}
+        proc = _run_python("-m", "qdiscrim.cli", *[a.format(**paths) for a in argv])
+        assert proc.returncode == code, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1 and _one_error_line(proc.stderr), proc.stderr
+        assert proc.stderr.endswith(" got inf\n"), proc.stderr
+
     def test_deeply_nested_document_exits_2_without_traceback(self, tmp_path):
         path = tmp_path / "deep.json"
         path.write_text(_nested(10_000))
@@ -1192,6 +1260,14 @@ class TestCliGenerate:
         assert "uncertified" in capsys.readouterr().err
         doc = json.loads(out.read_text())
         assert doc["certified"] is False
+
+
+    def test_negative_seed_exits_3_naming_the_seed(self, tmp_path, capsys):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps(matrix_to_json(np.diag([0.5, 0.3, 0.2]))))
+        assert main(["generate", str(path), "--seed", "-1"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: seed must be a non-negative integer\n"
 
 
 class TestCliOracle:

@@ -6,9 +6,12 @@ its arguments and a valid call; each role has its malformed kinds (NaN,
 wrong count, non-Hermitian, wrong type, empty, bool, and huge: entries of
 1e308 in a vector whose role bounds its entries (a probability, a
 coordinate of a unit or Bloch vector or of the class element's center,
-an amplitude, a POVM weight), whose sum or norm would overflow, or an int
-beyond the float range as a scalar; a dimension is also malformed as
-MAX_DIM + 1 and as 10**5000, an int too long for Python to print). Each
+an amplitude, a POVM weight), whose sum or norm would overflow, a
+diagonal of 1e308 in a matrix whose role bounds its entries (a state's
+by 1, the steering generator's K by its trace), whose trace would
+overflow, or an int beyond the float range as a scalar; a dimension is
+also malformed as MAX_DIM + 1 and as 10**5000, an int too long for
+Python to print, and a seed as a negative int). Each
 malformed value, put in place of one argument of the valid call, must
 raise ValueError, TypeError or a DiscriminationError, in a short message
 in the package's words rather than numpy's or Python's; a warning of
@@ -26,7 +29,7 @@ What a role admits decides its kinds:
   complementary set, a table, a solution, a bipartite state) is malformed
   as a value of another type, or as a valid object that disagrees with
   the others in dimension or count; a flag takes any truth value, and a
-  seed any integer.
+  seed any non-negative integer, as numpy's generator does.
 The errors and the result records (whose constructors the package calls
 with fields it computed) take no input to check: their rows are empty.
 """
@@ -38,9 +41,11 @@ import pytest
 
 import qdiscrim
 from qdiscrim import (
+    ComplementarySet,
     ConditionalTable,
     DiscriminationError,
     PureBipartiteState,
+    WeightedEnsemble,
     conditional_table_from_povm,
     identity_class_example,
     random_ensemble,
@@ -77,6 +82,11 @@ def _without(kinds, *dropped):
     return tuple(k for k in kinds if k not in dropped)
 
 
+# a state's entries are bounded by 1: a huge diagonal overflows its trace
+STATE = _without(MATRIX, "wrong-dimension") + ("huge",)
+STATES = MATRICES + ("huge",)
+
+
 def _context():
     """Valid arguments, all from the trine (N = 3, d = 2), as new writable arrays."""
     ensemble = trine()
@@ -102,7 +112,7 @@ def _context():
 ROWS = {
     "ComplementarySet": (
         lambda c: dict(weights=c["comp weights"], states=c["comp states"]),
-        {"weights": ("vector", VECTOR), "states": ("matrices", MATRICES)},
+        {"weights": ("vector", VECTOR), "states": ("matrices", STATES)},
     ),
     "ConditionalTable": (
         lambda c: dict(probabilities=c["table"].probabilities.copy()),
@@ -110,7 +120,7 @@ ROWS = {
     ),
     "DensityOperator": (
         lambda c: dict(matrix=c["states"][0]),
-        {"matrix": ("matrix", _without(MATRIX, "wrong-dimension"))},
+        {"matrix": ("matrix", STATE)},
     ),
     "DiscriminationSolution": (
         lambda c: dict(ensemble=c["ensemble"], symmetry_op=c["K"], povm=c["povm"]),
@@ -132,7 +142,7 @@ ROWS = {
     ),
     "WeightedEnsemble": (
         lambda c: dict(priors=c["priors"], states=c["states"]),
-        {"priors": ("vector", BOUNDED), "states": ("matrices", MATRICES)},
+        {"priors": ("vector", BOUNDED), "states": ("matrices", STATES)},
     ),
     "complementary_states": (
         lambda c: dict(symmetry_op=c["K"], ensemble=c["ensemble"]),
@@ -163,7 +173,7 @@ ROWS = {
     ),
     "generate_from_symmetry_operator": (
         lambda c: dict(symmetry_op=np.eye(2) / 2, measurements=[np.diag([1.0, 0.0])] * 2),
-        {"symmetry_op": ("matrix", MATRIX),
+        {"symmetry_op": ("matrix", MATRIX + ("huge",)),
          "measurements": ("matrices", _without(MATRICES, "wrong-count"))},
     ),
     "generate_qubit_class_element": (
@@ -201,12 +211,12 @@ ROWS = {
     ),
     "purify": (
         lambda c: dict(rho=c["states"][0]),
-        {"rho": ("matrix", _without(MATRIX, "wrong-dimension"))},
+        {"rho": ("matrix", STATE)},
     ),
     "random_ensemble": (
         lambda c: dict(dim=2, size=3, pure=False, seed=1),
         {"dim": ("scalar", DIMENSION), "size": ("scalar", SCALAR), "pure": ("flag", ()),
-         "seed": ("scalar", _without(SCALAR, "huge"))},
+         "seed": ("scalar", _without(SCALAR, "huge") + ("negative",))},
     ),
     "reconstruct_povm": (
         lambda c: dict(ensemble=c["ensemble"], complementary=c["comp"]),
@@ -251,6 +261,8 @@ for _name in (
 def _matrix(valid: np.ndarray, kind: str):
     """A malformed matrix of kind, from a valid square matrix."""
     m = np.array(valid, dtype=complex)
+    if kind == "huge":
+        return np.diag(np.full(len(m), 1e308 + 0j))
     if kind in ("nan", "inf", "-inf"):
         m[0, 0] = float(kind)
         return m
@@ -300,8 +312,9 @@ def _malformed(role: str, kind: str, valid):
     if kind in common:
         return common[kind]
     if role == "scalar":
-        if kind in ("huge", "beyond-max", "vast"):
-            return {"huge": 10**400, "beyond-max": MAX_DIM + 1, "vast": 10**5000}[kind]
+        if kind in ("huge", "beyond-max", "vast", "negative"):
+            return {"huge": 10**400, "beyond-max": MAX_DIM + 1, "vast": 10**5000,
+                    "negative": -1}[kind]
         return [valid] if kind == "wrong-rank" else float(kind)
     if role == "matrix":
         return _matrix(valid, kind)
@@ -350,6 +363,25 @@ def test_a_malformed_argument_is_rejected_in_the_package_words(name, argument, k
     message = str(info.value)
     assert len(message) <= 200, message[:200]
     assert not any(words in message for words in FOREIGN_WORDS), message
+
+
+# The roles whose entries are bounded (a state's by 1, the steering generator's
+# K by its trace), each given a diagonal of 1e308, whose trace overflows.
+HUGE_DIAGONAL = {
+    "DensityOperator": lambda m: qdiscrim.DensityOperator(m),
+    "WeightedEnsemble": lambda m: WeightedEnsemble([0.5, 0.5], [m, np.eye(len(m)) / len(m)]),
+    "ComplementarySet": lambda m: ComplementarySet([0.5], [m]),
+    "purify": lambda m: qdiscrim.purify(m),
+    "generate_from_symmetry_operator":
+        lambda m: qdiscrim.generate_from_symmetry_operator(m, [np.eye(len(m)) / 2]),
+}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("name", sorted(HUGE_DIAGONAL))
+def test_a_huge_diagonal_is_rejected_by_its_trace_with_no_warning(name, dim):
+    with pytest.raises(ValueError, match="got inf$"):  # a warning of numpy's raises instead
+        HUGE_DIAGONAL[name](np.diag(np.full(dim, 1e308)))
 
 
 # The public callables that take an object of the package, each such argument

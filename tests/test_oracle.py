@@ -1,8 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qdiscrim
 from qdiscrim import (
     ConditionalTable,
     HermitianOperator,
@@ -16,9 +21,27 @@ from qdiscrim import (
     solve_qubit,
     trace_norm,
 )
+from qdiscrim.bloch import _bloch_vectors
 from qdiscrim.families import isosceles_triple, trine
+from qdiscrim.oracle import _grid_minimum, _grid_points
 
 from conftest import NOT_REAL
+
+
+def two_phase_grid_oracle(ensemble, resolution):
+    """The grid oracle as two phases: the coarse grid on the cube, then the refinement windows."""
+    q = ensemble.priors
+    pts = q[:, None] * _bloch_vectors(ensemble.matrices)
+    step = 0.05
+    best_k, best_f = _grid_minimum(pts, q, _grid_points(np.full(3, -1.0), np.full(3, 1.0), step))
+    while step > resolution:
+        next_step = max(resolution, step / 5)
+        window = 2 * step
+        k, f = _grid_minimum(pts, q, _grid_points(best_k - window, best_k + window, next_step))
+        if f < best_f:
+            best_k, best_f = k, f
+        step = next_step
+    return best_f
 
 
 class TestDualGridOracle:
@@ -69,6 +92,28 @@ class TestDualGridOracle:
         with pytest.raises(ValueError, match="resolution 1e-18 is below the floor 1e-15"):
             dual_grid_oracle(e, 1e-18)
         assert dual_grid_oracle(e, 1e-15) >= solve_qubit(e).p_guess - 1e-12
+
+    @pytest.mark.parametrize("pure", [True, False])
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_one_loop_of_windows_equals_the_two_phase_refinement(self, n, pure):
+        for seed in range(4):
+            e = random_ensemble(2, n, pure, seed)
+            for resolution in (1, 0.03, 1e-3, 1e-6, 1e-15):
+                value = dual_grid_oracle(e, resolution)
+                assert value.hex() == two_phase_grid_oracle(e, resolution).hex(), (seed, resolution)
+
+    def test_leaves_every_module_global_as_it_was(self):
+        # in a new interpreter, so that the call observed is the first of its process
+        script = (
+            "import qdiscrim.oracle as o; from qdiscrim.families import trine; "
+            "before = dict(vars(o)); o.dual_grid_oracle(trine(), 0.05); after = vars(o); "
+            "print(after.keys() == before.keys() and all(after[k] is v for k, v in before.items()))"
+        )
+        src = str(Path(qdiscrim.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path))
+        assert proc.stdout == "True\n", proc.stderr
 
     def test_fine_resolution_keeps_the_coarse_bound(self):
         # the windows can miss the minimizer, so below the coarse step the

@@ -4,17 +4,21 @@ Each builder below returns what a public function or constructor built
 and the arrays its caller passed in. Every ndarray reachable from the
 output (dataclass fields, lazily wrapped tuples and their stacks, cached
 spectra) must be read-only, in the output as built, deep-copied and
-pickled; every array of the caller must still be writable.
+pickled; every array of the caller must still be writable. Every
+module-level array of the package is read-only too.
 """
 
 import copy
 import dataclasses
 import functools
+import importlib
 import pickle
+import pkgutil
 
 import numpy as np
 import pytest
 
+import qdiscrim
 from qdiscrim import (
     ComplementarySet,
     ConditionalTable,
@@ -181,3 +185,11 @@ def test_stored_arrays_are_read_only_and_caller_arrays_stay_writable(builder, co
     assert stored
     assert [path for path, array in stored if array.flags.writeable] == []
     assert all(array.flags.writeable for array in inputs)
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(qdiscrim.__path__)))
+def test_module_level_arrays_are_read_only(module):
+    namespace = vars(importlib.import_module(f"qdiscrim.{module}"))
+    writable = [name for name, value in namespace.items()
+                if isinstance(value, np.ndarray) and value.flags.writeable]
+    assert not writable, writable
