@@ -158,7 +158,7 @@ def _certificate_from(
         "legacy_pairwise": max(
             (
                 _peak(elements[x] @ (states[x] - states[x + 1 :]) @ elements[x + 1 :])
-                for x in range(len(elements))
+                for x in range(len(elements) - 1)
             ),
             default=0.0,
         ),

@@ -404,7 +404,9 @@ def hermitian_eigen(operator) -> SpectralDecomposition:
 
 def trace_norm(operator) -> float:
     """Sum of absolute eigenvalues; equals trace(H) for PSD H."""
-    return float(np.sum(np.abs(_eigvalsh(_as_matrix(operator)))))
+    magnitudes = np.abs(_eigvalsh(_as_matrix(operator)))
+    with np.errstate(over="ignore"):  # eigenvalues near the float maximum sum to inf
+        return float(magnitudes.sum())
 
 
 def _real_scalar(value, stem: str, low: float = -math.inf) -> float:

@@ -6,7 +6,8 @@ field in their message so the CLI can emit a usable diagnostic. Every
 array of matrices (an ensemble's states, a candidate solution's POVM) is
 parsed as one stack (N, d, d) by one parser (_matrices_from_json) and
 written from a stack by one writer (_stack_to_json); a single matrix is
-a stack of one.
+a stack of one. round_floats rounds what is printed: the matrix objects
+by one array rule, keyed on their dim, and every other float one by one.
 """
 
 from __future__ import annotations
@@ -38,41 +39,21 @@ def round_floats(value, digits: int = 9):
     """Recursively round floats to a fixed number of significant digits.
 
     Every float v becomes float(format(v, f".{digits}g")), tuples become
-    lists. An exact zero is its own rounding, sign included, so it skips
-    format: most entries of a qubit POVM off its support are zeros. At
-    1..15 digits the matrices (lists of equal-length list rows of plain
-    floats, rows wider than two) are gathered by row width and
-    rounded as arrays by _round_significant, which gives exactly those
-    values; the rows are rebuilt with one tolist per width. Everything
-    else is rounded float by float, a pair of list rows (the 2x2 blocks
-    of qubit documents) in one nested comprehension.
+    lists, by one of two rules. The array rule takes the serializer's
+    matrix objects (dicts of exactly dim, re and im, dim an int n) at
+    1..15 digits and groups copies of them by n; a group whose parts are
+    all lists of n lists of n plain floats is rounded as one array by
+    _round_significant, which gives exactly those values. Every other
+    float, a failing group's included, takes the float rule, one format
+    call each; an exact zero is its own rounding, sign included.
     """
     spec = f".{digits}g"
     gather = type(digits) is int and 1 <= digits <= _EXACT_DIGITS
-    # row width -> (the gathered matrices' rows, their placeholder matrices)
-    gathered: dict[int, tuple[list, list]] = {}
+    # dim -> copies of the matrix objects of that dim, their parts not yet rounded
+    groups: dict[int, list[dict]] = {}
 
     def walk(value):
-        # lists first: most calls are on matrices and their rows
         if isinstance(value, (list, tuple)):
-            if value and type(value[0]) is list:
-                # 2x2 blocks (qubit documents) cost less float by float than the
-                # kernel's fixed cost, so only wider rows are gathered
-                if len(value[0]) > 2:
-                    if gather and type(value) is list and _is_matrix(value):
-                        rows, targets = gathered.setdefault(len(value[0]), ([], []))
-                        rows.extend(value)
-                        targets.append([None] * len(value))
-                        return targets[-1]
-                elif len(value) == 2 and type(value[1]) is list:
-                    # two rows, as a 2x2 block: one nested comprehension, no call per row
-                    return [
-                        [
-                            (float(format(v, spec)) if v else v) if isinstance(v, float) else walk(v)
-                            for v in row
-                        ]
-                        for row in value
-                    ]
             # a matrix row is a flat list of floats: one comprehension, no recursion
             return [
                 (float(format(v, spec)) if v else v) if isinstance(v, float) else walk(v)
@@ -81,28 +62,34 @@ def round_floats(value, digits: int = 9):
         if isinstance(value, float):
             return float(format(value, spec)) if value else value
         if isinstance(value, dict):
+            if gather and value.keys() == _MATRIX_KEYS and type(value["dim"]) is int:
+                copy = dict(value)
+                groups.setdefault(value["dim"], []).append(copy)
+                return copy
             return {k: walk(v) for k, v in value.items()}
         return value
 
     out = walk(value)
-    del walk  # walk refers to itself: free it, and the rows it gathered, without the cyclic GC
-    for rows, targets in gathered.values():
-        rounded = _round_significant(np.array(rows, dtype=float), digits).tolist()
-        start = 0
-        for target in targets:
-            target[:] = rounded[start : start + len(target)]
-            start += len(target)
+    # the float rule may meet matrix objects nested in a part, and adds their groups
+    while groups:
+        n, objects = groups.popitem()
+        parts = [part for obj in objects for part in (obj["re"], obj["im"])]
+        rows = list(chain.from_iterable(parts)) if set(map(type, parts)) == {list} else [None]
+        if (
+            set(map(type, rows)) == {list}
+            and set(map(len, chain(parts, rows))) == {n}
+            and set(map(type, chain.from_iterable(rows))) == {float}
+        ):
+            rounded = iter(_round_significant(np.array(parts), digits).tolist())
+        else:
+            rounded = map(walk, parts)
+        for obj in objects:
+            obj["re"], obj["im"] = next(rounded), next(rounded)
+    del walk  # walk refers to itself: free it without the cyclic GC
     return out
 
 
-def _is_matrix(value: list) -> bool:
-    """Whether a list with a non-empty list first row is rows of that length, all floats."""
-    return (
-        set(map(type, value)) == {list}
-        and len(set(map(len, value))) == 1
-        and set(map(type, chain.from_iterable(value))) == {float}
-    )
-
+_MATRIX_KEYS = frozenset(("dim", "re", "im"))
 
 # The kernel's exact range: m < 10**15 < 2**53 is an exact integer, 10**s an
 # exact double for 0 <= s <= 22, and no scaled value nears overflow or underflow.

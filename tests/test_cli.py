@@ -62,6 +62,23 @@ def _round_floats_reference(value, digits):
     return value
 
 
+@contextlib.contextmanager
+def _kernel_calls():
+    """The sizes of the arrays round_floats hands to _round_significant in the block."""
+    calls = []
+    real = serialize._round_significant
+
+    def recording(x, digits):
+        calls.append(x.size)
+        return real(x, digits)
+
+    serialize._round_significant = recording
+    try:
+        yield calls
+    finally:
+        serialize._round_significant = real
+
+
 def _matrix_to_json_reference(m):
     """The original one-float-call-per-entry conversion of matrix_to_json."""
     return {
@@ -69,6 +86,10 @@ def _matrix_to_json_reference(m):
         "re": [[float(v) for v in row] for row in m.real],
         "im": [[float(v) for v in row] for row in m.imag],
     }
+
+
+# (dim, size) of the solved random ensembles whose documents round_floats rounds
+_SIZES = [(2, 3), (2, 7), (2, 16), (2, 39), (3, 2), (8, 2), (17, 2), (32, 2)]
 
 
 class TestSerialization:
@@ -112,17 +133,25 @@ class TestSerialization:
             random_ensemble(8, 2, pure=True, seed=42),
             random_ensemble(2, 12, pure=False, seed=43),
             trine(),
+            # qubits with N 3-39 and pairs with d 3-32, pure and mixed
+            *(random_ensemble(d, n, pure=pure, seed=d + n)
+              for d, n in _SIZES for pure in (False, True)),
         ],
-        ids=["dense-pair-mixed", "dense-pair-pure", "qubit-shifted", "qubit-ball"],
+        ids=["dense-pair-mixed", "dense-pair-pure", "qubit-shifted", "qubit-ball",
+             *(f"d{d}-n{n}-{kind}" for d, n in _SIZES for kind in ("mixed", "pure"))],
     )
     def test_round_floats_matches_recursive_reference(self, ensemble):
         sol = solve(ensemble)
         doc = solution_to_json(sol)
         doc["certificate"] = certificate_to_json(verify_kkt(ensemble, sol.symmetry_op, sol.povm))
         doc["extras"] = (np.float64(2 / 3), -0.0, 1e-300, 5e-324, 7, True, None, "x", [[], {}])
+        doc["bare"] = [doc["K"]["re"], doc["povm"][0]["im"]]  # matrices as bare lists
         for digits in (9, 3, 17):
             expected = json.dumps(_round_floats_reference(doc, digits))
-            assert json.dumps(round_floats(doc, digits)) == expected
+            with _kernel_calls() as calls:
+                assert json.dumps(round_floats(doc, digits)) == expected
+            # one array of the matrix objects (one size each), none past 15 digits
+            assert len(calls) == (digits <= 15)
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(
@@ -138,10 +167,17 @@ class TestSerialization:
         digits=st.integers(1, 17),
     )
     def test_round_floats_matrices_match_reference(self, matrices, digits):
-        # any doubles, subnormals, signed zeros, inf and nan among them
-        doc = {"matrices": matrices, "first": matrices[0]}
+        # any doubles, subnormals, signed zeros, inf and nan among them, as bare
+        # lists and as matrix objects of the rows repeated into squares
+        squares = [[m[i % len(m)] for i in range(len(m[0]))] for m in matrices]
+        objects = [{"dim": len(m), "re": m, "im": m[::-1]} for m in squares]
+        doc = {"matrices": matrices, "first": matrices[0], "objects": objects}
         expected = json.dumps(_round_floats_reference(doc, digits))
-        assert json.dumps(round_floats(doc, digits)) == expected
+        with _kernel_calls() as calls:
+            assert json.dumps(round_floats(doc, digits)) == expected
+        sizes = {len(m) for m in squares}
+        assert sorted(calls) == (sorted(2 * n**2 * sum(len(m) == n for m in squares) for n in sizes)
+                                 if digits <= 15 else [])
 
     def test_round_floats_exact_cases(self):
         powers = [float(f"1e{k}") for k in range(-30, 31)]
@@ -149,51 +185,91 @@ class TestSerialization:
         values = [123456789.5, 0.125, 1.5e9, 5e-324, -0.0, 0.0, *powers, *edges]
         values += [-v for v in values]
         rows = [values[i : i + 3] for i in range(0, len(values) - len(values) % 3, 3)]
+        # the same values as 3x3 matrix objects, and as 4x4 ones of constant rows
+        squares = [{"dim": 3, "re": rows[i : i + 3], "im": rows[i + 3 : i + 6]}
+                   for i in range(0, len(rows) - 5, 6)]
+        squares += [{"dim": 4, "re": [[v] * 4] * 4, "im": [[-v] * 4] * 4} for v in values]
         for digits in range(1, 18):
-            doc = {"re": rows, "im": [[v] * 4 for v in values]}
+            doc = {"re": rows, "im": [[v] * 4 for v in values], "squares": squares}
             expected = json.dumps(_round_floats_reference(doc, digits))
-            assert json.dumps(round_floats(doc, digits)) == expected, digits
-        # the exact ties, half to even like format
+            with _kernel_calls() as calls:
+                assert json.dumps(round_floats(doc, digits)) == expected, digits
+            assert len(calls) == (2 if digits <= 15 else 0), digits
+        # the exact ties, half to even like format, on the float rule and the array rule
         assert round_floats([[123456789.5, 0.125, 1.0]], 9) == [[123456790.0, 0.125, 1.0]]
         assert round_floats([[0.125, 0.375, 2.5]], 2) == [[0.12, 0.38, 2.5]]
+        with _kernel_calls() as calls:
+            ties = {"dim": 2, "re": [[123456789.5, 0.125], [1.0, 2.5]], "im": [[0.375] * 2] * 2}
+            assert round_floats(ties, 9)["re"] == [[123456790.0, 0.125], [1.0, 2.5]]
+            assert round_floats(ties, 2) == dict(ties, re=[[120000000.0, 0.12], [1.0, 2.5]],
+                                                 im=[[0.38] * 2] * 2)
+        assert calls == [8, 8]
 
     @pytest.mark.parametrize(
-        "matrix",
+        "dim, matrix",
         [
-            [[0.5, 0.25, 7], [0.5, 0.25, 0.125]],
-            [[0.5, 0.25, True], [0.5, 0.25, 0.125]],
-            [[0.5, 0.25, np.float64(1 / 3)], [0.5, 0.25, 0.125]],
-            [(0.5, 0.25, 0.125), (0.5, 0.25, 0.125)],
-            [[0.5, 0.25, 0.125], [0.5, 0.25]],
-            [[]],
-            # pairs of list rows take one nested comprehension, whatever they hold
-            [[1 / 3, -0.0], [5e-324, 2 / 3]],
-            [[1 / 3, 7], [True, None]],
-            [[1 / 3, [0.1, 2 / 3]], [{"r": 1 / 3}, "x"]],
-            [[1 / 3], [0.1, 0.2, 1 / 3]],
-            [[1 / 3, 0.2], (0.1, 1 / 3)],
-            ([1 / 3, 0.2], [0.1, 1 / 3]),
-            [[], []],
+            (2, [[0.5, 7], [0.25, 0.125]]),
+            (2, [[0.5, True], [0.25, 0.125]]),
+            (2, [[0.5, np.float64(1 / 3)], [0.25, 0.125]]),
+            (2, [(0.5, 0.25), (0.25, 0.125)]),
+            (2, [[0.5, 0.25, 0.125], [0.5, 0.25]]),
+            (1, [[]]),
+            (2, [[1 / 3, -0.0], [5e-324, 2 / 3], [0.5, 0.25]]),
+            (2, [[1 / 3, 7], [True, None]]),
+            (2, [[1 / 3, [0.1, 2 / 3]], [{"r": 1 / 3}, "x"]]),
+            (2, [[1 / 3], [0.1, 0.2, 1 / 3]]),
+            (2, [[1 / 3, 0.2], (0.1, 1 / 3)]),
+            (2, ([1 / 3, 0.2], [0.1, 1 / 3])),
+            (2, [[], []]),
         ],
         ids=[
             "int", "bool", "float64", "tuple-rows", "ragged", "empty-row",
-            "pair", "pair-non-floats", "pair-nested", "pair-ragged", "pair-tuple-row",
+            "pair-extra-row", "pair-non-floats", "pair-nested", "pair-ragged", "pair-tuple-row",
             "pair-in-tuple", "pair-empty",
         ],
     )
-    def test_round_floats_leaves_non_matrices_to_the_float_path(self, matrix, monkeypatch):
-        gathered = []
-        real = serialize._round_significant
-
-        def recording(x, digits):
-            gathered.append(x.size)
-            return real(x, digits)
-
-        monkeypatch.setattr(serialize, "_round_significant", recording)
-        doc = {"m": matrix, "wide": [[1 / 3] * 3] * 2}
+    def test_round_floats_leaves_non_matrices_to_the_float_path(self, dim, matrix):
+        # a defective part sends its object, and every object of its size, float
+        # by float; a well-formed object of another size stays one kernel call
+        square = [[1 / 3, -0.0, 5e-324][:dim]] * dim
+        doc = {
+            "m": {"dim": dim, "re": square, "im": matrix},
+            "same-size": {"dim": dim, "re": square, "im": square},
+            "wide": {"dim": 3, "re": [[1 / 3] * 3] * 3, "im": [[2 / 3] * 3] * 3},
+        }
         expected = json.dumps(_round_floats_reference(doc, 9))
-        assert json.dumps(round_floats(doc, 9)) == expected
-        assert gathered == [6]  # the plain-float matrix only
+        with _kernel_calls() as calls:
+            assert json.dumps(round_floats(doc, 9)) == expected
+        assert calls == [18]  # the 3x3 object only
+
+    @pytest.mark.parametrize(
+        "obj, sizes",
+        [
+            ({"re": [[1 / 3, 0.2], [0.1, 1 / 3]], "im": [[0.0] * 2] * 2, "dim": 2}, [8]),
+            ({"dim": 2, "re": [[1 / 3, 0.2], [0.1, 1 / 3]], "im": [[0.0] * 2] * 2, "x": 0.1}, []),
+            ({"dim": True, "re": [[1 / 3]], "im": [[0.1]]}, []),
+            ({"dim": 2.0, "re": [[1 / 3, 0.2], [0.1, 1 / 3]], "im": [[0.0] * 2] * 2}, []),
+            ({"dim": 3, "re": [[1 / 3, 0.2], [0.1, 1 / 3]], "im": [[0.0] * 2] * 2}, []),
+            ({"dim": 1, "re": [[1 / 3, 0.2], [0.1, 1 / 3]], "im": [[0.0] * 2] * 2}, []),
+            ({"dim": 0, "re": [], "im": []}, []),
+            # nested objects are met by the float rule of the outer one and
+            # drained after it, into a group of their own size or of the same
+            ({"dim": 2, "re": [{"dim": 2, "re": [[1 / 3] * 2] * 2, "im": [[0.1] * 2] * 2}],
+              "im": [[0.0] * 2] * 2}, [8]),
+            ({"dim": 2, "re": [[1 / 3, 0.2], [0.1, 1 / 3]],
+              "im": {"dim": 1, "re": [[{"dim": 3, "re": [[0.1] * 3] * 3, "im": [[0.2] * 3] * 3}]],
+                     "im": [[2 / 3]]}}, [18]),
+        ],
+        ids=["key-order", "extra-key", "bool-dim", "float-dim", "dim-above-parts",
+             "dim-below-parts", "dim-zero", "nested-same-size", "nested-twice"],
+    )
+    def test_round_floats_matrix_objects(self, obj, sizes):
+        doc = {"obj": obj, "copy": [obj, {"k": obj}]}
+        expected = json.dumps(_round_floats_reference(doc, 9))
+        with _kernel_calls() as calls:
+            assert json.dumps(round_floats(doc, 9)) == expected
+        # one array of the three copies of each well-formed object
+        assert calls == [3 * size for size in sizes]
 
     @pytest.mark.parametrize(
         "ensemble",
@@ -283,6 +359,15 @@ class TestCliSolve:
         solution_path = tmp_path / "sol.json"
         solution_path.write_text(json.dumps(doc))
         assert main(["verify", str(ensemble_path), str(solution_path), "--tol", "1e-8"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+
+    def test_ten_thousand_qubits_round_trip(self, tmp_path, capsys):
+        # parse -> solve -> print -> verify at N = 10^4, with no wall-clock bound
+        ensemble_path, out = tmp_path / "e.json", tmp_path / "sol.json"
+        ensemble_path.write_text(json.dumps(ensemble_to_json(random_ensemble(2, 10_000, False, 1))))
+        assert main(["solve", str(ensemble_path), "--verify", "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["certificate"]["verdict"] == "pass"
+        assert main(["verify", str(ensemble_path), str(out)]) == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
 
     def test_near_duplicate_states_certify(self, tmp_path, capsys):

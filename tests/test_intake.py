@@ -384,6 +384,13 @@ def test_a_huge_diagonal_is_rejected_by_its_trace_with_no_warning(name, dim):
         HUGE_DIAGONAL[name](np.diag(np.full(dim, 1e308)))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_trace_norm_that_overflows_is_inf_with_no_warning(dim):
+    # inf is the rounded value of dim * 1e308; a warning of numpy's raises instead
+    operator = qdiscrim.HermitianOperator(np.diag(np.full(dim, 1e308)))
+    assert qdiscrim.trace_norm(operator) == math.inf
+
+
 # The public callables that take an object of the package, each such argument
 # and its class: a value of another type raises TypeError naming the class.
 OBJECT_ARGUMENTS = {
