@@ -90,7 +90,7 @@ def _operators(t, vectors) -> np.ndarray:
 
 
 def from_bloch(v) -> DensityOperator:
-    """Density operator (I + v . sigma)/2 for a Bloch vector with |v| <= 1."""
+    """Density operator (I + v . sigma)/2, built unchecked, for a Bloch vector with |v| <= 1."""
     v = _real_array(v, "Bloch vector").reshape(-1)
     if len(v) != 3:
         raise ValueError(f"Bloch vector must have 3 components, got {len(v)}")
@@ -101,7 +101,7 @@ def from_bloch(v) -> DensityOperator:
     norm = float(np.linalg.norm(v))
     if norm > 1 + BLOCH_NORM_TOL:
         raise ValueError(f"Bloch vector norm {norm} exceeds 1")
-    return DensityOperator(_operators(1.0, v))
+    return _trusted(DensityOperator, matrix=_operators(1.0, v))
 
 
 @dataclass(frozen=True, eq=False)

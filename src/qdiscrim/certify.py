@@ -25,6 +25,7 @@ from .solve import (
     DiscriminationSolution,
     WeightedEnsemble,
     _povm_stack,
+    _symmetry_matrix,
 )
 
 ANALYTIC_TOL = 1e-8
@@ -176,16 +177,13 @@ def verify_kkt(
     """Certify a candidate (symmetry operator, POVM) pair.
 
     Complementary weights and states are always recomputed from K as
-    r_x = trace(K) - q_x and sigma_x = (K - q_x rho_x) / r_x; a raw K is
-    validated as HermitianOperator validates it. The POVM (operators,
+    r_x = trace(K) - q_x and sigma_x = (K - q_x rho_x) / r_x; K is read by
+    solve._symmetry_matrix, as HermitianOperator reads it. The POVM (operators,
     matrices or a stack (N, d, d)) passes solve._povm_stack, with no
     Hermitian check: the residuals judge it.
     """
     _expect(ensemble, WeightedEnsemble)
-    k = _as_matrix(symmetry_op)
-    d = ensemble.dim
-    if k.shape != (d, d):
-        raise ValueError(f"operator shape {k.shape} does not match dimension {d}")
+    k = _symmetry_matrix(ensemble, symmetry_op)
     return _certificate_from(ensemble, k, _povm_stack(ensemble, povm), tol)
 
 

@@ -485,13 +485,13 @@ def purify(rho) -> PureBipartiteState:
     """Pure state on A tensor B whose partial trace over A recovers the state rho.
 
     Built in the eigenbasis with amplitudes sqrt(lambda_i) and zero
-    phases: psi = sum_i sqrt(lambda_i) |i>_A |v_i>_B.
+    phases: psi = sum_i sqrt(lambda_i) |i>_A |v_i>_B, normalized and built unchecked.
     """
     rho = DensityOperator(rho)
     values, vectors = _eigh(rho.matrix)
     amp = (vectors * np.sqrt(np.maximum(values, 0.0))).T.reshape(-1)
     amp = amp / np.linalg.norm(amp)
-    return PureBipartiteState(rho.dim, rho.dim, amp)
+    return _trusted(PureBipartiteState, dim_a=rho.dim, dim_b=rho.dim, amplitudes=amp)
 
 
 def partial_trace(state: PureBipartiteState, subsystem: str) -> HermitianOperator:

@@ -16,7 +16,7 @@ import numpy as np
 from .bloch import _bloch_vectors
 from .operators import (
     MAX_DIM, DensityOperator, _count, _expect, _Frozen, _priors, _real_array, _real_scalar, _seed,
-    _store,
+    _store, _trusted,
 )
 from .solve import WeightedEnsemble, _povm_stack
 
@@ -125,7 +125,8 @@ def random_ensemble(dim: int, size: int, pure: bool, seed: int) -> WeightedEnsem
     """Seeded random ensemble with flat-simplex priors.
 
     Pure states are normalized complex Gaussian vectors; mixed states come
-    from G G† with complex Gaussian G. Priors are the spacings of sorted
+    from G G† / tr with complex Gaussian G, both PSD of unit trace by
+    construction and so built unchecked. Priors are the spacings of sorted
     uniform draws, resampled while any prior is below 1e-6, at most 1,000
     times. All spacings clear 1e-6 with probability about
     exp(-size^2 * 1e-6), so that bound is reached from a few thousand
@@ -160,7 +161,7 @@ def random_ensemble(dim: int, size: int, pure: bool, seed: int) -> WeightedEnsem
             g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
             rho = g @ g.conj().T
             rho /= np.trace(rho).real
-        states.append(DensityOperator((rho + rho.conj().T) / 2))
+        states.append(_trusted(DensityOperator, matrix=(rho + rho.conj().T) / 2))
     return WeightedEnsemble(priors, states, seed=seed)
 
 

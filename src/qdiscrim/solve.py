@@ -19,9 +19,10 @@ optimal POVM on the kernels of the complementary states
 (reconstruct_povm): Wolfe's minimum-norm point over the rank-one
 projectors on the kernels, whose oracle is a smallest eigenvector,
 either builds the POVM or separates I/d from every measurement on the
-kernels. The generators use it. Ensembles of three or more states in
-dimension three or higher have no known solver and are rejected; the
-certificate module can still check externally supplied candidates.
+kernels. The generators and the trivial solver use it. Ensembles of three
+or more states in dimension three or higher have no known solver and are
+rejected; the certificate module can still check externally supplied
+candidates.
 
 Ensembles, complementary sets and solutions store their operators as
 read-only stacks (N, d, d), which every layer reads; operators._store
@@ -32,14 +33,15 @@ A state is a HermitianOperator.
 
 The input is validated where it enters (the constructors, the functions
 that take an operator, the parse), by the intake rules of operators and
-one rule for every measurement the package reads, _povm_stack. The qubit
-solver builds K, the complementary states and the POVM as closed-form
-operators (t I + v . sigma)/2, exactly Hermitian; the two-state and
-trivial solvers pass K and the POVM, matrix products, through the
-Hermitian check. operators._trusted builds their sets and solutions, and
-the parsed ensemble. Every check that can fail on a built solution
-(completeness, positivity of the POVM, the bounds of the value) runs in
-_assemble on every path.
+one rule for every measurement the package reads, _povm_stack, and one
+reader of a caller's K, _symmetry_matrix. The qubit solver builds K, the
+complementary states and the POVM as closed-form operators
+(t I + v . sigma)/2 and the trivial solver K = q_m rho_m, all exactly
+Hermitian; the POVMs of the search and the two-state solver, and its K,
+pass the Hermitian check. operators._trusted builds their sets and
+solutions, and the parsed ensemble. Every check that can fail on a built
+solution (completeness, positivity of the POVM, the bounds of the value)
+runs in _assemble on every path.
 """
 
 from __future__ import annotations
@@ -141,6 +143,23 @@ def _povm_stack(ensemble: WeightedEnsemble, povm) -> np.ndarray:
     return stack
 
 
+def _symmetry_matrix(ensemble: WeightedEnsemble, symmetry_op) -> np.ndarray:
+    """The matrix of K, read as HermitianOperator reads it; ValueError unless of the ensemble's d."""
+    k = _as_matrix(symmetry_op)
+    if k.shape[0] != ensemble.dim:
+        raise ValueError("operator dimension does not match the ensemble")
+    return k
+
+
+def _finite_trace(k: np.ndarray) -> float:
+    """trace K of a caller's operator; a trace that overflows raises ValueError, with no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(k.trace().real)
+    if not math.isfinite(total):
+        raise ValueError(f"symmetry operator trace overflows, got {total!r}")
+    return total
+
+
 @dataclass(frozen=True, eq=False)
 class ComplementarySet(_Frozen):
     """Weights r_x and states sigma_x with K = q_x rho_x + r_x sigma_x.
@@ -198,7 +217,9 @@ class DiscriminationSolution(_Frozen):
     DEGENERATE_WEIGHT_TOL; complementary is complementary_states(K, ensemble),
     handed over by the solvers, and raises on first access for an infeasible K.
     povm_matrices is the read-only POVM stack (N, d, d), wrapped as povm on
-    first access. K and the POVM enter through _povm_stack and _hermitian_stack.
+    first access. K enters through _symmetry_matrix, and a K whose trace
+    overflows raises ValueError; the POVM enters through _povm_stack and
+    _hermitian_stack.
     """
 
     ensemble: WeightedEnsemble
@@ -208,11 +229,11 @@ class DiscriminationSolution(_Frozen):
 
     def __init__(self, ensemble, symmetry_op, povm) -> None:
         _expect(ensemble, WeightedEnsemble)
-        sym = HermitianOperator(symmetry_op)
-        if sym.dim != ensemble.dim:
-            raise ValueError("operator dimension does not match the ensemble")
+        k = _symmetry_matrix(ensemble, symmetry_op)
+        _finite_trace(k)
         matrices = _hermitian_stack(_povm_stack(ensemble, povm), field="povm[{}]")
-        _store(self, ensemble=ensemble, symmetry_op=sym, povm_matrices=matrices)
+        _store(self, ensemble=ensemble, symmetry_op=_trusted(HermitianOperator, matrix=k),
+               povm_matrices=matrices)
 
     def __getattr__(self, name: str):
         return _lazy_field(self, name, "povm", lambda: _wrap(self.povm_matrices))
@@ -236,16 +257,15 @@ def complementary_states(symmetry_op, ensemble: WeightedEnsemble) -> Complementa
 
     Each weight is trace(K) - q_x and each state is (K - q_x rho_x)
     normalized by its weight. Operators violating K >= q_x rho_x beyond
-    DUAL_FEASIBILITY_TOL are rejected. Weights at or below 1e-12 flag a state
+    DUAL_FEASIBILITY_TOL are rejected, and so is a K whose trace overflows
+    (ValueError). Weights at or below 1e-12 flag a state
     identified with certainty; its complementary state is returned absent.
     All gaps are diagonalized in one stacked call: sigma_x shares its
     gap's eigenvectors, with eigenvalues scaled by 1 / r_x.
     """
     _expect(ensemble, WeightedEnsemble)
-    k = _as_matrix(symmetry_op)
-    if k.shape[0] != ensemble.dim:
-        raise ValueError("operator dimension does not match the ensemble")
-    total = float(k.trace().real)
+    k = _symmetry_matrix(ensemble, symmetry_op)
+    total = _finite_trace(k)
     weights = total - ensemble.priors
     values, vectors = _eigh(k - ensemble.priors[:, None, None] * ensemble.matrices)
     live = weights > DEGENERATE_WEIGHT_TOL
@@ -284,8 +304,7 @@ def reconstruct_povm(
     R^(d*d), since their symmetric and antisymmetric parts are orthogonal.
     Its oracle at the current point G returns the projector minimizing
     tr[P G]: the smallest eigenvector of V_x† G V_x over all x (Jaggi, ICML
-    2013), found by one stacked eigensolver call per kernel dimension
-    above one; a one-dimensional kernel's vector is its only atom. Each
+    2013), found by one stacked eigensolver call per kernel dimension. Each
     element sums d times the weighted atoms of its state. The kernels come
     from the spectra the set holds, and the ensemble gives the dimension.
     The elements come back as a tuple that keeps their checked stack.
@@ -332,12 +351,8 @@ def reconstruct_povm(
         g = 0.5 * ((g + g.T) + 1j * (g - g.T))  # the Hermitian matrix with coordinates x
         best = None
         for owners, bases in groups:
-            blocks = bases.conj().swapaxes(1, 2) @ g @ bases
-            if blocks.shape[-1] == 1:
-                lowest, units = blocks[:, 0, 0].real, bases[:, :, 0]
-            else:
-                block_values, block_vectors = _eigh(blocks)
-                lowest, units = block_values[:, -1], (bases @ block_vectors[:, :, -1:])[:, :, 0]
+            block_values, block_vectors = _eigh(bases.conj().swapaxes(1, 2) @ g @ bases)
+            lowest, units = block_values[:, -1], (bases @ block_vectors[:, :, -1:])[:, :, 0]
             i = int(np.argmin(lowest))
             if best is None or lowest[i] < best[0]:
                 best = (lowest[i], owners[i], units[i])
@@ -392,14 +407,13 @@ def _trivial_solution(ensemble: WeightedEnsemble) -> DiscriminationSolution:
 
     Naming the most likely state is optimal: P = max q_x, with K = q_m rho_m
     for the first argmax m (K = rho for a single state, K = [max q_x] in
-    dimension one) and the identity as its POVM element.
+    dimension one). The search's POVM gives the identity to the first state
+    with r_x = 0: m, or an earlier state within DEGENERATE_WEIGHT_TOL of q_m.
     """
     m = int(np.argmax(ensemble.priors))
-    sym = HermitianOperator(ensemble.priors[m] * ensemble.matrices[m])
-    povm = np.zeros((ensemble.size, ensemble.dim, ensemble.dim), dtype=complex)
-    povm[m] = np.eye(ensemble.dim)
+    sym = _trusted(HermitianOperator, matrix=ensemble.priors[m] * ensemble.matrices[m])
     comp = complementary_states(sym, ensemble)
-    return _assemble(ensemble, sym, comp, _hermitian_stack(povm))
+    return _assemble(ensemble, sym, comp, _matrix_stack(reconstruct_povm(ensemble, comp)))
 
 
 def helstrom_two_state(ensemble: WeightedEnsemble) -> DiscriminationSolution:

@@ -598,23 +598,25 @@ class TestKernelPovmSearch:
             assert found == certified == (theta < 1e-8), d
 
     def test_certification_decomposes_nothing_in_the_search(self, monkeypatch):
-        # the kernels come from the spectra complementary_states already holds
+        # the kernels come from the spectra complementary_states already holds:
+        # every eigh inside the search acts on kernel blocks (1 x 1 here),
+        # never on a matrix of the ensemble's dimension
         factory = importlib.import_module("qdiscrim.factory")
         real_eigh, real_search = np.linalg.eigh, factory.reconstruct_povm
-        inside, shapes, searches = [False], [], []
+        inside, shapes, searches = [None], [], []
 
         def counting_eigh(matrix):
-            if inside[0]:
-                shapes.append(np.shape(matrix))
+            if inside[0] is not None:
+                shapes.append((inside[0], np.shape(matrix)))
             return real_eigh(matrix)
 
-        def search(*args):
-            inside[0] = True
+        def search(ensemble, comp):
+            inside[0] = ensemble.dim
             try:
-                searches.append(real_search(*args))
+                searches.append(real_search(ensemble, comp))
                 return searches[-1]
             finally:
-                inside[0] = False
+                inside[0] = None
 
         monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
         monkeypatch.setattr(factory, "reconstruct_povm", search)
@@ -622,4 +624,5 @@ class TestKernelPovmSearch:
         outputs = [identity_class_example(8), _rotated_basis(5, rng), _tilted_basis(4, 1e-10, rng)]
         assert all(out.certified for out in outputs)
         assert len(searches) == len(outputs)
-        assert shapes == []
+        assert shapes and all(shape[-1] < d for d, shape in shapes)
+        assert {shape[-2:] for _, shape in shapes} == {(1, 1)}

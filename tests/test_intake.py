@@ -85,6 +85,8 @@ def _without(kinds, *dropped):
 # a state's entries are bounded by 1: a huge diagonal overflows its trace
 STATE = _without(MATRIX, "wrong-dimension") + ("huge",)
 STATES = MATRICES + ("huge",)
+# a solution's K and complementary_states' K must have a finite trace
+SYMMETRY = MATRIX + ("huge",)
 
 
 def _context():
@@ -124,7 +126,7 @@ ROWS = {
     ),
     "DiscriminationSolution": (
         lambda c: dict(ensemble=c["ensemble"], symmetry_op=c["K"], povm=c["povm"]),
-        {"ensemble": ("ensemble", RELATIVE), "symmetry_op": ("matrix", MATRIX),
+        {"ensemble": ("ensemble", RELATIVE), "symmetry_op": ("matrix", SYMMETRY),
          "povm": ("matrices", MATRICES)},
     ),
     "HermitianOperator": (
@@ -146,7 +148,7 @@ ROWS = {
     ),
     "complementary_states": (
         lambda c: dict(symmetry_op=c["K"], ensemble=c["ensemble"]),
-        {"symmetry_op": ("matrix", MATRIX),
+        {"symmetry_op": ("matrix", SYMMETRY),
          "ensemble": ("ensemble", OBJECT + ("wrong-dimension",))},
     ),
     "conditional_table_from_povm": (
@@ -366,8 +368,13 @@ def test_a_malformed_argument_is_rejected_in_the_package_words(name, argument, k
 
 
 # The roles whose entries are bounded (a state's by 1, the steering generator's
-# K by its trace), each given a diagonal of 1e308, whose trace overflows.
+# K by its trace) or whose trace must be finite (the K of a solution and of
+# complementary_states), each given a diagonal of 1e308, whose trace overflows.
 HUGE_DIAGONAL = {
+    "DiscriminationSolution": lambda m: qdiscrim.DiscriminationSolution(
+        random_ensemble(len(m), 3, False, 0), m, [np.eye(len(m))] + [np.zeros_like(m)] * 2),
+    "complementary_states": lambda m: qdiscrim.complementary_states(
+        m, random_ensemble(len(m), 3, False, 0)),
     "DensityOperator": lambda m: qdiscrim.DensityOperator(m),
     "WeightedEnsemble": lambda m: WeightedEnsemble([0.5, 0.5], [m, np.eye(len(m)) / len(m)]),
     "ComplementarySet": lambda m: ComplementarySet([0.5], [m]),
@@ -382,6 +389,22 @@ HUGE_DIAGONAL = {
 def test_a_huge_diagonal_is_rejected_by_its_trace_with_no_warning(name, dim):
     with pytest.raises(ValueError, match="got inf$"):  # a warning of numpy's raises instead
         HUGE_DIAGONAL[name](np.diag(np.full(dim, 1e308)))
+
+
+# The three readers of a symmetry operator K, given the trine and a K.
+K_READERS = {
+    "DiscriminationSolution":
+        lambda e, k: qdiscrim.DiscriminationSolution(e, k, solve(e).povm_matrices),
+    "complementary_states": lambda e, k: qdiscrim.complementary_states(k, e),
+    "verify_kkt": lambda e, k: qdiscrim.verify_kkt(e, k, solve(e).povm_matrices),
+}
+
+
+@pytest.mark.parametrize("name", sorted(K_READERS))
+def test_a_symmetry_operator_of_another_dimension_has_one_message(name):
+    with pytest.raises(ValueError) as info:
+        K_READERS[name](trine(), np.eye(3) / 3)
+    assert str(info.value) == "operator dimension does not match the ensemble"
 
 
 @pytest.mark.parametrize("dim", [2, 3])
